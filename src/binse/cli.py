@@ -134,18 +134,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_codebooks(args):
+def _load_codebooks(args, cfg: RunConfig):
     try:
         speech_cb = codebook.load(args.speech_cb)
         noise_cb = codebook.load(args.noise_cb)
     except (OSError, codebook.CodebookFormatError) as exc:
         raise CliError(str(exc)) from exc
+    if speech_cb.order > cfg.smoother_delay:
+        raise CliError(
+            f"{args.speech_cb}: speech codebook order {speech_cb.order} exceeds "
+            f"smoother_delay {cfg.smoother_delay}"
+        )
     return speech_cb, noise_cb
 
 
 def cmd_enhance(args) -> int:
     cfg = build_config(args)
-    speech_cb, noise_cb = _load_codebooks(args)
+    speech_cb, noise_cb = _load_codebooks(args, cfg)
     noisy = read_wav(args.input)
     if noisy.sample_rate != cfg.sample_rate:
         raise CliError(
@@ -176,7 +181,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_single(args) -> int:
     cfg = build_config(args)
-    speech_cb, noise_cb = _load_codebooks(args)
+    speech_cb, noise_cb = _load_codebooks(args, cfg)
     noisy = read_wav(args.input)
     if noisy.channel_count != 1:
         raise CliError("single-channel enhancement requires a mono input")
@@ -192,7 +197,7 @@ def cmd_single(args) -> int:
 
 def cmd_pitch(args) -> int:
     cfg = build_config(args)
-    speech_cb, noise_cb = _load_codebooks(args)
+    speech_cb, noise_cb = _load_codebooks(args, cfg)
     noisy = read_wav(args.input)
     if noisy.channel_count != 2:
         raise CliError("pitch tracking expects a stereo input")
@@ -209,8 +214,8 @@ def cmd_pitch(args) -> int:
     params = pipeline._channel_params(
         left.channel("left"),
         right.channel("left"),
-        speech_cb.ar_models(),
-        noise_cb.ar_models(),
+        stp.compile_codebook(speech_cb, cfg.frame_len),
+        stp.compile_codebook(noise_cb, cfg.frame_len),
         cfg_vuv,
         None,
         None,

@@ -205,8 +205,11 @@ def enhance_channel(
     """Run the FLKS over one channel with per-frame (StpEstimate, PitchInfo).
 
     The model is rebuilt at frame boundaries; state and covariance carry
-    across.  Output is delay-compensated by flushing the smoother with
-    zero observations, so it aligns sample-for-sample with the input.
+    across.  Samples after the last full frame are smoothed with the last
+    frame's model.  Output is delay-compensated by flushing the smoother
+    with zero observations, so it aligns sample-for-sample with the input.
+    Input shorter than one frame has no parameters and is returned
+    unchanged.
     """
     x = z.channel(channel)
     n_frames = len(x) // frame_len
@@ -214,10 +217,11 @@ def enhance_channel(
         raise ValueError(
             f"expected {n_frames} parameter sets, got {len(per_frame_params)}"
         )
+    if n_frames == 0:
+        return AudioBuffer(x.copy(), z.sample_rate)
     out = np.zeros(len(x))
     write = 0
     state = None
-    model = None
     for fi in range(n_frames):
         stp, pitch = per_frame_params[fi]
         if model_kind == "uv":
@@ -229,16 +233,16 @@ def enhance_channel(
         if state is None:
             r0 = float(np.dot(x[:frame_len], x[:frame_len])) / frame_len
             state = initial_state(model, max(r0, 1e-12))
-        for n in range(fi * frame_len, (fi + 1) * frame_len):
+        stop = (fi + 1) * frame_len if fi < n_frames - 1 else len(x)
+        for n in range(fi * frame_len, stop):
             state, emitted = flks_step(state, model, x[n])
             if emitted is not None and write < len(out):
                 out[write] = emitted
                 write += 1
     # Flush: zero observations until every input sample has been emitted.
-    while write < len(out) and model is not None:
+    while write < len(out):
         state, emitted = flks_step(state, model, 0.0)
         if emitted is not None:
             out[write] = emitted
             write += 1
-    # Tail of input beyond the last full frame is passed through untouched.
     return AudioBuffer(out, z.sample_rate)

@@ -101,42 +101,73 @@ def levinson_durbin(autocorr: npt.NDArray[np.float64]) -> ArModel:
     return ArModel(a, float(err))
 
 
-def _sym_poly_real_eval(coeffs: npt.NDArray[np.float64], omega: npt.NDArray[np.float64]):
-    """Evaluate a palindromic even-degree polynomial on the unit circle.
+def _cosine_series(polys) -> npt.NDArray[np.float64]:
+    """Cosine-series rows of palindromic even-degree polynomials.
 
-    For symmetric coeffs of length 2m+1, P(e^{-jw}) e^{jwm} is real:
-    c_m + 2 sum_{k<m} c_k cos((m-k) w).
+    For symmetric coeffs c of length 2m+1, P(e^{-jw}) e^{jwm} is real and
+    equals d_0 + sum_{j=1..m} d_j cos(j w) with d_0 = c_m, d_j = 2 c_{m-j}.
+    Rows are zero-padded to the longest series.
     """
-    n = len(coeffs)
-    m = (n - 1) // 2
-    out = np.full_like(omega, coeffs[m], dtype=np.float64)
-    for k in range(m):
-        out += 2.0 * coeffs[k] * np.cos((m - k) * omega)
+    width = max(len(c) - 1 for c in polys) // 2 + 1
+    series = np.zeros((len(polys), width))
+    for row, c in zip(series, polys):
+        m = (len(c) - 1) // 2
+        row[0] = c[m]
+        row[1 : m + 1] = 2.0 * c[:m][::-1]
+    return series
+
+
+def _eval_cosine_series(series, cos_terms) -> npt.NDArray[np.float64]:
+    """Sum series[..., 0] + series[..., j] * cos_terms[j] from the highest j down.
+
+    The fixed descending order keeps every evaluation bit-identical, however
+    many points are evaluated together; padded zero terms add exactly 0.
+    """
+    out = np.zeros(np.broadcast_shapes(series.shape[:-1], cos_terms.shape[1:]))
+    out += series[..., 0]
+    for j in range(series.shape[-1] - 1, 0, -1):
+        out += series[..., j] * cos_terms[j]
     return out
 
 
-def _unit_circle_roots(coeffs, n_grid=4096, tol=1e-12):
-    """Angles in (0, pi) where the palindromic polynomial vanishes."""
+def _unit_circle_roots(polys, n_grid=4096, tol=1e-12):
+    """Angles in (0, pi) where any of the palindromic polynomials vanishes.
+
+    Sign changes on an (n_grid+1)-point grid bracket the roots, and all
+    brackets of all polynomials are bisected together to width ``tol``.
+    """
+    series = _cosine_series(polys)
+    harmonics = np.arange(series.shape[1])[:, None]
     grid = np.linspace(0.0, np.pi, n_grid + 1)
-    vals = _sym_poly_real_eval(coeffs, grid)
-    roots = []
-    for i in range(n_grid):
-        lo, hi = grid[i], grid[i + 1]
-        flo, fhi = vals[i], vals[i + 1]
-        if flo == 0.0:
-            if 0.0 < lo < np.pi:
-                roots.append(lo)
-            continue
-        if flo * fhi < 0.0:
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fmid = _sym_poly_real_eval(coeffs, np.array([mid]))[0]
-                if flo * fmid <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            roots.append(0.5 * (lo + hi))
-    return np.array(roots)
+    vals = _eval_cosine_series(series[:, None, :], np.cos(harmonics * grid)[:, None, :])
+    flo, fhi = vals[:, :-1], vals[:, 1:]
+    on_grid = (flo == 0.0) & (grid[:-1] > 0.0) & (grid[:-1] < np.pi)
+    poly_idx, cell = np.nonzero((flo != 0.0) & (flo * fhi < 0.0))
+    lo, hi, flo = grid[cell], grid[cell + 1], flo[poly_idx, cell]
+    rows = series[poly_idx]
+    active = hi - lo > tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        fmid = _eval_cosine_series(rows, np.cos(harmonics * mid))
+        left = flo * fmid <= 0.0
+        hi = np.where(active & left, mid, hi)
+        move = active & ~left
+        lo = np.where(move, mid, lo)
+        flo = np.where(move, fmid, flo)
+        active = hi - lo > tol
+    return np.concatenate((grid[np.nonzero(on_grid)[1]], 0.5 * (lo + hi)))
+
+
+def _deflate(poly, root: float) -> npt.NDArray[np.float64]:
+    """Quotient of poly / (z - root) for root = +/-1, by synthetic division.
+
+    q_k = a_k + root * q_{k-1}; for root = -1 the alternating signs fold
+    into one cumulative sum.  Equal, term for term, to np.polydiv's loop.
+    """
+    if root == 1.0:
+        return np.cumsum(poly[:-1])
+    signs = np.where(np.arange(len(poly) - 1) % 2 == 0, 1.0, -1.0)
+    return signs * np.cumsum(signs * poly[:-1])
 
 
 def ar_to_lsf(model: ArModel) -> LsfVector:
@@ -149,12 +180,12 @@ def ar_to_lsf(model: ArModel) -> LsfVector:
     q_poly = a_ext - a_ext[::-1]
     # Deflate the fixed roots at z = +/-1 so both polynomials become
     # palindromic with even degree.
-    q_poly = np.polydiv(q_poly, np.array([1.0, -1.0]))[0]
+    q_poly = _deflate(q_poly, 1.0)
     if p % 2 == 0:
-        p_poly = np.polydiv(p_poly, np.array([1.0, 1.0]))[0]
+        p_poly = _deflate(p_poly, -1.0)
     else:
-        q_poly = np.polydiv(q_poly, np.array([1.0, 1.0]))[0]
-    freqs = np.sort(np.concatenate((_unit_circle_roots(p_poly), _unit_circle_roots(q_poly))))
+        q_poly = _deflate(q_poly, -1.0)
+    freqs = np.sort(_unit_circle_roots((p_poly, q_poly)))
     if len(freqs) != p:
         raise NumericalDegeneracyError(
             f"expected {p} line spectral frequencies, found {len(freqs)}"

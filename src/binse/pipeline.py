@@ -18,7 +18,14 @@ from .pitch import (
     prewhiten,
 )
 from .signal_core import AudioBuffer, Frame, analytic_signal, cross_spectrum, periodogram
-from .stp import DualChannelNoiseTracker, GammaPrior, StpDiagnostics, StpEstimate
+from .stp import (
+    CompiledCodebook,
+    DualChannelNoiseTracker,
+    GammaPrior,
+    StpDiagnostics,
+    StpEstimate,
+    compile_codebook,
+)
 
 
 @dataclass(frozen=True)
@@ -75,27 +82,25 @@ class FrameDiagnostics:
 def _estimate_frame_params(
     pzl,
     pzr,
-    speech_models,
-    noise_models,
+    speech: CompiledCodebook,
+    noise: CompiledCodebook,
     adaptive_entry: ArModel | None,
     cfg: RunConfig,
     frame_index: int,
     diagnostics_out: list | None,
 ) -> StpEstimate:
-    noise_entries = list(noise_models)
-    if adaptive_entry is not None:
-        noise_entries.append(adaptive_entry)
     diag = StpDiagnostics()
     est = stp.estimate_stp(
         pzl,
         pzr,
-        speech_models,
-        noise_entries,
+        speech,
+        noise,
         frame_len=cfg.frame_len,
         noise_var_prior=cfg.noise_var_prior,
         mu_iters=cfg.mu_iters,
         frame_index=frame_index,
         diagnostics=diag,
+        adaptive_noise=adaptive_entry,
     )
     if adaptive_entry is not None:
         # Fuse the codebook-MMSE noise variance with the dual-channel one.
@@ -121,7 +126,7 @@ def _pitch_for_frame(
     m = cfg.frame_len
 
     def whitened_analytic(x):
-        hist = x[max(0, start - cfg.noise_order) : start]
+        hist = x[max(0, start - noise_model.order) : start]
         white = prewhiten(x[start : start + m], noise_model, hist)
         return analytic_signal(Frame(white, 0))
 
@@ -143,8 +148,8 @@ def _pitch_for_frame(
 def _channel_params(
     xl,
     xr,
-    speech_models,
-    noise_models,
+    speech: CompiledCodebook,
+    noise: CompiledCodebook,
     cfg: RunConfig,
     diagnostics_out: list | None,
     directivity,
@@ -168,13 +173,12 @@ def _channel_params(
             dc_psd = tracker.update(pzl, pzr, cross)
             # Fit at the codebook's order so the LSF-domain averaging in
             # the estimator sees entries of one common length.
-            fit_order = noise_models[0].order if noise_models else cfg.noise_order
             try:
-                adaptive_entry = stp.noise_psd_to_ar(dc_psd, fit_order)
+                adaptive_entry = stp.noise_psd_to_ar(dc_psd, noise.order)
             except (ValueError, ArithmeticError):
                 adaptive_entry = None
         est = _estimate_frame_params(
-            pzl, pzr, speech_models, noise_models, adaptive_entry, cfg, fi, diagnostics_out
+            pzl, pzr, speech, noise, adaptive_entry, cfg, fi, diagnostics_out
         )
         if cfg.model == "vuv":
             pitch = _pitch_for_frame(xl, xr, est.noise, fi * m, cfg, directivity)
@@ -204,24 +208,18 @@ def process(
         raise ValueError(
             f"sample rate {zl.sample_rate} != configured {cfg.sample_rate}"
         )
-    speech_models = speech_cb.ar_models()
-    noise_models = noise_cb.ar_models()
+    speech = compile_codebook(speech_cb, cfg.frame_len)
+    noise = compile_codebook(noise_cb, cfg.frame_len)
     xl = zl.channel("left")
     xr = zr.channel("left") if zr.channel_count == 1 else zr.channel("right")
     directivity = directivity or DirectivityModel(sample_rate=cfg.sample_rate)
 
     if cfg.mode == "binaural":
-        params = _channel_params(
-            xl, xr, speech_models, noise_models, cfg, diagnostics_out, directivity
-        )
+        params = _channel_params(xl, xr, speech, noise, cfg, diagnostics_out, directivity)
         params_l = params_r = params
     else:
-        params_l = _channel_params(
-            xl, None, speech_models, noise_models, cfg, diagnostics_out, directivity
-        )
-        params_r = _channel_params(
-            xr, None, speech_models, noise_models, cfg, None, directivity
-        )
+        params_l = _channel_params(xl, None, speech, noise, cfg, diagnostics_out, directivity)
+        params_r = _channel_params(xr, None, speech, noise, cfg, None, directivity)
 
     out_l = kalman.enhance_channel(
         AudioBuffer(xl, zl.sample_rate), params_l, cfg.frame_len, cfg.model,
@@ -250,8 +248,8 @@ def process_single(
     params = _channel_params(
         x,
         None,
-        speech_cb.ar_models(),
-        noise_cb.ar_models(),
+        compile_codebook(speech_cb, cfg.frame_len),
+        compile_codebook(noise_cb, cfg.frame_len),
         cfg,
         diagnostics_out,
         DirectivityModel(sample_rate=cfg.sample_rate),

@@ -5,16 +5,25 @@ excitation variances by multiplicative updates on an Itakura-Saito cost;
 pair weights combine the likelihood with excitation-variance priors, and
 the final estimate is the weighted average (AR shapes averaged in the LSF
 domain so the result stays stable).
+
+Codebook entries never change between frames, so their LSF rows and their
+envelopes on the periodogram grid are compiled once per run into a
+``CompiledCodebook``; only the optional adaptive noise entry is converted
+per frame.  The multiplicative updates of all S x W pairs of a frame run
+as one batched array solve, each pair stopping on the iteration where it
+would stop if solved alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 from scipy.special import digamma, gammaln, polygamma
 
+from .codebook import Codebook
 from .linpred import ArModel, LsfVector, ar_envelope, ar_to_lsf, levinson_durbin, lsf_to_ar
 from .signal_core import Spectrum
 
@@ -23,6 +32,43 @@ MU_DEFAULT_ITERS = 50
 MU_REL_TOL = 1e-6
 DC_PSD_FLOOR = 0.01
 DC_PSD_SMOOTHING = 0.9
+
+
+@dataclass(frozen=True)
+class CompiledCodebook:
+    """Frame-invariant view of codebook entries for the estimator.
+
+    ``lsfs`` holds one LSF row per entry, ``envelopes`` the entry's AR
+    envelope 1/|A(k)|^2 on the periodogram's ``dft_len`` bins.
+    """
+
+    lsfs: npt.NDArray[np.float64]  # (count, order)
+    envelopes: npt.NDArray[np.float64]  # (count, dft_len)
+
+    def __len__(self) -> int:
+        return len(self.lsfs)
+
+    @property
+    def order(self) -> int:
+        return self.lsfs.shape[1]
+
+
+def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> CompiledCodebook:
+    """Compile a codebook, or a list of AR models of one order, for ``dft_len`` bins.
+
+    A ``Codebook`` contributes its stored LSF rows as they are; AR models are
+    converted with one ``ar_to_lsf`` call each.
+    """
+    if isinstance(entries, Codebook):
+        lsfs = entries.entries
+        models = entries.ar_models()
+    else:
+        models = list(entries)
+        if not models:
+            raise ValueError("codebooks must be non-empty")
+        lsfs = np.array([ar_to_lsf(m).frequencies for m in models])
+    envelopes = np.array([ar_envelope(m, dft_len) for m in models])
+    return CompiledCodebook(lsfs, envelopes)
 
 
 @dataclass(frozen=True)
@@ -52,11 +98,15 @@ class GammaPrior:
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
 
-    def log_pdf(self, x: float) -> float:
-        if x <= 0:
-            return -np.inf
+    def log_pdf(self, x):
+        """Log density; elementwise for an array, a float for a scalar."""
+        x = np.asarray(x, float)
         k, z = self.shape, self.scale
-        return float((k - 1) * np.log(x) - x / z - gammaln(k) - k * np.log(z))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(
+                x > 0, (k - 1) * np.log(x) - x / z - gammaln(k) - k * np.log(z), -np.inf
+            )
+        return float(out) if out.ndim == 0 else out
 
 
 def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -66,16 +116,25 @@ def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return np.maximum(observed, OBSERVED_FLOOR_REL * peak)
 
 
-def is_divergence(observed, modeled) -> float:
-    """Mean Itakura-Saito divergence (1/K) sum [P/P^ - ln(P/P^) - 1]."""
+def _mean_is(floored, modeled):
+    """Mean IS divergence of a floored observed spectrum from each row of ``modeled``."""
+    ratio = floored / modeled
+    return np.mean(ratio - np.log(ratio) - 1.0, axis=-1)
+
+
+def is_divergence(observed, modeled):
+    """Mean Itakura-Saito divergence (1/K) sum [P/P^ - ln(P/P^) - 1].
+
+    A float for a 1-D ``modeled``; one divergence per row for (N, K).
+    """
     p = np.asarray(observed.bins if isinstance(observed, Spectrum) else observed, float)
     q = np.asarray(modeled.bins if isinstance(modeled, Spectrum) else modeled, float)
-    if len(p) != len(q):
+    if p.shape[-1] != q.shape[-1]:
         raise ValueError("spectra must have equal length")
     if np.any(q <= 0):
         raise ValueError("modeled spectrum must be strictly positive")
-    ratio = _floored(p) / q
-    return float(np.mean(ratio - np.log(ratio) - 1.0))
+    out = _mean_is(_floored(p), q)
+    return float(out) if out.ndim == 0 else out
 
 
 def ml_excitation_variances(
@@ -90,7 +149,11 @@ def ml_excitation_variances(
 
     Minimizes the summed two-channel Itakura-Saito cost between the
     observed periodograms and ``sigma_d^2 * speech_env + sigma_v^2 * noise_env``.
-    Returns (sigma_d2, sigma_v2, final_cost).
+    Returns (sigma_d2, sigma_v2, final_cost) as floats for 1-D envelopes.
+    (N, K) envelopes fit N pairs at once and give three (N,) arrays.  Each
+    pair stops on the iteration where it would stop alone: when its cost
+    changes by less than MU_REL_TOL relative, when both its variances reach
+    zero, or after ``iters`` updates.
     """
     pl = np.asarray(pzl.bins if isinstance(pzl, Spectrum) else pzl, float)
     pr = np.asarray(pzr.bins if isinstance(pzr, Spectrum) else pzr, float)
@@ -98,42 +161,53 @@ def ml_excitation_variances(
     pw = np.asarray(noise_env, float)
     if np.any(ps <= 0) or np.any(pw <= 0):
         raise ValueError("envelopes must be strictly positive")
+    single = ps.ndim == pw.ndim == 1
+    ps, pw = np.broadcast_arrays(np.atleast_2d(ps), np.atleast_2d(pw))
     total = pl + pr
     if init is None:
         mean_power = float(total.mean()) / 2.0
-        sd = sv = max(mean_power / 2.0, 1e-12)
+        sd0 = sv0 = max(mean_power / 2.0, 1e-12)
     else:
-        sd, sv = init
-        if sd <= 0 or sv <= 0:
+        sd0, sv0 = init
+        if sd0 <= 0 or sv0 <= 0:
             raise ValueError("initial variances must be positive")
+    floor_l, floor_r = _floored(pl), _floored(pr)
 
-    def cost(sd_, sv_):
-        modeled = sd_ * ps + sv_ * pw
-        return is_divergence(pl, modeled) + is_divergence(pr, modeled)
+    def cost(sd_, sv_, rows):
+        modeled = sd_[:, None] * ps[rows] + sv_[:, None] * pw[rows]
+        return _mean_is(floor_l, modeled) + _mean_is(floor_r, modeled)
 
-    prev = cost(sd, sv)
+    sd = np.full(len(ps), float(sd0))
+    sv = np.full(len(ps), float(sv0))
+    prev = cost(sd, sv, slice(None))
+    active = np.arange(len(ps))
     for _ in range(iters):
-        modeled = sd * ps + sv * pw
-        inv = 1.0 / modeled
+        if not len(active):
+            break
+        a_ps, a_pw = ps[active], pw[active]
+        inv = 1.0 / (sd[active, None] * a_ps + sv[active, None] * a_pw)
         weighted = inv * inv * total
-        sd = sd * float(ps @ weighted) / (2.0 * float(ps @ inv))
-        sv = sv * float(pw @ weighted) / (2.0 * float(pw @ inv))
-        if sd <= 0 and sv <= 0:
-            break
-        sd = max(sd, 0.0)
-        sv = max(sv, 0.0)
-        if sd == 0 and sv == 0:
-            break
-        cur = cost(max(sd, 1e-300), max(sv, 1e-300))
-        if abs(prev - cur) < MU_REL_TOL * max(abs(prev), 1e-30):
-            prev = cur
-            break
-        prev = cur
-    return float(sd), float(sv), float(prev)
+        sd[active] = sd[active] * np.einsum("ij,ij->i", a_ps, weighted) / (
+            2.0 * np.einsum("ij,ij->i", a_ps, inv)
+        )
+        sv[active] = sv[active] * np.einsum("ij,ij->i", a_pw, weighted) / (
+            2.0 * np.einsum("ij,ij->i", a_pw, inv)
+        )
+        # A pair whose variances both reach zero (a silent frame) stops as is.
+        active = active[~((sd[active] <= 0) & (sv[active] <= 0))]
+        sd[active] = np.maximum(sd[active], 0.0)
+        sv[active] = np.maximum(sv[active], 0.0)
+        cur = cost(np.maximum(sd[active], 1e-300), np.maximum(sv[active], 1e-300), active)
+        base = prev[active]
+        prev[active] = cur
+        active = active[~(np.abs(base - cur) < MU_REL_TOL * np.maximum(np.abs(base), 1e-30))]
+    if single:
+        return float(sd[0]), float(sv[0]), float(prev[0])
+    return sd, sv, prev
 
 
-def pair_log_likelihood(pzl, pzr, modeled, frame_len: int) -> float:
-    """Unnormalized log-likelihood -(M/2)[d_IS(l) + d_IS(r)]."""
+def pair_log_likelihood(pzl, pzr, modeled, frame_len: int):
+    """Unnormalized log-likelihood -(M/2)[d_IS(l) + d_IS(r)], per row of a 2-D ``modeled``."""
     return -0.5 * frame_len * (is_divergence(pzl, modeled) + is_divergence(pzr, modeled))
 
 
@@ -154,16 +228,19 @@ class StpDiagnostics:
 def estimate_stp(
     pzl: Spectrum,
     pzr: Spectrum,
-    speech_entries: list[ArModel],
-    noise_entries: list[ArModel],
+    speech_entries: CompiledCodebook | Sequence[ArModel],
+    noise_entries: CompiledCodebook | Sequence[ArModel],
     frame_len: int,
     noise_var_prior: GammaPrior | None = None,
     mu_iters: int = MU_DEFAULT_ITERS,
     frame_index: int = 0,
     diagnostics: StpDiagnostics | None = None,
+    adaptive_noise: ArModel | None = None,
 ) -> StpEstimate:
     """MMSE estimate of the joint STP vector over the codebook pair grid.
 
+    Entries given as lists of AR models go through ``compile_codebook``.
+    ``adaptive_noise``, when given, joins the noise entries as the last one.
     AR shapes are averaged in the LSF domain under the posterior pair
     weights; excitation variances are averaged directly.  The prior on the
     speech variance is uniform; the noise variance optionally carries a
@@ -171,31 +248,31 @@ def estimate_stp(
     """
     if len(pzl) != len(pzr):
         raise ValueError("channel spectra must have equal length")
-    if not speech_entries or not noise_entries:
-        raise ValueError("codebooks must be non-empty")
     k = len(pzl)
-    ns, nw = len(speech_entries), len(noise_entries)
+    speech, noise = (
+        e if isinstance(e, CompiledCodebook) else compile_codebook(e, k)
+        for e in (speech_entries, noise_entries)
+    )
+    if adaptive_noise is not None:
+        extra = compile_codebook([adaptive_noise], k)
+        noise = CompiledCodebook(
+            np.vstack((noise.lsfs, extra.lsfs)), np.vstack((noise.envelopes, extra.envelopes))
+        )
+    if speech.envelopes.shape[1] != k or noise.envelopes.shape[1] != k:
+        raise ValueError(f"codebooks compiled for another DFT length than {k}")
+    ns, nw = len(speech), len(noise)
 
-    speech_envs = [ar_envelope(m, k) for m in speech_entries]
-    noise_envs = [ar_envelope(m, k) for m in noise_entries]
-    speech_lsfs = [ar_to_lsf(m).frequencies for m in speech_entries]
-    noise_lsfs = [ar_to_lsf(m).frequencies for m in noise_entries]
-
-    log_weights = np.full((ns, nw), -np.inf)
-    sig_d = np.zeros((ns, nw))
-    sig_v = np.zeros((ns, nw))
-    for i in range(ns):
-        for j in range(nw):
-            sd, sv, _ = ml_excitation_variances(
-                pzl, pzr, speech_envs[i], noise_envs[j], iters=mu_iters
-            )
-            sig_d[i, j] = sd
-            sig_v[i, j] = sv
-            modeled = max(sd, 1e-300) * speech_envs[i] + max(sv, 1e-300) * noise_envs[j]
-            lw = pair_log_likelihood(pzl, pzr, modeled, frame_len)
-            if noise_var_prior is not None:
-                lw += noise_var_prior.log_pdf(sv)
-            log_weights[i, j] = lw
+    # Pair (i, j) is row i * nw + j.
+    ps = np.repeat(speech.envelopes, nw, axis=0)
+    pw = np.tile(noise.envelopes, (ns, 1))
+    sig_d, sig_v, _ = ml_excitation_variances(pzl, pzr, ps, pw, iters=mu_iters)
+    modeled = np.maximum(sig_d, 1e-300)[:, None] * ps + np.maximum(sig_v, 1e-300)[:, None] * pw
+    log_weights = pair_log_likelihood(pzl, pzr, modeled, frame_len)
+    if noise_var_prior is not None:
+        log_weights = log_weights + noise_var_prior.log_pdf(sig_v)
+    log_weights = log_weights.reshape(ns, nw)
+    sig_d = sig_d.reshape(ns, nw)
+    sig_v = sig_v.reshape(ns, nw)
 
     best_flat = int(np.argmax(log_weights))
     bi, bj = divmod(best_flat, nw)
@@ -224,8 +301,8 @@ def estimate_stp(
 
     w_speech = weights.sum(axis=1)
     w_noise = weights.sum(axis=0)
-    avg_speech_lsf = np.einsum("i,ij->j", w_speech, np.array(speech_lsfs))
-    avg_noise_lsf = np.einsum("i,ij->j", w_noise, np.array(noise_lsfs))
+    avg_speech_lsf = np.einsum("i,ij->j", w_speech, speech.lsfs)
+    avg_noise_lsf = np.einsum("i,ij->j", w_noise, noise.lsfs)
     speech_model = lsf_to_ar(LsfVector(np.sort(avg_speech_lsf)))
     noise_model = lsf_to_ar(LsfVector(np.sort(avg_noise_lsf)))
     avg_sd = float((weights * sig_d).sum())

@@ -133,6 +133,18 @@ class TestEnhanceCommand:
         ])
         assert code == 2
 
+    def test_codebook_order_above_smoother_delay_usage_error(
+        self, tmp_path, stereo_wav, cb_paths, capsys
+    ):
+        deep = tmp_path / "order30.cbk"
+        codebook.save(codebook.Codebook(np.linspace(0.05, 3.0, 30)[None, :], "speech"), deep)
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", str(deep),
+                     "--noise-cb", cb_paths[1]])
+        assert code == 2
+        assert "smoother_delay" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_mismatch_usage_error(self, tmp_path, stereo_wav, cb_paths):
         sp, np_ = cb_paths
         code = main([

@@ -230,6 +230,24 @@ class TestEnhanceChannel:
                 AudioBuffer(s, 8000), self.make_params(3, speech, noise), 200
             )
 
+    def test_trailing_partial_frame_smoothed(self, rng):
+        n = 5 * 200 + 150
+        speech = ArModel(np.array([1.8, -0.9]), 1e-3)
+        s = ar_signal(speech.coefficients, 1e-3, n, rng)
+        noise_sig = rng.normal(size=n)
+        g = snr_scale(s, noise_sig, 10.0)
+        z = s + g * noise_sig
+        params = self.make_params(5, speech, ArModel(np.array([0.0]), g * g))
+        out = enhance_channel(AudioBuffer(z, 8000), params, 200).samples
+        assert len(out) == n
+        ratio = np.sqrt(np.mean(out[1000:] ** 2) / np.mean(z[1000:] ** 2))
+        assert 0.5 <= ratio <= 2.0
+
+    def test_shorter_than_one_frame_passed_through(self, rng):
+        z = rng.normal(size=150)
+        out = enhance_channel(AudioBuffer(z, 8000), [], 200)
+        np.testing.assert_array_equal(out.samples, z)
+
     def test_known_params_near_wiener(self, rng):
         import time
 

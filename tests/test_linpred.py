@@ -136,3 +136,62 @@ class TestArEnvelope:
     def test_short_dft_rejected(self):
         with pytest.raises(ValueError):
             ar_envelope(ArModel(np.zeros(10)), 8)
+
+
+def _reference_ar_to_lsf(model):
+    """Scalar grid-plus-bisection root search with np.polydiv deflation.
+
+    The loop implementation ``ar_to_lsf`` replaced; kept as the reference
+    its array version must reproduce.
+    """
+
+    def sym_eval(coeffs, omega):
+        m = (len(coeffs) - 1) // 2
+        out = np.full_like(omega, coeffs[m], dtype=np.float64)
+        for k in range(m):
+            out += 2.0 * coeffs[k] * np.cos((m - k) * omega)
+        return out
+
+    def roots(coeffs, n_grid=4096, tol=1e-12):
+        grid = np.linspace(0.0, np.pi, n_grid + 1)
+        vals = sym_eval(coeffs, grid)
+        found = []
+        for i in range(n_grid):
+            lo, hi = grid[i], grid[i + 1]
+            flo, fhi = vals[i], vals[i + 1]
+            if flo == 0.0:
+                if 0.0 < lo < np.pi:
+                    found.append(lo)
+                continue
+            if flo * fhi < 0.0:
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    fmid = sym_eval(coeffs, np.array([mid]))[0]
+                    if flo * fmid <= 0.0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fmid
+                found.append(0.5 * (lo + hi))
+        return found
+
+    p = model.order
+    a_ext = np.concatenate((model.inverse_filter(), [0.0]))
+    p_poly = a_ext + a_ext[::-1]
+    q_poly = np.polydiv(a_ext - a_ext[::-1], np.array([1.0, -1.0]))[0]
+    if p % 2 == 0:
+        p_poly = np.polydiv(p_poly, np.array([1.0, 1.0]))[0]
+    else:
+        q_poly = np.polydiv(q_poly, np.array([1.0, 1.0]))[0]
+    return np.sort(np.array(roots(p_poly) + roots(q_poly)))
+
+
+def test_ar_to_lsf_matches_scalar_reference():
+    rng = np.random.default_rng(1986)
+    worst = 0.0
+    for order in list(range(2, 21)) * 27:  # 513 models, odd and even orders
+        m = stable_model_from_reflections(rng.uniform(-0.97, 0.97, order))
+        got = ar_to_lsf(m).frequencies
+        want = _reference_ar_to_lsf(m)
+        assert got.shape == want.shape == (order,)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 1e-12

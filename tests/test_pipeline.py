@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.signal import lfilter
+
+from binse import pipeline
 from binse.linpred import ArModel
 from binse.pipeline import FrameDiagnostics, RunConfig, process, process_single
+from binse.pitch import UNVOICED, prewhiten
 from binse.signal_core import AudioBuffer
 
 from conftest import ar_signal, codebook_from_models, snr_scale
@@ -175,3 +179,41 @@ class TestProcessSingle:
         out_pair = process(zl, zl, scb, ncb, cfg)
         out_single = process_single(zl, scb, ncb, cfg)
         np.testing.assert_allclose(out_single.samples, out_pair[0].samples, atol=1e-10)
+
+
+class TestEdges:
+    @pytest.mark.parametrize("n", [1, 199, 201, 424])
+    def test_output_length_matches_input(self, rng, codebooks, n):
+        _, zl, zr = make_scene(rng)
+        zl, zr = AudioBuffer(zl.samples[:n], 8000), AudioBuffer(zr.samples[:n], 8000)
+        out_l, out_r = process(zl, zr, *codebooks, fast_cfg())
+        assert len(out_l) == len(out_r) == n
+        assert np.all(np.isfinite(out_l.samples)) and np.all(np.isfinite(out_r.samples))
+        if n < 200:
+            np.testing.assert_array_equal(out_l.samples, zl.samples)
+            np.testing.assert_array_equal(out_r.samples, zr.samples)
+
+    def test_prewhitening_history_follows_noise_model_order(self, rng, monkeypatch):
+        # A noise codebook of order 20 > RunConfig.noise_order.
+        noise_models = [
+            ArModel(np.r_[0.5, np.zeros(19)]),
+            ArModel(np.r_[-0.3, np.zeros(18), 0.2]),
+        ]
+        speech_cb = codebook_from_models(SPEECH_MODELS, "speech")
+        noise_cb = codebook_from_models(noise_models, "noise")
+        x = rng.normal(size=600)
+        seen = []
+
+        def spy(samples, noise_ar, history=None):
+            out = prewhiten(samples, noise_ar, history)
+            seen.append((noise_ar, out))
+            return out
+
+        monkeypatch.setattr(pipeline, "prewhiten", spy)
+        monkeypatch.setattr(pipeline, "estimate_pitch", lambda *a, **k: UNVOICED)
+        process_single(AudioBuffer(x, 8000), speech_cb, noise_cb, fast_cfg(model="vuv"))
+        assert len(seen) == 3
+        for frame, (model, white) in enumerate(seen[1:], start=1):
+            assert model.order == 20
+            whole = lfilter(model.inverse_filter(), [1.0], x)
+            np.testing.assert_allclose(white, whole[frame * 200 : (frame + 1) * 200], atol=1e-12)

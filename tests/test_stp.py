@@ -3,10 +3,13 @@ import pytest
 
 from binse.linpred import ArModel, ar_envelope, ar_to_lsf
 from binse.signal_core import AudioBuffer, Frame, Spectrum, cross_spectrum, extract_frames, periodogram
+from binse.codebook import Codebook
 from binse.stp import (
+    CompiledCodebook,
     DualChannelNoiseTracker,
     GammaPrior,
     StpDiagnostics,
+    compile_codebook,
     dual_channel_noise_psd_raw,
     estimate_stp,
     fit_gamma_prior,
@@ -17,7 +20,7 @@ from binse.stp import (
     pair_log_likelihood,
 )
 
-from conftest import ar_signal, snr_scale
+from conftest import ar_signal, codebook_from_models, snr_scale
 
 SPEECH_AR = ArModel(np.array([1.2, -0.8, 0.3, -0.1]))
 NOISE_AR = ArModel(np.array([-0.5, -0.2]))
@@ -297,3 +300,135 @@ class TestGammaPrior:
         prior = GammaPrior(shape=2.0, scale=0.5)
         for x in (0.1, 0.5, 2.0):
             assert abs(prior.log_pdf(x) - sp_gamma.logpdf(x, a=2.0, scale=0.5)) < 1e-12
+
+
+def _reference_mu(pl, pr, ps, pw, iters=50):
+    """Scalar multiplicative-update loop for one pair; also returns the update count.
+
+    The per-pair loop the batched ``ml_excitation_variances`` replaced.
+    """
+    total = pl + pr
+    sd = sv = max(float(total.mean()) / 2.0 / 2.0, 1e-12)
+
+    def cost(a, b):
+        return is_divergence(pl, a * ps + b * pw) + is_divergence(pr, a * ps + b * pw)
+
+    prev = cost(sd, sv)
+    for it in range(1, iters + 1):
+        inv = 1.0 / (sd * ps + sv * pw)
+        weighted = inv * inv * total
+        sd = sd * float(ps @ weighted) / (2.0 * float(ps @ inv))
+        sv = sv * float(pw @ weighted) / (2.0 * float(pw @ inv))
+        if sd <= 0 and sv <= 0:
+            return sd, sv, prev, it
+        sd, sv = max(sd, 0.0), max(sv, 0.0)
+        cur = cost(max(sd, 1e-300), max(sv, 1e-300))
+        if abs(prev - cur) < 1e-6 * max(abs(prev), 1e-30):
+            return sd, sv, cur, it
+        prev = cur
+    return sd, sv, prev, iters
+
+
+def _random_envelopes(rng, n, k, order):
+    """Envelopes of n stable models built from random reflection coefficients."""
+    envelopes = []
+    for _ in range(n):
+        a = np.zeros(0)
+        for refl in rng.uniform(-0.9, 0.9, order):
+            a = np.concatenate((a - refl * a[::-1], [refl]))
+        envelopes.append(ar_envelope(ArModel(a), k))
+    return np.array(envelopes)
+
+
+class TestBatchedMu:
+    def test_rows_match_scalar_reference(self, rng):
+        k = 200
+        ps = _random_envelopes(rng, 8, k, 4)
+        pw = _random_envelopes(rng, 5, k, 2)
+        pairs_s = np.repeat(ps, len(pw), axis=0)
+        pairs_w = np.tile(pw, (len(ps), 1))
+        s = ar_signal([1.2, -0.8, 0.3, -0.1], 1e-3, k, rng)
+        spectra = [
+            (periodogram(Frame(s + 0.05 * rng.normal(size=k), 0)).bins,
+             periodogram(Frame(s + 0.05 * rng.normal(size=k), 0)).bins),
+            (np.zeros(k), np.zeros(k)),  # digital silence
+        ]
+        for iters in (50, 7):  # 7 puts the update cap inside the batch
+            for pl, pr in spectra:
+                sd, sv, cost = ml_excitation_variances(pl, pr, pairs_s, pairs_w, iters=iters)
+                assert sd.shape == sv.shape == cost.shape == (len(pairs_s),)
+                stops = set()
+                for row in range(len(pairs_s)):
+                    ref = _reference_mu(pl, pr, pairs_s[row], pairs_w[row], iters)
+                    stops.add(ref[3])
+                    np.testing.assert_allclose(
+                        [sd[row], sv[row], cost[row]], ref[:3], rtol=1e-12, atol=0.0
+                    )
+                    single = ml_excitation_variances(
+                        pl, pr, pairs_s[row], pairs_w[row], iters=iters
+                    )
+                    assert all(isinstance(v, float) for v in single)
+                    np.testing.assert_allclose(single, ref[:3], rtol=1e-12, atol=0.0)
+                if pl.any() and iters == 50:
+                    assert len(stops) > 3  # pairs converge on different updates
+                if not pl.any():
+                    assert stops == {1} and not sd.any() and not sv.any()
+
+
+class TestCompiledCodebook:
+    def test_codebook_rows_used_as_stored(self):
+        cb = codebook_from_models([SPEECH_AR, ArModel(np.array([0.2, 0.1, 0.0, 0.0]))], "speech")
+        compiled = compile_codebook(cb, 200)
+        assert len(compiled) == 2 and compiled.order == 4
+        np.testing.assert_array_equal(compiled.lsfs, cb.entries)
+        expected = [ar_envelope(m, 200) for m in cb.ar_models()]
+        np.testing.assert_array_equal(compiled.envelopes, expected)
+
+    def test_dft_length_mismatch(self):
+        pz = Spectrum(np.ones(100))
+        with pytest.raises(ValueError):
+            estimate_stp(pz, pz, compile_codebook([SPEECH_AR], 200), [NOISE_AR], 100)
+
+    def test_adaptive_entry_joins_noise_entries(self, rng):
+        pz = periodogram(Frame(ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng), 0))
+        extra = ArModel(np.array([0.3, -0.1]), 2e-3)
+        diag_a, diag_b = StpDiagnostics(), StpDiagnostics()
+        a = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR], 200, diagnostics=diag_a,
+                         adaptive_noise=extra)
+        b = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR, extra], 200, diagnostics=diag_b)
+        for ma, mb in ((a.speech, b.speech), (a.noise, b.noise)):
+            np.testing.assert_array_equal(ma.coefficients, mb.coefficients)
+            assert ma.excitation_variance == mb.excitation_variance
+        np.testing.assert_array_equal(diag_a.weights, diag_b.weights)
+
+    def test_estimate_matches_per_pair_reference(self, rng):
+        speech_models = [
+            SPEECH_AR,
+            ArModel(np.array([-1.2, -0.8, -0.3, -0.1])),
+            ArModel(np.array([0.5, 0.2, 0.0, 0.0])),
+            ArModel(np.array([0.0, 0.5, 0.0, 0.0])),
+        ]
+        noise_models = [NOISE_AR, ArModel(np.array([0.7, -0.1])), ArModel(np.zeros(2))]
+        speech_cb = codebook_from_models(speech_models, "speech")
+        noise_cb = codebook_from_models(noise_models, "noise")
+        speech, noise = compile_codebook(speech_cb, 200), compile_codebook(noise_cb, 200)
+        assert isinstance(speech, CompiledCodebook)
+        for snr_db in (20.0, 5.0, 0.0):
+            s = ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng)
+            w = ar_signal(NOISE_AR.coefficients, 1e-3, 200, rng)
+            pz = periodogram(Frame(s + snr_scale(s, w, snr_db) * w, 0))
+            diag = StpDiagnostics()
+            estimate_stp(pz, pz, speech, noise, 200, diagnostics=diag)
+
+            log_w = np.empty((len(speech_cb.entries), len(noise_cb.entries)))
+            for i, sm in enumerate(speech_cb.ar_models()):
+                for j, nm in enumerate(noise_cb.ar_models()):
+                    ps, pw = ar_envelope(sm, 200), ar_envelope(nm, 200)
+                    sd, sv, _, _ = _reference_mu(pz.bins, pz.bins, ps, pw)
+                    modeled = max(sd, 1e-300) * ps + max(sv, 1e-300) * pw
+                    log_w[i, j] = pair_log_likelihood(pz, pz, modeled, 200)
+            ref = np.exp(log_w - log_w.max())
+            ref /= ref.sum()
+            best = np.unravel_index(np.argmax(log_w), log_w.shape)
+            assert (diag.best_speech_index, diag.best_noise_index) == best
+            np.testing.assert_allclose(diag.weights, ref, rtol=0.0, atol=1e-9)
