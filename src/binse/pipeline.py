@@ -14,6 +14,7 @@ from .pitch import (
     UNVOICED,
     DirectivityModel,
     PitchInfo,
+    check_pitch_grid,
     estimate_pitch,
     prewhiten,
 )
@@ -57,6 +58,9 @@ class RunConfig:
             raise ValueError("smoother_delay must be >= speech_order")
         if self.frame_len % 2 != 0:
             raise ValueError("frame_len must be even (analytic-signal step)")
+        check_pitch_grid(self.sample_rate, self.f_min, self.f_max, self.pitch_grid_hz)
+        if self.max_harmonic_order is not None and self.max_harmonic_order < 1:
+            raise ValueError("max_harmonic_order must be >= 1")
 
     @property
     def p_max(self) -> int:

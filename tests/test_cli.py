@@ -153,6 +153,40 @@ class TestEnhanceCommand:
         ])
         assert code == 2
 
+    def test_short_frames_vuv(self, tmp_path, stereo_wav, cb_paths):
+        # 60-sample frames leave 40 samples per ear for the pitch search,
+        # fewer than the harmonics below Nyquist of a low fundamental.
+        sp, np_ = cb_paths
+        out = tmp_path / "enh.wav"
+        code = main([
+            "enhance", stereo_wav, "-o", str(out),
+            "--speech-cb", sp, "--noise-cb", np_, "--model", "vuv", "--frame-len", "60",
+        ])
+        assert code == 0
+        assert len(read_wav(out)) == len(read_wav(stereo_wav))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--f-min", "300", "--f-max", "200"],
+            ["--max-harmonic-order", "0"],
+            ["--pitch-grid", "0"],
+            ["--f-min", "0"],
+            ["--pitch-grid", "0.3"],
+            ["--f-min", "80.25"],
+        ],
+        ids=["f_min_above_f_max", "max_order_0", "grid_0", "f_min_0", "grid_off_bins",
+             "f_min_off_grid"],
+    )
+    def test_bad_pitch_grid_usage_error(self, tmp_path, stereo_wav, cb_paths, capsys, flags):
+        sp, np_ = cb_paths
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp,
+                     "--noise-cb", np_, *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_clean_input_nearly_unchanged(self, tmp_path, cb_paths, rng):
         # Clean speech in: the estimated noise variance collapses to a few
         # percent of the speech variance (periodogram fluctuation sets the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -5,7 +7,10 @@ from scipy.signal import lfilter
 from binse.linpred import ArModel
 from binse.pitch import (
     UNVOICED,
+    _nested_residuals,
     DirectivityModel,
+    PitchInfo,
+    check_pitch_grid,
     degree_of_voicing,
     estimate_pitch,
     map_order_select,
@@ -213,3 +218,229 @@ class TestEstimatePitch:
         info = estimate_pitch(al, None, self.FS, f_min=80.0, f_max=130.0)
         f0 = info.omega0 * self.FS / (2 * np.pi)
         assert abs(f0 - 100.0) <= 1.0
+
+
+# Reference search ----------------------------------------------------------
+#
+# The grid search as it was before the FFT and order recursion: one
+# Householder QR of the stacked harmonic matrix per candidate.  Kept as the
+# oracle the fast search must match pick for pick.
+
+
+def _reference_candidate_costs(y_halves, h):
+    channels = len(y_halves)
+    m = len(y_halves[0])
+    y = np.concatenate(y_halves).astype(complex)
+    q_mat, _ = np.linalg.qr(h)
+    c = q_mat.conj().T @ y
+    joint = float(np.vdot(y, y).real) - np.cumsum(np.abs(c) ** 2)
+    if channels == 1:
+        return np.maximum(joint, 0.0)[:, None]
+    q_top = q_mat[:m]
+    y_top = y[:m]
+    t = q_top.conj().T @ y_top
+    g = q_top.conj().T @ q_top
+    a = np.real(np.conj(c)[:, None] * g * c[None, :])
+    quad = np.cumsum(np.cumsum(a, axis=0), axis=1).diagonal()
+    lin = np.cumsum(np.real(np.conj(c) * t))
+    top = float(np.vdot(y_top, y_top).real) - 2.0 * lin + quad
+    top = np.maximum(top, 0.0)
+    bottom = np.maximum(joint - top, 0.0)
+    return np.stack((top, bottom), axis=1)
+
+
+def reference_estimate_pitch(zl, zr, sample_rate, f_min=80.0, f_max=400.0,
+                             grid_step_hz=0.5, directivity=None,
+                             voicing_threshold=0.3, max_order=None, edge_trim=10):
+    f0_grid = np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz)
+    if edge_trim and len(zl) > 4 * edge_trim:
+        zl = zl[edge_trim:-edge_trim]
+        if zr is not None:
+            zr = zr[edge_trim:-edge_trim]
+    m = len(zl)
+    channels = 1 if zr is None else 2
+    n_obs = channels * m
+    directivity = directivity or DirectivityModel(sample_rate=sample_rate)
+    y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
+    best = None
+    for f0 in f0_grid:
+        omega0 = 2.0 * np.pi * f0 / sample_rate
+        l_max = int(np.floor(2.0 * np.pi / omega0))
+        if l_max * omega0 >= 2.0 * np.pi - 1e-9:
+            l_max -= 1
+        if max_order is not None:
+            l_max = min(l_max, max_order)
+        l_max = min(l_max, m)
+        if l_max < 1:
+            continue
+        v = np.exp(1j * omega0 * np.outer(np.arange(m), np.arange(1, l_max + 1)))
+        if zr is None:
+            h = v
+        else:
+            dl, dr = directivity.gains(omega0, l_max)
+            h = np.vstack((v * dl, v * dr))
+        energies = _reference_candidate_costs(y_halves, h)
+        sigma2 = np.maximum(energies / m, 1e-300)
+        log_terms = m * np.log(sigma2).sum(axis=1)
+        order = map_order_select(log_terms, n_obs)
+        cost = float(np.log(sigma2[order - 1]).sum())
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, omega0, order)
+    _, omega0, order = best
+    amps = ml_amplitudes(y_halves[0], zr, omega0, order, directivity)
+    if channels == 2:
+        dl, dr = directivity.gains(omega0, order)
+        voicing = 0.5 * (degree_of_voicing(y_halves[0], omega0, order, amps * dl)
+                         + degree_of_voicing(y_halves[1], omega0, order, amps * dr))
+    else:
+        voicing = degree_of_voicing(y_halves[0], omega0, order, amps)
+    if voicing < voicing_threshold:
+        return UNVOICED
+    return PitchInfo(float(omega0), int(round(2.0 * np.pi / omega0)), float(voicing), order)
+
+
+def corpus_frame(seed, m=200, fs=8000):
+    """Harmonic frame pair with a random f0, harmonic count, SNR, ITD and ILD."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(m)
+    w0 = 2 * np.pi * rng.uniform(80.0, 400.0) / fs
+    itd = rng.uniform(-4.0, 4.0)
+    s_l = np.zeros(m)
+    s_r = np.zeros(m)
+    for l in range(1, int(rng.integers(1, 7)) + 1):
+        if l * w0 >= np.pi:
+            break
+        amp, phase = rng.uniform(0.2, 1.0), rng.uniform(0, 2 * np.pi)
+        s_l += amp * np.cos(l * w0 * n + phase)
+        s_r += amp * np.cos(l * w0 * (n - itd) + phase)
+    s_r *= 10 ** (-rng.uniform(0.0, 6.0) / 20)
+    sigma = np.sqrt(np.mean(s_l**2) / 10 ** (rng.uniform(-5.0, 20.0) / 10))
+    zl = analytic_signal(Frame(s_l + sigma * rng.normal(size=m), 0))
+    zr = analytic_signal(Frame(s_r + sigma * rng.normal(size=m), 0))
+    return zl, zr
+
+
+EQUIVALENCE_CASES = [
+    pytest.param(
+        seed, two, max_order, band, directional,
+        id=f"seed{seed}-{'two' if two else 'one'}-L{max_order}-{band[0]:g}_{band[1]:g}"
+        + ("-itd" if directional else ""),
+    )
+    for seed, band in zip(range(8), [(80.0, 400.0), (90.5, 170.0), (150.0, 400.0)] * 3)
+    for two in (True, False)
+    for max_order in (None, 15)
+    for directional in ((False, True) if two else (False,))
+]
+
+
+class TestExactSearch:
+    """The FFT-and-recursion search picks what per-candidate QR picks."""
+
+    FS = 8000
+
+    @pytest.mark.parametrize("seed,two,max_order,band,directional", EQUIVALENCE_CASES)
+    def test_matches_qr_reference(self, seed, two, max_order, band, directional):
+        zl, zr = corpus_frame(seed)
+        kwargs = dict(f_min=band[0], f_max=band[1], max_order=max_order,
+                      voicing_threshold=0.0)
+        if directional:
+            kwargs["directivity"] = DirectivityModel(
+                delay_seconds=2.5 / self.FS, sample_rate=self.FS, magnitude_right=0.6
+            )
+        fast = estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
+        slow = reference_estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
+        assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
+            slow.omega0, slow.harmonic_order, slow.voicing)
+
+    @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
+    def test_recursion_residuals_match_qr(self, two, directional):
+        # The per-ear split moves picks only at second order (a log-product
+        # of two parts of a fixed sum), so it is checked residual by residual.
+        zl, zr = (z[10:-10] for z in corpus_frame(3))
+        m = len(zl)
+        d = DirectivityModel(delay_seconds=2.5 / self.FS if directional else 0.0,
+                             sample_rate=self.FS, magnitude_right=0.6 if directional else 1.0)
+        y = np.concatenate((zl, zr)) if two else zl
+        for f0 in (80.0, 133.5, 390.0):
+            w0 = 2 * np.pi * f0 / self.FS
+            order = int(np.floor(self.FS / f0 - 1e-9))
+            v = np.exp(1j * w0 * np.outer(np.arange(m), np.arange(1, order + 1)))
+            h = np.vstack([v * g for g in d.gains(w0, order)]) if two else v
+            ref = _reference_candidate_costs([zl, zr] if two else [zl], h)
+            args = [(h.conj().T @ y)[None], (h.conj().T @ h)[:1], np.array([order])]
+            if two:
+                args += [(h[:m].conj().T @ zl)[None], (h[:m].conj().T @ h[:m])[:1]]
+            fitted, drops, left = _nested_residuals(*args)
+            joint = np.vdot(y, y).real - np.cumsum(drops[0])
+            if two:
+                top = np.vdot(zl, zl).real + left[0]
+                fast = np.stack((top, joint - top), axis=1)
+            else:
+                fast = joint[:, None]
+            assert fitted[0] == order
+            np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-9 * np.vdot(y, y).real)
+
+    @pytest.mark.parametrize("two", [True, False])
+    def test_coarse_grid_shorter_dft_than_frame(self, two):
+        # A 50 Hz step makes a 160-bin DFT, shorter than the 180-sample
+        # trimmed frame; the signal sits in the samples past bin count.
+        zl, zr = corpus_frame(11)
+        zl[:170] = 0.0
+        zr[:170] = 0.0
+        kwargs = dict(f_min=100.0, f_max=400.0, grid_step_hz=50.0, voicing_threshold=0.0)
+        fast = estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
+        slow = reference_estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
+        assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
+            slow.omega0, slow.harmonic_order, slow.voicing)
+
+    @pytest.mark.parametrize("two", [True, False])
+    def test_digital_silence_unvoiced_without_warnings(self, two):
+        z = np.zeros(200, complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = estimate_pitch(z, z.copy() if two else None, self.FS)
+            slow = reference_estimate_pitch(z, z.copy() if two else None, self.FS)
+        assert info == slow == UNVOICED
+
+    @pytest.mark.parametrize("frame_len", [20, 40, 60, 86, 92, 120])
+    @pytest.mark.parametrize("two", [True, False])
+    def test_short_frames_give_finite_pitch(self, rng, frame_len, two):
+        # Below sample_rate / f_min samples a low f0 has more harmonics under
+        # Nyquist than the frame can resolve; the search must stop short of
+        # them instead of handing a singular system to ml_amplitudes.
+        n = np.arange(frame_len)
+        x = np.cos(2 * np.pi * 110.0 / self.FS * n) + 0.05 * rng.normal(size=frame_len)
+        zl = analytic_signal(Frame(x, 0))
+        zr = analytic_signal(Frame(x + 0.05 * rng.normal(size=frame_len), 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = estimate_pitch(zl, zr if two else None, self.FS, voicing_threshold=0.0)
+        assert isinstance(info, PitchInfo)
+        assert np.isfinite(info.omega0) and 0.0 <= info.voicing <= 0.95
+        assert 1 <= info.harmonic_order <= frame_len
+
+
+class TestPitchGrid:
+    def test_default_grid_bins(self):
+        assert check_pitch_grid(8000, 80.0, 400.0, 0.5) == 16000
+        assert check_pitch_grid(16000, 62.5, 62.5, 0.25) == 64000
+
+    @pytest.mark.parametrize(
+        "f_min,f_max,step",
+        [(300.0, 200.0, 0.5), (0.0, 400.0, 0.5), (80.0, np.inf, 0.5), (80.0, 400.0, 0.0),
+         (80.0, 400.0, -0.5), (80.0, 400.0, 0.3), (80.25, 400.0, 0.5), (np.nan, 400.0, 0.5)],
+    )
+    def test_rejected(self, f_min, f_max, step):
+        with pytest.raises(ValueError):
+            check_pitch_grid(8000, f_min, f_max, step)
+
+    def test_estimate_pitch_rejects_off_bin_grid(self):
+        with pytest.raises(ValueError):
+            estimate_pitch(np.zeros(200, complex), None, 8000, grid_step_hz=0.3)
+
+
+def test_map_order_select_rows_match_single_calls(rng):
+    costs = rng.normal(size=(5, 9)) * 40.0
+    costs[2, 6:] = np.inf  # orders past a candidate's highest one
+    picks = map_order_select(costs, 360)
+    assert list(picks) == [map_order_select(row, 360) for row in costs]
