@@ -7,7 +7,7 @@ smoothing under unvoiced and voiced-unvoiced excitation models.
 
 from .codebook import Codebook
 from .linpred import ArModel, LsfVector
-from .pipeline import RunConfig, process, process_single
+from .pipeline import RunConfig, process
 from .pitch import DirectivityModel, PitchInfo
 from .signal_core import AudioBuffer, Frame, Spectrum
 from .stp import GammaPrior, StpEstimate
@@ -25,7 +25,6 @@ __all__ = [
     "Spectrum",
     "StpEstimate",
     "process",
-    "process_single",
 ]
 
 __version__ = "0.1.0"

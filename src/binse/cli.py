@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import wave
 from pathlib import Path
@@ -69,8 +70,6 @@ def load_config_file(path) -> dict:
 _CONFIG_FIELDS = {
     "sample_rate": int,
     "frame_len": int,
-    "speech_order": int,
-    "noise_order": int,
     "smoother_delay": int,
     "f_min": float,
     "f_max": float,
@@ -148,28 +147,24 @@ def _load_codebooks(args, cfg: RunConfig):
     return speech_cb, noise_cb
 
 
-def cmd_enhance(args) -> int:
-    cfg = build_config(args)
-    speech_cb, noise_cb = _load_codebooks(args, cfg)
+def _read_input(args, cfg: RunConfig, channels: int) -> AudioBuffer:
     noisy = read_wav(args.input)
+    if noisy.channel_count != channels:
+        layout = "mono" if channels == 1 else "stereo"
+        raise CliError(f"{args.input}: {args.command} expects a {layout} input")
     if noisy.sample_rate != cfg.sample_rate:
         raise CliError(
             f"{args.input}: rate {noisy.sample_rate} != configured {cfg.sample_rate}"
         )
+    return noisy
+
+
+def cmd_enhance(args) -> int:
+    cfg = build_config(args)
+    speech_cb, noise_cb = _load_codebooks(args, cfg)
+    noisy = _read_input(args, cfg, args.channels)
     diagnostics = [] if args.diagnostics else None
-    if cfg.mode in ("binaural", "bilateral"):
-        if noisy.channel_count != 2:
-            raise CliError(f"--mode {cfg.mode} requires a stereo input")
-        left = AudioBuffer(noisy.samples[0], noisy.sample_rate)
-        right = AudioBuffer(noisy.samples[1], noisy.sample_rate)
-        out_l, out_r = pipeline.process(
-            left, right, speech_cb, noise_cb, cfg, diagnostics_out=diagnostics
-        )
-        out = AudioBuffer(
-            np.vstack((out_l.samples, out_r.samples)), noisy.sample_rate
-        )
-    else:
-        out = pipeline.process_single(noisy, speech_cb, noise_cb, cfg, diagnostics)
+    out = pipeline.process(noisy, speech_cb, noise_cb, cfg, diagnostics_out=diagnostics)
     write_wav(args.output, out)
     if args.diagnostics:
         lines = ["frame,best_i,best_j,log_weight,sigma_d2,sigma_v2"]
@@ -179,47 +174,12 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def cmd_single(args) -> int:
-    cfg = build_config(args)
-    speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = read_wav(args.input)
-    if noisy.channel_count != 1:
-        raise CliError("single-channel enhancement requires a mono input")
-    if noisy.sample_rate != cfg.sample_rate:
-        raise CliError(
-            f"{args.input}: rate {noisy.sample_rate} != configured {cfg.sample_rate}"
-        )
-    out = pipeline.process_single(noisy, speech_cb, noise_cb, cfg)
-    write_wav(args.output, out)
-    print(f"wrote enhanced audio to {args.output}")
-    return EXIT_OK
-
-
 def cmd_pitch(args) -> int:
-    cfg = build_config(args)
+    cfg = dataclasses.replace(build_config(args), model="vuv", mode="binaural")
     speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = read_wav(args.input)
-    if noisy.channel_count != 2:
-        raise CliError("pitch tracking expects a stereo input")
-    if noisy.sample_rate != cfg.sample_rate:
-        raise CliError(
-            f"{args.input}: rate {noisy.sample_rate} != configured {cfg.sample_rate}"
-        )
-    cfg_vuv = pipeline.RunConfig(
-        **{**cfg.__dict__, "model": "vuv", "mode": "binaural"}
-    )
-    left = AudioBuffer(noisy.samples[0], noisy.sample_rate)
-    right = AudioBuffer(noisy.samples[1], noisy.sample_rate)
+    noisy = _read_input(args, cfg, 2)
     lines = ["frame,f0_hz,period_samples,voicing,order"]
-    params = pipeline._channel_params(
-        left.channel("left"),
-        right.channel("left"),
-        stp.compile_codebook(speech_cb, cfg.frame_len),
-        stp.compile_codebook(noise_cb, cfg.frame_len),
-        cfg_vuv,
-        None,
-        None,
-    )
+    params, _ = pipeline.frame_params(noisy, speech_cb, noise_cb, cfg)
     for fi, (_, pitch) in enumerate(params):
         f0 = pitch.omega0 * cfg.sample_rate / (2 * np.pi)
         lines.append(
@@ -286,8 +246,6 @@ def _add_config_flags(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--sample-rate", dest="sample_rate", type=int)
     p.add_argument("--frame-len", dest="frame_len", type=int)
-    p.add_argument("--speech-order", dest="speech_order", type=int)
-    p.add_argument("--noise-order", dest="noise_order", type=int)
     p.add_argument("--smoother-delay", dest="smoother_delay", type=int)
     p.add_argument("--f-min", dest="f_min", type=float)
     p.add_argument("--f-max", dest="f_max", type=float)
@@ -322,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-cb", required=True)
     p.add_argument("--diagnostics", help="per-frame CSV output path")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_enhance)
+    p.set_defaults(func=cmd_enhance, channels=2)
 
     p = sub.add_parser("enhance-single", help="enhance a mono WAV")
     p.add_argument("input")
@@ -330,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speech-cb", required=True)
     p.add_argument("--noise-cb", required=True)
     _add_config_flags(p)
-    p.set_defaults(func=cmd_single)
+    p.set_defaults(func=cmd_enhance, channels=1, diagnostics=None)
 
     p = sub.add_parser("pitch", help="track pitch of a stereo WAV")
     p.add_argument("input")

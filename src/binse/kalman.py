@@ -24,10 +24,6 @@ DEFAULT_SMOOTHER_DELAY = 25
 INNOVATION_EPS = 1e-30
 
 
-class SingularInnovationError(ArithmeticError):
-    """Innovation variance collapsed; the covariance recursion degenerated."""
-
-
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Transition/input/observation structure for one frame's parameters."""
@@ -160,7 +156,9 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n: float):
 
     The emitted sample is the last speech entry of the a posteriori state,
     i.e. the smoothed estimate of s(n - d_s); nothing is emitted until the
-    state is filled.
+    state is filled.  A degenerate innovation variance (digital silence
+    under zero process variances) skips the correction: the state becomes
+    its prediction.
     """
     f = model.transition
     obs = model.observation
@@ -173,14 +171,13 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n: float):
     cov_obs = cov_pred @ obs
     innov_var = float(obs @ cov_obs)
     if innov_var <= INNOVATION_EPS:
-        raise SingularInnovationError(
-            f"innovation variance {innov_var:.3g} at sample {state.samples_seen}"
-        )
-    gain = cov_obs / innov_var
-    innovation = z_n - float(obs @ x_pred)
-    x_post = x_pred + gain * innovation
-    cov_post = cov_pred - np.outer(gain, cov_obs)
-    cov_post = 0.5 * (cov_post + cov_post.T)
+        x_post, cov_post = x_pred, cov_pred
+    else:
+        gain = cov_obs / innov_var
+        innovation = z_n - float(obs @ x_pred)
+        x_post = x_pred + gain * innovation
+        cov_post = cov_pred - np.outer(gain, cov_obs)
+        cov_post = 0.5 * (cov_post + cov_post.T)
 
     n = state.samples_seen
     state.x = x_post
@@ -200,7 +197,6 @@ def enhance_channel(
     model_kind: str = "uv",
     smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
     p_max: int = 100,
-    channel: str = "left",
 ) -> AudioBuffer:
     """Run the FLKS over one channel with per-frame (StpEstimate, PitchInfo).
 
@@ -211,7 +207,7 @@ def enhance_channel(
     Input shorter than one frame has no parameters and is returned
     unchanged.
     """
-    x = z.channel(channel)
+    x = z.channel("left")
     n_frames = len(x) // frame_len
     if len(per_frame_params) != n_frames:
         raise ValueError(

@@ -12,7 +12,6 @@ from .linpred import ArModel
 from .pitch import (
     DEFAULT_VOICING_THRESHOLD,
     UNVOICED,
-    DirectivityModel,
     PitchInfo,
     check_pitch_grid,
     estimate_pitch,
@@ -35,8 +34,6 @@ class RunConfig:
 
     sample_rate: int = 8000
     frame_len: int = 200
-    speech_order: int = 14
-    noise_order: int = 14
     smoother_delay: int = 25
     f_min: float = 80.0
     f_max: float = 400.0
@@ -54,8 +51,6 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.model not in ("uv", "vuv"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.smoother_delay < self.speech_order:
-            raise ValueError("smoother_delay must be >= speech_order")
         if self.frame_len % 2 != 0:
             raise ValueError("frame_len must be even (analytic-signal step)")
         check_pitch_grid(self.sample_rate, self.f_min, self.f_max, self.pitch_grid_hz)
@@ -125,7 +120,7 @@ def _estimate_frame_params(
 
 
 def _pitch_for_frame(
-    xl, xr, noise_model: ArModel, start: int, cfg: RunConfig, directivity
+    xl, xr, noise_model: ArModel, start: int, cfg: RunConfig
 ) -> PitchInfo:
     m = cfg.frame_len
 
@@ -143,7 +138,6 @@ def _pitch_for_frame(
         f_min=cfg.f_min,
         f_max=cfg.f_max,
         grid_step_hz=cfg.pitch_grid_hz,
-        directivity=directivity,
         voicing_threshold=cfg.voicing_threshold,
         max_order=cfg.max_harmonic_order,
     )
@@ -156,7 +150,6 @@ def _channel_params(
     noise: CompiledCodebook,
     cfg: RunConfig,
     diagnostics_out: list | None,
-    directivity,
 ):
     """Shared per-frame parameter estimation for a channel pair (xr may be None)."""
     m = cfg.frame_len
@@ -185,79 +178,60 @@ def _channel_params(
             pzl, pzr, speech, noise, adaptive_entry, cfg, fi, diagnostics_out
         )
         if cfg.model == "vuv":
-            pitch = _pitch_for_frame(xl, xr, est.noise, fi * m, cfg, directivity)
+            pitch = _pitch_for_frame(xl, xr, est.noise, fi * m, cfg)
         else:
             pitch = UNVOICED
         params.append((est, pitch))
     return params
 
 
-def process(
-    zl: AudioBuffer,
-    zr: AudioBuffer,
+def frame_params(
+    z: AudioBuffer,
     speech_cb: Codebook,
     noise_cb: Codebook,
     cfg: RunConfig,
     diagnostics_out: list | None = None,
-    directivity: DirectivityModel | None = None,
-):
-    """Enhance a stereo scene; returns (left, right) AudioBuffers.
+) -> list[list[tuple[StpEstimate, PitchInfo]]]:
+    """Per-frame (StpEstimate, PitchInfo) lists, one per channel of ``z``.
 
-    Binaural mode shares one parameter set per frame across both ears;
-    bilateral mode estimates independently per ear from that ear alone.
+    A stereo buffer in binaural mode gets one list, estimated from both
+    ears and shared by them; bilateral stereo and mono estimate each
+    channel from that channel alone.  Diagnostics cover the left (or only)
+    channel.
     """
-    if len(zl) != len(zr) or zl.sample_rate != zr.sample_rate:
-        raise ValueError("channels must have equal length and rate")
-    if zl.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"sample rate {zl.sample_rate} != configured {cfg.sample_rate}"
-        )
+    if z.sample_rate != cfg.sample_rate:
+        raise ValueError(f"sample rate {z.sample_rate} != configured {cfg.sample_rate}")
     speech = compile_codebook(speech_cb, cfg.frame_len)
     noise = compile_codebook(noise_cb, cfg.frame_len)
-    xl = zl.channel("left")
-    xr = zr.channel("left") if zr.channel_count == 1 else zr.channel("right")
-    directivity = directivity or DirectivityModel(sample_rate=cfg.sample_rate)
-
-    if cfg.mode == "binaural":
-        params = _channel_params(xl, xr, speech, noise, cfg, diagnostics_out, directivity)
-        params_l = params_r = params
-    else:
-        params_l = _channel_params(xl, None, speech, noise, cfg, diagnostics_out, directivity)
-        params_r = _channel_params(xr, None, speech, noise, cfg, None, directivity)
-
-    out_l = kalman.enhance_channel(
-        AudioBuffer(xl, zl.sample_rate), params_l, cfg.frame_len, cfg.model,
-        cfg.smoother_delay, cfg.p_max,
-    )
-    out_r = kalman.enhance_channel(
-        AudioBuffer(xr, zl.sample_rate), params_r, cfg.frame_len, cfg.model,
-        cfg.smoother_delay, cfg.p_max,
-    )
-    return out_l, out_r
+    channels = np.atleast_2d(z.samples)
+    if len(channels) == 2 and cfg.mode == "binaural":
+        shared = _channel_params(*channels, speech, noise, cfg, diagnostics_out)
+        return [shared, shared]
+    return [
+        _channel_params(x, None, speech, noise, cfg, diagnostics_out if c == 0 else None)
+        for c, x in enumerate(channels)
+    ]
 
 
-def process_single(
+def process(
     z: AudioBuffer,
     speech_cb: Codebook,
     noise_cb: Codebook,
     cfg: RunConfig,
     diagnostics_out: list | None = None,
 ) -> AudioBuffer:
-    """Single-channel path: one-channel likelihoods, degenerate directivity."""
-    if z.channel_count != 1:
-        raise ValueError("process_single expects a mono buffer")
-    if z.sample_rate != cfg.sample_rate:
-        raise ValueError(f"sample rate {z.sample_rate} != configured {cfg.sample_rate}")
-    x = z.channel("left")
-    params = _channel_params(
-        x,
-        None,
-        compile_codebook(speech_cb, cfg.frame_len),
-        compile_codebook(noise_cb, cfg.frame_len),
-        cfg,
-        diagnostics_out,
-        DirectivityModel(sample_rate=cfg.sample_rate),
-    )
-    return kalman.enhance_channel(
-        z, params, cfg.frame_len, cfg.model, cfg.smoother_delay, cfg.p_max
-    )
+    """Enhance a mono ``(n,)`` or stereo ``(2, n)`` buffer; returns one of the same shape.
+
+    Binaural mode shares one parameter set per frame across both ears;
+    bilateral mode, and a mono buffer, estimate each channel from that
+    channel alone.
+    """
+    params = frame_params(z, speech_cb, noise_cb, cfg, diagnostics_out)
+    out = [
+        kalman.enhance_channel(
+            AudioBuffer(x, z.sample_rate), p, cfg.frame_len, cfg.model,
+            cfg.smoother_delay, cfg.p_max,
+        ).samples
+        for x, p in zip(np.atleast_2d(z.samples), params)
+    ]
+    return AudioBuffer(np.reshape(out, z.samples.shape), z.sample_rate)

@@ -26,6 +26,16 @@ def snr_scale(target, noise, snr_db):
     return np.sqrt(np.var(target) / np.var(noise) / 10 ** (snr_db / 10.0))
 
 
+def stereo(left, right):
+    """One (2, n) buffer from two mono buffers, as ``process`` takes it."""
+    return AudioBuffer(np.vstack((left.samples, right.samples)), left.sample_rate)
+
+
+def channels(buffer):
+    """The (left, right) mono buffers of a stereo ``process`` output."""
+    return tuple(AudioBuffer(x, buffer.sample_rate) for x in buffer.samples)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

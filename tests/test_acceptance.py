@@ -26,7 +26,7 @@ from binse.stp import (
 )
 from binse import codebook
 
-from conftest import ar_signal, codebook_from_models, snr_scale
+from conftest import ar_signal, channels, codebook_from_models, snr_scale, stereo
 
 
 def report(criterion: int, description: str, ok: bool):
@@ -285,7 +285,7 @@ def test_criterion_8_end_to_end_trend():
             base = segmental_snr(clean, zl)
             for mode in imp:
                 cfg = RunConfig(mode=mode, model="uv")
-                out_l, _ = process(zl, zr, scb, ncb, cfg)
+                out_l, _ = channels(process(stereo(zl, zr), scb, ncb, cfg))
                 imp[mode].append(segmental_snr(clean, out_l) - base)
         gap = float(np.mean(imp["binaural"]) - np.mean(imp["bilateral"]))
         gaps[snr] = gap
@@ -302,7 +302,7 @@ def test_criterion_8_end_to_end_trend():
                 mode="binaural", model=model, f_min=80.0, f_max=150.0,
                 max_harmonic_order=20,
             )
-            out_l, _ = process(zl, zr, scb, ncb, cfg)
+            out_l, _ = channels(process(stereo(zl, zr), scb, ncb, cfg))
             sink.append(segmental_snr(clean, out_l) - base)
     ok_vuv = float(np.mean(vuv_imp)) >= float(np.mean(uv_imp))
     gap_text = ", ".join(f"{k:g} dB: {v:+.3f}" for k, v in gaps.items())
@@ -326,12 +326,11 @@ def test_criterion_9_cue_preservation():
     zl = AudioBuffer(s + g * nl, 8000)
     zr = AudioBuffer(np.roll(s, 1) + g * nr, 8000)  # 1-sample ITD on the right
     cfg = RunConfig(mode="binaural", model="uv")
-    base = process(zl, zr, scb, ncb, cfg)
-    scaled = process(
-        AudioBuffer(2.0 * zl.samples, 8000),
-        AudioBuffer(2.0 * zr.samples, 8000),
+    base = channels(process(stereo(zl, zr), scb, ncb, cfg))
+    scaled = channels(process(
+        stereo(AudioBuffer(2.0 * zl.samples, 8000), AudioBuffer(2.0 * zr.samples, 8000)),
         scb, ncb, cfg,
-    )
+    ))
     rep = interaural_errors(base[0], base[1], scaled[0], scaled[1])
     report(
         9,
@@ -345,8 +344,8 @@ def test_criterion_10_determinism(tmp_path):
     ncb = codebook_from_models(NOISE_CB_MODELS, "noise")
     _, zl, zr = stereo_scene(42, 5.0, n=2000)
     cfg = RunConfig(mode="binaural", model="uv")
-    a = process(zl, zr, scb, ncb, cfg)
-    b = process(zl, zr, scb, ncb, cfg)
+    a = channels(process(stereo(zl, zr), scb, ncb, cfg))
+    b = channels(process(stereo(zl, zr), scb, ncb, cfg))
     runs_identical = (
         a[0].samples.tobytes() == b[0].samples.tobytes()
         and a[1].samples.tobytes() == b[1].samples.tobytes()

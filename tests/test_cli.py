@@ -211,6 +211,40 @@ class TestEnhanceCommand:
         assert out_snr > 30.0
 
 
+    def test_digital_silence_exits_clean(self, tmp_path, cb_paths):
+        sp, np_ = cb_paths
+        wav = tmp_path / "zeros.wav"
+        write_wav(wav, AudioBuffer(np.zeros((2, 1000)), 8000))
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", str(wav), "-o", str(out), "--speech-cb", sp, "--noise-cb", np_])
+        assert code == 0
+        enh = read_wav(out)
+        assert enh.samples.shape == (2, 1000)
+        assert not np.any(enh.samples)
+
+    def test_silent_lead_exits_clean(self, tmp_path, stereo_wav, cb_paths):
+        sp, np_ = cb_paths
+        z = read_wav(stereo_wav).samples.copy()
+        z[:, :400] = 0.0
+        wav = tmp_path / "silent_lead.wav"
+        write_wav(wav, AudioBuffer(z, 8000))
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", str(wav), "-o", str(out), "--speech-cb", sp, "--noise-cb", np_])
+        assert code == 0
+        assert len(read_wav(out)) == z.shape[1]
+
+    def test_enhance_single(self, tmp_path, stereo_wav, cb_paths):
+        sp, np_ = cb_paths
+        mono = tmp_path / "mono.wav"
+        write_wav(mono, AudioBuffer(read_wav(stereo_wav).samples[0], 8000))
+        out = tmp_path / "enh.wav"
+        argv = ["--speech-cb", sp, "--noise-cb", np_, "--model", "uv"]
+        assert main(["enhance-single", str(mono), "-o", str(out), *argv]) == 0
+        enh = read_wav(out)
+        assert enh.channel_count == 1 and len(enh) == 2000
+        assert main(["enhance-single", stereo_wav, "-o", str(out), *argv]) == 2
+
+
 class TestConfigFile:
     def test_precedence_flags_over_file(self, tmp_path, stereo_wav, cb_paths):
         sp, np_ = cb_paths
@@ -237,6 +271,16 @@ class TestConfigFile:
             "--speech-cb", sp, "--noise-cb", np_, "--config", str(cfg),
         ])
         assert code == 2
+
+    def test_model_order_settings_rejected(self, tmp_path, stereo_wav, cb_paths):
+        # The speech and noise model orders are the codebooks' own.
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise_order = 14\n")
+        base = ["enhance", stereo_wav, "-o", str(tmp_path / "o.wav"),
+                "--speech-cb", sp, "--noise-cb", np_]
+        assert main([*base, "--config", str(cfg)]) == 2
+        assert main([*base, "--speech-order", "14"]) == 2
 
     def test_malformed_line_rejected(self, tmp_path, stereo_wav, cb_paths):
         sp, np_ = cb_paths

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from binse.kalman import (
-    SingularInnovationError,
     SmootherState,
     StateSpaceModel,
     build_uv_model,
@@ -119,17 +118,22 @@ class TestFlksStep:
         assert state.x[0] == pytest.approx(3.25, abs=1e-12)
 
     def test_singular_innovation(self):
+        # Zero covariance and process variances: the innovation variance is
+        # 0, so the correction is skipped and the state is its prediction,
+        # whatever the observation.
         model = StateSpaceModel(
-            transition=sp.csr_matrix(np.array([[0.0]])),
+            transition=sp.csr_matrix(np.array([[0.5]])),
             noise_input=np.array([[1.0, 0.0]]),
             observation=np.array([1.0]),
             process_variances=(0.0, 0.0),
             smoother_delay=0,
             kind="uv",
         )
-        state = SmootherState(x=np.zeros(1), cov=np.zeros((1, 1)))
-        with pytest.raises(SingularInnovationError):
-            flks_step(state, model, 1.0)
+        state = SmootherState(x=np.array([2.0]), cov=np.zeros((1, 1)))
+        state, emitted = flks_step(state, model, 3.0)
+        np.testing.assert_array_equal(state.x, [1.0])
+        np.testing.assert_array_equal(state.cov, [[0.0]])
+        assert emitted == 1.0
 
     def test_zero_observations_decay(self):
         model = build_uv_model(SPEECH2, ArModel(np.array([0.2]), 0.5), 4)
