@@ -13,7 +13,7 @@ import numpy as np
 from . import codebook, metrics, pipeline, stp
 from .linpred import ar_envelope, levinson_durbin
 from .pipeline import RunConfig
-from .signal_core import AudioBuffer, Frame, extract_frames, periodogram
+from .signal_core import AudioBuffer, extract_frames
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1

@@ -11,6 +11,7 @@ the per-sample covariance propagation cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -18,7 +19,6 @@ import scipy.sparse as sp
 
 from .linpred import ArModel
 from .pitch import PitchInfo, UNVOICED
-from .signal_core import AudioBuffer
 
 DEFAULT_SMOOTHER_DELAY = 25
 INNOVATION_EPS = 1e-30
@@ -39,10 +39,19 @@ class StateSpaceModel:
     def dim(self) -> int:
         return self.transition.shape[0]
 
-    def process_noise_cov(self) -> npt.NDArray[np.float64]:
+    @cached_property
+    def process_noise_support(self):
+        """(rows, cols, values) of the nonzero entries of Q = G diag(sigma^2) G^T."""
         g = self.noise_input
-        sd2, sv2 = self.process_variances
-        return (g * np.array([sd2, sv2])) @ g.T
+        q = (g * np.array(self.process_variances)) @ g.T
+        rows, cols = np.nonzero(q)
+        return rows, cols, q[rows, cols]
+
+    @cached_property
+    def observation_support(self):
+        """(indices, weights) of the nonzero entries of the observation row."""
+        idx = np.flatnonzero(self.observation)
+        return idx, self.observation[idx]
 
 
 @dataclass
@@ -137,9 +146,15 @@ def build_vuv_model(
     )
 
 
-def initial_state(model: StateSpaceModel, obs_variance: float) -> SmootherState:
+def initial_state(
+    model: StateSpaceModel, obs_variance: float, channels: tuple[int, ...] = ()
+) -> SmootherState:
     """Covariance = obs_variance * I, except the V-UV excitation chain which
-    starts at the speech excitation variance so it matches the UV prior."""
+    starts at the speech excitation variance so it matches the UV prior.
+
+    The state is ``(dim,)``, or ``(dim, C)`` for ``channels=(C,)``: C
+    channels that share the model share the covariance.
+    """
     dim = model.dim
     cov = np.eye(dim) * obs_variance
     if model.kind == "vuv":
@@ -148,74 +163,86 @@ def initial_state(model: StateSpaceModel, obs_variance: float) -> SmootherState:
         cov[ds1:noise_start, ds1:noise_start] = (
             np.eye(noise_start - ds1) * model.process_variances[0]
         )
-    return SmootherState(x=np.zeros(dim), cov=cov, samples_seen=0)
+    return SmootherState(x=np.zeros((dim, *channels)), cov=cov, samples_seen=0)
 
 
-def flks_step(state: SmootherState, model: StateSpaceModel, z_n: float):
+def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     """One predict/gain/correct cycle; returns (state, enhanced sample or None).
 
-    The emitted sample is the last speech entry of the a posteriori state,
-    i.e. the smoothed estimate of s(n - d_s); nothing is emitted until the
-    state is filled.  A degenerate innovation variance (digital silence
-    under zero process variances) skips the correction: the state becomes
-    its prediction.
+    The state ``x`` is ``(dim,)`` with a float observation ``z_n``, or
+    ``(dim, C)`` with a ``(C,)`` array of observations, one per channel; the
+    covariance and the gain are computed once and serve every channel.  The
+    emitted sample (a float, or a ``(C,)`` array) is the last speech entry
+    of the a posteriori state, i.e. the smoothed estimate of s(n - d_s);
+    nothing is emitted until the state is filled.  A degenerate innovation
+    variance (digital silence under zero process variances) skips the
+    correction: the state becomes its prediction.
     """
     f = model.transition
-    obs = model.observation
+    obs_i, obs_w = model.observation_support
     if len(state.x) != model.dim:
         raise ValueError("state dimension does not match model")
 
     x_pred = f @ state.x
-    cov_pred = (f @ (f @ state.cov).T).T + model.process_noise_cov()
+    cov_pred = (f @ (f @ state.cov).T).T
+    q_rows, q_cols, q_vals = model.process_noise_support
+    cov_pred[q_rows, q_cols] += q_vals
 
-    cov_obs = cov_pred @ obs
-    innov_var = float(obs @ cov_obs)
+    cov_obs = cov_pred[:, obs_i] @ obs_w
+    innov_var = float(cov_obs[obs_i] @ obs_w)
     if innov_var <= INNOVATION_EPS:
-        x_post, cov_post = x_pred, cov_pred
+        cov_post = cov_pred
     else:
         gain = cov_obs / innov_var
-        innovation = z_n - float(obs @ x_pred)
-        x_post = x_pred + gain * innovation
-        cov_post = cov_pred - np.outer(gain, cov_obs)
-        cov_post = 0.5 * (cov_post + cov_post.T)
+        innovation = z_n - obs_w @ x_pred[obs_i]
+        x_pred += np.multiply.outer(gain, innovation)
+        cov_pred -= np.outer(gain, cov_obs)
+        cov_post = cov_pred + cov_pred.T
+        cov_post *= 0.5
 
     n = state.samples_seen
-    state.x = x_post
+    state.x = x_pred
     state.cov = cov_post
     state.samples_seen = n + 1
 
     delay = model.smoother_delay
     if n < delay:
         return state, None
-    return state, float(x_post[delay])
+    emitted = x_pred[delay]
+    return state, float(emitted) if emitted.ndim == 0 else emitted.copy()
 
 
 def enhance_channel(
-    z: AudioBuffer,
+    x: npt.NDArray[np.float64],
     per_frame_params,
     frame_len: int,
     model_kind: str = "uv",
     smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
     p_max: int = 100,
-) -> AudioBuffer:
-    """Run the FLKS over one channel with per-frame (StpEstimate, PitchInfo).
+) -> npt.NDArray[np.float64]:
+    """Run the FLKS over an ``(n,)`` channel, or over the C channels of a
+    ``(C, n)`` array that share the per-frame (StpEstimate, PitchInfo);
+    returns an array of the same shape.
 
-    The model is rebuilt at frame boundaries; state and covariance carry
-    across.  Samples after the last full frame are smoothed with the last
-    frame's model.  Output is delay-compensated by flushing the smoother
-    with zero observations, so it aligns sample-for-sample with the input.
-    Input shorter than one frame has no parameters and is returned
-    unchanged.
+    Channels that share the parameters share the model, so one covariance
+    recursion serves them all; it starts from the mean of their first-frame
+    energies.  The model is rebuilt at frame boundaries; state and
+    covariance carry across.  Samples after the last full frame are
+    smoothed with the last frame's model.  Output is delay-compensated by
+    flushing the smoother with zero observations, so it aligns
+    sample-for-sample with the input.  Input shorter than one frame has no
+    parameters and is returned unchanged.
     """
-    x = z.channel("left")
-    n_frames = len(x) // frame_len
+    x = np.asarray(x, dtype=float)
+    n_samples = x.shape[-1]
+    n_frames = n_samples // frame_len
     if len(per_frame_params) != n_frames:
         raise ValueError(
             f"expected {n_frames} parameter sets, got {len(per_frame_params)}"
         )
     if n_frames == 0:
-        return AudioBuffer(x.copy(), z.sample_rate)
-    out = np.zeros(len(x))
+        return x.copy()
+    out = np.zeros_like(x)
     write = 0
     state = None
     for fi in range(n_frames):
@@ -227,18 +254,20 @@ def enhance_channel(
                 stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, p_max
             )
         if state is None:
-            r0 = float(np.dot(x[:frame_len], x[:frame_len])) / frame_len
-            state = initial_state(model, max(r0, 1e-12))
-        stop = (fi + 1) * frame_len if fi < n_frames - 1 else len(x)
+            head = np.atleast_2d(x)[:, :frame_len]
+            r0 = np.mean([float(np.dot(c, c)) / frame_len for c in head])
+            state = initial_state(model, max(r0, 1e-12), x.shape[:-1])
+        stop = (fi + 1) * frame_len if fi < n_frames - 1 else n_samples
         for n in range(fi * frame_len, stop):
-            state, emitted = flks_step(state, model, x[n])
-            if emitted is not None and write < len(out):
-                out[write] = emitted
+            state, emitted = flks_step(state, model, x[..., n])
+            if emitted is not None and write < n_samples:
+                out[..., write] = emitted
                 write += 1
     # Flush: zero observations until every input sample has been emitted.
-    while write < len(out):
-        state, emitted = flks_step(state, model, 0.0)
+    silence = np.zeros(x.shape[:-1])
+    while write < n_samples:
+        state, emitted = flks_step(state, model, silence)
         if emitted is not None:
-            out[write] = emitted
+            out[..., write] = emitted
             write += 1
-    return AudioBuffer(out, z.sample_rate)
+    return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -204,13 +204,18 @@ def frame_params(
     speech = compile_codebook(speech_cb, cfg.frame_len)
     noise = compile_codebook(noise_cb, cfg.frame_len)
     channels = np.atleast_2d(z.samples)
-    if len(channels) == 2 and cfg.mode == "binaural":
+    if _shares_params(channels, cfg):
         shared = _channel_params(*channels, speech, noise, cfg, diagnostics_out)
         return [shared, shared]
     return [
         _channel_params(x, None, speech, noise, cfg, diagnostics_out if c == 0 else None)
         for c, x in enumerate(channels)
     ]
+
+
+def _shares_params(channels, cfg: RunConfig) -> bool:
+    """Binaural stereo: both ears share one parameter set per frame."""
+    return len(channels) == 2 and cfg.mode == "binaural"
 
 
 def process(
@@ -222,16 +227,18 @@ def process(
 ) -> AudioBuffer:
     """Enhance a mono ``(n,)`` or stereo ``(2, n)`` buffer; returns one of the same shape.
 
-    Binaural mode shares one parameter set per frame across both ears;
-    bilateral mode, and a mono buffer, estimate each channel from that
-    channel alone.
+    Binaural mode shares one parameter set per frame across both ears, so
+    one smoother recursion serves both; bilateral mode, and a mono buffer,
+    estimate and smooth each channel from that channel alone.
     """
     params = frame_params(z, speech_cb, noise_cb, cfg, diagnostics_out)
-    out = [
-        kalman.enhance_channel(
-            AudioBuffer(x, z.sample_rate), p, cfg.frame_len, cfg.model,
-            cfg.smoother_delay, cfg.p_max,
-        ).samples
-        for x, p in zip(np.atleast_2d(z.samples), params)
-    ]
+    channels = np.atleast_2d(z.samples)
+    smooth = dict(
+        frame_len=cfg.frame_len, model_kind=cfg.model,
+        smoother_delay=cfg.smoother_delay, p_max=cfg.p_max,
+    )
+    if _shares_params(channels, cfg):
+        out = kalman.enhance_channel(channels, params[0], **smooth)
+    else:
+        out = [kalman.enhance_channel(x, p, **smooth) for x, p in zip(channels, params)]
     return AudioBuffer(np.reshape(out, z.samples.shape), z.sample_rate)

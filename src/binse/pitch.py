@@ -27,7 +27,6 @@ import numpy as np
 import numpy.typing as npt
 
 from .linpred import ArModel
-from .signal_core import Frame
 
 VOICING_CLAMP = 0.95
 DEFAULT_VOICING_THRESHOLD = 0.3

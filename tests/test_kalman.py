@@ -13,7 +13,6 @@ from binse.kalman import (
 )
 from binse.linpred import ArModel
 from binse.pitch import UNVOICED, PitchInfo
-from binse.signal_core import AudioBuffer
 from binse.stp import StpEstimate
 
 from conftest import ar_signal, snr_scale
@@ -135,6 +134,33 @@ class TestFlksStep:
         np.testing.assert_array_equal(state.cov, [[0.0]])
         assert emitted == 1.0
 
+    def test_joint_state_matches_per_channel(self, rng):
+        # One (dim, 2) recursion and two (dim,) recursions from the same
+        # covariance give the same bits: the covariance and gain never see
+        # the data.
+        model = build_vuv_model(
+            ArModel(np.array([1.0, -0.5]), 1e-3), ArModel(np.array([0.3]), 1e-3),
+            voiced(period=3, b=0.5), smoother_delay=4, p_max=5,
+        )
+        joint = initial_state(model, 1.0, (2,))
+        joint.x = rng.normal(size=(model.dim, 2))
+        single = [initial_state(model, 1.0) for _ in range(2)]
+        for c, state in enumerate(single):
+            state.x = joint.x[:, c].copy()
+        for z in rng.normal(size=(40, 2)):
+            joint, emitted = flks_step(joint, model, z)
+            outs = []
+            for c in range(2):
+                single[c], out = flks_step(single[c], model, float(z[c]))
+                outs.append(out)
+                np.testing.assert_array_equal(joint.x[:, c], single[c].x)
+                np.testing.assert_array_equal(joint.cov, single[c].cov)
+            if emitted is None:
+                assert outs == [None, None]
+            else:
+                assert emitted.shape == (2,)
+                np.testing.assert_array_equal(emitted, outs)
+
     def test_zero_observations_decay(self):
         model = build_uv_model(SPEECH2, ArModel(np.array([0.2]), 0.5), 4)
         state = initial_state(model, 10.0)
@@ -207,9 +233,9 @@ class TestEnhanceChannel:
         speech = ArModel(np.array([1.0, -0.5]), 1e-3)
         noise = ArModel(np.array([0.0]), 0.0)
         out = enhance_channel(
-            AudioBuffer(s, 8000), self.make_params(10, speech, noise), 200
+            s, self.make_params(10, speech, noise), 200
         )
-        err = out.samples - s
+        err = out - s
         assert np.sqrt(np.mean(err**2)) < 1e-6
 
     def test_zero_speech_suppression(self, rng):
@@ -217,11 +243,11 @@ class TestEnhanceChannel:
         speech = ArModel(np.array([1.0, -0.5]), 0.0)
         noise = ArModel(np.array([0.3]), 1e-3)
         out = enhance_channel(
-            AudioBuffer(w, 8000), self.make_params(10, speech, noise), 200
+            w, self.make_params(10, speech, noise), 200
         )
         # Skip the first frame: the initial covariance lets some noise leak
         # into the speech states until the filter settles.
-        assert np.sqrt(np.mean(out.samples[200:] ** 2)) < 0.05 * np.sqrt(
+        assert np.sqrt(np.mean(out[200:] ** 2)) < 0.05 * np.sqrt(
             np.mean(w**2)
         )
 
@@ -231,7 +257,7 @@ class TestEnhanceChannel:
         noise = ArModel(np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
             enhance_channel(
-                AudioBuffer(s, 8000), self.make_params(3, speech, noise), 200
+                s, self.make_params(3, speech, noise), 200
             )
 
     def test_trailing_partial_frame_smoothed(self, rng):
@@ -242,15 +268,48 @@ class TestEnhanceChannel:
         g = snr_scale(s, noise_sig, 10.0)
         z = s + g * noise_sig
         params = self.make_params(5, speech, ArModel(np.array([0.0]), g * g))
-        out = enhance_channel(AudioBuffer(z, 8000), params, 200).samples
+        out = enhance_channel(z, params, 200)
         assert len(out) == n
         ratio = np.sqrt(np.mean(out[1000:] ** 2) / np.mean(z[1000:] ** 2))
         assert 0.5 <= ratio <= 2.0
 
     def test_shorter_than_one_frame_passed_through(self, rng):
         z = rng.normal(size=150)
-        out = enhance_channel(AudioBuffer(z, 8000), [], 200)
-        np.testing.assert_array_equal(out.samples, z)
+        out = enhance_channel(z, [], 200)
+        np.testing.assert_array_equal(out, z)
+
+    def test_shorter_than_one_frame_multichannel_passed_through(self, rng):
+        z = rng.normal(size=(2, 150))
+        out = enhance_channel(z, [], 200)
+        np.testing.assert_array_equal(out, z)
+
+    def test_channels_share_one_recursion(self, rng):
+        # a and -a have the same first-frame energy, so they start from the
+        # same covariance; the joint run must match the one-channel run.
+        speech = ArModel(np.array([1.8, -0.9]), 1e-3)
+        a = ar_signal(speech.coefficients, 1e-3, 5 * 200 + 70, rng)
+        a += 0.05 * rng.normal(size=len(a))
+        params = self.make_params(5, speech, ArModel(np.array([0.0]), 2.5e-3))
+        one = enhance_channel(a, params, 200)
+        both = enhance_channel(np.vstack([a, -a]), params, 200)
+        assert both.shape == (2, len(a))
+        np.testing.assert_array_equal(both, [one, -one])
+
+    def test_initial_covariance_from_mean_energy(self, rng, monkeypatch):
+        import binse.kalman as kalman
+
+        seen = []
+
+        def spy(model, obs_variance, channels=()):
+            seen.append((obs_variance, channels))
+            return initial_state(model, obs_variance, channels)
+
+        monkeypatch.setattr(kalman, "initial_state", spy)
+        z = rng.normal(size=(2, 450)) * np.array([[1.0], [3.0]])
+        params = self.make_params(2, SPEECH2, ArModel(np.array([0.0]), 1.0))
+        enhance_channel(z, params, 200)
+        energies = [np.dot(c[:200], c[:200]) / 200 for c in z]
+        assert seen == [(pytest.approx(np.mean(energies), rel=1e-12), (2,))]
 
     def test_known_params_near_wiener(self, rng):
         import time
@@ -266,10 +325,10 @@ class TestEnhanceChannel:
         noise = ArModel(np.array([0.0]), g * g)
         params = self.make_params(n // 200, speech, noise)
         t0 = time.perf_counter()
-        out = enhance_channel(AudioBuffer(z, 8000), params, 200)
+        out = enhance_channel(z, params, 200)
         elapsed = time.perf_counter() - t0
         in_snr = output_snr(s, z)
-        flks_snr = output_snr(s, out.samples)
+        flks_snr = output_snr(s, out)
         oracle_snr = output_snr(s, wiener_oracle(z, s, speech, g * g))
         assert flks_snr >= in_snr + 4.0
         assert flks_snr >= oracle_snr - 1.5

@@ -85,6 +85,21 @@ class TestProcess:
         np.testing.assert_allclose(a_l.samples, b_l.samples, atol=1e-10)
         np.testing.assert_allclose(a_l.samples, a_r.samples, atol=1e-12)
 
+    def test_binaural_identical_ears_share_one_smoother(self, rng, codebooks, monkeypatch):
+        # Both ears of a binaural run share the parameters and the one
+        # covariance recursion, so identical ears come out identical, and
+        # each equals the mono path run with the binaural parameters.
+        scb, ncb = codebooks
+        _, zl, _ = make_scene(rng, n=1000)
+        cfg = fast_cfg()
+        z = stereo(zl, zl)
+        out = process(z, scb, ncb, cfg).samples
+        shared, _ = pipeline.frame_params(z, scb, ncb, cfg)
+        monkeypatch.setattr(pipeline, "frame_params", lambda *args, **kw: [shared])
+        mono = process(zl, scb, ncb, cfg).samples
+        np.testing.assert_array_equal(out[0], out[1])
+        np.testing.assert_array_equal(out[0], mono)
+
     def test_determinism(self, rng, codebooks):
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, decorrelate=True)
