@@ -9,8 +9,8 @@ from .codebook import Codebook
 from .linpred import ArModel, LsfVector
 from .pipeline import RunConfig, process
 from .pitch import DirectivityModel, PitchInfo
-from .signal_core import AudioBuffer, Frame, Spectrum
-from .stp import GammaPrior, StpEstimate
+from .signal_core import AudioBuffer, Frame
+from .stp import StpEstimate
 
 __all__ = [
     "ArModel",
@@ -18,11 +18,9 @@ __all__ = [
     "Codebook",
     "DirectivityModel",
     "Frame",
-    "GammaPrior",
     "LsfVector",
     "PitchInfo",
     "RunConfig",
-    "Spectrum",
     "StpEstimate",
     "process",
 ]

@@ -105,6 +105,8 @@ def build_config(args) -> RunConfig:
 def cmd_train(args) -> int:
     if args.size < 1:
         raise CliError("codebook size must be >= 1")
+    if args.order < 1:
+        raise CliError("--order must be >= 1")
     if not args.inputs:
         raise CliError("at least one input WAV is required")
     frames = []
@@ -115,9 +117,12 @@ def cmd_train(args) -> int:
             rate = buf.sample_rate
         elif buf.sample_rate != rate:
             raise CliError(f"{path}: sample rate {buf.sample_rate} != {rate}")
-        frames.extend(extract_frames(buf, args.frame_len))
-        if buf.channel_count == 2:
-            frames.extend(extract_frames(buf, args.frame_len, channel="right"))
+        try:
+            frames.extend(extract_frames(buf, args.frame_len))
+            if buf.channel_count == 2:
+                frames.extend(extract_frames(buf, args.frame_len, channel="right"))
+        except ValueError as exc:
+            raise CliError(f"{path}: --frame-len {args.frame_len}: {exc}") from exc
 
     def report(iteration, distortion):
         print(f"iteration {iteration}: distortion {distortion:.6e}")
@@ -144,6 +149,10 @@ def _load_codebooks(args, cfg: RunConfig):
             f"{args.speech_cb}: speech codebook order {speech_cb.order} exceeds "
             f"smoother_delay {cfg.smoother_delay}"
         )
+    for path, cb in ((args.speech_cb, speech_cb), (args.noise_cb, noise_cb)):
+        if cb.order >= cfg.frame_len:
+            raise CliError(f"{path}: codebook order {cb.order} needs frame_len above it, "
+                           f"got {cfg.frame_len}")
     return speech_cb, noise_cb
 
 
@@ -200,13 +209,18 @@ def cmd_eval(args) -> int:
         raise CliError("eval expects stereo clean and enhanced files")
     if len(clean) != len(enhanced):
         raise CliError("clean and enhanced lengths differ")
+    if clean.sample_rate != enhanced.sample_rate:
+        raise CliError(f"sample rates differ: {clean.sample_rate} != {enhanced.sample_rate}")
     cl = AudioBuffer(clean.samples[0], clean.sample_rate)
     cr = AudioBuffer(clean.samples[1], clean.sample_rate)
     el = AudioBuffer(enhanced.samples[0], enhanced.sample_rate)
     er = AudioBuffer(enhanced.samples[1], enhanced.sample_rate)
-    segsnr_l = metrics.segmental_snr(cl, el)
-    segsnr_r = metrics.segmental_snr(cr, er)
-    report = metrics.interaural_errors(cl, cr, el, er)
+    try:
+        segsnr_l = metrics.segmental_snr(cl, el)
+        segsnr_r = metrics.segmental_snr(cr, er)
+        report = metrics.interaural_errors(cl, cr, el, er)
+    except ValueError as exc:  # too short for a segment, or a silent channel
+        raise CliError(str(exc)) from exc
     print(
         "{"
         + f'"segsnr_l": {segsnr_l:.4f}, "segsnr_r": {segsnr_r:.4f}, '

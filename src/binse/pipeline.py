@@ -21,7 +21,6 @@ from .signal_core import AudioBuffer, Frame, analytic_signal, cross_spectrum, pe
 from .stp import (
     CompiledCodebook,
     DualChannelNoiseTracker,
-    GammaPrior,
     StpDiagnostics,
     StpEstimate,
     compile_codebook,
@@ -43,7 +42,6 @@ class RunConfig:
     voicing_threshold: float = DEFAULT_VOICING_THRESHOLD
     mu_iters: int = stp.MU_DEFAULT_ITERS
     adaptive_noise_codebook: bool = True
-    noise_var_prior: GammaPrior | None = None
     max_harmonic_order: int | None = None
 
     def __post_init__(self):
@@ -95,9 +93,7 @@ def _estimate_frame_params(
         speech,
         noise,
         frame_len=cfg.frame_len,
-        noise_var_prior=cfg.noise_var_prior,
         mu_iters=cfg.mu_iters,
-        frame_index=frame_index,
         diagnostics=diag,
         adaptive_noise=adaptive_entry,
     )

@@ -64,22 +64,6 @@ class Frame:
         return float(np.dot(self.samples, self.samples))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Non-negative power spectrum over K DFT bins."""
-
-    bins: npt.NDArray[np.float64]
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.float64)
-        if not np.all(np.isfinite(bins)) or np.any(bins < 0):
-            raise ValueError("spectrum bins must be finite and non-negative")
-        object.__setattr__(self, "bins", bins)
-
-    def __len__(self) -> int:
-        return len(self.bins)
-
-
 def extract_frames(buffer: AudioBuffer, frame_len: int, channel: str = "left"):
     """Split one channel into non-overlapping frames of length ``frame_len``.
 
@@ -97,7 +81,7 @@ def extract_frames(buffer: AudioBuffer, frame_len: int, channel: str = "left"):
     ]
 
 
-def periodogram(frame: Frame, dft_len: int | None = None) -> Spectrum:
+def periodogram(frame: Frame, dft_len: int | None = None) -> npt.NDArray[np.float64]:
     """Power spectrum |X(k)|^2 / M of the (zero-padded) frame.
 
     The 1/M scaling matches a unitary DFT of the frame, so the bin sum
@@ -108,7 +92,7 @@ def periodogram(frame: Frame, dft_len: int | None = None) -> Spectrum:
     if k < m:
         raise ValueError("dft_len must be >= frame length")
     spec = np.fft.fft(frame.samples, n=k)
-    return Spectrum(np.abs(spec) ** 2 / m)
+    return np.abs(spec) ** 2 / m
 
 
 def cross_spectrum(left: Frame, right: Frame, dft_len: int | None = None):

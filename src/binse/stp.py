@@ -2,9 +2,10 @@
 
 Per frame, every (speech entry, noise entry) pair gets maximum-likelihood
 excitation variances by multiplicative updates on an Itakura-Saito cost;
-pair weights combine the likelihood with excitation-variance priors, and
-the final estimate is the weighted average (AR shapes averaged in the LSF
-domain so the result stays stable).
+pair weights are the likelihoods under uniform priors on both excitation
+variances, and the final estimate is the weighted average (AR shapes
+averaged in the LSF domain so the result stays stable).  Spectra are plain
+arrays of K bins.
 
 Codebook entries never change between frames, so their LSF rows and their
 envelopes on the periodogram grid are compiled once per run into a
@@ -21,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy.special import digamma, gammaln, polygamma
 
 from .codebook import Codebook
 from .linpred import ArModel, LsfVector, ar_envelope, ar_to_lsf, levinson_durbin, lsf_to_ar
-from .signal_core import Spectrum
 
 OBSERVED_FLOOR_REL = 1e-12
 MU_DEFAULT_ITERS = 50
@@ -77,36 +76,11 @@ class StpEstimate:
 
     speech: ArModel
     noise: ArModel
-    frame_index: int = 0
 
     def __post_init__(self):
         for model in (self.speech, self.noise):
             if not np.isfinite(model.excitation_variance) or model.excitation_variance < 0:
                 raise ValueError("excitation variances must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class GammaPrior:
-    """Gamma prior (shape, scale) on an excitation variance."""
-
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.shape) and self.shape > 0):
-            raise ValueError("shape must be positive and finite")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be positive and finite")
-
-    def log_pdf(self, x):
-        """Log density; elementwise for an array, a float for a scalar."""
-        x = np.asarray(x, float)
-        k, z = self.shape, self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                x > 0, (k - 1) * np.log(x) - x / z - gammaln(k) - k * np.log(z), -np.inf
-            )
-        return float(out) if out.ndim == 0 else out
 
 
 def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -127,8 +101,8 @@ def is_divergence(observed, modeled):
 
     A float for a 1-D ``modeled``; one divergence per row for (N, K).
     """
-    p = np.asarray(observed.bins if isinstance(observed, Spectrum) else observed, float)
-    q = np.asarray(modeled.bins if isinstance(modeled, Spectrum) else modeled, float)
+    p = np.asarray(observed, float)
+    q = np.asarray(modeled, float)
     if p.shape[-1] != q.shape[-1]:
         raise ValueError("spectra must have equal length")
     if np.any(q <= 0):
@@ -155,8 +129,8 @@ def ml_excitation_variances(
     changes by less than MU_REL_TOL relative, when both its variances reach
     zero, or after ``iters`` updates.
     """
-    pl = np.asarray(pzl.bins if isinstance(pzl, Spectrum) else pzl, float)
-    pr = np.asarray(pzr.bins if isinstance(pzr, Spectrum) else pzr, float)
+    pl = np.asarray(pzl, float)
+    pr = np.asarray(pzr, float)
     ps = np.asarray(speech_env, float)
     pw = np.asarray(noise_env, float)
     if np.any(ps <= 0) or np.any(pw <= 0):
@@ -211,11 +185,6 @@ def pair_log_likelihood(pzl, pzr, modeled, frame_len: int):
     return -0.5 * frame_len * (is_divergence(pzl, modeled) + is_divergence(pzr, modeled))
 
 
-def pair_likelihood(pzl, pzr, modeled, frame_len: int) -> float:
-    """Unnormalized pair likelihood exp(-(M/2)[d_IS(l)+d_IS(r)])."""
-    return float(np.exp(pair_log_likelihood(pzl, pzr, modeled, frame_len)))
-
-
 @dataclass
 class StpDiagnostics:
     best_speech_index: int = -1
@@ -226,14 +195,12 @@ class StpDiagnostics:
 
 
 def estimate_stp(
-    pzl: Spectrum,
-    pzr: Spectrum,
+    pzl: npt.ArrayLike,
+    pzr: npt.ArrayLike,
     speech_entries: CompiledCodebook | Sequence[ArModel],
     noise_entries: CompiledCodebook | Sequence[ArModel],
     frame_len: int,
-    noise_var_prior: GammaPrior | None = None,
     mu_iters: int = MU_DEFAULT_ITERS,
-    frame_index: int = 0,
     diagnostics: StpDiagnostics | None = None,
     adaptive_noise: ArModel | None = None,
 ) -> StpEstimate:
@@ -242,9 +209,9 @@ def estimate_stp(
     Entries given as lists of AR models go through ``compile_codebook``.
     ``adaptive_noise``, when given, joins the noise entries as the last one.
     AR shapes are averaged in the LSF domain under the posterior pair
-    weights; excitation variances are averaged directly.  The prior on the
-    speech variance is uniform; the noise variance optionally carries a
-    Gamma prior.
+    weights; excitation variances are averaged directly.  Both excitation
+    variances have uniform priors, so a pair's weight is its normalized
+    likelihood.
     """
     if len(pzl) != len(pzr):
         raise ValueError("channel spectra must have equal length")
@@ -268,8 +235,6 @@ def estimate_stp(
     sig_d, sig_v, _ = ml_excitation_variances(pzl, pzr, ps, pw, iters=mu_iters)
     modeled = np.maximum(sig_d, 1e-300)[:, None] * ps + np.maximum(sig_v, 1e-300)[:, None] * pw
     log_weights = pair_log_likelihood(pzl, pzr, modeled, frame_len)
-    if noise_var_prior is not None:
-        log_weights = log_weights + noise_var_prior.log_pdf(sig_v)
     log_weights = log_weights.reshape(ns, nw)
     sig_d = sig_d.reshape(ns, nw)
     sig_v = sig_v.reshape(ns, nw)
@@ -310,19 +275,7 @@ def estimate_stp(
     return StpEstimate(
         speech=ArModel(speech_model.coefficients, avg_sd),
         noise=ArModel(noise_model.coefficients, avg_sv),
-        frame_index=frame_index,
     )
-
-
-def dual_channel_noise_psd_raw(pzl, pzr, cross) -> npt.NDArray[np.float64]:
-    """Instantaneous magnitude-cross-spectrum noise PSD estimate (floored)."""
-    pl = np.asarray(pzl.bins if isinstance(pzl, Spectrum) else pzl, float)
-    pr = np.asarray(pzr.bins if isinstance(pzr, Spectrum) else pzr, float)
-    cx = np.asarray(cross)
-    if not (len(pl) == len(pr) == len(cx)):
-        raise ValueError("spectra and cross-spectrum must have equal length")
-    mean_power = 0.5 * (pl + pr)
-    return np.maximum(mean_power - np.abs(cx), DC_PSD_FLOOR * mean_power)
 
 
 class DualChannelNoiseTracker:
@@ -343,9 +296,10 @@ class DualChannelNoiseTracker:
         self._mean_power: npt.NDArray[np.float64] | None = None
         self._cross: npt.NDArray[np.complex128] | None = None
 
-    def update(self, pzl, pzr, cross) -> Spectrum:
-        pl = np.asarray(pzl.bins if isinstance(pzl, Spectrum) else pzl, float)
-        pr = np.asarray(pzr.bins if isinstance(pzr, Spectrum) else pzr, float)
+    def update(self, pzl, pzr, cross) -> npt.NDArray[np.float64]:
+        """Noise PSD after this frame; the first call gives the unsmoothed estimate."""
+        pl =np.asarray(pzl, float)
+        pr = np.asarray(pzr, float)
         cx = np.asarray(cross, complex)
         mean_power = 0.5 * (pl + pr)
         if self._mean_power is None:
@@ -355,21 +309,20 @@ class DualChannelNoiseTracker:
             a = self.smoothing
             self._mean_power = a * self._mean_power + (1.0 - a) * mean_power
             self._cross = a * self._cross + (1.0 - a) * cx
-        psd = np.maximum(
+        return np.maximum(
             self._mean_power - np.abs(self._cross),
             DC_PSD_FLOOR * self._mean_power,
         )
-        return Spectrum(psd)
 
 
-def noise_psd_to_ar(psd: Spectrum, order: int) -> ArModel:
+def noise_psd_to_ar(psd, order: int) -> ArModel:
     """Fit an AR model to a noise PSD via inverse-DFT autocorrelation.
 
     r(q) = (1/K) sum_k P(k) exp(i 2 pi q k / K), q = 0..order, then
     Levinson-Durbin.  The 1/K factor keeps r(0) equal to the mean PSD so
     the fitted excitation variance lives on the periodogram scale.
     """
-    bins = psd.bins
+    bins = np.asarray(psd, float)
     if np.all(bins == 0):
         raise ValueError("PSD must not be all-zero")
     k = len(bins)
@@ -377,34 +330,3 @@ def noise_psd_to_ar(psd: Spectrum, order: int) -> ArModel:
     phases = np.exp(2j * np.pi * np.outer(q, np.arange(k)) / k)
     r = np.real(phases @ bins) / k
     return levinson_durbin(r)
-
-
-def fit_gamma_prior(variance_samples) -> GammaPrior:
-    """Maximum-likelihood Gamma fit via Newton iteration on the digamma equation."""
-    x = np.asarray(variance_samples, float)
-    if len(x) < 10:
-        raise ValueError("need at least 10 samples")
-    if np.any(x <= 0):
-        raise ValueError("samples must be positive")
-    mean = x.mean()
-    log_mean = np.log(x).mean()
-    s = np.log(mean) - log_mean
-    if s < 1e-12:
-        import warnings
-
-        warnings.warn("near-constant samples: degenerate Gamma fit", RuntimeWarning)
-        s = 1e-12
-    # Minka's initialization, then Newton on ln(k) - psi(k) = s.
-    k = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(100):
-        f = np.log(k) - digamma(k) - s
-        fp = 1.0 / k - polygamma(1, k)
-        step = f / fp
-        k_new = k - step
-        if k_new <= 0:
-            k_new = k / 2.0
-        if abs(k_new - k) < 1e-12 * k:
-            k = k_new
-            break
-        k = k_new
-    return GammaPrior(shape=float(k), scale=float(mean / k))

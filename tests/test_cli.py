@@ -94,6 +94,27 @@ class TestTrainCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--frame-len", "0"], "--frame-len"),
+            (["--frame-len", "9000"], "--frame-len"),
+            (["--order", "0"], "--order"),
+            (["--order", "-1"], "--order"),
+        ],
+        ids=["frame_len_0", "frame_len_above_file", "order_0", "order_negative"],
+    )
+    def test_bad_flag_usage_error(self, tmp_path, rng, capsys, flags, named):
+        wav = tmp_path / "train.wav"
+        write_wav(wav, AudioBuffer(0.1 * rng.normal(size=8000), 8000))
+        out = tmp_path / "out.cbk"
+        code = main(["train", str(wav), "-o", str(out), "--kind", "speech", "--size", "2",
+                     *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
 
 class TestEnhanceCommand:
     def test_enhance_binaural(self, tmp_path, stereo_wav, cb_paths):
@@ -183,6 +204,24 @@ class TestEnhanceCommand:
         out = tmp_path / "enh.wav"
         code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp,
                      "--noise-cb", np_, *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame_len", ["4", "0", "-2"])
+    @pytest.mark.parametrize("command", ["enhance", "enhance-single", "pitch"])
+    def test_frame_len_not_above_codebook_order_usage_error(
+        self, tmp_path, stereo_wav, cb_paths, capsys, command, frame_len
+    ):
+        # The order-4 speech codebook needs frames of more than 4 samples.
+        sp, np_ = cb_paths
+        wav = stereo_wav
+        if command == "enhance-single":
+            wav = tmp_path / "mono.wav"
+            write_wav(wav, AudioBuffer(read_wav(stereo_wav).samples[0], 8000))
+        out = tmp_path / "out"
+        code = main([command, str(wav), "-o", str(out), "--speech-cb", sp, "--noise-cb", np_,
+                     "--frame-len", frame_len])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -329,6 +368,24 @@ class TestEvalCommand:
         assert out.startswith("{") and out.endswith("}")
         assert '"segsnr_l": 35.0000' in out
         assert '"itd": 0.000000' in out
+
+    @pytest.mark.parametrize("case", ["shorter_than_segment", "silent_clean", "rate_mismatch"])
+    def test_bad_input_usage_error(self, tmp_path, rng, capsys, case):
+        x = np.clip(ar_signal([1.2, -0.5], 1e-2, 2048, rng), -1, 1)
+        clean, enhanced = np.vstack((x, x)), np.vstack((x, x))
+        enhanced_rate = 8000
+        if case == "shorter_than_segment":
+            clean, enhanced = clean[:, :150], enhanced[:, :150]
+        elif case == "silent_clean":
+            clean[0] = 0.0
+        else:
+            enhanced_rate = 16000
+        c, e = tmp_path / "c.wav", tmp_path / "e.wav"
+        write_wav(c, AudioBuffer(clean, 8000))
+        write_wav(e, AudioBuffer(enhanced, enhanced_rate))
+        assert main(["eval", str(c), str(e)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
 
 class TestLikelihoodSurfaceCommand:

@@ -38,3 +38,24 @@ def test_no_unused_imports(path):
     used = read_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+def test_no_unread_definitions():
+    """Every module-level function and class is read by some binse module.
+
+    A re-export in ``__init__.py`` does not count: code that only tests or
+    the package namespace reach is dead weight in the program.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    reads = set()
+    for tree in trees.values():
+        reads |= read_names(tree)
+        reads |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name not in reads
+    ]
+    assert not unread, f"definitions no binse module reads: {', '.join(unread)}"
