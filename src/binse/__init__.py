@@ -9,7 +9,7 @@ from .codebook import Codebook
 from .linpred import ArModel, LsfVector
 from .pipeline import RunConfig, process
 from .pitch import DirectivityModel, PitchInfo
-from .signal_core import AudioBuffer, Frame
+from .signal_core import AudioBuffer
 from .stp import StpEstimate
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "AudioBuffer",
     "Codebook",
     "DirectivityModel",
-    "Frame",
     "LsfVector",
     "PitchInfo",
     "RunConfig",

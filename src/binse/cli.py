@@ -13,7 +13,7 @@ import numpy as np
 from . import codebook, metrics, pipeline, stp
 from .linpred import ar_envelope, levinson_durbin
 from .pipeline import RunConfig
-from .signal_core import AudioBuffer, extract_frames
+from .signal_core import AudioBuffer, frame_rows
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -77,7 +77,6 @@ _CONFIG_FIELDS = {
     "mode": str,
     "model": str,
     "voicing_threshold": float,
-    "mu_iters": int,
     "adaptive_noise_codebook": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "max_harmonic_order": int,
 }
@@ -107,6 +106,8 @@ def cmd_train(args) -> int:
         raise CliError("codebook size must be >= 1")
     if args.order < 1:
         raise CliError("--order must be >= 1")
+    if args.order >= args.frame_len:
+        raise CliError(f"--order {args.order} must be below --frame-len {args.frame_len}")
     if not args.inputs:
         raise CliError("at least one input WAV is required")
     frames = []
@@ -117,12 +118,10 @@ def cmd_train(args) -> int:
             rate = buf.sample_rate
         elif buf.sample_rate != rate:
             raise CliError(f"{path}: sample rate {buf.sample_rate} != {rate}")
-        try:
-            frames.extend(extract_frames(buf, args.frame_len))
-            if buf.channel_count == 2:
-                frames.extend(extract_frames(buf, args.frame_len, channel="right"))
-        except ValueError as exc:
-            raise CliError(f"{path}: --frame-len {args.frame_len}: {exc}") from exc
+        if len(buf) < args.frame_len:
+            raise CliError(f"{path}: --frame-len {args.frame_len} exceeds its {len(buf)} samples")
+        frames.extend(frame_rows(x, args.frame_len) for x in np.atleast_2d(buf.samples))
+    frames = np.concatenate(frames)  # rebound, so the input buffers can be freed
 
     def report(iteration, distortion):
         print(f"iteration {iteration}: distortion {distortion:.6e}")
@@ -233,6 +232,15 @@ def cmd_eval(args) -> int:
 def cmd_likelihood_surface(args) -> int:
     """Dump a (sigma_d2, sigma_v2, log-likelihood) grid for a synthetic frame."""
     m = args.frame_len
+    if m < 3:
+        raise CliError(f"--frame-len must be >= 3, the synthetic AR order + 1; got {m}")
+    if args.grid_points < 1:
+        raise CliError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if not 0 < args.var_min <= args.var_max < np.inf:
+        raise CliError(f"need 0 < --var-min <= --var-max < inf, got --var-min {args.var_min} "
+                       f"and --var-max {args.var_max}")
+    if not 0 < args.true_variance < np.inf:
+        raise CliError(f"--true-variance must be positive and finite, got {args.true_variance}")
     speech_model = levinson_durbin(np.array([1.0, 0.7, 0.35]))
     noise_model = levinson_durbin(np.array([1.0, -0.3, 0.15]))
     speech_env = ar_envelope(speech_model, m)
@@ -267,7 +275,6 @@ def _add_config_flags(p):
     p.add_argument("--mode", choices=["binaural", "bilateral"])
     p.add_argument("--model", choices=["uv", "vuv"])
     p.add_argument("--voicing-threshold", dest="voicing_threshold", type=float)
-    p.add_argument("--mu-iters", dest="mu_iters", type=int)
     p.add_argument("--max-harmonic-order", dest="max_harmonic_order", type=int)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, lsf_to_ar
-from .signal_core import Frame, autocorrelation
+from .signal_core import autocorrelation
 
 _MAGIC = b"CBK1"
 _VERSION = 1
@@ -55,8 +55,8 @@ class Codebook:
         return [lsf_to_ar(LsfVector(row)) for row in self.entries]
 
 
-def _frame_to_lsf(frame: Frame, order: int) -> npt.NDArray[np.float64] | None:
-    if frame.energy < SILENCE_ENERGY:
+def _frame_to_lsf(frame: npt.NDArray[np.float64], order: int) -> npt.NDArray[np.float64] | None:
+    if np.dot(frame, frame) < SILENCE_ENERGY:
         return None
     r = autocorrelation(frame, order)
     if r[0] <= 0:
@@ -69,7 +69,7 @@ def _frame_to_lsf(frame: Frame, order: int) -> npt.NDArray[np.float64] | None:
 
 
 def train(
-    training_frames,
+    training_frames: npt.NDArray[np.float64],
     size: int,
     order: int,
     seed: int,
@@ -78,9 +78,11 @@ def train(
 ) -> Codebook:
     """Train a codebook with the generalized Lloyd algorithm on LSF vectors.
 
-    Frames below the silence-energy threshold are skipped.  Initial
-    centroids are ``size`` distinct training vectors drawn under ``seed``;
-    empty cells are repaired by splitting the highest-distortion cell.
+    ``training_frames`` holds one frame per row, (N, frame_len) with
+    ``order`` below frame_len.  Frames below the silence-energy threshold
+    are skipped.  Initial centroids are ``size`` distinct training vectors
+    drawn under ``seed``; empty cells are repaired by splitting the
+    highest-distortion cell.
     """
     if size < 1:
         raise ValueError("codebook size must be >= 1")

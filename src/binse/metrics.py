@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import AudioBuffer, Frame, cross_spectrum
+from .signal_core import AudioBuffer, cross_spectrum, frame_rows
 
 SEG_SNR_FLOOR_DB = -10.0
 SEG_SNR_CEIL_DB = 35.0
@@ -19,19 +19,24 @@ class InterauralReport:
     ild_error: float  # dB
 
 
+def _mono_samples(*buffers: AudioBuffer):
+    """The sample arrays of mono buffers of one length; stereo buffers are rejected."""
+    if any(b.channel_count != 1 for b in buffers):
+        raise ValueError("metrics take mono buffers: score each ear of a stereo buffer")
+    if len({len(b) for b in buffers}) != 1:
+        raise ValueError("buffers must have equal length")
+    return [b.samples for b in buffers]
+
+
 def segmental_snr(clean: AudioBuffer, processed: AudioBuffer, seg_len: int = 200) -> float:
     """Mean per-segment SNR in dB, each segment clamped to [-10, 35] dB."""
-    s = clean.channel("left")
-    p = processed.channel("left")
-    if len(s) != len(p):
-        raise ValueError("buffers must have equal length")
-    n_seg = len(s) // seg_len
-    if n_seg == 0:
+    s, p = _mono_samples(clean, processed)
+    segs = frame_rows(s, seg_len)
+    if len(segs) == 0:
         raise ValueError("signal shorter than one segment")
     vals = []
-    for i in range(n_seg):
-        seg_s = s[i * seg_len : (i + 1) * seg_len]
-        seg_e = seg_s - p[i * seg_len : (i + 1) * seg_len]
+    for seg_s, seg_p in zip(segs, frame_rows(p, seg_len)):
+        seg_e = seg_s - seg_p
         num = float(np.dot(seg_s, seg_s))
         den = float(np.dot(seg_e, seg_e))
         if den == 0.0:
@@ -62,29 +67,19 @@ def interaural_errors(
     negligible are excluded.  ILD: absolute dB deviation of the channel
     power ratio.
     """
-    sigs = [b.channel("left") for b in (clean_l, clean_r, enh_l, enh_r)]
-    if len({len(s) for s in sigs}) != 1:
-        raise ValueError("all four buffers must have equal length")
-    for s in sigs:
+    cl, cr, el, er = _mono_samples(clean_l, clean_r, enh_l, enh_r)
+    for s in (cl, cr, el, er):
         if not np.any(s):
             raise ValueError("zero-power channel: interaural metrics undefined")
 
-    cl, cr, el, er = sigs
-    n_frames = len(cl) // frame_len
-    if n_frames == 0:
+    c_clean = cross_spectrum(frame_rows(cl, frame_len), frame_rows(cr, frame_len))
+    if len(c_clean) == 0:
         raise ValueError("signals shorter than one analysis frame")
-    phase_errors = []
-    for i in range(n_frames):
-        sl = slice(i * frame_len, (i + 1) * frame_len)
-        c_clean = cross_spectrum(Frame(cl[sl], i), Frame(cr[sl], i))
-        c_enh = cross_spectrum(Frame(el[sl], i), Frame(er[sl], i))
-        mag = np.abs(c_clean)
-        keep = mag > CROSS_MAG_REL_FLOOR * mag.max() if mag.max() > 0 else np.zeros_like(mag, bool)
-        if not np.any(keep):
-            continue
-        dphi = _wrap_phase(np.angle(c_enh[keep]) - np.angle(c_clean[keep]))
-        phase_errors.append(np.abs(dphi))
-    itd = float(np.mean(np.concatenate(phase_errors)) / np.pi) if phase_errors else 0.0
+    c_enh = cross_spectrum(frame_rows(el, frame_len), frame_rows(er, frame_len))
+    mag = np.abs(c_clean)
+    keep = mag > CROSS_MAG_REL_FLOOR * mag.max(axis=1, keepdims=True)
+    dphi = _wrap_phase(np.angle(c_enh[keep]) - np.angle(c_clean[keep]))
+    itd = float(np.mean(np.abs(dphi)) / np.pi) if dphi.size else 0.0
 
     i_clean = float(np.dot(cl, cl) / np.dot(cr, cr))
     i_enh = float(np.dot(el, el) / np.dot(er, er))

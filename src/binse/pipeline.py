@@ -17,7 +17,7 @@ from .pitch import (
     estimate_pitch,
     prewhiten,
 )
-from .signal_core import AudioBuffer, Frame, analytic_signal, cross_spectrum, periodogram
+from .signal_core import AudioBuffer, analytic_signal, cross_spectrum, frame_rows, periodogram
 from .stp import (
     CompiledCodebook,
     DualChannelNoiseTracker,
@@ -40,7 +40,6 @@ class RunConfig:
     mode: str = "binaural"  # binaural | bilateral
     model: str = "vuv"  # uv | vuv
     voicing_threshold: float = DEFAULT_VOICING_THRESHOLD
-    mu_iters: int = stp.MU_DEFAULT_ITERS
     adaptive_noise_codebook: bool = True
     max_harmonic_order: int | None = None
 
@@ -93,7 +92,6 @@ def _estimate_frame_params(
         speech,
         noise,
         frame_len=cfg.frame_len,
-        mu_iters=cfg.mu_iters,
         diagnostics=diag,
         adaptive_noise=adaptive_entry,
     )
@@ -123,7 +121,7 @@ def _pitch_for_frame(
     def whitened_analytic(x):
         hist = x[max(0, start - noise_model.order) : start]
         white = prewhiten(x[start : start + m], noise_model, hist)
-        return analytic_signal(Frame(white, 0))
+        return analytic_signal(white)
 
     zl_c = whitened_analytic(xl)
     zr_c = whitened_analytic(xr) if xr is not None else None
@@ -147,23 +145,24 @@ def _channel_params(
     cfg: RunConfig,
     diagnostics_out: list | None,
 ):
-    """Shared per-frame parameter estimation for a channel pair (xr may be None)."""
+    """Shared per-frame parameter estimation for a channel pair (xr may be None).
+
+    The spectra of all frames are computed up front, one frame per row.
+    """
     m = cfg.frame_len
-    n_frames = len(xl) // m
+    frames_l = frame_rows(xl, m)
+    pzl = pzr = periodogram(frames_l)
     tracker = DualChannelNoiseTracker() if (xr is not None and cfg.adaptive_noise_codebook) else None
+    if xr is not None:
+        frames_r = frame_rows(xr, m)
+        pzr = periodogram(frames_r)
+        if tracker is not None:
+            cross = cross_spectrum(frames_l, frames_r)
     params = []
-    for fi in range(n_frames):
-        sl = Frame(xl[fi * m : (fi + 1) * m], fi, "left")
-        pzl = periodogram(sl)
-        if xr is not None:
-            sr = Frame(xr[fi * m : (fi + 1) * m], fi, "right")
-            pzr = periodogram(sr)
-        else:
-            pzr = pzl
+    for fi in range(len(frames_l)):
         adaptive_entry = None
         if tracker is not None:
-            cross = cross_spectrum(sl, sr)
-            dc_psd = tracker.update(pzl, pzr, cross)
+            dc_psd = tracker.update(pzl[fi], pzr[fi], cross[fi])
             # Fit at the codebook's order so the LSF-domain averaging in
             # the estimator sees entries of one common length.
             try:
@@ -171,7 +170,7 @@ def _channel_params(
             except (ValueError, ArithmeticError):
                 adaptive_entry = None
         est = _estimate_frame_params(
-            pzl, pzr, speech, noise, adaptive_entry, cfg, fi, diagnostics_out
+            pzl[fi], pzr[fi], speech, noise, adaptive_entry, cfg, fi, diagnostics_out
         )
         if cfg.model == "vuv":
             pitch = _pitch_for_frame(xl, xr, est.noise, fi * m, cfg)

@@ -1,4 +1,4 @@
-"""Shared numeric substrate: framing, periodograms, autocorrelation, analytic signals."""
+"""Shared numeric substrate: frames as array rows, spectra, autocorrelation, analytic signals."""
 
 from __future__ import annotations
 
@@ -38,91 +38,47 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.shape[-1]
 
-    def channel(self, which: str) -> npt.NDArray[np.float64]:
-        """Return one channel ('left' or 'right') as a 1-D array."""
-        if self.samples.ndim == 1:
-            return self.samples
-        return self.samples[0] if which == "left" else self.samples[1]
 
+def frame_rows(x: npt.NDArray[np.float64], frame_len: int) -> npt.NDArray[np.float64]:
+    """The whole frames of the 1-D signal ``x`` as rows of an (n_frames, frame_len) view.
 
-@dataclass(frozen=True)
-class Frame:
-    """One analysis frame of a single channel."""
-
-    samples: npt.NDArray[np.float64]
-    frame_index: int
-    channel: str = "left"
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def energy(self) -> float:
-        return float(np.dot(self.samples, self.samples))
-
-
-def extract_frames(buffer: AudioBuffer, frame_len: int, channel: str = "left"):
-    """Split one channel into non-overlapping frames of length ``frame_len``.
-
-    The trailing partial frame is discarded.
+    The trailing partial frame is dropped.
     """
-    if frame_len <= 0:
-        raise ValueError("frame_len must be positive")
-    x = buffer.channel(channel)
-    if frame_len > len(x):
-        raise ValueError("frame_len exceeds buffer length")
     n_frames = len(x) // frame_len
-    return [
-        Frame(x[i * frame_len : (i + 1) * frame_len], frame_index=i, channel=channel)
-        for i in range(n_frames)
-    ]
+    return x[: n_frames * frame_len].reshape(n_frames, frame_len)
 
 
-def periodogram(frame: Frame, dft_len: int | None = None) -> npt.NDArray[np.float64]:
-    """Power spectrum |X(k)|^2 / M of the (zero-padded) frame.
+def periodogram(frames: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """Power spectrum |X(k)|^2 / M over the last axis (one frame per row).
 
     The 1/M scaling matches a unitary DFT of the frame, so the bin sum
-    equals the frame energy when dft_len == len(frame).
+    equals the frame energy.
     """
-    m = len(frame)
-    k = m if dft_len is None else dft_len
-    if k < m:
-        raise ValueError("dft_len must be >= frame length")
-    spec = np.fft.fft(frame.samples, n=k)
-    return np.abs(spec) ** 2 / m
+    return np.abs(np.fft.fft(frames)) ** 2 / np.shape(frames)[-1]
 
 
-def cross_spectrum(left: Frame, right: Frame, dft_len: int | None = None):
-    """Complex cross-spectrum X_l(k) conj(X_r(k)) / M, scaled like periodogram."""
-    m = len(left)
-    if len(right) != m:
-        raise ValueError("frames must have equal length")
-    k = m if dft_len is None else dft_len
-    xl = np.fft.fft(left.samples, n=k)
-    xr = np.fft.fft(right.samples, n=k)
-    return xl * np.conj(xr) / m
+def cross_spectrum(left: npt.NDArray[np.float64], right: npt.NDArray[np.float64]):
+    """Complex cross-spectrum X_l(k) conj(X_r(k)) / M over the last axis, like periodogram."""
+    if np.shape(left) != np.shape(right):
+        raise ValueError("frames must have equal shape")
+    return np.fft.fft(left) * np.conj(np.fft.fft(right)) / np.shape(left)[-1]
 
 
-def autocorrelation(frame: Frame, max_lag: int) -> npt.NDArray[np.float64]:
+def autocorrelation(x: npt.NDArray[np.float64], max_lag: int) -> npt.NDArray[np.float64]:
     """Biased autocorrelation estimate r(0..max_lag).
 
     r(q) = (1/M) sum_n x(n) x(n-q).  The biased form keeps the Toeplitz
     autocorrelation matrix positive semi-definite.
     """
-    m = len(frame)
+    m = len(x)
     if max_lag >= m:
         raise ValueError("max_lag must be smaller than frame length")
-    x = frame.samples
     full = np.correlate(x, x, mode="full")
     return full[m - 1 : m + max_lag] / m
 
 
-def analytic_signal(frame: Frame) -> npt.NDArray[np.complex128]:
-    """Complex analytic signal via DFT one-siding (even frame lengths only)."""
-    m = len(frame)
-    if m % 2 != 0:
+def analytic_signal(x: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
+    """Complex analytic signal of a 1-D frame via DFT one-siding (even lengths only)."""
+    if len(x) % 2 != 0:
         raise ValueError("analytic_signal requires an even frame length")
-    return scipy.signal.hilbert(frame.samples)
+    return scipy.signal.hilbert(x)

@@ -200,7 +200,6 @@ def estimate_stp(
     speech_entries: CompiledCodebook | Sequence[ArModel],
     noise_entries: CompiledCodebook | Sequence[ArModel],
     frame_len: int,
-    mu_iters: int = MU_DEFAULT_ITERS,
     diagnostics: StpDiagnostics | None = None,
     adaptive_noise: ArModel | None = None,
 ) -> StpEstimate:
@@ -232,7 +231,7 @@ def estimate_stp(
     # Pair (i, j) is row i * nw + j.
     ps = np.repeat(speech.envelopes, nw, axis=0)
     pw = np.tile(noise.envelopes, (ns, 1))
-    sig_d, sig_v, _ = ml_excitation_variances(pzl, pzr, ps, pw, iters=mu_iters)
+    sig_d, sig_v, _ = ml_excitation_variances(pzl, pzr, ps, pw)
     modeled = np.maximum(sig_d, 1e-300)[:, None] * ps + np.maximum(sig_v, 1e-300)[:, None] * pw
     log_weights = pair_log_likelihood(pzl, pzr, modeled, frame_len)
     log_weights = log_weights.reshape(ns, nw)

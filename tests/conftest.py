@@ -4,7 +4,7 @@ from scipy.signal import lfilter
 
 from binse.codebook import Codebook
 from binse.linpred import ArModel, ar_to_lsf
-from binse.signal_core import AudioBuffer, Frame
+from binse.signal_core import AudioBuffer
 
 
 def ar_signal(coeffs, variance, n, rng, burn_in=500):

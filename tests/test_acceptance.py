@@ -16,7 +16,7 @@ from binse.linpred import ArModel, ar_envelope
 from binse.metrics import interaural_errors, segmental_snr
 from binse.pipeline import RunConfig, process
 from binse.pitch import UNVOICED, estimate_pitch
-from binse.signal_core import AudioBuffer, Frame, analytic_signal, periodogram
+from binse.signal_core import AudioBuffer, analytic_signal, frame_rows, periodogram
 from binse.stp import (
     StpDiagnostics,
     estimate_stp,
@@ -79,8 +79,8 @@ def harmonic_trial(seed, snr_db, m=200, fs=8000, f0=100.0):
     w0 = 2 * np.pi * f0 / fs
     s = sum(np.cos(w0 * l * n + rng.uniform(0, 2 * np.pi)) for l in (1, 2, 3))
     sigma = np.sqrt(np.mean(s**2) / 10 ** (snr_db / 10))
-    zl = analytic_signal(Frame(s + sigma * rng.normal(size=m), 0))
-    zr = analytic_signal(Frame(s + sigma * rng.normal(size=m), 0))
+    zl = analytic_signal(s + sigma * rng.normal(size=m))
+    zr = analytic_signal(s + sigma * rng.normal(size=m))
     return zl, zr
 
 
@@ -176,8 +176,8 @@ def test_criterion_4_posterior_concentration():
         nl = ar_signal(noise_entries[0].coefficients, 1e-3, 200, rng)
         nr = ar_signal(noise_entries[0].coefficients, 1e-3, 200, rng)
         g = snr_scale(s, nl, 20.0)
-        pl = periodogram(Frame(s + g * nl, 0))
-        pr = periodogram(Frame(s + g * nr, 0))
+        pl = periodogram(s + g * nl)
+        pr = periodogram(s + g * nr)
         diag = StpDiagnostics()
         estimate_stp(pl, pr, speech_entries, noise_entries, 200, diagnostics=diag)
         weights.append(diag.weights[0, 0])
@@ -361,7 +361,7 @@ def test_criterion_10_determinism(tmp_path):
 
     rng = np.random.default_rng(10)
     x = ar_signal([1.2, -0.6], 1e-2, 200 * 40, rng)
-    frames = [Frame(x[i * 200 : (i + 1) * 200], i) for i in range(40)]
+    frames = frame_rows(x, 200)
     t1 = codebook.train(frames, size=4, order=6, seed=99)
     t2 = codebook.train(frames, size=4, order=6, seed=99)
     train_repro = np.array_equal(t1.entries, t2.entries)

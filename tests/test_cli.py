@@ -101,8 +101,11 @@ class TestTrainCommand:
             (["--frame-len", "9000"], "--frame-len"),
             (["--order", "0"], "--order"),
             (["--order", "-1"], "--order"),
+            (["--order", "300"], "--frame-len"),
+            (["--order", "200"], "--order"),
         ],
-        ids=["frame_len_0", "frame_len_above_file", "order_0", "order_negative"],
+        ids=["frame_len_0", "frame_len_above_file", "order_0", "order_negative",
+             "order_above_frame_len", "order_at_frame_len"],
     )
     def test_bad_flag_usage_error(self, tmp_path, rng, capsys, flags, named):
         wav = tmp_path / "train.wav"
@@ -321,6 +324,16 @@ class TestConfigFile:
         assert main([*base, "--config", str(cfg)]) == 2
         assert main([*base, "--speech-order", "14"]) == 2
 
+    def test_mu_iteration_setting_rejected(self, tmp_path, stereo_wav, cb_paths):
+        # The MU solve always runs the estimator's own iteration cap.
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu_iters = 10\n")
+        base = ["enhance", stereo_wav, "-o", str(tmp_path / "o.wav"),
+                "--speech-cb", sp, "--noise-cb", np_]
+        assert main([*base, "--config", str(cfg)]) == 2
+        assert main([*base, "--mu-iters", "10"]) == 2
+
     def test_malformed_line_rejected(self, tmp_path, stereo_wav, cb_paths):
         sp, np_ = cb_paths
         cfg = tmp_path / "run.cfg"
@@ -418,6 +431,32 @@ class TestLikelihoodSurfaceCommand:
         cell = 10 ** (4.0 / 40.0)
         assert best[0] / 1e-3 < cell * 1.001 and 1e-3 / best[0] < cell * 1.001
         assert best[1] / 1e-3 < cell * 1.001 and 1e-3 / best[1] < cell * 1.001
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--frame-len", "0"], "--frame-len"),
+            (["--frame-len", "-4"], "--frame-len"),
+            (["--frame-len", "2"], "--frame-len"),
+            (["--grid-points", "-1"], "--grid-points"),
+            (["--grid-points", "0"], "--grid-points"),
+            (["--var-min", "-1"], "--var-min"),
+            (["--var-min", "0"], "--var-min"),
+            (["--var-min", "1e-2", "--var-max", "1e-3"], "--var-max"),
+            (["--var-max", "inf"], "--var-max"),
+            (["--true-variance", "0"], "--true-variance"),
+            (["--true-variance", "-0.001"], "--true-variance"),
+        ],
+        ids=["frame_len_0", "frame_len_negative", "frame_len_below_ar_order", "grid_negative",
+             "grid_0", "var_min_negative", "var_min_0", "var_min_above_var_max", "var_max_inf",
+             "true_variance_0", "true_variance_negative"],
+    )
+    def test_bad_flag_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "grid.csv"
+        assert main(["likelihood-surface", "-o", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
 
 
 def test_unknown_command_usage():

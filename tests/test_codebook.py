@@ -4,34 +4,30 @@ import pytest
 from binse import codebook
 from binse.codebook import Codebook, CodebookFormatError
 from binse.linpred import ArModel, ar_to_lsf, levinson_durbin
-from binse.signal_core import AudioBuffer, Frame, autocorrelation, extract_frames
+from binse.signal_core import autocorrelation, frame_rows
 
 from conftest import ar_signal
-
-
-def frames_from_signal(x, frame_len=200):
-    return extract_frames(AudioBuffer(x, 8000), frame_len)
 
 
 class TestTrain:
     def test_single_process_single_centroid(self, rng):
         coeffs = [1.2, -0.8, 0.3, -0.1, 0.05, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         x = ar_signal(coeffs, 1.0, 400 * 120, rng)
-        cb = codebook.train(frames_from_signal(x, 400), size=1, order=14, seed=7)
+        cb = codebook.train(frame_rows(x, 400), size=1, order=14, seed=7)
         # Oracle: Levinson-Durbin on the pooled signal.
-        r = autocorrelation(Frame(x, 0), 14)
+        r = autocorrelation(x, 14)
         pooled = ar_to_lsf(levinson_durbin(r)).frequencies
         assert np.linalg.norm(cb.entries[0] - pooled) < 0.01
 
     def test_two_separated_processes(self, rng):
         lo = ar_signal([1.6, -0.8], 1.0, 400 * 60, rng)   # low-frequency resonance
         hi = ar_signal([-1.6, -0.8], 1.0, 400 * 60, rng)  # high-frequency resonance
-        frames = frames_from_signal(lo, 400) + frames_from_signal(hi, 400)
+        frames = np.vstack((frame_rows(lo, 400), frame_rows(hi, 400)))
         cb = codebook.train(frames, size=2, order=2, seed=3)
         # Per-class LP oracle.
         targets = []
         for x in (lo, hi):
-            r = autocorrelation(Frame(x, 0), 2)
+            r = autocorrelation(x, 2)
             targets.append(ar_to_lsf(levinson_durbin(r)).frequencies)
         for t in targets:
             assert min(np.linalg.norm(cb.entries[i] - t) for i in range(2)) < 0.05
@@ -39,19 +35,19 @@ class TestTrain:
     def test_too_few_frames(self, rng):
         x = ar_signal([0.5], 1.0, 200 * 3, rng)
         with pytest.raises(ValueError):
-            codebook.train(frames_from_signal(x), size=8, order=4, seed=1)
+            codebook.train(frame_rows(x, 200), size=8, order=4, seed=1)
 
     def test_silence_excluded(self, rng):
         x = ar_signal([0.5], 1.0, 200 * 5, rng)
-        silent = [Frame(np.zeros(200), 99)]
+        silent = np.zeros((1, 200))
         with pytest.raises(ValueError):
-            codebook.train(silent * 10, size=1, order=4, seed=1)
-        cb = codebook.train(frames_from_signal(x) + silent, size=1, order=4, seed=1)
+            codebook.train(np.repeat(silent, 10, axis=0), size=1, order=4, seed=1)
+        cb = codebook.train(np.vstack((frame_rows(x, 200), silent)), size=1, order=4, seed=1)
         assert cb.size == 1
 
     def test_deterministic(self, rng):
         x = ar_signal([1.2, -0.6], 1.0, 200 * 40, rng)
-        frames = frames_from_signal(x)
+        frames = frame_rows(x, 200)
         a = codebook.train(frames, size=4, order=6, seed=11)
         b = codebook.train(frames, size=4, order=6, seed=11)
         np.testing.assert_array_equal(a.entries, b.entries)
@@ -60,7 +56,7 @@ class TestTrain:
         x = ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 50, rng)
         trace = []
         codebook.train(
-            frames_from_signal(x), size=4, order=6, seed=5,
+            frame_rows(x, 200), size=4, order=6, seed=5,
             on_iteration=lambda it, d: trace.append(d),
         )
         assert len(trace) >= 1
@@ -68,7 +64,7 @@ class TestTrain:
 
     def test_centroids_are_valid_lsf(self, rng):
         x = ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 50, rng)
-        cb = codebook.train(frames_from_signal(x), size=8, order=10, seed=2)
+        cb = codebook.train(frame_rows(x, 200), size=8, order=10, seed=2)
         for m in cb.ar_models():
             assert m.is_stable()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from binse.metrics import interaural_errors, segmental_snr
-from binse.signal_core import AudioBuffer
+from binse.signal_core import AudioBuffer, cross_spectrum
 
 from conftest import ar_signal, snr_scale
 
@@ -90,3 +90,33 @@ class TestInterauralErrors:
         l, r = self.make_scene(rng)
         with pytest.raises(ValueError):
             interaural_errors(l, r, l, buf(np.zeros(100)))
+
+
+def test_stereo_buffer_rejected(rng):
+    # A stereo buffer is two ears; scoring only one of them would be silent.
+    x = rng.normal(size=4096)
+    mono, both = buf(x), buf(np.vstack((x, x)))
+    with pytest.raises(ValueError):
+        segmental_snr(both, both)
+    with pytest.raises(ValueError):
+        segmental_snr(mono, both)
+    with pytest.raises(ValueError):
+        interaural_errors(mono, mono, both, mono)
+
+
+def test_itd_matches_per_frame_reference(rng):
+    # Reference: one cross-spectrum pair per frame, kept bins pooled in frame order.
+    n, m = 4096, 256
+    cl = ar_signal([1.2, -0.5], 1.0, n, rng)
+    cr = np.roll(cl, 2)
+    el, er = cl + 0.1 * rng.normal(size=n), np.roll(cl, 3)
+    errors = []
+    for i in range(n // m):
+        sl = slice(i * m, (i + 1) * m)
+        c_clean, c_enh = cross_spectrum(cl[sl], cr[sl]), cross_spectrum(el[sl], er[sl])
+        mag = np.abs(c_clean)
+        keep = mag > 1e-10 * mag.max()
+        dphi = np.angle(c_enh[keep]) - np.angle(c_clean[keep])
+        errors.append(np.abs((dphi + np.pi) % (2.0 * np.pi) - np.pi))
+    rep = interaural_errors(buf(cl), buf(cr), buf(el), buf(er))
+    assert rep.itd_error == float(np.mean(np.concatenate(errors)) / np.pi)

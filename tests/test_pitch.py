@@ -17,7 +17,7 @@ from binse.pitch import (
     ml_amplitudes,
     prewhiten,
 )
-from binse.signal_core import Frame, analytic_signal
+from binse.signal_core import analytic_signal
 
 from conftest import ar_signal
 
@@ -165,8 +165,8 @@ class TestEstimatePitch:
         sigma = np.sqrt(power / 10 ** (snr_db / 10))
         zl = s + sigma * rng.normal(size=self.M)
         zr = s + sigma * rng.normal(size=self.M)
-        al = analytic_signal(Frame(zl, 0))
-        ar = analytic_signal(Frame(zr, 0))
+        al = analytic_signal(zl)
+        ar = analytic_signal(zr)
         return al, ar
 
     def test_100hz_at_10db(self, rng):
@@ -180,7 +180,7 @@ class TestEstimatePitch:
         assert hits >= 9
 
     def test_white_noise_unvoiced(self, rng):
-        z = analytic_signal(Frame(rng.normal(size=self.M), 0))
+        z = analytic_signal(rng.normal(size=self.M))
         info = estimate_pitch(z, z.copy(), self.FS, f_min=80.0, f_max=150.0,
                               max_order=10)
         assert info == UNVOICED
@@ -315,8 +315,8 @@ def corpus_frame(seed, m=200, fs=8000):
         s_r += amp * np.cos(l * w0 * (n - itd) + phase)
     s_r *= 10 ** (-rng.uniform(0.0, 6.0) / 20)
     sigma = np.sqrt(np.mean(s_l**2) / 10 ** (rng.uniform(-5.0, 20.0) / 10))
-    zl = analytic_signal(Frame(s_l + sigma * rng.normal(size=m), 0))
-    zr = analytic_signal(Frame(s_r + sigma * rng.normal(size=m), 0))
+    zl = analytic_signal(s_l + sigma * rng.normal(size=m))
+    zr = analytic_signal(s_r + sigma * rng.normal(size=m))
     return zl, zr
 
 
@@ -410,8 +410,8 @@ class TestExactSearch:
         # them instead of handing a singular system to ml_amplitudes.
         n = np.arange(frame_len)
         x = np.cos(2 * np.pi * 110.0 / self.FS * n) + 0.05 * rng.normal(size=frame_len)
-        zl = analytic_signal(Frame(x, 0))
-        zr = analytic_signal(Frame(x + 0.05 * rng.normal(size=frame_len), 0))
+        zl = analytic_signal(x)
+        zr = analytic_signal(x + 0.05 * rng.normal(size=frame_len))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             info = estimate_pitch(zl, zr if two else None, self.FS, voicing_threshold=0.0)

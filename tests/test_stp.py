@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from binse.linpred import ArModel, ar_envelope, ar_to_lsf
-from binse.signal_core import AudioBuffer, Frame, cross_spectrum, extract_frames, periodogram
+from binse.signal_core import cross_spectrum, periodogram
 from binse.codebook import Codebook
 from binse.stp import (
     CompiledCodebook,
@@ -151,7 +151,7 @@ class TestEstimateStp:
         w = ar_signal(NOISE_AR.coefficients, 1e-3, n, rng)
         w = w * snr_scale(s, w, snr_db)
         z = s + w
-        return periodogram(Frame(z, 0))
+        return periodogram(z)
 
     def test_degenerate_1x1(self, rng):
         pz = self.make_frame_spectra(rng)
@@ -216,9 +216,8 @@ class TestEstimateStp:
 class TestDualChannelNoisePsd:
     def test_coherent_channels_floored(self, rng):
         x = rng.normal(size=256)
-        f = Frame(x, 0)
-        p = periodogram(f)
-        cx = cross_spectrum(f, f)
+        p = periodogram(x)
+        cx = cross_spectrum(x, x)
         out = DualChannelNoiseTracker().update(p, p, cx)
         np.testing.assert_allclose(out, 0.01 * p, atol=1e-15)
 
@@ -240,8 +239,8 @@ class TestDualChannelNoisePsd:
             if noise_var is None:
                 noise_var = 1.0
             g = snr_scale(s, nl, 0.0)
-            fl = Frame(s + g * nl, 0)
-            fr = Frame(s + g * nr, 0)
+            fl = s + g * nl
+            fr = s + g * nr
             psd = tracker.update(periodogram(fl), periodogram(fr), cross_spectrum(fl, fr))
             true_level = g * g
         ratio_db = 10 * np.log10(np.mean(psd) / true_level)
@@ -316,8 +315,8 @@ class TestBatchedMu:
         pairs_w = np.tile(pw, (len(ps), 1))
         s = ar_signal([1.2, -0.8, 0.3, -0.1], 1e-3, k, rng)
         spectra = [
-            (periodogram(Frame(s + 0.05 * rng.normal(size=k), 0)),
-             periodogram(Frame(s + 0.05 * rng.normal(size=k), 0))),
+            (periodogram(s + 0.05 * rng.normal(size=k)),
+             periodogram(s + 0.05 * rng.normal(size=k))),
             (np.zeros(k), np.zeros(k)),  # digital silence
         ]
         for iters in (50, 7):  # 7 puts the update cap inside the batch
@@ -357,7 +356,7 @@ class TestCompiledCodebook:
             estimate_stp(pz, pz, compile_codebook([SPEECH_AR], 200), [NOISE_AR], 100)
 
     def test_adaptive_entry_joins_noise_entries(self, rng):
-        pz = periodogram(Frame(ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng), 0))
+        pz = periodogram(ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng))
         extra = ArModel(np.array([0.3, -0.1]), 2e-3)
         diag_a, diag_b = StpDiagnostics(), StpDiagnostics()
         a = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR], 200, diagnostics=diag_a,
@@ -383,7 +382,7 @@ class TestCompiledCodebook:
         for snr_db in (20.0, 5.0, 0.0):
             s = ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng)
             w = ar_signal(NOISE_AR.coefficients, 1e-3, 200, rng)
-            pz = periodogram(Frame(s + snr_scale(s, w, snr_db) * w, 0))
+            pz = periodogram(s + snr_scale(s, w, snr_db) * w)
             diag = StpDiagnostics()
             estimate_stp(pz, pz, speech, noise, 200, diagnostics=diag)
 
