@@ -42,8 +42,11 @@ class AudioBuffer:
 def frame_rows(x: npt.NDArray[np.float64], frame_len: int) -> npt.NDArray[np.float64]:
     """The whole frames of the 1-D signal ``x`` as rows of an (n_frames, frame_len) view.
 
-    The trailing partial frame is dropped.
+    The trailing partial frame is dropped; a signal shorter than one frame
+    gives zero rows.
     """
+    if frame_len <= 0:
+        raise ValueError("frame_len must be positive")
     n_frames = len(x) // frame_len
     return x[: n_frames * frame_len].reshape(n_frames, frame_len)
 

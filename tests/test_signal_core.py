@@ -27,7 +27,7 @@ class TestAudioBuffer:
             AudioBuffer(np.zeros((3, 5)), 8000)
 
 
-class TestFrameRows:
+class TestExtractFrames:
     def test_exact_single_frame(self):
         x = np.arange(200.0)
         frames = frame_rows(x, 200)
@@ -44,6 +44,12 @@ class TestFrameRows:
 
     def test_trailing_partial_dropped(self):
         assert frame_rows(np.zeros(399), 200).shape == (1, 200)
+
+    def test_bad_frame_len(self):
+        with pytest.raises(ValueError):
+            frame_rows(np.zeros(100), 0)
+        with pytest.raises(ValueError):
+            frame_rows(np.zeros(100), -200)
 
     def test_shorter_than_one_frame_gives_no_rows(self):
         assert frame_rows(np.zeros(100), 101).shape == (0, 101)
