@@ -2,10 +2,12 @@
 
 The unvoiced (UV) model stacks a speech companion chain of length d_s+1 on
 top of a noise companion chain of length Q.  The voiced-unvoiced (V-UV)
-model inserts an excitation chain of length p_max between them, driven by
-white noise and a single pitch-lag tap b(p); the excitation feeds the
-speech chain through a coupling block.  Sparse transition matrices keep
-the per-sample covariance propagation cheap.
+model inserts an excitation chain between them, driven by white noise and a
+single pitch-lag tap b(p); the excitation feeds the speech chain through a
+coupling block.  The chain is as long as the longest pitch period of the
+record being smoothed (one entry when no frame is voiced): entries past it
+only ever shift out, so leaving them out marginalizes them exactly.  Sparse
+transition matrices keep the per-sample covariance propagation cheap.
 """
 
 from __future__ import annotations
@@ -106,36 +108,36 @@ def build_vuv_model(
     noise: ArModel,
     pitch: PitchInfo,
     smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
-    p_max: int = 100,
+    chain_len: int = 100,
 ) -> StateSpaceModel:
-    """Assemble the V-UV state space with the pitch-lag excitation chain.
+    """Assemble the V-UV state space with a ``chain_len``-entry excitation chain.
 
-    The chain length stays at p_max regardless of the current pitch so the
+    The chain must reach every pitch period the state will see, so the
     state survives pitch changes; unvoiced frames simply zero the tap.
     """
     p, q = speech.order, noise.order
     if smoother_delay < p:
         raise ValueError("smoother delay must be >= speech AR order")
-    if pitch.is_voiced and not (1 <= pitch.period_samples <= p_max):
+    if pitch.is_voiced and not (1 <= pitch.period_samples <= chain_len):
         raise ValueError(
-            f"pitch period {pitch.period_samples} outside [1, {p_max}]"
+            f"pitch period {pitch.period_samples} outside [1, {chain_len}]"
         )
     ds1 = smoother_delay + 1
-    dim = ds1 + p_max + q
+    dim = ds1 + chain_len + q
     f = np.zeros((dim, dim))
     f[:ds1, :ds1] = _companion(speech.coefficients, ds1)
     f[0, ds1] = 1.0  # coupling: u(n) drives s(n)
-    b_row = np.zeros(p_max)
+    b_row = np.zeros(chain_len)
     if pitch.is_voiced:
         b_row[pitch.period_samples - 1] = pitch.voicing
-    f[ds1 : ds1 + p_max, ds1 : ds1 + p_max] = _companion(b_row, p_max)
-    f[ds1 + p_max :, ds1 + p_max :] = _companion(noise.coefficients, q)
+    f[ds1 : ds1 + chain_len, ds1 : ds1 + chain_len] = _companion(b_row, chain_len)
+    f[ds1 + chain_len :, ds1 + chain_len :] = _companion(noise.coefficients, q)
     g = np.zeros((dim, 2))
     g[ds1, 0] = 1.0  # d(n+1) enters the excitation chain
-    g[ds1 + p_max, 1] = 1.0  # v(n) enters the noise chain
+    g[ds1 + chain_len, 1] = 1.0  # v(n) enters the noise chain
     obs = np.zeros(dim)
     obs[0] = 1.0
-    obs[ds1 + p_max] = 1.0
+    obs[ds1 + chain_len] = 1.0
     return StateSpaceModel(
         transition=sp.csr_matrix(f),
         noise_input=g,
@@ -232,6 +234,9 @@ def enhance_channel(
     flushing the smoother with zero observations, so it aligns
     sample-for-sample with the input.  Input shorter than one frame has no
     parameters and is returned unchanged.
+
+    Every voiced period must lie in [1, ``p_max``]; the V-UV excitation
+    chain is sized to the longest of them (one entry if none is voiced).
     """
     x = np.asarray(x, dtype=float)
     n_samples = x.shape[-1]
@@ -242,6 +247,12 @@ def enhance_channel(
         )
     if n_frames == 0:
         return x.copy()
+    if model_kind != "uv":
+        chain_len = max(
+            (p.period_samples for _, p in per_frame_params if p and p.is_voiced), default=1
+        )
+        if chain_len > p_max:
+            raise ValueError(f"pitch period {chain_len} outside [1, {p_max}]")
     out = np.zeros_like(x)
     write = 0
     state = None
@@ -251,7 +262,7 @@ def enhance_channel(
             model = build_uv_model(stp.speech, stp.noise, smoother_delay)
         else:
             model = build_vuv_model(
-                stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, p_max
+                stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, chain_len
             )
         if state is None:
             head = np.atleast_2d(x)[:, :frame_len]

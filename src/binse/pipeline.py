@@ -51,6 +51,10 @@ class RunConfig:
         if self.frame_len % 2 != 0:
             raise ValueError("frame_len must be even (analytic-signal step)")
         check_pitch_grid(self.sample_rate, self.f_min, self.f_max, self.pitch_grid_hz)
+        if not 0.0 <= self.voicing_threshold <= 1.0:
+            raise ValueError(
+                f"voicing_threshold must lie in [0, 1] (got {self.voicing_threshold})"
+            )
         if self.max_harmonic_order is not None and self.max_harmonic_order < 1:
             raise ValueError("max_harmonic_order must be >= 1")
 

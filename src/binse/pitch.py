@@ -4,7 +4,8 @@ Noisy frames are pre-whitened with the estimated noise AR coefficients,
 converted to analytic signals, and matched against a harmonic model on a
 dense fundamental-frequency grid.  The harmonic order per candidate is
 chosen by a BIC-style penalized rule, and a harmonic-energy voicing ratio
-gates the voiced/unvoiced decision.
+gates the voiced/unvoiced decision.  Analytic frames carry no energy at or
+above Nyquist, so each candidate fits only the harmonics below pi.
 
 The grid search is exact and factorizes no matrix per candidate (after
 Nielsen, Jensen, Jensen, Christensen & Jensen, "Fast fundamental frequency
@@ -16,7 +17,7 @@ Hermitian Toeplitz with Dirichlet-kernel entries and stay Toeplitz under the
 linear-phase directivity gains, so a Levinson recursion, batched over
 candidates, gives the joint and per-ear residuals of every order in O(L^2).
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
-rate and ``f_min``.
+rate and ``f_min``, and fundamentals at or above Nyquist.
 """
 
 from __future__ import annotations
@@ -174,12 +175,16 @@ def check_pitch_grid(
 ) -> int:
     """Validate a pitch grid and return its DFT length ``sample_rate / grid_step_hz``.
 
-    The search reads harmonic projections off one DFT per ear, so every
-    grid frequency must fall on a bin: both ``sample_rate / grid_step_hz``
-    and ``f_min / grid_step_hz`` have to be integers.
+    Every fundamental must lie below Nyquist, where the search fits its
+    harmonics.  The search reads harmonic projections off one DFT per ear,
+    so every grid frequency must fall on a bin: both
+    ``sample_rate / grid_step_hz`` and ``f_min / grid_step_hz`` have to be
+    integers.
     """
-    if not 0.0 < f_min <= f_max < np.inf:
-        raise ValueError(f"pitch range needs 0 < f_min <= f_max (got {f_min}, {f_max})")
+    if not 0.0 < f_min <= f_max < sample_rate / 2:
+        raise ValueError(
+            f"pitch range needs 0 < f_min <= f_max < {sample_rate / 2:g} (got {f_min}, {f_max})"
+        )
     if not 0.0 < grid_step_hz < np.inf:
         raise ValueError(f"pitch grid step must be > 0 (got {grid_step_hz})")
     for name, ratio in (
@@ -316,8 +321,9 @@ def estimate_pitch(
     y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
 
     omegas = 2.0 * np.pi * f0_grid / sample_rate
-    l_max = np.floor(2.0 * np.pi / omegas).astype(int)
-    l_max[l_max * omegas >= 2.0 * np.pi - 1e-9] -= 1
+    # Analytic frames carry no energy at or above pi, so no harmonic there.
+    l_max = np.floor(np.pi / omegas).astype(int)
+    l_max[l_max * omegas >= np.pi - 1e-9] -= 1
     if max_order is not None:
         l_max = np.minimum(l_max, max_order)
     # The Gram matrix of m samples is nonsingular only up to m harmonics.

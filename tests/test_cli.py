@@ -198,9 +198,10 @@ class TestEnhanceCommand:
             ["--f-min", "0"],
             ["--pitch-grid", "0.3"],
             ["--f-min", "80.25"],
+            ["--f-max", "5000"],
         ],
         ids=["f_min_above_f_max", "max_order_0", "grid_0", "f_min_0", "grid_off_bins",
-             "f_min_off_grid"],
+             "f_min_off_grid", "f_max_above_nyquist"],
     )
     def test_bad_pitch_grid_usage_error(self, tmp_path, stereo_wav, cb_paths, capsys, flags):
         sp, np_ = cb_paths
@@ -209,6 +210,18 @@ class TestEnhanceCommand:
                      "--noise-cb", np_, *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+    def test_bad_voicing_threshold_usage_error(
+        self, tmp_path, stereo_wav, cb_paths, capsys, threshold
+    ):
+        sp, np_ = cb_paths
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp,
+                     "--noise-cb", np_, "--voicing-threshold", threshold])
+        assert code == 2
+        assert "voicing_threshold" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("frame_len", ["4", "0", "-2"])

@@ -60,7 +60,7 @@ class TestBuildVuvModel:
             ArModel(np.array([0.3])),
             voiced(period=2, b=0.5),
             smoother_delay=1,
-            p_max=2,
+            chain_len=2,
         )
         f = m.transition.toarray()
         # Layout: [s(n), s(n-1), u(n), u(n-1), w(n)] -> dim 2+2+1 = 5
@@ -80,13 +80,13 @@ class TestBuildVuvModel:
         with pytest.raises(ValueError):
             build_vuv_model(
                 ArModel(np.zeros(1)), ArModel(np.zeros(1)),
-                voiced(period=3, b=0.5), smoother_delay=1, p_max=2,
+                voiced(period=3, b=0.5), smoother_delay=1, chain_len=2,
             )
 
     def test_unvoiced_zero_tap(self):
         m = build_vuv_model(
             ArModel(np.zeros(1)), ArModel(np.zeros(1)), UNVOICED,
-            smoother_delay=1, p_max=4,
+            smoother_delay=1, chain_len=4,
         )
         f = m.transition.toarray()
         assert np.all(f[2, :] == 0.0)  # no pitch feedback row
@@ -140,7 +140,7 @@ class TestFlksStep:
         # the data.
         model = build_vuv_model(
             ArModel(np.array([1.0, -0.5]), 1e-3), ArModel(np.array([0.3]), 1e-3),
-            voiced(period=3, b=0.5), smoother_delay=4, p_max=5,
+            voiced(period=3, b=0.5), smoother_delay=4, chain_len=5,
         )
         joint = initial_state(model, 1.0, (2,))
         joint.x = rng.normal(size=(model.dim, 2))
@@ -194,7 +194,7 @@ class TestVuvUvAgreement:
         noise = ArModel(np.array([0.3]), 1e-3)
         z = rng.normal(size=400) * 0.05
         uv = build_uv_model(speech, noise, smoother_delay=5)
-        vuv = build_vuv_model(speech, noise, UNVOICED, smoother_delay=5, p_max=10)
+        vuv = build_vuv_model(speech, noise, UNVOICED, smoother_delay=5, chain_len=10)
         su = initial_state(uv, 1.0)
         sv = initial_state(vuv, 1.0)
         outs_u, outs_v = [], []
@@ -310,6 +310,60 @@ class TestEnhanceChannel:
         enhance_channel(z, params, 200)
         energies = [np.dot(c[:200], c[:200]) / 200 for c in z]
         assert seen == [(pytest.approx(np.mean(energies), rel=1e-12), (2,))]
+
+    @pytest.mark.parametrize(
+        "periods,p_max",
+        [((None, 40, 81, None, 100, 40), 128), ((81, None, 40, None), 100)],
+        ids=["longest_100_of_128", "longest_81_of_100"],
+    )
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
+    def test_sized_chain_matches_full_chain(self, rng, monkeypatch, periods, p_max, shape):
+        # Chain entries past the longest period only shift out, so the
+        # sized state must give the full p_max state's output bit for bit.
+        import binse.kalman as kalman
+
+        speech = ArModel(np.array([1.2, -0.6]), 1e-3)
+        noise = ArModel(np.array([0.4]), 5e-4)
+        n = len(periods) * 200 + 70
+        z = ar_signal(speech.coefficients, 1e-3, n * (shape[0] if shape else 1), rng)
+        z = z.reshape(*shape, n) + 0.02 * rng.normal(size=(*shape, n))
+        params = [
+            (StpEstimate(speech=speech, noise=noise),
+             UNVOICED if p is None else voiced(period=p, b=0.6))
+            for p in periods
+        ]
+        sized = enhance_channel(z, params, 200, model_kind="vuv", p_max=p_max)
+
+        def full_chain(speech, noise, pitch, smoother_delay, chain_len):
+            assert chain_len == max(p for p in periods if p is not None) < p_max
+            return build_vuv_model(speech, noise, pitch, smoother_delay, p_max)
+
+        monkeypatch.setattr(kalman, "build_vuv_model", full_chain)
+        full = enhance_channel(z, params, 200, model_kind="vuv", p_max=p_max)
+        assert sized.tobytes() == full.tobytes()
+
+    def test_unvoiced_record_builds_one_entry_chain(self, rng, monkeypatch):
+        import binse.kalman as kalman
+
+        dims = []
+
+        def spy(*args):
+            model = build_vuv_model(*args)
+            dims.append(model.dim)
+            return model
+
+        monkeypatch.setattr(kalman, "build_vuv_model", spy)
+        noise = ArModel(np.array([0.3, -0.1, 0.05]), 1.0)
+        params = self.make_params(3, SPEECH2, noise)
+        enhance_channel(rng.normal(size=600), params, 200, model_kind="vuv",
+                        smoother_delay=10)
+        assert dims == [10 + 1 + 1 + 3] * 3
+
+    def test_period_above_p_max_rejected(self, rng):
+        params = [(StpEstimate(speech=SPEECH2, noise=ArModel(np.zeros(1), 1.0)),
+                   voiced(period=101, b=0.5))]
+        with pytest.raises(ValueError, match="outside"):
+            enhance_channel(rng.normal(size=200), params, 200, model_kind="vuv", p_max=100)
 
     def test_known_params_near_wiener(self, rng):
         import time

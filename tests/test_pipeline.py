@@ -64,6 +64,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(frame_len=201)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.1, 1.5])
+    def test_voicing_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="voicing_threshold"):
+            RunConfig(voicing_threshold=threshold)
+        RunConfig(voicing_threshold=0.0)
+        RunConfig(voicing_threshold=1.0)
+
 
 class TestProcess:
     def test_swap_symmetry(self, rng, codebooks):

@@ -402,6 +402,66 @@ class TestExactSearch:
             slow = reference_estimate_pitch(z, z.copy() if two else None, self.FS)
         assert info == slow == UNVOICED
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
+    def test_matches_qr_reference_at_top_of_band(self, seed, two, directional):
+        # f0 of 300-400 Hz with every harmonic up to just below 4 kHz: the
+        # highest harmonic the capped search may fit is the one the frame
+        # holds.  The oracle still fits orders up to 2 pi.
+        rng = np.random.default_rng(100 + seed)
+        m = 200
+        f0 = rng.uniform(300.0, 400.0)
+        w0 = 2 * np.pi * f0 / self.FS
+        n = np.arange(m)
+        itd = 2.5 if directional else 0.0
+        s_l = np.zeros(m)
+        s_r = np.zeros(m)
+        for l in range(1, int(np.ceil(np.pi / w0))):
+            amp, phase = rng.uniform(0.2, 1.0), rng.uniform(0, 2 * np.pi)
+            s_l += amp * np.cos(l * w0 * n + phase)
+            s_r += amp * np.cos(l * w0 * (n - itd) + phase)
+        assert (l + 1) * w0 >= np.pi > l * w0 > 0.9 * np.pi
+        sigma = np.sqrt(np.mean(s_l**2) / 10 ** (rng.uniform(0.0, 20.0) / 10))
+        zl = analytic_signal(s_l + sigma * rng.normal(size=m))
+        zr = analytic_signal(s_r + sigma * rng.normal(size=m)) if two else None
+        kwargs = dict(f_min=300.0, f_max=400.0, voicing_threshold=0.0)
+        if directional:
+            kwargs["directivity"] = DirectivityModel(
+                delay_seconds=itd / self.FS, sample_rate=self.FS
+            )
+        fast = estimate_pitch(zl, zr, self.FS, **kwargs)
+        slow = reference_estimate_pitch(zl, zr, self.FS, **kwargs)
+        assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
+            slow.omega0, slow.harmonic_order, slow.voicing)
+
+    def test_no_harmonic_fitted_at_or_above_nyquist(self, monkeypatch):
+        # Each block of candidates hands its highest orders to the order
+        # recursion and its f0s to the directivity gains, in that order.
+        import binse.pitch as pitch
+
+        orders, omegas = [], []
+
+        def spy(b, r_joint, l_max, *rest):
+            orders.append(l_max.copy())
+            return _nested_residuals(b, r_joint, l_max, *rest)
+
+        class Recorded(DirectivityModel):
+            def gains(self, omega0, order):
+                omegas.append(np.array(omega0, ndmin=1))
+                return super().gains(omega0, order)
+
+        monkeypatch.setattr(pitch, "_nested_residuals", spy)
+        zl, zr = corpus_frame(5)
+        estimate_pitch(zl, zr, self.FS, directivity=Recorded(sample_rate=self.FS))
+        blocks = len(orders)
+        top = np.concatenate([w * l for w, l in zip(omegas[:blocks], orders)])
+        assert top.max() < np.pi
+        assert max(l.max() for l in orders) == 49  # 50 * 80 Hz is Nyquist
+        # One ear runs the same blocks of orders.
+        estimate_pitch(zl, None, self.FS)
+        for two_ear, one_ear in zip(orders[:blocks], orders[blocks:], strict=True):
+            np.testing.assert_array_equal(two_ear, one_ear)
+
     @pytest.mark.parametrize("frame_len", [20, 40, 60, 86, 92, 120])
     @pytest.mark.parametrize("two", [True, False])
     def test_short_frames_give_finite_pitch(self, rng, frame_len, two):
@@ -428,11 +488,18 @@ class TestPitchGrid:
     @pytest.mark.parametrize(
         "f_min,f_max,step",
         [(300.0, 200.0, 0.5), (0.0, 400.0, 0.5), (80.0, np.inf, 0.5), (80.0, 400.0, 0.0),
-         (80.0, 400.0, -0.5), (80.0, 400.0, 0.3), (80.25, 400.0, 0.5), (np.nan, 400.0, 0.5)],
+         (80.0, 400.0, -0.5), (80.0, 400.0, 0.3), (80.25, 400.0, 0.5), (np.nan, 400.0, 0.5),
+         (80.0, 4000.0, 0.5), (4200.0, 5000.0, 0.5)],
     )
     def test_rejected(self, f_min, f_max, step):
         with pytest.raises(ValueError):
             check_pitch_grid(8000, f_min, f_max, step)
+
+    def test_top_of_band_below_nyquist_accepted(self):
+        assert check_pitch_grid(8000, 80.0, 3999.5, 0.5) == 16000
+        info = estimate_pitch(np.ones(200, complex), None, 8000, f_min=3900.0, f_max=3999.5,
+                              voicing_threshold=0.0)
+        assert info.harmonic_order == 1
 
     def test_estimate_pitch_rejects_off_bin_grid(self):
         with pytest.raises(ValueError):
