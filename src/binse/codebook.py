@@ -55,19 +55,6 @@ class Codebook:
         return [lsf_to_ar(LsfVector(row)) for row in self.entries]
 
 
-def _frame_to_lsf(frame: npt.NDArray[np.float64], order: int) -> npt.NDArray[np.float64] | None:
-    if np.dot(frame, frame) < SILENCE_ENERGY:
-        return None
-    r = autocorrelation(frame, order)
-    if r[0] <= 0:
-        return None
-    try:
-        model = levinson_durbin(r)
-        return ar_to_lsf(model).frequencies
-    except (ValueError, ArithmeticError):
-        return None
-
-
 def train(
     training_frames: npt.NDArray[np.float64],
     size: int,
@@ -79,23 +66,39 @@ def train(
     """Train a codebook with the generalized Lloyd algorithm on LSF vectors.
 
     ``training_frames`` holds one frame per row, (N, frame_len) with
-    ``order`` below frame_len.  Frames below the silence-energy threshold
-    are skipped.  Initial centroids are ``size`` distinct training vectors
-    drawn under ``seed``; empty cells are repaired by splitting the
+    1 <= ``order`` < frame_len.  Frames below the silence-energy threshold,
+    frames whose Levinson-Durbin fit degenerates and models that
+    ``ar_to_lsf`` cannot convert are skipped; the rest go through one
+    ``ar_to_lsf`` call.  Initial centroids are ``size`` distinct training
+    vectors drawn under ``seed``; empty cells are repaired by splitting the
     highest-distortion cell.
     """
-    if size < 1:
-        raise ValueError("codebook size must be >= 1")
-    vectors = []
-    for frame in training_frames:
-        lsf = _frame_to_lsf(frame, order)
-        if lsf is not None:
-            vectors.append(lsf)
-    if len(vectors) < size:
+    training_frames = np.asarray(training_frames, dtype=np.float64)
+    if training_frames.ndim != 2:
         raise ValueError(
-            f"need at least {size} usable training frames, got {len(vectors)}"
+            f"training_frames must be a 2-D (N, frame_len) array, got shape {training_frames.shape}"
         )
-    data = np.array(vectors)
+    if not 1 <= order < training_frames.shape[1]:
+        raise ValueError(
+            f"order must be >= 1 and below the frame length {training_frames.shape[1]}, got {order}"
+        )
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown codebook kind {kind!r}")
+    models = []
+    for frame in training_frames:
+        if np.dot(frame, frame) < SILENCE_ENERGY:
+            continue
+        try:
+            models.append(levinson_durbin(autocorrelation(frame, order)))
+        except (ValueError, ArithmeticError):
+            continue
+    data = ar_to_lsf(models, skip_failed=True)
+    if len(data) < size:
+        raise ValueError(
+            f"need at least {size} usable training frames, got {len(data)}"
+        )
     rng = np.random.default_rng(seed)
     centroids = data[rng.choice(len(data), size=size, replace=False)].copy()
 

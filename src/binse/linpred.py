@@ -7,6 +7,8 @@ AR coefficients are stored in prediction form throughout the package:
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +57,8 @@ class LsfVector:
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if len(freqs) and not (
-            np.all(freqs > 0.0)
-            and np.all(freqs < np.pi)
-            and np.all(np.diff(freqs) > 0.0)
-        ):
-            raise ValueError("LSFs must be strictly increasing within (0, pi)")
+        if len(freqs) and not _valid_lsf_rows(freqs):
+            raise ValueError(_INVALID_LSF)
         object.__setattr__(self, "frequencies", freqs)
 
     @property
@@ -101,19 +99,61 @@ def levinson_durbin(autocorr: npt.NDArray[np.float64]) -> ArModel:
     return ArModel(a, float(err))
 
 
-def _cosine_series(polys) -> npt.NDArray[np.float64]:
-    """Cosine-series rows of palindromic even-degree polynomials.
+LSF_BLOCK = 32  # models per root search; bounds its grid tables at 32 x (LSF_GRID + 1)
+LSF_GRID = 4096  # grid cells over [0, pi] that bracket the line spectral frequencies
+LSF_TOL = 1e-12  # bracket width at which the bisection stops
+_GRID = np.linspace(0.0, np.pi, LSF_GRID + 1)
+_INVALID_LSF = "LSFs must be strictly increasing within (0, pi)"
 
-    For symmetric coeffs c of length 2m+1, P(e^{-jw}) e^{jwm} is real and
-    equals d_0 + sum_{j=1..m} d_j cos(j w) with d_0 = c_m, d_j = 2 c_{m-j}.
-    Rows are zero-padded to the longest series.
+
+def _valid_lsf_rows(freqs) -> npt.NDArray[np.bool_]:
+    """Whether each row (last axis) is strictly increasing within (0, pi)."""
+    inside = np.all((freqs > 0.0) & (freqs < np.pi), axis=-1)
+    return inside & np.all(np.diff(freqs, axis=-1) > 0.0, axis=-1)
+
+
+@functools.cache
+def _grid_cosines(width: int) -> npt.NDArray[np.float64]:
+    """cos(j w) for j < width at every grid point, (width, LSF_GRID + 1), built once per width."""
+    table = np.cos(np.arange(width)[:, None] * _GRID)
+    table.flags.writeable = False
+    return table
+
+
+def _deflate(poly, root: float) -> npt.NDArray[np.float64]:
+    """Quotient of each row of poly by (z - root) for root = +/-1, by synthetic division.
+
+    q_k = a_k + root * q_{k-1}; for root = -1 the alternating signs fold
+    into one cumulative sum.  Equal, term for term, to np.polydiv's loop.
     """
-    width = max(len(c) - 1 for c in polys) // 2 + 1
-    series = np.zeros((len(polys), width))
-    for row, c in zip(series, polys):
-        m = (len(c) - 1) // 2
-        row[0] = c[m]
-        row[1 : m + 1] = 2.0 * c[:m][::-1]
+    if root == 1.0:
+        return np.cumsum(poly[..., :-1], axis=-1)
+    signs = np.where(np.arange(poly.shape[-1] - 1) % 2 == 0, 1.0, -1.0)
+    return signs * np.cumsum(signs * poly[..., :-1], axis=-1)
+
+
+def _cosine_series(coeffs) -> npt.NDArray[np.float64]:
+    """Cosine series of the sum and difference polynomials of each row's A(z), (n, 2, width).
+
+    With A(z) extended to degree P+1, P(z) = A(z) + z^-(P+1) A(1/z) and
+    Q(z) = A(z) - z^-(P+1) A(1/z); their fixed roots at z = +/-1 are
+    deflated so both are palindromic of even degree.  For symmetric c of
+    length 2m+1, C(e^{-jw}) e^{jwm} = d_0 + sum_{j=1..m} d_j cos(j w) with
+    d_0 = c_m and d_j = 2 c_{m-j}; the shorter series is zero-padded.
+    """
+    n, p = coeffs.shape
+    a_ext = np.concatenate((np.ones((n, 1)), -coeffs, np.zeros((n, 1))), axis=1)
+    p_poly = a_ext + a_ext[:, ::-1]
+    q_poly = _deflate(a_ext - a_ext[:, ::-1], 1.0)
+    if p % 2 == 0:
+        p_poly = _deflate(p_poly, -1.0)
+    else:
+        q_poly = _deflate(q_poly, -1.0)
+    series = np.zeros((n, 2, p_poly.shape[1] // 2 + 1))
+    for kind, c in enumerate((p_poly, q_poly)):
+        m = (c.shape[1] - 1) // 2
+        series[:, kind, 0] = c[:, m]
+        series[:, kind, 1 : m + 1] = 2.0 * c[:, :m][:, ::-1]
     return series
 
 
@@ -130,22 +170,28 @@ def _eval_cosine_series(series, cos_terms) -> npt.NDArray[np.float64]:
     return out
 
 
-def _unit_circle_roots(polys, n_grid=4096, tol=1e-12):
-    """Angles in (0, pi) where any of the palindromic polynomials vanishes.
+def _unit_circle_roots(series):
+    """Angles in (0, pi) where the series of each model vanish, as (model, angle) arrays.
 
-    Sign changes on an (n_grid+1)-point grid bracket the roots, and all
-    brackets of all polynomials are bisected together to width ``tol``.
+    ``series`` is (n, kinds, width).  Sign changes between grid points
+    bracket the roots, and all brackets of all rows are bisected together to
+    width ``LSF_TOL``.  The grid is evaluated one kind at a time, so its
+    tables hold n rows, not 2n.
     """
-    series = _cosine_series(polys)
-    harmonics = np.arange(series.shape[1])[:, None]
-    grid = np.linspace(0.0, np.pi, n_grid + 1)
-    vals = _eval_cosine_series(series[:, None, :], np.cos(harmonics * grid)[:, None, :])
-    flo, fhi = vals[:, :-1], vals[:, 1:]
-    on_grid = (flo == 0.0) & (grid[:-1] > 0.0) & (grid[:-1] < np.pi)
-    poly_idx, cell = np.nonzero((flo != 0.0) & (flo * fhi < 0.0))
-    lo, hi, flo = grid[cell], grid[cell + 1], flo[poly_idx, cell]
-    rows = series[poly_idx]
-    active = hi - lo > tol
+    cos_grid = _grid_cosines(series.shape[-1])
+    zeros, brackets = [], []
+    for kind in range(series.shape[1]):
+        vals = _eval_cosine_series(series[:, kind, None, :], cos_grid[:, None, :])
+        model, point = np.nonzero(vals[:, 1:-1] == 0.0)  # exact zeros at interior points
+        zeros.append((model, _GRID[1:-1][point]))
+        model, cell = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        brackets.append((model, series[model, kind], cell, vals[model, cell]))
+        del vals  # free this kind's grid table before the next one is built
+    zero_model, zero_angle = (np.concatenate(parts) for parts in zip(*zeros))
+    model, rows, cell, flo = (np.concatenate(parts) for parts in zip(*brackets))
+    lo, hi = _GRID[cell], _GRID[cell + 1]
+    harmonics = np.arange(series.shape[-1])[:, None]
+    active = hi - lo > LSF_TOL
     while active.any():
         mid = 0.5 * (lo + hi)
         fmid = _eval_cosine_series(rows, np.cos(harmonics * mid))
@@ -154,43 +200,84 @@ def _unit_circle_roots(polys, n_grid=4096, tol=1e-12):
         move = active & ~left
         lo = np.where(move, mid, lo)
         flo = np.where(move, fmid, flo)
-        active = hi - lo > tol
-    return np.concatenate((grid[np.nonzero(on_grid)[1]], 0.5 * (lo + hi)))
+        active = hi - lo > LSF_TOL
+    return np.concatenate((zero_model, model)), np.concatenate((zero_angle, 0.5 * (lo + hi)))
 
 
-def _deflate(poly, root: float) -> npt.NDArray[np.float64]:
-    """Quotient of poly / (z - root) for root = +/-1, by synthetic division.
+def _stable_rows(models: Sequence[ArModel], coeffs) -> npt.NDArray[np.bool_]:
+    """``is_stable()`` of each model, from one stacked eigenvalue solve.
 
-    q_k = a_k + root * q_{k-1}; for root = -1 the alternating signs fold
-    into one cumulative sum.  Equal, term for term, to np.polydiv's loop.
+    The companion matrices are the ones ``np.roots`` builds, so their
+    eigenvalues are the same bits.  A model whose last coefficient is 0,
+    which ``np.roots`` strips, asks ``is_stable`` itself.
     """
-    if root == 1.0:
-        return np.cumsum(poly[:-1])
-    signs = np.where(np.arange(len(poly) - 1) % 2 == 0, 1.0, -1.0)
-    return signs * np.cumsum(signs * poly[:-1])
+    n, p = coeffs.shape
+    if p == 0:
+        return np.ones(n, dtype=bool)
+    full = coeffs[:, -1] != 0.0
+    companion = np.zeros((np.count_nonzero(full), p, p))
+    companion[:, 0, :] = coeffs[full]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    stable = np.zeros(n, dtype=bool)
+    stable[full] = np.all(np.abs(np.linalg.eigvals(companion)) < 1.0, axis=-1)
+    stable[~full] = [models[i].is_stable() for i in np.flatnonzero(~full)]
+    return stable
 
 
-def ar_to_lsf(model: ArModel) -> LsfVector:
-    """Convert a stable AR model to line spectral frequencies."""
-    if not model.is_stable():
-        raise ValueError("AR model must be stable for LSF conversion")
-    p = model.order
-    a_ext = np.concatenate((model.inverse_filter(), [0.0]))  # degree P+1
-    p_poly = a_ext + a_ext[::-1]
-    q_poly = a_ext - a_ext[::-1]
-    # Deflate the fixed roots at z = +/-1 so both polynomials become
-    # palindromic with even degree.
-    q_poly = _deflate(q_poly, 1.0)
-    if p % 2 == 0:
-        p_poly = _deflate(p_poly, -1.0)
-    else:
-        q_poly = _deflate(q_poly, -1.0)
-    freqs = np.sort(_unit_circle_roots((p_poly, q_poly)))
-    if len(freqs) != p:
-        raise NumericalDegeneracyError(
-            f"expected {p} line spectral frequencies, found {len(freqs)}"
-        )
-    return LsfVector(freqs)
+def _lsf_block(models: Sequence[ArModel], order: int, skip_failed: bool):
+    """LSF rows of up to LSF_BLOCK models of one order; see ``ar_to_lsf``."""
+    n = len(models)
+    coeffs = np.array([m.coefficients for m in models])
+    stable = _stable_rows(models, coeffs)
+    model, angle = _unit_circle_roots(_cosine_series(coeffs[stable]))
+    model = np.flatnonzero(stable)[model]
+    counts = np.bincount(model, minlength=n)
+    found = counts == order
+    sort = np.lexsort((angle, model))
+    lsfs = np.full((n, order), np.nan)
+    lsfs[found] = angle[sort][found[model[sort]]].reshape(np.count_nonzero(found), order)
+    ok = found & _valid_lsf_rows(lsfs)
+    if skip_failed:
+        return lsfs[ok]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not stable[i]:
+            raise ValueError("AR model must be stable for LSF conversion")
+        if not found[i]:
+            raise NumericalDegeneracyError(
+                f"expected {order} line spectral frequencies, found {counts[i]}"
+            )
+        raise ValueError(_INVALID_LSF)
+    return lsfs
+
+
+def ar_to_lsf(
+    models: ArModel | Sequence[ArModel], *, skip_failed: bool = False
+) -> LsfVector | npt.NDArray[np.float64]:
+    """Convert stable AR models to line spectral frequencies.
+
+    One ``ArModel`` gives an ``LsfVector``.  A sequence of models of one
+    order gives an (n, order) array, one row per model, found in blocks of
+    ``LSF_BLOCK`` models: each block has one grid evaluation and one joint
+    bisection, and a one-model call is the one-row case of the same search.
+    A model fails when it is unstable (``ValueError``), when its polynomials
+    do not have ``order`` roots in (0, pi) (``NumericalDegeneracyError``) or
+    when two of its roots coincide (``ValueError``).  The first failing model
+    raises as it would alone; with ``skip_failed`` the rows of failing models
+    are left out instead.
+    """
+    if isinstance(models, ArModel):
+        return LsfVector(ar_to_lsf([models])[0])
+    models = list(models)
+    if not models:
+        return np.empty((0, 0))
+    order = models[0].order
+    if any(m.order != order for m in models):
+        raise ValueError("models must all have one order")
+    return np.concatenate([
+        _lsf_block(models[start : start + LSF_BLOCK], order, skip_failed)
+        for start in range(0, len(models), LSF_BLOCK)
+    ])
 
 
 def lsf_to_ar(lsf: LsfVector) -> ArModel:

@@ -56,7 +56,7 @@ def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> Com
     """Compile a codebook, or a list of AR models of one order, for ``dft_len`` bins.
 
     A ``Codebook`` contributes its stored LSF rows as they are; AR models are
-    converted with one ``ar_to_lsf`` call each.
+    converted together in one ``ar_to_lsf`` call.
     """
     if isinstance(entries, Codebook):
         lsfs = entries.entries
@@ -65,7 +65,7 @@ def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> Com
         models = list(entries)
         if not models:
             raise ValueError("codebooks must be non-empty")
-        lsfs = np.array([ar_to_lsf(m).frequencies for m in models])
+        lsfs = ar_to_lsf(models)
     envelopes = np.array([ar_envelope(m, dft_len) for m in models])
     return CompiledCodebook(lsfs, envelopes)
 

@@ -7,6 +7,7 @@ from binse.linpred import ArModel, ar_to_lsf, levinson_durbin
 from binse.signal_core import autocorrelation, frame_rows
 
 from conftest import ar_signal
+from test_linpred import close_pole_model
 
 
 class TestTrain:
@@ -67,6 +68,78 @@ class TestTrain:
         cb = codebook.train(frame_rows(x, 200), size=8, order=10, seed=2)
         for m in cb.ar_models():
             assert m.is_stable()
+
+
+    @pytest.mark.parametrize(
+        "frames, order, size, kind, name",
+        [
+            (np.ones(400), 4, 1, "speech", "training_frames"),
+            (np.ones((10, 200)), 200, 1, "speech", "order"),
+            (np.ones((10, 200)), 300, 1, "speech", "order"),
+            (np.ones((10, 200)), 0, 1, "speech", "order"),
+            (np.ones((10, 200)), -3, 1, "speech", "order"),
+            (np.ones((10, 200)), 4, 0, "speech", "size"),
+            (np.ones((10, 200)), 4, 1, "granular", "kind"),
+        ],
+        ids=["1d", "order_at_frame_len", "order_above_frame_len", "order_0", "order_negative",
+             "size_0", "kind"],
+    )
+    def test_bad_argument_named(self, frames, order, size, kind, name):
+        with pytest.raises(ValueError, match=name):
+            codebook.train(frames, size=size, order=order, seed=0, kind=kind)
+
+
+def _frame_to_lsf(frame, order, fit=levinson_durbin):
+    """One frame's LSF row as ``train`` made it before it batched ``ar_to_lsf``.
+
+    None for a frame that training skips.  Kept as the oracle of
+    ``test_train_matches_per_frame_oracle``.
+    """
+    if np.dot(frame, frame) < codebook.SILENCE_ENERGY:
+        return None
+    r = autocorrelation(frame, order)
+    if r[0] <= 0:
+        return None
+    try:
+        model = fit(r)
+        return ar_to_lsf(model).frequencies
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def test_train_matches_per_frame_oracle(rng, monkeypatch):
+    order = 10
+    speech = frame_rows(ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 70, rng), 200)
+    # The autocorrelation method fits stable models to real frames, so the
+    # failing fits are injected: a constant frame of amplitude c has r(0) = c^2
+    # exactly, and the fit below maps r(0) = 4, 9 and 16 to a failing model.
+    injected = {
+        4.0: lambda r: ArModel(np.r_[np.zeros(order - 1), 1.5]),  # unstable
+        9.0: lambda r: close_pole_model(order),  # LSFs the grid cannot separate
+        16.0: lambda r: levinson_durbin(np.r_[1.0, 1.1, np.zeros(order - 1)]),  # |k| >= 1
+    }
+
+    def fit(r):
+        return injected.get(r[0], levinson_durbin)(r)
+
+    odd = [np.zeros(200), np.full(200, 1e-6), np.full(200, 1e200)]  # silent, silent, overflow
+    odd += [np.full(200, c) for c in (2.0, 3.0, 4.0)]
+    frames = np.insert(speech, [0, 19, 30, 31, 44, 70], odd, axis=0)  # across block edges
+    batches = []
+
+    def spy(models, **kwargs):
+        batches.append(ar_to_lsf(models, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(codebook, "levinson_durbin", fit)
+    monkeypatch.setattr(codebook, "ar_to_lsf", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cb = codebook.train(frames, size=4, order=order, seed=3)
+        want = [v for v in (_frame_to_lsf(f, order, fit) for f in frames) if v is not None]
+    assert len(batches) == 1 and len(want) == len(speech)
+    np.testing.assert_array_equal(batches[0], want)
+    clean = codebook.train(speech, size=4, order=order, seed=3)
+    np.testing.assert_array_equal(cb.entries, clean.entries)
 
 
 class TestSaveLoad:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binse.linpred import (
+    LSF_BLOCK,
     ArModel,
     LsfVector,
     NumericalDegeneracyError,
@@ -185,13 +188,124 @@ def _reference_ar_to_lsf(model):
     return np.sort(np.array(roots(p_poly) + roots(q_poly)))
 
 
-def test_ar_to_lsf_matches_scalar_reference():
+def _reference_corpus():
+    """513 stable models, 27 of each order from 2 to 20."""
     rng = np.random.default_rng(1986)
+    return [
+        stable_model_from_reflections(rng.uniform(-0.97, 0.97, order))
+        for order in list(range(2, 21)) * 27
+    ]
+
+
+def test_ar_to_lsf_matches_scalar_reference():
     worst = 0.0
-    for order in list(range(2, 21)) * 27:  # 513 models, odd and even orders
-        m = stable_model_from_reflections(rng.uniform(-0.97, 0.97, order))
+    for m in _reference_corpus():
+        order = m.order
         got = ar_to_lsf(m).frequencies
         want = _reference_ar_to_lsf(m)
         assert got.shape == want.shape == (order,)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12
+
+
+def close_pole_model(order):
+    """A stable model whose two pole pairs sit 1e-7 apart just inside the unit circle.
+
+    Their line spectral frequencies share grid cells, so the search finds
+    fewer than ``order`` of them and raises ``NumericalDegeneracyError``.
+    """
+    pairs = [0.9999999 * np.exp(1j * w) for w in (1.0, 1.0 + 1e-7)]
+    pairs += [0.5 * np.exp(1j * (0.5 + k)) for k in range(order // 2 - 2)]
+    poles = np.concatenate((pairs, np.conj(pairs), [0.5] * (order % 2)))
+    return ArModel(-np.real(np.poly(poles))[1:])
+
+
+def _failing_models(order):
+    """Unstable models (the second with a zero last coefficient) and, from order 4, a
+    stable one whose roots the grid cannot separate."""
+    unstable = [ArModel(np.r_[np.zeros(order - 1), 1.5]), ArModel(np.r_[1.5, np.zeros(order - 1)])]
+    return unstable + ([close_pole_model(order)] if order >= 4 else [])
+
+
+def _alone(model):
+    """LSFs of one model converted by itself, or the exception that raises."""
+    try:
+        return ar_to_lsf(model).frequencies
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _corpus_batches(size):
+    """One batch of ``size`` models per order, cycled from the reference corpus."""
+    by_order = {}
+    for m in _reference_corpus():
+        by_order.setdefault(m.order, []).append(m)
+    return {order: (group * 2)[:size] for order, group in by_order.items()}
+
+
+@pytest.mark.parametrize("size", [0, 1, LSF_BLOCK - 1, LSF_BLOCK, LSF_BLOCK + 1])
+def test_batched_ar_to_lsf_equals_one_model_calls(size):
+    for order, batch in _corpus_batches(size).items():
+        got = ar_to_lsf(batch)
+        assert got.shape == (size, order if size else 0)
+        np.testing.assert_array_equal(got, np.reshape([_alone(m) for m in batch], got.shape))
+
+
+@pytest.mark.parametrize("size", [1, LSF_BLOCK - 1, LSF_BLOCK, LSF_BLOCK + 1])
+def test_batched_ar_to_lsf_fails_rows_as_one_model_calls(size):
+    for order, batch in _corpus_batches(size).items():
+        base = [_alone(m) for m in batch]
+        for bad in _failing_models(order):
+            failure = _alone(bad)
+            for pos in sorted({0, size - 1}):
+                rows = batch[:pos] + [bad] + batch[pos + 1 :]
+                alone = base[:pos] + [failure] + base[pos + 1 :]
+                kept = [r for r in alone if isinstance(r, np.ndarray)]
+                np.testing.assert_array_equal(
+                    ar_to_lsf(rows, skip_failed=True), np.reshape(kept, (len(kept), order))
+                )
+                first = next(r for r in alone if isinstance(r, Exception))
+                with pytest.raises(type(first)) as info:
+                    ar_to_lsf(rows)
+                assert type(info.value) is type(first) and str(info.value) == str(first)
+
+
+def test_failing_models_fail_alone():
+    assert isinstance(_alone(close_pole_model(14)), NumericalDegeneracyError)
+    for m in _failing_models(14)[:2]:
+        assert not m.is_stable()
+        assert type(_alone(m)) is ValueError
+
+
+def test_batched_ar_to_lsf_raises_for_the_first_failing_model():
+    good, (unstable, _, close) = _reference_corpus()[12], _failing_models(14)
+    with pytest.raises(NumericalDegeneracyError):
+        ar_to_lsf([good, close, unstable])
+    with pytest.raises(ValueError) as info:
+        ar_to_lsf([good, unstable, close])
+    assert type(info.value) is ValueError
+
+
+def test_order_zero_models_have_no_lsfs():
+    assert ar_to_lsf(ArModel(np.zeros(0))).order == 0
+    assert ar_to_lsf([ArModel(np.zeros(0))] * 2).shape == (2, 0)
+
+
+def test_batched_ar_to_lsf_rejects_mixed_orders():
+    with pytest.raises(ValueError, match="one order"):
+        ar_to_lsf([ArModel(np.zeros(2)), ArModel(np.zeros(3))])
+
+
+def test_ar_to_lsf_memory_is_bounded_by_the_block():
+    # Unblocked, the grid tables of 1280 order-14 models would take 2 x 1280 x
+    # 4097 doubles (84 MB); blocks of LSF_BLOCK models keep the peak at a few MB.
+    rng = np.random.default_rng(14)
+    models = [stable_model_from_reflections(rng.uniform(-0.9, 0.9, 14)) for _ in range(1280)]
+    tracemalloc.start()
+    try:
+        lsfs = ar_to_lsf(models)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lsfs.shape == (1280, 14)
+    assert peak < 4e6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from binse.linpred import ArModel, ar_envelope, ar_to_lsf
+from binse.linpred import ArModel, NumericalDegeneracyError, ar_envelope, ar_to_lsf
 from binse.signal_core import cross_spectrum, periodogram
 from binse.codebook import Codebook
 from binse.stp import (
@@ -17,6 +17,7 @@ from binse.stp import (
 )
 
 from conftest import ar_signal, codebook_from_models, snr_scale
+from test_linpred import close_pole_model
 
 SPEECH_AR = ArModel(np.array([1.2, -0.8, 0.3, -0.1]))
 NOISE_AR = ArModel(np.array([-0.5, -0.2]))
@@ -349,6 +350,13 @@ class TestCompiledCodebook:
         np.testing.assert_array_equal(compiled.lsfs, cb.entries)
         expected = [ar_envelope(m, 200) for m in cb.ar_models()]
         np.testing.assert_array_equal(compiled.envelopes, expected)
+
+    def test_failing_model_raises_as_alone(self):
+        unstable = ArModel(np.array([0.0, 0.0, 0.0, 1.5]))
+        for bad, error in ((unstable, ValueError), (close_pole_model(4), NumericalDegeneracyError)):
+            with pytest.raises(error) as info:
+                compile_codebook([SPEECH_AR, bad], 200)
+            assert type(info.value) is error
 
     def test_dft_length_mismatch(self):
         pz = np.ones(100)
