@@ -204,31 +204,11 @@ def _unit_circle_roots(series):
     return np.concatenate((zero_model, model)), np.concatenate((zero_angle, 0.5 * (lo + hi)))
 
 
-def _stable_rows(models: Sequence[ArModel], coeffs) -> npt.NDArray[np.bool_]:
-    """``is_stable()`` of each model, from one stacked eigenvalue solve.
-
-    The companion matrices are the ones ``np.roots`` builds, so their
-    eigenvalues are the same bits.  A model whose last coefficient is 0,
-    which ``np.roots`` strips, asks ``is_stable`` itself.
-    """
-    n, p = coeffs.shape
-    if p == 0:
-        return np.ones(n, dtype=bool)
-    full = coeffs[:, -1] != 0.0
-    companion = np.zeros((np.count_nonzero(full), p, p))
-    companion[:, 0, :] = coeffs[full]
-    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    stable = np.zeros(n, dtype=bool)
-    stable[full] = np.all(np.abs(np.linalg.eigvals(companion)) < 1.0, axis=-1)
-    stable[~full] = [models[i].is_stable() for i in np.flatnonzero(~full)]
-    return stable
-
-
 def _lsf_block(models: Sequence[ArModel], order: int, skip_failed: bool):
     """LSF rows of up to LSF_BLOCK models of one order; see ``ar_to_lsf``."""
     n = len(models)
     coeffs = np.array([m.coefficients for m in models])
-    stable = _stable_rows(models, coeffs)
+    stable = np.array([m.is_stable() for m in models])
     model, angle = _unit_circle_roots(_cosine_series(coeffs[stable]))
     model = np.flatnonzero(stable)[model]
     counts = np.bincount(model, minlength=n)

@@ -16,9 +16,21 @@ def ar_signal(coeffs, variance, n, rng, burn_in=500):
 
 def codebook_from_models(models, kind):
     """Build a codebook directly from AR models (bypasses Lloyd training)."""
-    entries = np.array([ar_to_lsf(m).frequencies for m in models])
+    entries = ar_to_lsf(models)
     order = np.lexsort(entries.T[::-1])
     return Codebook(entries[order], kind)
+
+
+def close_pole_model(order):
+    """A stable model whose two pole pairs sit 1e-7 apart just inside the unit circle.
+
+    Their line spectral frequencies share grid cells, so the search finds
+    fewer than ``order`` of them and raises ``NumericalDegeneracyError``.
+    """
+    pairs = [0.9999999 * np.exp(1j * w) for w in (1.0, 1.0 + 1e-7)]
+    pairs += [0.5 * np.exp(1j * (0.5 + k)) for k in range(order // 2 - 2)]
+    poles = np.concatenate((pairs, np.conj(pairs), [0.5] * (order % 2)))
+    return ArModel(-np.real(np.poly(poles))[1:])
 
 
 def snr_scale(target, noise, snr_db):

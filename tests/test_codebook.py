@@ -6,8 +6,7 @@ from binse.codebook import Codebook, CodebookFormatError
 from binse.linpred import ArModel, ar_to_lsf, levinson_durbin
 from binse.signal_core import autocorrelation, frame_rows
 
-from conftest import ar_signal
-from test_linpred import close_pole_model
+from conftest import ar_signal, close_pole_model
 
 
 class TestTrain:

@@ -16,6 +16,8 @@ from binse.linpred import (
     lsf_to_ar,
 )
 
+from conftest import close_pole_model
+
 
 def stable_model_from_reflections(ks):
     """Step-up recursion: reflection coefficients in (-1,1) give a stable model."""
@@ -206,18 +208,6 @@ def test_ar_to_lsf_matches_scalar_reference():
         assert got.shape == want.shape == (order,)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12
-
-
-def close_pole_model(order):
-    """A stable model whose two pole pairs sit 1e-7 apart just inside the unit circle.
-
-    Their line spectral frequencies share grid cells, so the search finds
-    fewer than ``order`` of them and raises ``NumericalDegeneracyError``.
-    """
-    pairs = [0.9999999 * np.exp(1j * w) for w in (1.0, 1.0 + 1e-7)]
-    pairs += [0.5 * np.exp(1j * (0.5 + k)) for k in range(order // 2 - 2)]
-    poles = np.concatenate((pairs, np.conj(pairs), [0.5] * (order % 2)))
-    return ArModel(-np.real(np.poly(poles))[1:])
 
 
 def _failing_models(order):

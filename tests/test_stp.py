@@ -16,8 +16,7 @@ from binse.stp import (
     pair_log_likelihood,
 )
 
-from conftest import ar_signal, codebook_from_models, snr_scale
-from test_linpred import close_pole_model
+from conftest import ar_signal, close_pole_model, codebook_from_models, snr_scale
 
 SPEECH_AR = ArModel(np.array([1.2, -0.8, 0.3, -0.1]))
 NOISE_AR = ArModel(np.array([-0.5, -0.2]))
