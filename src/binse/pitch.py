@@ -14,14 +14,21 @@ multiples of the grid step, so harmonic l of every candidate falls on a bin
 of one ``sample_rate / grid_step_hz``-point DFT per ear, which yields the
 projections V^H z of all candidates and orders.  The Gram matrices V^H V are
 Hermitian Toeplitz with Dirichlet-kernel entries and stay Toeplitz under the
-linear-phase directivity gains, so a Levinson recursion, batched over
-candidates, gives the joint and per-ear residuals of every order in O(L^2).
+linear-phase directivity gains.  They depend on the frame length, the grid,
+the directivity and the order cap, not on the data, so a compile step, cached
+per frame shape, runs the Levinson recursion on them once.  It stores, per
+candidate, the packed lower triangle M of reversed forward predictors, 1/eps
+and, for two ears, the left-ear form C.  Each frame is then one FFT per ear,
+a gather of the harmonic bins, and the triangular mat-vecs M b, M p_left and
+C mu; cumulative sums over the orders give the joint and per-ear residuals of
+every candidate and order, with no loop over orders.
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
 rate and ``f_min``, and fundamentals at or above Nyquist.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +39,7 @@ from .linpred import ArModel
 VOICING_CLAMP = 0.95
 DEFAULT_VOICING_THRESHOLD = 0.3
 PARAMS_PER_HARMONIC = 3  # real, imaginary amplitude parts + frequency
-SEARCH_BLOCK = 128  # grid candidates per batch of the order recursion
+COMPILED_SEARCHES = 8  # frame shapes and grids whose compiled search is kept
 # A harmonic that keeps less than this share of its energy outside the span
 # of the lower ones is not resolvable in the frame, and the candidate's order
 # stops below it.  Frames of at least sample_rate / f_min samples stay far
@@ -206,82 +213,224 @@ def _dft_bins(z: npt.NDArray, n_fft: int) -> npt.NDArray[np.complex128]:
     return np.fft.fft(z, n_fft)
 
 
-def _nested_residuals(b, r_joint, l_max, p_left=None, r_left=None):
-    """Joint and left-ear residual terms of nested harmonic fits, orders 1..L.
+def _frozen(array: npt.NDArray) -> npt.NDArray:
+    array.flags.writeable = False
+    return array
 
-    Each row is one candidate, and rows come sorted by their highest order
-    ``l_max``, largest first, so that the candidates still active at an
-    order are a leading block of rows.  ``b`` holds the stacked projections
-    H^H y and ``r_joint`` the first row of the Hermitian Toeplitz Gram
-    matrix G = H^H H.  A Levinson recursion keeps the forward predictor f
-    (G f = eps e_1) and the least-squares amplitudes a; the order-(n+1) fit
-    is ``[a; 0] + mu * beta`` with the backward vector beta = J conj(f) / eps
-    and mu = b[n] - (G [a; 0])[n].
 
-    Returns ``(fitted, drops, left)``.  ``fitted`` is each row's highest
-    fitted order: ``l_max``, or lower where the next harmonic is not
-    resolvable (its share of new energy, eps / G[0, 0], falls to
-    ``RESOLVABLE_FLOOR``).  ``drops[:, n]`` is the fall in joint residual
-    energy from order n to n+1 (|mu|^2 / eps).  When the left-ear
-    projections ``p_left`` and Gram row ``r_left`` (of T) are given,
-    ``left[:, n]`` = a^H T a - 2 Re(a^H p_left) at order n+1, so that the
-    left residual is ||z_left||^2 + left; otherwise ``left`` is None.
-    Keeping u = T f beside f (T beta = J conj(u) / eps) updates that
-    quadratic form in O(n) per order.  Entries past ``fitted`` are not fits.
+@functools.cache
+def _triangle(order: int) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Column of each entry, and start of each row, of a row-major packed lower triangle."""
+    rows = np.arange(order)
+    cols = np.concatenate([np.arange(n + 1) for n in rows])
+    return _frozen(cols), _frozen(rows * (rows + 1) // 2)
+
+
+def _lower_matvec(packed, x):
+    """``L @ x`` over the last axis, for lower triangles L packed as rows of ``packed``."""
+    cols, starts = _triangle(x.shape[-1])
+    terms = np.take(x, cols, axis=-1)
+    terms *= packed
+    return np.add.reduceat(terms, starts, axis=-1)
+
+
+def _predictors(r):
+    """Levinson recursion on Hermitian Toeplitz matrices G given by their first rows ``r``.
+
+    Returns ``(fitted, tri, eps)``.  Row n of ``tri[c]`` is the reversed
+    order-(n+1) forward predictor f_n (G f_n = eps_n e_1, f_n[0] = 1).  The
+    least-squares fit of G a = b then grows from order n to n+1 by
+    mu_n beta_n, with mu_n = (tri[c] @ b)[n] and the backward vector
+    beta_n = conj(tri[c, n]) / eps_n, and its residual energy falls by
+    |mu_n|^2 / eps_n.  ``fitted`` is each row's highest resolvable order:
+    the recursion stops a row where the next harmonic's share of new
+    energy, eps / G[0, 0], falls to ``RESOLVABLE_FLOOR``.  Entries past
+    ``fitted`` are not fits.
     """
-    rows, orders = b.shape
-    active_rows = np.count_nonzero(l_max[:, None] > np.arange(orders), axis=0)
-    rc = np.conj(r_joint)
+    rows, orders = r.shape
+    rc = np.conj(r)
     f = np.zeros((rows, orders), complex)
     f[:, 0] = 1.0
-    a = np.zeros((rows, orders), complex)
-    eps = r_joint[:, 0].real.copy()
-    floor = RESOLVABLE_FLOOR * eps
-    fitted = l_max.copy()
-    a[:, 0] = b[:, 0] / eps
-    drops = np.zeros((rows, orders))
-    drops[:, 0] = np.abs(b[:, 0]) ** 2 / eps
-    split = p_left is not None
-    if split:
-        rlc = np.conj(r_left)
-        u = np.zeros((rows, orders), complex)
-        u[:, 0] = r_left[:, 0]
-        lin = np.conj(a[:, 0]) * p_left[:, 0]
-        quad = np.abs(a[:, 0]) ** 2 * r_left[:, 0].real
-        left = np.zeros((rows, orders))
-        left[:, 0] = quad - 2.0 * lin.real
+    tri = np.zeros((rows, orders, orders), complex)
+    tri[:, 0, 0] = 1.0
+    eps = np.empty((rows, orders))
+    eps[:, 0] = r[:, 0].real
+    floor = RESOLVABLE_FLOOR * eps[:, 0]
+    fitted = np.full(rows, orders)
     for n in range(1, orders):
-        r = active_rows[n]
-        fn, an, back = f[:r, :n], a[:r, :n], rc[:r, n:0:-1]
-        kappa = -np.einsum("ij,ij->i", back, fn) / eps[:r]
-        mu = b[:r, n] - np.einsum("ij,ij->i", back, an)
-        e = eps[:r] * (1.0 - np.abs(kappa) ** 2)
-        unresolved = (e <= floor[:r]) & (fitted[:r] > n)
-        fitted[:r][unresolved] = n
-        frozen = fitted[:r] <= n
-        if frozen.any():  # keep the last well-posed fit of these rows
-            kappa[frozen] = 0.0
-            mu[frozen] = 0.0
-            e[frozen] = eps[:r][frozen]
-        eps[:r] = e
-        if split:
-            s = np.einsum("ij,ij->i", rlc[:r, n:0:-1], fn)
-            u_rev = np.conj(u[:r, n - 1 :: -1])
-            u[:r, n] = s
-            u[:r, 0] += kappa * np.conj(s)
-            u[:r, 1 : n + 1] += kappa[:, None] * u_rev
-        f[:r, 1 : n + 1] += kappa[:, None] * np.conj(f[:r, n - 1 :: -1])
-        drops[:r, n] = np.abs(mu) ** 2 / e
-        if split:
-            # conj(beta[i]) = f[n - i] / eps and conj((T beta)[i]) = u[n - i] / eps.
-            cross = np.einsum("ij,ij->i", u[:r, n:0:-1], an) / e
-            bp = np.einsum("ij,ij->i", f[:r, n::-1], p_left[:r, : n + 1]) / e
-            btb = np.einsum("ij,ij->i", np.conj(f[:r, : n + 1]), u[:r, : n + 1]).real / e**2
-            lin[:r] += np.conj(mu) * bp
-            quad[:r] += 2.0 * (np.conj(mu) * cross).real + np.abs(mu) ** 2 * btb
-            left[:r, n] = quad[:r] - 2.0 * lin[:r].real
-        a[:r, : n + 1] += (mu / e)[:, None] * np.conj(f[:r, n::-1])
-    return fitted, drops, (left if split else None)
+        kappa = -np.einsum("ij,ij->i", rc[:, n:0:-1], f[:, :n]) / eps[:, n - 1]
+        e = eps[:, n - 1] * (1.0 - np.abs(kappa) ** 2)
+        fitted[(e <= floor) & (fitted > n)] = n
+        frozen = fitted <= n  # keep the last well-posed predictor of these rows
+        kappa[frozen] = 0.0
+        e[frozen] = eps[frozen, n - 1]
+        eps[:, n] = e
+        f[:, 1 : n + 1] += kappa[:, None] * np.conj(f[:, n - 1 :: -1])
+        tri[:, n, : n + 1] = f[:, n::-1]
+    return fitted, tri, eps
+
+
+@dataclass(frozen=True)
+class _OrderGroup:
+    """Stored candidates with ``order`` harmonics below the cap: flat entries [start, stop)."""
+
+    order: int
+    start: int
+    stop: int
+    predictors: npt.NDArray[np.complex128]  # packed lower triangles M, one row per candidate
+    cross: npt.NDArray[np.complex128] | None  # strict lower part of C, packed like M (zero diagonal)
+
+
+@dataclass(frozen=True)
+class _CompiledSearch:
+    """The data-free half of the pitch search for one frame shape and grid.
+
+    The flat layout holds one entry per harmonic (or harmonic order) below
+    Nyquist and the order cap of each stored candidate, candidate after
+    candidate, grouped by that highest order.  Where a candidate's fits
+    stop below it, its predictors are zero past the fitted order.
+    """
+
+    n_fft: int
+    candidates: npt.NDArray[np.intp]  # grid index of each stored candidate
+    omegas: npt.NDArray[np.float64]  # their fundamentals, rad/sample
+    fits: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one fits
+    layout: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one stores
+    at_harmonics: npt.NDArray[np.intp]  # flat: the DFT bin of each harmonic
+    gains: npt.NDArray[np.complex128] | None  # (2, flat): conjugate ear gains, two ears
+    inv_eps: npt.NDArray[np.float64]  # flat: 1 / eps_n
+    cross_diag: npt.NDArray[np.float64] | None  # flat: C[n, n], two ears
+    groups: tuple[_OrderGroup, ...]
+
+    def spread(self, flat):
+        """Flat per-order terms as a (candidates, top order) array, zero past each candidate's."""
+        out = np.zeros(self.layout.shape)
+        out[self.layout] = flat
+        return out
+
+
+@functools.lru_cache(maxsize=COMPILED_SEARCHES)
+def _compile_search(
+    m: int,
+    channels: int,
+    sample_rate: int,
+    f_min: float,
+    f_max: float,
+    grid_step_hz: float,
+    directivity: DirectivityModel,
+    max_order: int | None,
+) -> _CompiledSearch:
+    """All of the search that depends on the frame length and grid but not on the data.
+
+    Per candidate: the predictor triangle M and 1 / eps of ``_predictors``
+    on the joint Gram matrix, the fitted order, and, for two ears, the
+    left-ear form C[j, k] = beta_j^H T beta_k of the backward vectors and
+    the left Gram matrix T.  Harmonic l of grid point f_min + i * step sits
+    on DFT bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.
+    """
+    n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
+    f0_grid = np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz)
+    omegas = 2.0 * np.pi * f0_grid / sample_rate
+    # Analytic frames carry no energy at or above pi, so no harmonic there.
+    l_max = np.floor(np.pi / omegas).astype(int)
+    l_max[l_max * omegas >= np.pi - 1e-9] -= 1
+    if max_order is not None:
+        l_max = np.minimum(l_max, max_order)
+    # The Gram matrix of m samples is nonsingular only up to m harmonics.
+    l_max = np.minimum(l_max, m)
+    if not np.any(l_max >= 1):
+        raise ValueError("no usable pitch candidates on the grid")
+    bins = int(round(f_min / grid_step_hz)) + np.arange(len(f0_grid))
+    dirichlet = np.conj(_dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
+
+    groups, columns, start = [], [], 0
+    for order in np.unique(l_max[l_max >= 1])[::-1].tolist():
+        idx = np.flatnonzero(l_max == order)
+        kernel = dirichlet[np.outer(bins[idx], np.arange(order)) % n_fft]
+        if channels == 1:
+            fitted, tri, eps = _predictors(kernel)
+        else:
+            # Linear-phase, constant-magnitude gains keep every Gram matrix
+            # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
+            ears = directivity.gains(omegas[idx], order)
+            gram = [np.conj(d[:, :1]) * d * kernel for d in ears]
+            fitted, tri, eps = _predictors(gram[0] + gram[1])
+        tri[np.arange(order) >= fitted[:, None]] = 0.0  # mu = 0: past it the last fit repeats
+        lower = np.tril_indices(order)
+        column = {
+            "candidates": idx,
+            "l_max": l_max[idx],
+            "fitted": fitted,
+            "at_harmonics": (np.outer(bins[idx], np.arange(1, order + 1)) % n_fft).ravel(),
+            "inv_eps": 1.0 / eps.ravel(),
+        }
+        cross = None
+        if channels == 2:
+            lag = np.subtract.outer(np.arange(order), np.arange(order))
+            left = gram[0][:, np.abs(lag)]
+            left = np.where(lag <= 0, left, np.conj(left))  # T, from its first row
+            beta_h = tri / eps[..., None]
+            full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
+            column["gains"] = np.conj(ears).reshape(2, -1)
+            column["cross_diag"] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
+            cross = _frozen(np.tril(full, -1)[:, lower[0], lower[1]])
+        columns.append(column)
+        stop = start + idx.size * order
+        groups.append(_OrderGroup(order, start, stop, _frozen(tri[:, lower[0], lower[1]]), cross))
+        start = stop
+
+    joined = {key: np.concatenate([c[key] for c in columns], axis=-1) for key in columns[0]}
+    orders = np.arange(groups[0].order)
+    return _CompiledSearch(
+        n_fft=n_fft,
+        candidates=_frozen(joined["candidates"]),
+        omegas=_frozen(omegas[joined["candidates"]]),
+        fits=_frozen(orders < joined["fitted"][:, None]),
+        layout=_frozen(orders < joined["l_max"][:, None]),
+        at_harmonics=_frozen(joined["at_harmonics"]),
+        gains=_frozen(joined["gains"]) if channels == 2 else None,
+        inv_eps=_frozen(joined["inv_eps"]),
+        cross_diag=_frozen(joined["cross_diag"]) if channels == 2 else None,
+        groups=tuple(groups),
+    )
+
+
+def _residuals(search: _CompiledSearch, y_halves) -> npt.NDArray[np.float64]:
+    """Residual energies of the nested fits of every stored candidate, (ears, candidates, orders).
+
+    For two ears the first axis holds the left and the right residual.  Past
+    a candidate's fitted order its last fit repeats.  mu = M b gives the
+    joint drops |mu|^2 / eps.  The left residual is
+    ||z_left||^2 + a^H T a - 2 Re(a^H p_left) with a = sum_n mu_n beta_n;
+    its order increments come from M p_left and C mu.
+    """
+    spectra = np.stack([_dft_bins(y, search.n_fft)[search.at_harmonics] for y in y_halves])
+    y = np.concatenate(y_halves)
+    energy = float(np.vdot(y, y).real)
+    if search.gains is None:
+        data = spectra  # b
+    else:
+        proj = search.gains * spectra
+        data = np.stack((proj[0] + proj[1], proj[0]))  # b, p_left
+    fit = np.empty_like(data)
+    for g in search.groups:
+        block = data[:, g.start : g.stop].reshape(len(data), -1, g.order)
+        fit[:, g.start : g.stop] = _lower_matvec(g.predictors, block).reshape(len(data), -1)
+    mu = fit[0]
+    power = np.abs(mu) ** 2
+    joint = energy - np.cumsum(search.spread(power * search.inv_eps), axis=1)
+    if search.gains is None:
+        return np.maximum(joint, 0.0)[None]
+    cross_mu = np.empty_like(mu)
+    for g in search.groups:
+        block = mu[g.start : g.stop].reshape(-1, g.order)
+        cross_mu[g.start : g.stop] = _lower_matvec(g.cross, block).ravel()
+    lin = np.conj(mu) * fit[1] * search.inv_eps
+    quad = 2.0 * (np.conj(mu) * cross_mu).real + power * search.cross_diag
+    energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
+    top = np.maximum(energy_left + np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1), 0.0)
+    bottom = np.maximum(joint - top, 0.0)
+    return np.stack((top, bottom))
 
 
 def estimate_pitch(
@@ -308,8 +457,6 @@ def estimate_pitch(
     frequencies that are not frame-periodic, which otherwise biases the
     estimate by up to a grid step.
     """
-    n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
-    f0_grid = np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz)
     if edge_trim and len(zl) > 4 * edge_trim:
         zl = zl[edge_trim:-edge_trim]
         if zr is not None:
@@ -319,63 +466,19 @@ def estimate_pitch(
     n_obs = channels * m
     directivity = directivity or DirectivityModel(sample_rate=sample_rate)
     y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
+    search = _compile_search(
+        m, channels, sample_rate, f_min, f_max, grid_step_hz, directivity, max_order
+    )
 
-    omegas = 2.0 * np.pi * f0_grid / sample_rate
-    # Analytic frames carry no energy at or above pi, so no harmonic there.
-    l_max = np.floor(np.pi / omegas).astype(int)
-    l_max[l_max * omegas >= np.pi - 1e-9] -= 1
-    if max_order is not None:
-        l_max = np.minimum(l_max, max_order)
-    # The Gram matrix of m samples is nonsingular only up to m harmonics.
-    l_max = np.minimum(l_max, m)
-    candidates = np.flatnonzero(l_max >= 1)
-    if len(candidates) == 0:
-        raise ValueError("no usable pitch candidates on the grid")
-
-    # Harmonic l of grid point f_min + i * step sits on DFT bin (k0 + i) * l.
-    bins = int(round(f_min / grid_step_hz)) + np.arange(len(f0_grid))
-    spectra = [_dft_bins(z, n_fft) for z in y_halves]
-    dirichlet = np.conj(_dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
-    y = np.concatenate(y_halves)
-    energy = float(np.vdot(y, y).real)
-    energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
-
-    costs = np.empty(len(f0_grid))
-    orders = np.zeros(len(f0_grid), dtype=int)
-    # Blocks of similar order keep the padding, and the working set, small.
-    by_order = candidates[np.argsort(-l_max[candidates], kind="stable")]
-    for lo in range(0, len(by_order), SEARCH_BLOCK):
-        idx = by_order[lo : lo + SEARCH_BLOCK]
-        harmonics = np.arange(1, l_max[idx[0]] + 1)
-        at_harmonics = np.outer(bins[idx], harmonics) % n_fft
-        kernel = dirichlet[np.outer(bins[idx], harmonics - 1) % n_fft]
-        if channels == 1:
-            fitted, drops, _ = _nested_residuals(
-                spectra[0][at_harmonics], kernel, l_max[idx]
-            )
-            residuals = np.maximum(energy - np.cumsum(drops, axis=1), 0.0)[..., None]
-        else:
-            # Linear-phase, constant-magnitude gains keep every Gram matrix
-            # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
-            gains = directivity.gains(omegas[idx], len(harmonics))
-            proj = [np.conj(d) * z[at_harmonics] for d, z in zip(gains, spectra)]
-            gram = [np.conj(d[:, :1]) * d * kernel for d in gains]
-            fitted, drops, left = _nested_residuals(
-                proj[0] + proj[1], gram[0] + gram[1], l_max[idx], proj[0], gram[0]
-            )
-            top = np.maximum(energy_left + left, 0.0)
-            bottom = np.maximum(energy - np.cumsum(drops, axis=1) - top, 0.0)
-            residuals = np.stack((top, bottom), axis=-1)
-        log_sigma2 = np.log(np.maximum(residuals / m, 1e-300))
-        fits = harmonics <= fitted[:, None]
-        log_terms = np.where(fits, m * log_sigma2.sum(axis=-1), np.inf)
-        picked = map_order_select(log_terms, n_obs)
-        orders[idx] = picked
-        costs[idx] = log_sigma2[np.arange(len(idx)), picked - 1].sum(axis=-1)
+    log_sigma2 = np.log(np.maximum(_residuals(search, y_halves) / m, 1e-300))
+    log_terms = np.where(search.fits, m * log_sigma2.sum(axis=0), np.inf)
+    orders = map_order_select(log_terms, n_obs)
+    costs = log_sigma2[:, np.arange(len(orders)), orders - 1].sum(axis=0)
 
     best = None  # (cost, omega0, order)
+    by_grid = np.argsort(search.candidates)
     for cost, omega0, order in zip(
-        costs[candidates].tolist(), omegas[candidates].tolist(), orders[candidates].tolist()
+        costs[by_grid].tolist(), search.omegas[by_grid].tolist(), orders[by_grid].tolist()
     ):
         if best is None or cost < best[0] - 1e-12:
             best = (cost, omega0, order)

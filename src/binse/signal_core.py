@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-import scipy.signal
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,15 @@ def autocorrelation(x: npt.NDArray[np.float64], max_lag: int) -> npt.NDArray[np.
 
 
 def analytic_signal(x: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
-    """Complex analytic signal of a 1-D frame via DFT one-siding (even lengths only)."""
-    if len(x) % 2 != 0:
+    """Complex analytic signal of a 1-D frame via DFT one-siding (even lengths only).
+
+    The steps of ``scipy.signal.hilbert``: double the bins below Nyquist,
+    zero the ones above it, and invert.
+    """
+    n = len(x)
+    if n % 2 != 0:
         raise ValueError("analytic_signal requires an even frame length")
-    return scipy.signal.hilbert(x)
+    spectrum = np.fft.fft(x)
+    spectrum[1 : n // 2] *= 2.0
+    spectrum[n // 2 + 1 :] = 0.0
+    return np.fft.ifft(spectrum)

@@ -17,6 +17,7 @@ would stop if solved alone.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -297,7 +298,7 @@ class DualChannelNoiseTracker:
 
     def update(self, pzl, pzr, cross) -> npt.NDArray[np.float64]:
         """Noise PSD after this frame; the first call gives the unsmoothed estimate."""
-        pl =np.asarray(pzl, float)
+        pl = np.asarray(pzl, float)
         pr = np.asarray(pzr, float)
         cx = np.asarray(cross, complex)
         mean_power = 0.5 * (pl + pr)
@@ -314,6 +315,14 @@ class DualChannelNoiseTracker:
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _inverse_dft_rows(order: int, k: int) -> npt.NDArray[np.complex128]:
+    """exp(i 2 pi q k' / K) for q = 0..order and every bin k', built once per (order, K)."""
+    phases = np.exp(2j * np.pi * np.outer(np.arange(order + 1), np.arange(k)) / k)
+    phases.flags.writeable = False
+    return phases
+
+
 def noise_psd_to_ar(psd, order: int) -> ArModel:
     """Fit an AR model to a noise PSD via inverse-DFT autocorrelation.
 
@@ -325,7 +334,6 @@ def noise_psd_to_ar(psd, order: int) -> ArModel:
     if np.all(bins == 0):
         raise ValueError("PSD must not be all-zero")
     k = len(bins)
-    q = np.arange(order + 1)
-    phases = np.exp(2j * np.pi * np.outer(q, np.arange(k)) / k)
-    r = np.real(phases @ bins) / k
+    r = np.real(_inverse_dft_rows(order, k) @ bins) / k
     return levinson_durbin(r)
+

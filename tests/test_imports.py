@@ -1,6 +1,9 @@
 """Every name a binse module imports is read somewhere in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,11 @@ def test_no_unread_definitions():
         if isinstance(node, defs) and node.name not in reads
     ]
     assert not unread, f"definitions no binse module reads: {', '.join(unread)}"
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    """Importing ``scipy.signal`` adds start-up time for nothing binse uses."""
+    code = "import sys, binse.cli; sys.exit('scipy.signal' in sys.modules)"
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

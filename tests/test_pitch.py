@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from scipy.signal import lfilter
 
 from binse.linpred import ArModel
+from binse import pitch
 from binse.pitch import (
     UNVOICED,
-    _nested_residuals,
     DirectivityModel,
     PitchInfo,
     check_pitch_grid,
@@ -361,23 +362,15 @@ class TestExactSearch:
         d = DirectivityModel(delay_seconds=2.5 / self.FS if directional else 0.0,
                              sample_rate=self.FS, magnitude_right=0.6 if directional else 1.0)
         y = np.concatenate((zl, zr)) if two else zl
-        for f0 in (80.0, 133.5, 390.0):
+        halves = [zl, zr] if two else [zl]
+        for f0, order in ((80.0, 49), (133.5, 29), (390.0, 10)):
+            search = pitch._compile_search(m, len(halves), self.FS, f0, f0, 0.5, d, None)
             w0 = 2 * np.pi * f0 / self.FS
-            order = int(np.floor(self.FS / f0 - 1e-9))
             v = np.exp(1j * w0 * np.outer(np.arange(m), np.arange(1, order + 1)))
             h = np.vstack([v * g for g in d.gains(w0, order)]) if two else v
-            ref = _reference_candidate_costs([zl, zr] if two else [zl], h)
-            args = [(h.conj().T @ y)[None], (h.conj().T @ h)[:1], np.array([order])]
-            if two:
-                args += [(h[:m].conj().T @ zl)[None], (h[:m].conj().T @ h[:m])[:1]]
-            fitted, drops, left = _nested_residuals(*args)
-            joint = np.vdot(y, y).real - np.cumsum(drops[0])
-            if two:
-                top = np.vdot(zl, zl).real + left[0]
-                fast = np.stack((top, joint - top), axis=1)
-            else:
-                fast = joint[:, None]
-            assert fitted[0] == order
+            ref = _reference_candidate_costs(halves, h)
+            assert search.fits.shape == (1, order) and search.fits.all()
+            fast = pitch._residuals(search, halves)[:, 0].T
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-9 * np.vdot(y, y).real)
 
     @pytest.mark.parametrize("two", [True, False])
@@ -434,33 +427,63 @@ class TestExactSearch:
         assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
             slow.omega0, slow.harmonic_order, slow.voicing)
 
-    def test_no_harmonic_fitted_at_or_above_nyquist(self, monkeypatch):
-        # Each block of candidates hands its highest orders to the order
-        # recursion and its f0s to the directivity gains, in that order.
-        import binse.pitch as pitch
+    def test_no_harmonic_fitted_at_or_above_nyquist(self):
+        # The compiled search of the default grid, for the trimmed frame
+        # that estimate_pitch hands it.
+        d = DirectivityModel(sample_rate=self.FS)
+        two_ear, one_ear = (pitch._compile_search(180, c, self.FS, 80.0, 400.0, 0.5, d, None)
+                            for c in (2, 1))
+        fitted = two_ear.fits.sum(axis=1)
+        assert (two_ear.omegas * fitted).max() < np.pi
+        assert fitted.max() == 49  # 50 * 80 Hz is Nyquist
+        # One ear fits the same orders in the same groups.
+        np.testing.assert_array_equal(one_ear.candidates, two_ear.candidates)
+        np.testing.assert_array_equal(one_ear.fits, two_ear.fits)
+        assert [(g.order, g.start, g.stop) for g in one_ear.groups] == [
+            (g.order, g.start, g.stop) for g in two_ear.groups]
 
-        orders, omegas = [], []
+    def test_compiled_search_cache_keying(self):
+        # Frame length, ear count, directivity and order cap all key the
+        # cache; an interleaved run, which hits and evicts entries, picks
+        # what a cold cache and the QR oracle pick.
+        d = DirectivityModel(delay_seconds=2.5 / self.FS, sample_rate=self.FS, magnitude_right=0.6)
+        cases = [
+            (m, two, directivity, max_order)
+            for m in (200, 160)
+            for two, directivity in ((True, None), (True, d), (False, None))
+            for max_order in (None, 12)
+        ]
 
-        def spy(b, r_joint, l_max, *rest):
-            orders.append(l_max.copy())
-            return _nested_residuals(b, r_joint, l_max, *rest)
+        def pick(m, two, directivity, max_order):
+            zl, zr = corpus_frame(6, m=m)
+            return estimate_pitch(zl, zr if two else None, self.FS, f_min=100.0, f_max=180.0,
+                                  directivity=directivity, max_order=max_order,
+                                  voicing_threshold=0.0)
 
-        class Recorded(DirectivityModel):
-            def gains(self, omega0, order):
-                omegas.append(np.array(omega0, ndmin=1))
-                return super().gains(omega0, order)
+        pitch._compile_search.cache_clear()
+        warm = {}
+        for case in cases + cases[::-1]:
+            assert warm.setdefault(case, pick(*case)) == pick(*case)
+        assert pitch._compile_search.cache_info().hits >= len(cases)
+        for case in cases:
+            pitch._compile_search.cache_clear()
+            assert pick(*case) == warm[case]
+            m, two, directivity, max_order = case
+            zl, zr = corpus_frame(6, m=m)
+            assert warm[case] == reference_estimate_pitch(
+                zl, zr if two else None, self.FS, f_min=100.0, f_max=180.0,
+                directivity=directivity, max_order=max_order, voicing_threshold=0.0)
 
-        monkeypatch.setattr(pitch, "_nested_residuals", spy)
-        zl, zr = corpus_frame(5)
-        estimate_pitch(zl, zr, self.FS, directivity=Recorded(sample_rate=self.FS))
-        blocks = len(orders)
-        top = np.concatenate([w * l for w, l in zip(omegas[:blocks], orders)])
-        assert top.max() < np.pi
-        assert max(l.max() for l in orders) == 49  # 50 * 80 Hz is Nyquist
-        # One ear runs the same blocks of orders.
-        estimate_pitch(zl, None, self.FS)
-        for two_ear, one_ear in zip(orders[:blocks], orders[blocks:], strict=True):
-            np.testing.assert_array_equal(two_ear, one_ear)
+    def test_compiled_search_size(self):
+        # Packed triangles keep the default grid at the default trimmed
+        # frame, two ears, within 6.5 MB; the cache hands out read-only arrays.
+        search = pitch._compile_search(180, 2, self.FS, 80.0, 400.0, 0.5,
+                                       DirectivityModel(sample_rate=self.FS), None)
+        arrays = [getattr(search, f.name) for f in dataclasses.fields(search)]
+        arrays += [a for g in search.groups for a in (g.predictors, g.cross)]
+        total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert total <= 6.5e6
+        assert all(not a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
 
     @pytest.mark.parametrize("frame_len", [20, 40, 60, 86, 92, 120])
     @pytest.mark.parametrize("two", [True, False])

@@ -165,6 +165,13 @@ class TestAnalyticSignal:
         x = rng.normal(size=64)
         np.testing.assert_allclose(analytic_signal(x).real, x, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 64, 200])
+    def test_matches_scipy_hilbert(self, rng, m):
+        from scipy.signal import hilbert
+
+        x = rng.normal(size=m)
+        np.testing.assert_allclose(analytic_signal(x), hilbert(x), rtol=0, atol=1e-14)
+
 
 def test_cross_spectrum_matches_periodograms(rng):
     x = rng.normal(size=128)

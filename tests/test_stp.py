@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from binse.linpred import ArModel, NumericalDegeneracyError, ar_envelope, ar_to_lsf
+from binse.linpred import (
+    ArModel,
+    NumericalDegeneracyError,
+    ar_envelope,
+    ar_to_lsf,
+    levinson_durbin,
+)
 from binse.signal_core import cross_spectrum, periodogram
 from binse.codebook import Codebook
 from binse.stp import (
@@ -266,6 +272,16 @@ class TestNoisePsdToAr:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             noise_psd_to_ar(np.zeros(32), 2)
+
+    def test_cached_table_gives_the_same_bits(self, rng):
+        # Interleaved (order, K) keys: each fit equals one built from a fresh table.
+        for order, k in [(14, 200), (4, 128), (14, 200), (14, 160), (4, 128)]:
+            psd = rng.uniform(0.1, 2.0, k)
+            phases = np.exp(2j * np.pi * np.outer(np.arange(order + 1), np.arange(k)) / k)
+            expect = levinson_durbin(np.real(phases @ psd) / k)
+            got = noise_psd_to_ar(psd, order)
+            np.testing.assert_array_equal(got.coefficients, expect.coefficients)
+            assert got.excitation_variance == expect.excitation_variance
 
 
 def _reference_mu(pl, pr, ps, pw, iters=50):
