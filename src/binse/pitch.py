@@ -272,13 +272,13 @@ def _predictors(r):
 
 @dataclass(frozen=True)
 class _OrderGroup:
-    """Stored candidates with ``order`` harmonics below the cap: flat entries [start, stop)."""
+    """Candidates with ``order`` harmonics below the cap, flat entries [start, stop)."""
 
     order: int
     start: int
     stop: int
     predictors: npt.NDArray[np.complex128]  # packed lower triangles M, one row per candidate
-    cross: npt.NDArray[np.complex128] | None  # strict lower part of C, packed like M (zero diagonal)
+    cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed like M
 
 
 @dataclass(frozen=True)
@@ -343,8 +343,13 @@ def _compile_search(
     bins = int(round(f_min / grid_step_hz)) + np.arange(len(f0_grid))
     dirichlet = np.conj(_dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
 
-    groups, columns, start = [], [], 0
-    for order in np.unique(l_max[l_max >= 1])[::-1].tolist():
+    # One block holds every packed triangle, M and for two ears C, allocated
+    # before the per-order work so that its transients do not pin memory
+    # between the cached arrays.
+    usable = l_max[l_max >= 1]
+    block = np.empty((channels, int(np.sum(usable * (usable + 1) // 2))), complex)
+    groups, columns, start, packed = [], [], 0, 0
+    for order in np.unique(usable)[::-1].tolist():
         idx = np.flatnonzero(l_max == order)
         kernel = dirichlet[np.outer(bins[idx], np.arange(order)) % n_fft]
         if channels == 1:
@@ -364,7 +369,9 @@ def _compile_search(
             "at_harmonics": (np.outer(bins[idx], np.arange(1, order + 1)) % n_fft).ravel(),
             "inv_eps": 1.0 / eps.ravel(),
         }
-        cross = None
+        size = idx.size * len(lower[0])
+        views = block[:, packed : packed + size].reshape(channels, idx.size, -1)
+        views[0] = tri[:, lower[0], lower[1]]
         if channels == 2:
             lag = np.subtract.outer(np.arange(order), np.arange(order))
             left = gram[0][:, np.abs(lag)]
@@ -373,11 +380,13 @@ def _compile_search(
             full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
             column["gains"] = np.conj(ears).reshape(2, -1)
             column["cross_diag"] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
-            cross = _frozen(np.tril(full, -1)[:, lower[0], lower[1]])
+            views[1] = np.tril(full, -1)[:, lower[0], lower[1]]
         columns.append(column)
         stop = start + idx.size * order
-        groups.append(_OrderGroup(order, start, stop, _frozen(tri[:, lower[0], lower[1]]), cross))
-        start = stop
+        _frozen(views)
+        cross = views[1] if channels == 2 else None
+        groups.append(_OrderGroup(order, start, stop, views[0], cross))
+        start, packed = stop, packed + size
 
     joined = {key: np.concatenate([c[key] for c in columns], axis=-1) for key in columns[0]}
     orders = np.arange(groups[0].order)
@@ -407,30 +416,32 @@ def _residuals(search: _CompiledSearch, y_halves) -> npt.NDArray[np.float64]:
     spectra = np.stack([_dft_bins(y, search.n_fft)[search.at_harmonics] for y in y_halves])
     y = np.concatenate(y_halves)
     energy = float(np.vdot(y, y).real)
-    if search.gains is None:
-        data = spectra  # b
-    else:
-        proj = search.gains * spectra
-        data = np.stack((proj[0] + proj[1], proj[0]))  # b, p_left
-    fit = np.empty_like(data)
+    if search.gains is not None:
+        spectra *= search.gains
+        spectra[1] += spectra[0]  # p_left, b
+    fit = np.empty_like(spectra)
     for g in search.groups:
-        block = data[:, g.start : g.stop].reshape(len(data), -1, g.order)
-        fit[:, g.start : g.stop] = _lower_matvec(g.predictors, block).reshape(len(data), -1)
-    mu = fit[0]
+        block = spectra[:, g.start : g.stop].reshape(len(spectra), -1, g.order)
+        fit[:, g.start : g.stop] = _lower_matvec(g.predictors, block).reshape(len(spectra), -1)
+    mu = fit[-1]
     power = np.abs(mu) ** 2
-    joint = energy - np.cumsum(search.spread(power * search.inv_eps), axis=1)
+    out = np.empty((len(y_halves), *search.layout.shape))
+    joint = np.cumsum(search.spread(power * search.inv_eps), axis=1)
+    np.subtract(energy, joint, out=joint)
     if search.gains is None:
-        return np.maximum(joint, 0.0)[None]
+        np.maximum(joint, 0.0, out=out[0])
+        return out
     cross_mu = np.empty_like(mu)
     for g in search.groups:
         block = mu[g.start : g.stop].reshape(-1, g.order)
         cross_mu[g.start : g.stop] = _lower_matvec(g.cross, block).ravel()
-    lin = np.conj(mu) * fit[1] * search.inv_eps
+    lin = np.conj(mu) * fit[0] * search.inv_eps
     quad = 2.0 * (np.conj(mu) * cross_mu).real + power * search.cross_diag
     energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
-    top = np.maximum(energy_left + np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1), 0.0)
-    bottom = np.maximum(joint - top, 0.0)
-    return np.stack((top, bottom))
+    top = np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1)
+    np.maximum(energy_left + top, 0.0, out=out[0])
+    np.maximum(joint - out[0], 0.0, out=out[1])
+    return out
 
 
 def estimate_pitch(
@@ -470,7 +481,8 @@ def estimate_pitch(
         m, channels, sample_rate, f_min, f_max, grid_step_hz, directivity, max_order
     )
 
-    log_sigma2 = np.log(np.maximum(_residuals(search, y_halves) / m, 1e-300))
+    log_sigma2 = _residuals(search, y_halves) / m
+    np.log(np.maximum(log_sigma2, 1e-300, out=log_sigma2), out=log_sigma2)
     log_terms = np.where(search.fits, m * log_sigma2.sum(axis=0), np.inf)
     orders = map_order_select(log_terms, n_obs)
     costs = log_sigma2[:, np.arange(len(orders)), orders - 1].sum(axis=0)
