@@ -343,63 +343,61 @@ def _compile_search(
     bins = int(round(f_min / grid_step_hz)) + np.arange(len(f0_grid))
     dirichlet = np.conj(_dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
 
-    # One block holds every packed triangle, M and for two ears C, allocated
-    # before the per-order work so that its transients do not pin memory
-    # between the cached arrays.
-    usable = l_max[l_max >= 1]
-    block = np.empty((channels, int(np.sum(usable * (usable + 1) // 2))), complex)
-    groups, columns, start, packed = [], [], 0, 0
-    for order in np.unique(usable)[::-1].tolist():
-        idx = np.flatnonzero(l_max == order)
-        kernel = dirichlet[np.outer(bins[idx], np.arange(order)) % n_fft]
-        if channels == 1:
-            fitted, tri, eps = _predictors(kernel)
-        else:
+    # Candidates grouped by their highest order, largest first; the flat
+    # arrays are allocated before the per-order work so that its transients
+    # do not pin memory between the cached arrays.
+    candidates = np.argsort(-l_max, kind="stable")[: np.count_nonzero(l_max >= 1)]
+    top = l_max[candidates]
+    layout = np.arange(top[0]) < top[:, None]
+    at_harmonics = np.repeat(bins[candidates], top) * (np.nonzero(layout)[1] + 1) % n_fft
+    two = channels == 2
+    fitted = np.empty(len(candidates), int)
+    inv_eps = np.empty(at_harmonics.size)
+    gains = np.empty((2, at_harmonics.size), complex) if two else None
+    cross_diag = np.empty(at_harmonics.size) if two else None
+    block = np.empty((channels, int(np.sum(top * (top + 1) // 2))), complex)  # M, C
+    groups, first, start, packed = [], 0, 0, 0
+    for order in np.unique(top)[::-1].tolist():
+        count = np.count_nonzero(top == order)
+        rows, stop = slice(first, first + count), start + count * order
+        kernel = dirichlet[np.outer(bins[candidates[rows]], np.arange(order)) % n_fft]
+        if two:
             # Linear-phase, constant-magnitude gains keep every Gram matrix
             # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
-            ears = directivity.gains(omegas[idx], order)
+            ears = directivity.gains(omegas[candidates[rows]], order)
             gram = [np.conj(d[:, :1]) * d * kernel for d in ears]
-            fitted, tri, eps = _predictors(gram[0] + gram[1])
-        tri[np.arange(order) >= fitted[:, None]] = 0.0  # mu = 0: past it the last fit repeats
+            fitted[rows], tri, eps = _predictors(gram[0] + gram[1])
+        else:
+            fitted[rows], tri, eps = _predictors(kernel)
+        tri[np.arange(order) >= fitted[rows, None]] = 0.0  # mu = 0: the last fit repeats
+        inv_eps[start:stop] = 1.0 / eps.ravel()
         lower = np.tril_indices(order)
-        column = {
-            "candidates": idx,
-            "l_max": l_max[idx],
-            "fitted": fitted,
-            "at_harmonics": (np.outer(bins[idx], np.arange(1, order + 1)) % n_fft).ravel(),
-            "inv_eps": 1.0 / eps.ravel(),
-        }
-        size = idx.size * len(lower[0])
-        views = block[:, packed : packed + size].reshape(channels, idx.size, -1)
+        size = count * len(lower[0])
+        views = block[:, packed : packed + size].reshape(channels, count, -1)
         views[0] = tri[:, lower[0], lower[1]]
-        if channels == 2:
+        if two:
             lag = np.subtract.outer(np.arange(order), np.arange(order))
             left = gram[0][:, np.abs(lag)]
             left = np.where(lag <= 0, left, np.conj(left))  # T, from its first row
             beta_h = tri / eps[..., None]
             full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
-            column["gains"] = np.conj(ears).reshape(2, -1)
-            column["cross_diag"] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
+            gains[:, start:stop] = np.conj(ears).reshape(2, -1)
+            cross_diag[start:stop] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
             views[1] = np.tril(full, -1)[:, lower[0], lower[1]]
-        columns.append(column)
-        stop = start + idx.size * order
         _frozen(views)
-        cross = views[1] if channels == 2 else None
-        groups.append(_OrderGroup(order, start, stop, views[0], cross))
-        start, packed = stop, packed + size
+        groups.append(_OrderGroup(order, start, stop, views[0], views[1] if two else None))
+        first, start, packed = first + count, stop, packed + size
 
-    joined = {key: np.concatenate([c[key] for c in columns], axis=-1) for key in columns[0]}
-    orders = np.arange(groups[0].order)
     return _CompiledSearch(
         n_fft=n_fft,
-        candidates=_frozen(joined["candidates"]),
-        omegas=_frozen(omegas[joined["candidates"]]),
-        fits=_frozen(orders < joined["fitted"][:, None]),
-        layout=_frozen(orders < joined["l_max"][:, None]),
-        at_harmonics=_frozen(joined["at_harmonics"]),
-        gains=_frozen(joined["gains"]) if channels == 2 else None,
-        inv_eps=_frozen(joined["inv_eps"]),
-        cross_diag=_frozen(joined["cross_diag"]) if channels == 2 else None,
+        candidates=_frozen(candidates),
+        omegas=_frozen(omegas[candidates]),
+        fits=_frozen(np.arange(top[0]) < fitted[:, None]),
+        layout=_frozen(layout),
+        at_harmonics=_frozen(at_harmonics),
+        gains=_frozen(gains) if two else None,
+        inv_eps=_frozen(inv_eps),
+        cross_diag=_frozen(cross_diag) if two else None,
         groups=tuple(groups),
     )
 
