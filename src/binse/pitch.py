@@ -18,10 +18,12 @@ linear-phase directivity gains.  They depend on the frame length, the grid,
 the directivity and the order cap, not on the data, so a compile step, cached
 per frame shape, runs the Levinson recursion on them once.  It stores, per
 candidate, the packed lower triangle M of reversed forward predictors, 1/eps
-and, for two ears, the left-ear form C.  Each frame is then one FFT per ear,
-a gather of the harmonic bins, and the triangular mat-vecs M b, M p_left and
-C mu; cumulative sums over the orders give the joint and per-ear residuals of
-every candidate and order, with no loop over orders.
+and, for two ears, the left-ear form C, which is diagonal when the ears
+differ by a fixed gain with no interaural delay.  Each frame is then one FFT
+per ear, a gather of the harmonic bins, and the triangular mat-vecs M b,
+M p_left and, where C is not diagonal, C mu; cumulative sums over the orders
+give the joint and per-ear residuals of every candidate and order, with no
+loop over orders.
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
 rate and ``f_min``, and fundamentals at or above Nyquist.
 """
@@ -39,7 +41,6 @@ from .linpred import ArModel
 VOICING_CLAMP = 0.95
 DEFAULT_VOICING_THRESHOLD = 0.3
 PARAMS_PER_HARMONIC = 3  # real, imaginary amplitude parts + frequency
-COMPILED_SEARCHES = 8  # frame shapes and grids whose compiled search is kept
 # A harmonic that keeps less than this share of its energy outside the span
 # of the lower ones is not resolvable in the frame, and the candidate's order
 # stops below it.  Frames of at least sample_rate / f_min samples stay far
@@ -278,7 +279,7 @@ class _OrderGroup:
     start: int
     stop: int
     predictors: npt.NDArray[np.complex128]  # packed lower triangles M, one row per candidate
-    cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed like M
+    cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed like M, or None
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ class _CompiledSearch:
         return out
 
 
-@functools.lru_cache(maxsize=COMPILED_SEARCHES)
+@functools.lru_cache(maxsize=1)  # a run searches frames of one shape
 def _compile_search(
     m: int,
     channels: int,
@@ -317,7 +318,7 @@ def _compile_search(
     f_min: float,
     f_max: float,
     grid_step_hz: float,
-    directivity: DirectivityModel,
+    directivity: DirectivityModel | None,
     max_order: int | None,
 ) -> _CompiledSearch:
     """All of the search that depends on the frame length and grid but not on the data.
@@ -325,8 +326,12 @@ def _compile_search(
     Per candidate: the predictor triangle M and 1 / eps of ``_predictors``
     on the joint Gram matrix, the fitted order, and, for two ears, the
     left-ear form C[j, k] = beta_j^H T beta_k of the backward vectors and
-    the left Gram matrix T.  Harmonic l of grid point f_min + i * step sits
-    on DFT bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.
+    the left Gram matrix T.  Where the right-ear gains are a fixed multiple
+    of the left ones, T is a multiple of the joint Gram matrix, under which
+    the backward vectors are orthogonal, so C is diagonal and only its
+    diagonal is kept.  Harmonic l of grid point f_min + i * step sits on DFT
+    bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.
+    ``directivity`` is read for two ears only.
     """
     n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
     f0_grid = np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz)
@@ -351,11 +356,14 @@ def _compile_search(
     layout = np.arange(top[0]) < top[:, None]
     at_harmonics = np.repeat(bins[candidates], top) * (np.nonzero(layout)[1] + 1) % n_fft
     two = channels == 2
+    if two:
+        ears = np.stack(directivity.gains(omegas[candidates], top[0]))
+        diagonal = np.array_equal(ears[1] * ears[0][:, :1], ears[0] * ears[1][:, :1])
     fitted = np.empty(len(candidates), int)
     inv_eps = np.empty(at_harmonics.size)
-    gains = np.empty((2, at_harmonics.size), complex) if two else None
     cross_diag = np.empty(at_harmonics.size) if two else None
-    block = np.empty((channels, int(np.sum(top * (top + 1) // 2))), complex)  # M, C
+    stored = 2 if two and not diagonal else 1
+    block = np.empty((stored, int(np.sum(top * (top + 1) // 2))), complex)  # M, C
     groups, first, start, packed = [], 0, 0, 0
     for order in np.unique(top)[::-1].tolist():
         count = np.count_nonzero(top == order)
@@ -364,8 +372,7 @@ def _compile_search(
         if two:
             # Linear-phase, constant-magnitude gains keep every Gram matrix
             # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
-            ears = directivity.gains(omegas[candidates[rows]], order)
-            gram = [np.conj(d[:, :1]) * d * kernel for d in ears]
+            gram = [np.conj(d[:, :1]) * d * kernel for d in ears[:, rows, :order]]
             fitted[rows], tri, eps = _predictors(gram[0] + gram[1])
         else:
             fitted[rows], tri, eps = _predictors(kernel)
@@ -373,7 +380,7 @@ def _compile_search(
         inv_eps[start:stop] = 1.0 / eps.ravel()
         lower = np.tril_indices(order)
         size = count * len(lower[0])
-        views = block[:, packed : packed + size].reshape(channels, count, -1)
+        views = block[:, packed : packed + size].reshape(stored, count, -1)
         views[0] = tri[:, lower[0], lower[1]]
         if two:
             lag = np.subtract.outer(np.arange(order), np.arange(order))
@@ -381,11 +388,11 @@ def _compile_search(
             left = np.where(lag <= 0, left, np.conj(left))  # T, from its first row
             beta_h = tri / eps[..., None]
             full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
-            gains[:, start:stop] = np.conj(ears).reshape(2, -1)
             cross_diag[start:stop] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
-            views[1] = np.tril(full, -1)[:, lower[0], lower[1]]
+            if not diagonal:
+                views[1] = np.tril(full, -1)[:, lower[0], lower[1]]
         _frozen(views)
-        groups.append(_OrderGroup(order, start, stop, views[0], views[1] if two else None))
+        groups.append(_OrderGroup(order, start, stop, views[0], views[1] if stored == 2 else None))
         first, start, packed = first + count, stop, packed + size
 
     return _CompiledSearch(
@@ -395,7 +402,7 @@ def _compile_search(
         fits=_frozen(np.arange(top[0]) < fitted[:, None]),
         layout=_frozen(layout),
         at_harmonics=_frozen(at_harmonics),
-        gains=_frozen(gains) if two else None,
+        gains=_frozen(np.conj(ears[:, layout])) if two else None,
         inv_eps=_frozen(inv_eps),
         cross_diag=_frozen(cross_diag) if two else None,
         groups=tuple(groups),
@@ -429,12 +436,13 @@ def _residuals(search: _CompiledSearch, y_halves) -> npt.NDArray[np.float64]:
     if search.gains is None:
         np.maximum(joint, 0.0, out=out[0])
         return out
-    cross_mu = np.empty_like(mu)
+    quad = power * search.cross_diag
     for g in search.groups:
-        block = mu[g.start : g.stop].reshape(-1, g.order)
-        cross_mu[g.start : g.stop] = _lower_matvec(g.cross, block).ravel()
+        if g.cross is not None:
+            block = mu[g.start : g.stop].reshape(-1, g.order)
+            cross_mu = _lower_matvec(g.cross, block).ravel()
+            quad[g.start : g.stop] += 2.0 * (np.conj(mu[g.start : g.stop]) * cross_mu).real
     lin = np.conj(mu) * fit[0] * search.inv_eps
-    quad = 2.0 * (np.conj(mu) * cross_mu).real + power * search.cross_diag
     energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
     top = np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1)
     np.maximum(energy_left + top, 0.0, out=out[0])
@@ -476,7 +484,8 @@ def estimate_pitch(
     directivity = directivity or DirectivityModel(sample_rate=sample_rate)
     y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
     search = _compile_search(
-        m, channels, sample_rate, f_min, f_max, grid_step_hz, directivity, max_order
+        m, channels, sample_rate, f_min, f_max, grid_step_hz,
+        directivity if channels == 2 else None, max_order,
     )
 
     log_sigma2 = _residuals(search, y_halves) / m

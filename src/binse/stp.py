@@ -315,7 +315,7 @@ class DualChannelNoiseTracker:
         )
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)  # a run fits the noise codebook's one order
 def _inverse_dft_rows(order: int, k: int) -> npt.NDArray[np.complex128]:
     """exp(i 2 pi q k' / K) for q = 0..order and every bin k', built once per (order, K)."""
     phases = np.exp(2j * np.pi * np.outer(np.arange(order + 1), np.arange(k)) / k)

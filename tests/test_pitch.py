@@ -357,15 +357,20 @@ class TestExactSearch:
     def test_recursion_residuals_match_qr(self, two, directional):
         # The per-ear split moves picks only at second order (a log-product
         # of two parts of a fixed sum), so it is checked residual by residual.
-        zl, zr = (z[10:-10] for z in corpus_frame(3))
-        m = len(zl)
-        d = DirectivityModel(delay_seconds=2.5 / self.FS if directional else 0.0,
-                             sample_rate=self.FS, magnitude_right=0.6 if directional else 1.0)
-        y = np.concatenate((zl, zr)) if two else zl
-        halves = [zl, zr] if two else [zl]
-        for f0, order in ((80.0, 49), (133.5, 29), (390.0, 10)):
-            search = pitch._compile_search(m, len(halves), self.FS, f0, f0, 0.5, d, None)
-            w0 = 2 * np.pi * f0 / self.FS
+        # At 16 kHz the Nyquist cap leaves each f0 the orders that span the
+        # full circle at 8 kHz, 99, 59 and 20.  The 16 kHz frame is twice as
+        # long, so harmonics of 80 Hz stay more than 2 pi / m apart.
+        for fs, frame, f0, order in ((8000, 200, 80.0, 49), (8000, 200, 133.5, 29),
+                                     (8000, 200, 390.0, 10), (16000, 400, 80.0, 99),
+                                     (16000, 400, 133.5, 59), (16000, 400, 390.0, 20)):
+            zl, zr = (z[10:-10] for z in corpus_frame(3, m=frame, fs=fs))
+            m = len(zl)
+            y = np.concatenate((zl, zr)) if two else zl
+            halves = [zl, zr] if two else [zl]
+            d = DirectivityModel(delay_seconds=2.5 / fs if directional else 0.0,
+                                 sample_rate=fs, magnitude_right=0.6 if directional else 1.0)
+            search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, d, None)
+            w0 = 2 * np.pi * f0 / fs
             v = np.exp(1j * w0 * np.outer(np.arange(m), np.arange(1, order + 1)))
             h = np.vstack([v * g for g in d.gains(w0, order)]) if two else v
             ref = _reference_candidate_costs(halves, h)
@@ -433,11 +438,14 @@ class TestExactSearch:
         d = DirectivityModel(sample_rate=self.FS)
         two_ear, one_ear = (pitch._compile_search(180, c, self.FS, 80.0, 400.0, 0.5, d, None)
                             for c in (2, 1))
-        fitted = two_ear.fits.sum(axis=1)
-        assert (two_ear.omegas * fitted).max() < np.pi
-        assert fitted.max() == 49  # 50 * 80 Hz is Nyquist
+        # Every harmonic the search gathers, fitted or not, lies below pi.
+        top = two_ear.layout.sum(axis=1)
+        assert (two_ear.omegas * top).max() < np.pi
+        assert top.max() == 49  # 50 * 80 Hz is Nyquist
+        assert not np.any(two_ear.fits & ~two_ear.layout)
         # One ear fits the same orders in the same groups.
         np.testing.assert_array_equal(one_ear.candidates, two_ear.candidates)
+        np.testing.assert_array_equal(one_ear.layout, two_ear.layout)
         np.testing.assert_array_equal(one_ear.fits, two_ear.fits)
         assert [(g.order, g.start, g.stop) for g in one_ear.groups] == [
             (g.order, g.start, g.stop) for g in two_ear.groups]
@@ -473,17 +481,25 @@ class TestExactSearch:
             assert warm[case] == reference_estimate_pitch(
                 zl, zr if two else None, self.FS, f_min=100.0, f_max=180.0,
                 directivity=directivity, max_order=max_order, voicing_threshold=0.0)
+        # One ear never reads the directivity, so it does not key that search.
+        pitch._compile_search.cache_clear()
+        assert pick(200, False, d, None) == pick(200, False, None, None)
+        assert pitch._compile_search.cache_info().misses == 1
 
-    def test_compiled_search_size(self):
+    @pytest.mark.parametrize("delay", [0.0, 2.5])
+    def test_compiled_search_size(self, delay):
         # Packed triangles keep the default grid at the default trimmed
         # frame, two ears, within 6.5 MB; the cache hands out read-only arrays.
-        search = pitch._compile_search(180, 2, self.FS, 80.0, 400.0, 0.5,
-                                       DirectivityModel(sample_rate=self.FS), None)
+        # Without an interaural delay the left-ear form is diagonal, and no
+        # part of it below the diagonal is stored.
+        d = DirectivityModel(delay_seconds=delay / self.FS, sample_rate=self.FS)
+        search = pitch._compile_search(180, 2, self.FS, 80.0, 400.0, 0.5, d, None)
         arrays = [getattr(search, f.name) for f in dataclasses.fields(search)]
         arrays += [a for g in search.groups for a in (g.predictors, g.cross)]
         total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert total <= 6.5e6
         assert all(not a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
+        assert all((g.cross is None) == (delay == 0.0) for g in search.groups)
 
     @pytest.mark.parametrize("frame_len", [20, 40, 60, 86, 92, 120])
     @pytest.mark.parametrize("two", [True, False])
