@@ -4,20 +4,20 @@ The unvoiced (UV) model stacks a speech companion chain of length d_s+1 on
 top of a noise companion chain of length Q.  The voiced-unvoiced (V-UV)
 model inserts an excitation chain between them, driven by white noise and a
 single pitch-lag tap b(p); the excitation feeds the speech chain through a
-coupling block.  The chain is as long as the longest pitch period of the
+coupling entry.  The chain is as long as the longest pitch period of the
 record being smoothed (one entry when no frame is voiced): entries past it
-only ever shift out, so leaving them out marginalizes them exactly.  Sparse
-transition matrices keep the per-sample covariance propagation cheap.
+only ever shift out, so leaving them out marginalizes them exactly.  Every
+row of the transition shifts the entry above it down one place, except the
+head row of each chain, so a model stores only its head rows, over the
+columns they reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
-import scipy.sparse as sp
 
 from .linpred import ArModel
 from .pitch import PitchInfo, UNVOICED
@@ -28,32 +28,53 @@ INNOVATION_EPS = 1e-30
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Transition/input/observation structure for one frame's parameters."""
+    """One frame's x(n+1) = F x(n) + G [d(n), v(n)], z(n) = h x(n) + noise.
 
-    transition: sp.csr_matrix
-    noise_input: npt.NDArray[np.float64]  # (dim, 2) input map for (d, v)
-    observation: npt.NDArray[np.float64]  # (dim,) selector row
+    Row i > 0 of F copies entry i - 1, except the first row of each chain:
+    ``head_weights[j]`` is row ``head_rows[j]`` of F at the columns
+    ``head_cols``, the columns the head rows' coefficients cover; F is zero
+    elsewhere.  G puts d(n) and v(n) into one entry each, ``inputs``, and h
+    sums the two entries ``observed``.
+    """
+
+    dim: int
+    head_rows: npt.NDArray[np.intp]
+    head_cols: npt.NDArray[np.intp]
+    head_weights: npt.NDArray[np.float64]  # (len(head_rows), len(head_cols))
+    inputs: tuple[int, int]  # entries driven by (d, v)
+    observed: tuple[int, int]  # entries summed into the observation
     process_variances: tuple[float, float]  # (sigma_d^2, sigma_v^2)
     smoother_delay: int
     kind: str  # "uv" | "vuv"
 
-    @property
-    def dim(self) -> int:
-        return self.transition.shape[0]
+    def transition(self, a: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+        """F a for a ``(dim,)`` or ``(dim, C)`` array.
 
-    @cached_property
-    def process_noise_support(self):
-        """(rows, cols, values) of the nonzero entries of Q = G diag(sigma^2) G^T."""
-        g = self.noise_input
-        q = (g * np.array(self.process_variances)) @ g.T
-        rows, cols = np.nonzero(q)
-        return rows, cols, q[rows, cols]
+        Each head row adds its terms one at a time in column order, so a
+        channel gets the same bits alone as beside others.
+        """
+        out = np.empty_like(a)
+        out[1:] = a[:-1]
+        terms = a[self.head_cols].T[..., None, :] * self.head_weights
+        out[self.head_rows] = np.cumsum(terms, axis=-1)[..., -1].T
+        return out
 
-    @cached_property
-    def observation_support(self):
-        """(indices, weights) of the nonzero entries of the observation row."""
-        idx = np.flatnonzero(self.observation)
-        return idx, self.observation[idx]
+    def predict_covariance(self, cov: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+        """F cov F^T + G diag(sigma_d^2, sigma_v^2) G^T.
+
+        The head rows are products over ``head_cols`` alone, so their sums
+        do not depend on the state's width.
+        """
+        rows, cols, weights = self.head_rows, self.head_cols, self.head_weights
+        f_cov = np.empty_like(cov)
+        f_cov[1:] = cov[:-1]
+        f_cov[rows] = weights @ cov[cols]  # row 0 is always a head row
+        out = np.empty_like(cov)
+        out[:, 1:] = f_cov[:, :-1]
+        out[:, rows] = f_cov[:, cols] @ weights.T
+        for i, variance in zip(self.inputs, self.process_variances):
+            out[i, i] += variance
+        return out
 
 
 @dataclass
@@ -65,12 +86,20 @@ class SmootherState:
     samples_seen: int = 0
 
 
-def _companion(top_row: npt.NDArray[np.float64], dim: int) -> npt.NDArray[np.float64]:
-    mat = np.zeros((dim, dim))
-    mat[0, : len(top_row)] = top_row
-    if dim > 1:
-        mat[1:, :-1] += np.eye(dim - 1)
-    return mat
+def _model(speech, noise, smoother_delay, kind, dim, rows, runs, inputs, observed):
+    """The model whose head ``rows`` hold ``(row, first column, weights)``
+    ``runs``; its ``head_cols`` are the columns the runs cover."""
+    if smoother_delay < speech.order:
+        raise ValueError("smoother delay must be >= speech AR order")
+    block = np.zeros((len(rows), dim))
+    covered = np.zeros(dim, dtype=bool)
+    for row, start, weights in runs:
+        block[rows.index(row), start : start + len(weights)] = weights
+        covered[start : start + len(weights)] = True
+    cols = np.flatnonzero(covered)
+    variances = (speech.excitation_variance, noise.excitation_variance)
+    return StateSpaceModel(dim, np.array(rows), cols, block[:, cols], inputs, observed,
+                           variances, smoother_delay, kind)
 
 
 def build_uv_model(
@@ -79,28 +108,10 @@ def build_uv_model(
     smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
 ) -> StateSpaceModel:
     """Assemble the UV concatenated state space (speech chain + noise chain)."""
-    p, q = speech.order, noise.order
-    if smoother_delay < p:
-        raise ValueError("smoother delay must be >= speech AR order")
     ds1 = smoother_delay + 1
-    dim = ds1 + q
-    f = np.zeros((dim, dim))
-    f[:ds1, :ds1] = _companion(speech.coefficients, ds1)
-    f[ds1:, ds1:] = _companion(noise.coefficients, q)
-    g = np.zeros((dim, 2))
-    g[0, 0] = 1.0
-    g[ds1, 1] = 1.0
-    obs = np.zeros(dim)
-    obs[0] = 1.0
-    obs[ds1] = 1.0
-    return StateSpaceModel(
-        transition=sp.csr_matrix(f),
-        noise_input=g,
-        observation=obs,
-        process_variances=(speech.excitation_variance, noise.excitation_variance),
-        smoother_delay=smoother_delay,
-        kind="uv",
-    )
+    runs = [(0, 0, speech.coefficients), (ds1, ds1, noise.coefficients)]
+    return _model(speech, noise, smoother_delay, "uv", ds1 + noise.order, [0, ds1], runs,
+                  inputs=(0, ds1), observed=(0, ds1))
 
 
 def build_vuv_model(
@@ -114,38 +125,24 @@ def build_vuv_model(
 
     The chain must reach every pitch period the state will see, so the
     state survives pitch changes; unvoiced frames simply zero the tap.
+    d(n+1) enters the excitation chain and v(n) the noise chain.
     """
-    p, q = speech.order, noise.order
-    if smoother_delay < p:
-        raise ValueError("smoother delay must be >= speech AR order")
     if pitch.is_voiced and not (1 <= pitch.period_samples <= chain_len):
         raise ValueError(
             f"pitch period {pitch.period_samples} outside [1, {chain_len}]"
         )
     ds1 = smoother_delay + 1
-    dim = ds1 + chain_len + q
-    f = np.zeros((dim, dim))
-    f[:ds1, :ds1] = _companion(speech.coefficients, ds1)
-    f[0, ds1] = 1.0  # coupling: u(n) drives s(n)
-    b_row = np.zeros(chain_len)
+    noise_start = ds1 + chain_len
+    runs = [
+        (0, 0, speech.coefficients),
+        (0, ds1, [1.0]),  # coupling: u(n) drives s(n)
+        (noise_start, noise_start, noise.coefficients),
+    ]
     if pitch.is_voiced:
-        b_row[pitch.period_samples - 1] = pitch.voicing
-    f[ds1 : ds1 + chain_len, ds1 : ds1 + chain_len] = _companion(b_row, chain_len)
-    f[ds1 + chain_len :, ds1 + chain_len :] = _companion(noise.coefficients, q)
-    g = np.zeros((dim, 2))
-    g[ds1, 0] = 1.0  # d(n+1) enters the excitation chain
-    g[ds1 + chain_len, 1] = 1.0  # v(n) enters the noise chain
-    obs = np.zeros(dim)
-    obs[0] = 1.0
-    obs[ds1 + chain_len] = 1.0
-    return StateSpaceModel(
-        transition=sp.csr_matrix(f),
-        noise_input=g,
-        observation=obs,
-        process_variances=(speech.excitation_variance, noise.excitation_variance),
-        smoother_delay=smoother_delay,
-        kind="vuv",
-    )
+        runs.append((ds1, ds1 + pitch.period_samples - 1, [pitch.voicing]))
+    return _model(speech, noise, smoother_delay, "vuv", noise_start + noise.order,
+                  [0, ds1, noise_start], runs, inputs=(ds1, noise_start),
+                  observed=(0, noise_start))
 
 
 def initial_state(
@@ -161,7 +158,7 @@ def initial_state(
     cov = np.eye(dim) * obs_variance
     if model.kind == "vuv":
         ds1 = model.smoother_delay + 1
-        noise_start = int(np.flatnonzero(model.observation)[-1])
+        noise_start = model.observed[1]
         cov[ds1:noise_start, ds1:noise_start] = (
             np.eye(noise_start - ds1) * model.process_variances[0]
         )
@@ -180,23 +177,20 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     variance (digital silence under zero process variances) skips the
     correction: the state becomes its prediction.
     """
-    f = model.transition
-    obs_i, obs_w = model.observation_support
     if len(state.x) != model.dim:
         raise ValueError("state dimension does not match model")
 
-    x_pred = f @ state.x
-    cov_pred = (f @ (f @ state.cov).T).T
-    q_rows, q_cols, q_vals = model.process_noise_support
-    cov_pred[q_rows, q_cols] += q_vals
+    x_pred = model.transition(state.x)
+    cov_pred = model.predict_covariance(state.cov)
 
-    cov_obs = cov_pred[:, obs_i] @ obs_w
-    innov_var = float(cov_obs[obs_i] @ obs_w)
+    i, j = model.observed
+    cov_obs = cov_pred[:, i] + cov_pred[:, j]
+    innov_var = float(cov_obs[i] + cov_obs[j])
     if innov_var <= INNOVATION_EPS:
         cov_post = cov_pred
     else:
         gain = cov_obs / innov_var
-        innovation = z_n - obs_w @ x_pred[obs_i]
+        innovation = z_n - (x_pred[i] + x_pred[j])
         x_pred += np.multiply.outer(gain, innovation)
         cov_pred -= np.outer(gain, cov_obs)
         cov_post = cov_pred + cov_pred.T

@@ -1,10 +1,17 @@
-import numpy as np
-import pytest
-from scipy.signal import lfilter
+import os
 
-from binse.codebook import Codebook
-from binse.linpred import ArModel, ar_to_lsf
-from binse.signal_core import AudioBuffer
+# One BLAS thread, set before numpy loads: threaded LAPACK calls in the
+# pitch tests spin against other work on a busy host.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.signal import lfilter  # noqa: E402
+
+from binse.codebook import Codebook  # noqa: E402
+from binse.linpred import ArModel, ar_to_lsf  # noqa: E402
+from binse.signal_core import AudioBuffer  # noqa: E402
 
 
 def ar_signal(coeffs, variance, n, rng, burn_in=500):

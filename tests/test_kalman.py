@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from binse.kalman import (
     SmootherState,
@@ -28,16 +27,15 @@ def voiced(period, b):
 class TestBuildUvModel:
     def test_p1_q1_d1(self):
         m = build_uv_model(ArModel(np.array([0.7])), ArModel(np.array([0.3])), 1)
-        f = m.transition.toarray()
+        f = m.transition(np.eye(m.dim))
         expect = np.array([[0.7, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.3]])
         np.testing.assert_array_equal(f, expect)
-        np.testing.assert_array_equal(m.observation, [1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(m.noise_input[:, 0], [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(m.noise_input[:, 1], [0.0, 0.0, 1.0])
+        assert m.observed == (0, 2)
+        assert m.inputs == (0, 2)
 
     def test_zero_coeffs_shift_only(self):
         m = build_uv_model(ArModel(np.zeros(2)), ArModel(np.zeros(2)), 3)
-        f = m.transition.toarray()
+        f = m.transition(np.eye(m.dim))
         expect = np.zeros((6, 6))
         expect[1:4, 0:3] += np.eye(3)
         expect[5, 4] = 1.0
@@ -62,7 +60,7 @@ class TestBuildVuvModel:
             smoother_delay=1,
             chain_len=2,
         )
-        f = m.transition.toarray()
+        f = m.transition(np.eye(m.dim))
         # Layout: [s(n), s(n-1), u(n), u(n-1), w(n)] -> dim 2+2+1 = 5
         expect = np.zeros((5, 5))
         expect[0, 0] = 0.7   # speech regression
@@ -72,9 +70,12 @@ class TestBuildVuvModel:
         expect[3, 2] = 1.0   # excitation shift
         expect[4, 4] = 0.3   # noise regression
         np.testing.assert_array_equal(f, expect)
-        np.testing.assert_array_equal(m.observation, [1, 0, 0, 0, 1])
-        np.testing.assert_array_equal(m.noise_input[:, 0], [0, 0, 1, 0, 0])
-        np.testing.assert_array_equal(m.noise_input[:, 1], [0, 0, 0, 0, 1])
+        assert m.observed == (0, 4)
+        assert m.inputs == (2, 4)
+        cov = np.arange(25.0).reshape(5, 5)
+        q = np.diag([0.0, 0.0, 1.0, 0.0, 1.0])  # unit sigma_d^2 and sigma_v^2
+        np.testing.assert_allclose(m.predict_covariance(cov), expect @ cov @ expect.T + q,
+                                   rtol=1e-15)
 
     def test_period_out_of_range(self):
         with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ class TestBuildVuvModel:
             ArModel(np.zeros(1)), ArModel(np.zeros(1)), UNVOICED,
             smoother_delay=1, chain_len=4,
         )
-        f = m.transition.toarray()
+        f = m.transition(np.eye(m.dim))
         assert np.all(f[2, :] == 0.0)  # no pitch feedback row
 
     def test_default_p_max(self):
@@ -99,19 +100,24 @@ class TestBuildVuvModel:
 
 
 class TestFlksStep:
-    def scalar_model(self):
+    def scalar_model(self, a, variances):
+        # s(n+1) = a s(n) + d(n) and a memoryless noise entry w(n) = v(n),
+        # observed as z(n) = s(n) + w(n).
         return StateSpaceModel(
-            transition=sp.csr_matrix(np.array([[0.0]])),
-            noise_input=np.array([[1.0, 0.0]]),
-            observation=np.array([1.0]),
-            process_variances=(1.0, 0.0),
+            dim=2,
+            head_rows=np.array([0, 1]),
+            head_cols=np.array([0]),
+            head_weights=np.array([[a], [0.0]]),
+            inputs=(0, 1),
+            observed=(0, 1),
+            process_variances=variances,
             smoother_delay=0,
             kind="uv",
         )
 
     def test_scalar_posterior_equals_observation(self):
-        model = self.scalar_model()
-        state = SmootherState(x=np.zeros(1), cov=np.eye(1))
+        model = self.scalar_model(0.0, (1.0, 0.0))
+        state = SmootherState(x=np.zeros(2), cov=np.eye(2))
         state, out = flks_step(state, model, 3.25)
         assert out == pytest.approx(3.25, abs=1e-12)
         assert state.x[0] == pytest.approx(3.25, abs=1e-12)
@@ -120,18 +126,11 @@ class TestFlksStep:
         # Zero covariance and process variances: the innovation variance is
         # 0, so the correction is skipped and the state is its prediction,
         # whatever the observation.
-        model = StateSpaceModel(
-            transition=sp.csr_matrix(np.array([[0.5]])),
-            noise_input=np.array([[1.0, 0.0]]),
-            observation=np.array([1.0]),
-            process_variances=(0.0, 0.0),
-            smoother_delay=0,
-            kind="uv",
-        )
-        state = SmootherState(x=np.array([2.0]), cov=np.zeros((1, 1)))
+        model = self.scalar_model(0.5, (0.0, 0.0))
+        state = SmootherState(x=np.array([2.0, 0.0]), cov=np.zeros((2, 2)))
         state, emitted = flks_step(state, model, 3.0)
-        np.testing.assert_array_equal(state.x, [1.0])
-        np.testing.assert_array_equal(state.cov, [[0.0]])
+        np.testing.assert_array_equal(state.x, [1.0, 0.0])
+        np.testing.assert_array_equal(state.cov, np.zeros((2, 2)))
         assert emitted == 1.0
 
     def test_joint_state_matches_per_channel(self, rng):
