@@ -55,8 +55,12 @@ def write_wav(path, buffer: AudioBuffer) -> None:
 
 def load_config_file(path) -> dict:
     """Parse a UTF-8 ``key = value`` file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -67,6 +71,8 @@ def load_config_file(path) -> dict:
     return values
 
 
+_SWITCH = {"on": True, "true": True, "yes": True, "1": True,
+           "off": False, "false": False, "no": False, "0": False}
 _CONFIG_FIELDS = {
     "sample_rate": int,
     "frame_len": int,
@@ -77,7 +83,7 @@ _CONFIG_FIELDS = {
     "mode": str,
     "model": str,
     "voicing_threshold": float,
-    "adaptive_noise_codebook": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "adaptive_noise_codebook": lambda s: _SWITCH[s.lower()],
     "max_harmonic_order": int,
 }
 
@@ -86,11 +92,13 @@ def build_config(args) -> RunConfig:
     """Flags override config-file values, which override built-in defaults."""
     kwargs = {}
     if getattr(args, "config", None):
-        raw = load_config_file(args.config)
-        for key, value in raw.items():
+        for key, value in load_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise CliError(f"unknown config key {key!r}")
-            kwargs[key] = _CONFIG_FIELDS[key](value)
+            try:
+                kwargs[key] = _CONFIG_FIELDS[key](value)
+            except (KeyError, ValueError):
+                raise CliError(f"{args.config}: bad value {value!r} for {key}") from None
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -210,10 +218,8 @@ def cmd_eval(args) -> int:
         raise CliError("clean and enhanced lengths differ")
     if clean.sample_rate != enhanced.sample_rate:
         raise CliError(f"sample rates differ: {clean.sample_rate} != {enhanced.sample_rate}")
-    cl = AudioBuffer(clean.samples[0], clean.sample_rate)
-    cr = AudioBuffer(clean.samples[1], clean.sample_rate)
-    el = AudioBuffer(enhanced.samples[0], enhanced.sample_rate)
-    er = AudioBuffer(enhanced.samples[1], enhanced.sample_rate)
+    cl, cr = (AudioBuffer(x, clean.sample_rate) for x in clean.samples)
+    el, er = (AudioBuffer(x, enhanced.sample_rate) for x in enhanced.samples)
     try:
         segsnr_l = metrics.segmental_snr(cl, el)
         segsnr_r = metrics.segmental_snr(cr, er)
@@ -346,10 +352,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -11,8 +11,11 @@ Codebook entries never change between frames, so their LSF rows and their
 envelopes on the periodogram grid are compiled once per run into a
 ``CompiledCodebook``; only the optional adaptive noise entry is converted
 per frame.  The multiplicative updates of all S x W pairs of a frame run
-as one batched array solve, each pair stopping on the iteration where it
-would stop if solved alone.
+as one batched array solve on the K/2 + 1 distinct bins of the real
+spectra, weighted (1, 2, ..., 2, 1)/K, each pair stopping on the iteration
+where it would stop if solved alone.  An iteration forms each pair's
+modeled spectrum and its reciprocal once, for the cost and the next
+update, and the final costs give the pair weights.
 """
 
 from __future__ import annotations
@@ -91,10 +94,12 @@ def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return np.maximum(observed, OBSERVED_FLOOR_REL * peak)
 
 
-def _mean_is(floored, modeled):
-    """Mean IS divergence of a floored observed spectrum from each row of ``modeled``."""
-    ratio = floored / modeled
-    return np.mean(ratio - np.log(ratio) - 1.0, axis=-1)
+def _weighted_is(floors, inv, weights):
+    """Weighted two-channel IS cost per row, from the (2, 1, H) floored spectra and 1/modeled."""
+    ratio = floors * inv
+    ratio -= np.log(ratio)
+    ratio -= 1.0
+    return ratio[0] @ weights + ratio[1] @ weights
 
 
 def is_divergence(observed, modeled):
@@ -108,7 +113,8 @@ def is_divergence(observed, modeled):
         raise ValueError("spectra must have equal length")
     if np.any(q <= 0):
         raise ValueError("modeled spectrum must be strictly positive")
-    out = _mean_is(_floored(p), q)
+    ratio = _floored(p) / q
+    out = np.mean(ratio - np.log(ratio) - 1.0, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -119,66 +125,63 @@ def ml_excitation_variances(
     noise_env: npt.NDArray[np.float64],
     init: tuple[float, float] | None = None,
     iters: int = MU_DEFAULT_ITERS,
+    bin_weights: npt.NDArray[np.float64] | None = None,
 ):
     """Multiplicative-update ML estimation of (speech, noise) excitation variances.
 
     Minimizes the summed two-channel Itakura-Saito cost between the
-    observed periodograms and ``sigma_d^2 * speech_env + sigma_v^2 * noise_env``.
-    Returns (sigma_d2, sigma_v2, final_cost) as floats for 1-D envelopes.
-    (N, K) envelopes fit N pairs at once and give three (N,) arrays.  Each
-    pair stops on the iteration where it would stop alone: when its cost
-    changes by less than MU_REL_TOL relative, when both its variances reach
-    zero, or after ``iters`` updates.
+    observed periodograms and ``sigma_d^2 * speech_env + sigma_v^2 * noise_env``,
+    a ``bin_weights``-weighted sum over bins (default: the plain mean).
+    Returns (sigma_d2, sigma_v2, final_cost) as floats for 1-D envelopes;
+    envelopes whose leading axes broadcast to a shape L fit one pair per
+    index of L and give three arrays of that shape.  Each pair stops on the
+    iteration where it would stop alone: when its cost changes by less than
+    MU_REL_TOL relative, when both its variances reach zero (keeping the
+    cost from before that update), or after ``iters`` updates.
     """
-    pl = np.asarray(pzl, float)
-    pr = np.asarray(pzr, float)
-    ps = np.asarray(speech_env, float)
-    pw = np.asarray(noise_env, float)
+    pl, pr, ps, pw = (np.asarray(x, float) for x in (pzl, pzr, speech_env, noise_env))
     if np.any(ps <= 0) or np.any(pw <= 0):
         raise ValueError("envelopes must be strictly positive")
-    single = ps.ndim == pw.ndim == 1
-    ps, pw = np.broadcast_arrays(np.atleast_2d(ps), np.atleast_2d(pw))
+    *lead, k = np.broadcast_shapes(ps.shape, pw.shape)
+    weights = np.full(k, 1.0 / k) if bin_weights is None else np.asarray(bin_weights, float)
     total = pl + pr
     if init is None:
-        mean_power = float(total.mean()) / 2.0
-        sd0 = sv0 = max(mean_power / 2.0, 1e-12)
+        sd0 = sv0 = max(float(total @ weights) / 4.0, 1e-12)
     else:
         sd0, sv0 = init
         if sd0 <= 0 or sv0 <= 0:
             raise ValueError("initial variances must be positive")
-    floor_l, floor_r = _floored(pl), _floored(pr)
+    floors = np.stack((_floored(pl), _floored(pr)))[:, None, :]
 
-    def cost(sd_, sv_, rows):
-        modeled = sd_[:, None] * ps[rows] + sv_[:, None] * pw[rows]
-        return _mean_is(floor_l, modeled) + _mean_is(floor_r, modeled)
-
-    sd = np.full(len(ps), float(sd0))
-    sv = np.full(len(ps), float(sv0))
-    prev = cost(sd, sv, slice(None))
-    active = np.arange(len(ps))
+    # Row n holds pair n's (speech, noise) envelopes and variances.
+    env = np.stack(np.broadcast_arrays(ps, pw), axis=-2).reshape(-1, 2, k)
+    var = np.tile([float(sd0), float(sv0)], (len(env), 1))
+    inv = 1.0 / np.einsum("nc,nck->nk", var, env)
+    cost = _weighted_is(floors, inv, weights)
+    out_var, out_cost = var.copy(), cost.copy()
+    rows = np.arange(len(env))
     for _ in range(iters):
-        if not len(active):
+        if not len(rows):
             break
-        a_ps, a_pw = ps[active], pw[active]
-        inv = 1.0 / (sd[active, None] * a_ps + sv[active, None] * a_pw)
-        weighted = inv * inv * total
-        sd[active] = sd[active] * np.einsum("ij,ij->i", a_ps, weighted) / (
-            2.0 * np.einsum("ij,ij->i", a_ps, inv)
-        )
-        sv[active] = sv[active] * np.einsum("ij,ij->i", a_pw, weighted) / (
-            2.0 * np.einsum("ij,ij->i", a_pw, inv)
-        )
-        # A pair whose variances both reach zero (a silent frame) stops as is.
-        active = active[~((sd[active] <= 0) & (sv[active] <= 0))]
-        sd[active] = np.maximum(sd[active], 0.0)
-        sv[active] = np.maximum(sv[active], 0.0)
-        cur = cost(np.maximum(sd[active], 1e-300), np.maximum(sv[active], 1e-300), active)
-        base = prev[active]
-        prev[active] = cur
-        active = active[~(np.abs(base - cur) < MU_REL_TOL * np.maximum(np.abs(base), 1e-30))]
-    if single:
-        return float(sd[0]), float(sv[0]), float(prev[0])
-    return sd, sv, prev
+        w_inv = inv * weights
+        grad = w_inv * inv
+        grad *= total
+        var = np.maximum(var * np.einsum("nck,nk->nc", env, grad)
+                         / (2.0 * np.einsum("nck,nk->nc", env, w_inv)), 0.0)
+        inv = 1.0 / np.einsum("nc,nck->nk", np.maximum(var, 1e-300), env)
+        # A pair whose variances both reach zero (a silent frame) stops with
+        # the cost from before this update.
+        zero = (var <= 0).all(axis=1)
+        cur = np.where(zero, cost, _weighted_is(floors, inv, weights))
+        moving = ~(zero | (np.abs(cost - cur) < MU_REL_TOL * np.maximum(np.abs(cost), 1e-30)))
+        cost = cur
+        if not moving.all():
+            out_var[rows], out_cost[rows] = var, cost
+            rows, env, var, cost, inv = (a[moving] for a in (rows, env, var, cost, inv))
+    out_var[rows], out_cost[rows] = var, cost
+    if not lead:
+        return float(out_var[0, 0]), float(out_var[0, 1]), float(out_cost[0])
+    return out_var[:, 0].reshape(lead), out_var[:, 1].reshape(lead), out_cost.reshape(lead)
 
 
 def pair_log_likelihood(pzl, pzr, modeled, frame_len: int):
@@ -229,33 +232,31 @@ def estimate_stp(
         raise ValueError(f"codebooks compiled for another DFT length than {k}")
     ns, nw = len(speech), len(noise)
 
-    # Pair (i, j) is row i * nw + j.
-    ps = np.repeat(speech.envelopes, nw, axis=0)
-    pw = np.tile(noise.envelopes, (ns, 1))
-    sig_d, sig_v, _ = ml_excitation_variances(pzl, pzr, ps, pw)
-    modeled = np.maximum(sig_d, 1e-300)[:, None] * ps + np.maximum(sig_v, 1e-300)[:, None] * pw
-    log_weights = pair_log_likelihood(pzl, pzr, modeled, frame_len)
-    log_weights = log_weights.reshape(ns, nw)
-    sig_d = sig_d.reshape(ns, nw)
-    sig_v = sig_v.reshape(ns, nw)
+    # Real spectra repeat their bins, so the solve runs on the K//2 + 1
+    # distinct ones, weighted (1, 2, ..., 2, 1)/K (no Nyquist bin for odd K).
+    # Pair (i, j) is entry [i, j] of the (ns, nw) results.
+    half = k // 2 + 1
+    bins = np.full(half, 2.0 / k)
+    bins[0], bins[-1] = 1.0 / k, (1.0 + k % 2) / k
+    pl, pr = np.asarray(pzl, float)[:half], np.asarray(pzr, float)[:half]
+    ps, pw = speech.envelopes[:, None, :half], noise.envelopes[None, :, :half]
+    sig_d, sig_v, cost = ml_excitation_variances(pl, pr, ps, pw, bin_weights=bins)
+    silent = (sig_d <= 0) & (sig_v <= 0)
+    if silent.any():  # the solve keeps their cost from before the last update
+        floors = np.stack((_floored(pl), _floored(pr)))[:, None, :]
+        cost[silent] = _weighted_is(floors, 1.0 / (1e-300 * ps + 1e-300 * pw)[silent], bins)
+    log_weights = -0.5 * frame_len * cost
 
-    best_flat = int(np.argmax(log_weights))
-    bi, bj = divmod(best_flat, nw)
+    # With a finite peak every weight lies in [0, 1] and the peak's is 1.
+    bi, bj = divmod(int(np.argmax(log_weights)), nw)
     peak = log_weights[bi, bj]
-    fallback = False
-    if not np.isfinite(peak):
+    fallback = not np.isfinite(peak)
+    if fallback:
         weights = np.zeros((ns, nw))
         weights[bi, bj] = 1.0
-        fallback = True
     else:
         weights = np.exp(log_weights - peak)
-        total = weights.sum()
-        if total <= 0 or not np.isfinite(total):
-            weights = np.zeros((ns, nw))
-            weights[bi, bj] = 1.0
-            fallback = True
-        else:
-            weights /= total
+        weights /= weights.sum()
 
     if diagnostics is not None:
         diagnostics.best_speech_index = bi
@@ -264,17 +265,13 @@ def estimate_stp(
         diagnostics.underflow_fallback = fallback
         diagnostics.weights = weights.copy()
 
-    w_speech = weights.sum(axis=1)
-    w_noise = weights.sum(axis=0)
-    avg_speech_lsf = np.einsum("i,ij->j", w_speech, speech.lsfs)
-    avg_noise_lsf = np.einsum("i,ij->j", w_noise, noise.lsfs)
-    speech_model = lsf_to_ar(LsfVector(np.sort(avg_speech_lsf)))
-    noise_model = lsf_to_ar(LsfVector(np.sort(avg_noise_lsf)))
-    avg_sd = float((weights * sig_d).sum())
-    avg_sv = float((weights * sig_v).sum())
+    speech_lsf = np.einsum("i,ij->j", weights.sum(axis=1), speech.lsfs)
+    noise_lsf = np.einsum("i,ij->j", weights.sum(axis=0), noise.lsfs)
     return StpEstimate(
-        speech=ArModel(speech_model.coefficients, avg_sd),
-        noise=ArModel(noise_model.coefficients, avg_sv),
+        speech=ArModel(lsf_to_ar(LsfVector(np.sort(speech_lsf))).coefficients,
+                       float((weights * sig_d).sum())),
+        noise=ArModel(lsf_to_ar(LsfVector(np.sort(noise_lsf))).coefficients,
+                      float((weights * sig_v).sum())),
     )
 
 

@@ -1,8 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from binse import codebook
-from binse.cli import main, read_wav, write_wav
+from binse.cli import build_config, main, read_wav, write_wav
 from binse.linpred import ArModel
 from binse.metrics import segmental_snr
 from binse.signal_core import AudioBuffer
@@ -356,6 +358,46 @@ class TestConfigFile:
             "--speech-cb", sp, "--noise-cb", np_, "--config", str(cfg),
         ])
         assert code == 2
+
+
+    @pytest.mark.parametrize("text,named", [
+        ("frame_len = abc\n", "frame_len"),
+        ("max_harmonic_order = 2.5\n", "max_harmonic_order"),
+        ("f_min = low\n", "f_min"),
+        ("adaptive_noise_codebook = flase\n", "adaptive_noise_codebook"),
+        ("adaptive_noise_codebook = 2\n", "adaptive_noise_codebook"),
+    ])
+    def test_unparsable_value_rejected(self, tmp_path, stereo_wav, cb_paths, capsys, text,
+                                       named):
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main([
+            "enhance", stereo_wav, "-o", str(tmp_path / "o.wav"),
+            "--speech-cb", sp, "--noise-cb", np_, "--config", str(cfg),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_non_utf8_file_rejected(self, tmp_path, stereo_wav, cb_paths, capsys):
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"model = uv\n# caf\xe9\n")
+        code = main([
+            "enhance", stereo_wav, "-o", str(tmp_path / "o.wav"),
+            "--speech-cb", sp, "--noise-cb", np_, "--config", str(cfg),
+        ])
+        assert code == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,value", [
+        ("on", True), ("TRUE", True), ("yes", True), ("1", True),
+        ("off", False), ("false", False), ("No", False), ("0", False),
+    ])
+    def test_switch_values(self, tmp_path, text, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"adaptive_noise_codebook = {text}\n")
+        assert build_config(argparse.Namespace(config=str(cfg))).adaptive_noise_codebook is value
 
 
 class TestPitchCommand:

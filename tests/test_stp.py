@@ -9,6 +9,7 @@ from binse.linpred import (
     levinson_durbin,
 )
 from binse.signal_core import cross_spectrum, periodogram
+from binse import stp
 from binse.codebook import Codebook
 from binse.stp import (
     CompiledCodebook,
@@ -421,3 +422,63 @@ class TestCompiledCodebook:
             best = np.unravel_index(np.argmax(log_w), log_w.shape)
             assert (diag.best_speech_index, diag.best_noise_index) == best
             np.testing.assert_allclose(diag.weights, ref, rtol=0.0, atol=1e-9)
+
+
+class TestHalfSpectrumSolve:
+    """estimate_stp solves on the K//2 + 1 distinct bins with weights (1, 2, ..., 2, 1)/K."""
+
+    def solve_inside_estimate(self, rng, monkeypatch, k, silent):
+        """Run estimate_stp on a 6x3 grid; return its solve's arguments and results."""
+        speech = CompiledCodebook(np.tile(np.linspace(0.4, 2.6, 4), (6, 1)),
+                                  _random_envelopes(rng, 6, k, 4))
+        noise = CompiledCodebook(np.tile(np.linspace(0.8, 2.2, 2), (3, 1)),
+                                 _random_envelopes(rng, 3, k, 2))
+        if silent:
+            pl = pr = np.zeros(k)
+        else:
+            s = ar_signal(SPEECH_AR.coefficients, 1e-3, k, rng)
+            pl, pr = (periodogram(s + 0.05 * rng.normal(size=k)) for _ in range(2))
+        calls = []
+
+        def spy(*args, **kwargs):
+            out = ml_excitation_variances(*args, **kwargs)
+            calls.append((args, kwargs, tuple(a.copy() for a in out)))  # as returned
+            return out
+
+        monkeypatch.setattr(stp, "ml_excitation_variances", spy)
+        diag = StpDiagnostics()
+        estimate_stp(pl, pr, speech, noise, k, diagnostics=diag)
+        (args, kwargs, solved), = calls
+        assert len(args[0]) == len(kwargs["bin_weights"]) == k // 2 + 1
+        return speech, noise, pl, pr, args, kwargs, solved, diag
+
+    @pytest.mark.parametrize("silent", [False, True], ids=["noisy", "silent"])
+    @pytest.mark.parametrize("k", [200, 201])
+    def test_matches_full_spectrum_reference(self, rng, monkeypatch, k, silent):
+        speech, noise, pl, pr, args, kwargs, solved, _ = self.solve_inside_estimate(
+            rng, monkeypatch, k, silent)
+        for iters in (50, 7):  # 50 is what estimate_stp runs; 7 caps pairs mid-solve
+            got = solved if iters == 50 else ml_excitation_variances(*args, **kwargs, iters=iters)
+            assert all(g.shape == (len(speech), len(noise)) for g in got)
+            for i, j in np.ndindex(len(speech), len(noise)):
+                ref = _reference_mu(pl, pr, speech.envelopes[i], noise.envelopes[j], iters)
+                np.testing.assert_allclose([g[i, j] for g in got], ref[:3], rtol=1e-12, atol=0.0)
+            if silent:
+                assert not got[0].any() and not got[1].any()
+
+    @pytest.mark.parametrize("silent", [False, True], ids=["noisy", "silent"])
+    def test_log_weights_from_returned_cost(self, rng, monkeypatch, silent):
+        k = 200
+        speech, noise, pl, pr, _, _, (sd, sv, _), diag = self.solve_inside_estimate(
+            rng, monkeypatch, k, silent)
+        assert silent == (not sd.any() and not sv.any())
+        modeled = (np.maximum(sd, 1e-300)[..., None] * speech.envelopes[:, None]
+                   + np.maximum(sv, 1e-300)[..., None] * noise.envelopes[None])
+        log_w = pair_log_likelihood(pl, pr, modeled, k)
+        assert abs(diag.best_log_weight - log_w.max()) <= 1e-9
+        # Weights are exp(log weight - peak) normalized, so their logs give
+        # every log weight that did not underflow.
+        kept = diag.weights > 0
+        ours = np.log(diag.weights) - np.log(diag.weights.max()) + diag.best_log_weight
+        np.testing.assert_allclose(ours[kept], log_w[kept], rtol=0.0, atol=1e-9)
+        assert np.all(log_w[~kept] - log_w.max() < -700)
