@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.frame_len % 2 != 0:
             raise ValueError("frame_len must be even (analytic-signal step)")
+        if not 0 <= self.smoother_delay <= self.frame_len:
+            raise ValueError(f"smoother_delay {self.smoother_delay} outside [0, frame_len]")
         check_pitch_grid(self.sample_rate, self.f_min, self.f_max, self.pitch_grid_hz)
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError(

@@ -171,6 +171,24 @@ class TestEnhanceCommand:
         assert "smoother_delay" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_smoother_delay_above_frame_len_usage_error(
+        self, tmp_path, stereo_wav, cb_paths, capsys, source
+    ):
+        # The state holds smoother_delay + 1 speech entries, so a delay of
+        # 100000 would ask for a 100016 x 100016 covariance.
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("smoother_delay = 100000\n")
+        delay = ["--smoother-delay", "100000"] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp,
+                     "--noise-cb", np_, *delay])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "smoother_delay 100000" in err
+        assert not out.exists()
+
     def test_rate_mismatch_usage_error(self, tmp_path, stereo_wav, cb_paths):
         sp, np_ = cb_paths
         code = main([
@@ -242,6 +260,19 @@ class TestEnhanceCommand:
                      "--frame-len", frame_len])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_frame_len_at_codebook_order_with_delay_inside_frame_usage_error(
+        self, tmp_path, stereo_wav, cb_paths, capsys
+    ):
+        # With the delay inside the frame, the codebook-order check is what
+        # rejects 4-sample frames for the order-4 speech codebook.
+        sp, np_ = cb_paths
+        out = tmp_path / "out.wav"
+        code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp, "--noise-cb", np_,
+                     "--frame-len", "4", "--smoother-delay", "4"])
+        assert code == 2
+        assert "codebook order 4 needs frame_len above it" in capsys.readouterr().err
         assert not out.exists()
 
     def test_clean_input_nearly_unchanged(self, tmp_path, cb_paths, rng):

@@ -73,6 +73,7 @@ class TestBuildVuvModel:
         assert m.observed == (0, 4)
         assert m.inputs == (2, 4)
         cov = np.arange(25.0).reshape(5, 5)
+        cov = cov + cov.T
         q = np.diag([0.0, 0.0, 1.0, 0.0, 1.0])  # unit sigma_d^2 and sigma_v^2
         np.testing.assert_allclose(m.predict_covariance(cov), expect @ cov @ expect.T + q,
                                    rtol=1e-15)
@@ -160,6 +161,29 @@ class TestFlksStep:
                 assert emitted.shape == (2,)
                 np.testing.assert_array_equal(emitted, outs)
 
+    def test_joint_state_matches_per_channel_after_freeze(self, rng):
+        # Past the freeze the step keeps the gain and covariance; the joint
+        # and per-channel recursions must still agree bit for bit.
+        model = build_vuv_model(
+            ArModel(np.array([1.0, -0.5]), 1e-3), ArModel(np.array([0.3]), 1e-3),
+            voiced(period=3, b=0.5), smoother_delay=4, chain_len=5,
+        )
+        z = rng.normal(size=(300, 2))
+        joint = initial_state(model, 1.0, (2,))
+        single = [initial_state(model, 1.0) for _ in range(2)]
+        frozen_at = None
+        for n, z_n in enumerate(z):
+            joint, emitted = flks_step(joint, model, z_n)
+            outs = [flks_step(single[c], model, float(z_n[c]))[1] for c in range(2)]
+            if frozen_at is None and joint.frozen is model:
+                frozen_at = n
+            for c in range(2):
+                assert (single[c].frozen is model) == (joint.frozen is model)
+                np.testing.assert_array_equal(joint.x[:, c], single[c].x)
+            if emitted is not None:
+                np.testing.assert_array_equal(emitted, outs)
+        assert frozen_at is not None and frozen_at < 200
+
     def test_zero_observations_decay(self):
         model = build_uv_model(SPEECH2, ArModel(np.array([0.2]), 0.5), 4)
         state = initial_state(model, 10.0)
@@ -185,6 +209,57 @@ class TestFlksStep:
                 assert np.max(np.abs(state.cov - state.cov.T)) < 1e-9
                 assert np.min(np.diag(state.cov)) >= -1e-12
         assert np.max(np.abs(state.cov - state.cov.T)) < 1e-9
+
+
+def dense_flks(model, z, obs_variance):
+    """Textbook Kalman steps on the dense model, one a posteriori state per
+    observation: P- = F P F^T + Q, K = P- h^T / s and P = (I - K h) P-,
+    symmetrized."""
+    dim = model.dim
+    f = model.transition(np.eye(dim))
+    q = np.zeros((dim, dim))
+    q[model.inputs, model.inputs] = model.process_variances
+    h = np.zeros(dim)
+    h[list(model.observed)] = 1.0
+    start = initial_state(model, obs_variance, z.shape[1:])
+    x, cov = start.x, start.cov
+    states = []
+    for z_n in z:
+        x = f @ x
+        cov = f @ cov @ f.T + q
+        gain = cov @ h / (h @ cov @ h)
+        x = x + np.multiply.outer(gain, z_n - h @ x)
+        cov = (np.eye(dim) - np.outer(gain, h)) @ cov
+        cov = (cov + cov.T) / 2
+        states.append(x)
+    return np.array(states)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("pitch", [UNVOICED, voiced(period=7, b=0.5)],
+                             ids=["unvoiced", "voiced"])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
+    def test_matches_textbook_step(self, rng, pitch, shape):
+        # The shifted symmetric step and the gain freeze against the dense
+        # recursion: every a posteriori state within 1e-10 of the largest
+        # entry, the covariance exactly symmetric after every step.
+        speech = ArModel(np.array([1.2, -0.6, 0.2, -0.1]), 1e-3)
+        model = build_vuv_model(speech, ArModel(np.array([0.4]), 5e-4), pitch,
+                                smoother_delay=10, chain_len=8)
+        z = ar_signal(speech.coefficients, 1e-3, 400 * (shape[0] if shape else 1), rng)
+        z = z.reshape(400, *shape) + 0.03 * rng.normal(size=(400, *shape))
+        oracle = dense_flks(model, z, 1.0)
+        state = initial_state(model, 1.0, shape)
+        frozen_at = None
+        for n, z_n in enumerate(z):
+            state, _ = flks_step(state, model, z_n if shape else float(z_n))
+            assert np.array_equal(state.cov, state.cov.T)
+            np.testing.assert_allclose(state.x, oracle[n], rtol=0,
+                                       atol=1e-10 * np.max(np.abs(oracle)))
+            if frozen_at is None and state.frozen is model:
+                frozen_at = n
+        if pitch is UNVOICED:
+            assert frozen_at is not None and frozen_at < 200
 
 
 class TestVuvUvAgreement:

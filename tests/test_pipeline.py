@@ -71,6 +71,13 @@ class TestRunConfig:
         RunConfig(voicing_threshold=0.0)
         RunConfig(voicing_threshold=1.0)
 
+    @pytest.mark.parametrize("delay", [-1, 201, 100_000])
+    def test_smoother_delay_outside_frame_rejected(self, delay):
+        with pytest.raises(ValueError, match="smoother_delay"):
+            RunConfig(smoother_delay=delay)
+        RunConfig(smoother_delay=0)
+        RunConfig(smoother_delay=200)
+
 
 class TestProcess:
     def test_swap_symmetry(self, rng, codebooks):
