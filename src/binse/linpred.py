@@ -7,7 +7,6 @@ AR coefficients are stored in prediction form throughout the package:
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,11 +41,10 @@ class ArModel:
         """Analysis filter [1, -a_1, ..., -a_P]."""
         return np.concatenate(([1.0], -self.coefficients))
 
-    def is_stable(self, margin: float = 0.0) -> bool:
+    def is_stable(self) -> bool:
         if self.order == 0:
             return True
-        roots = np.roots(self.inverse_filter())
-        return bool(np.all(np.abs(roots) < 1.0 - margin))
+        return bool(np.all(np.abs(np.roots(self.inverse_filter())) < 1.0))
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,6 @@ def levinson_durbin(autocorr: npt.NDArray[np.float64]) -> ArModel:
     return ArModel(a, float(err))
 
 
-LSF_BLOCK = 32  # models per root search; bounds its grid tables at 32 x (LSF_GRID + 1)
-LSF_GRID = 4096  # grid cells over [0, pi] that bracket the line spectral frequencies
-LSF_TOL = 1e-12  # bracket width at which the bisection stops
-_GRID = np.linspace(0.0, np.pi, LSF_GRID + 1)
 _INVALID_LSF = "LSFs must be strictly increasing within (0, pi)"
 
 
@@ -110,14 +104,6 @@ def _valid_lsf_rows(freqs) -> npt.NDArray[np.bool_]:
     """Whether each row (last axis) is strictly increasing within (0, pi)."""
     inside = np.all((freqs > 0.0) & (freqs < np.pi), axis=-1)
     return inside & np.all(np.diff(freqs, axis=-1) > 0.0, axis=-1)
-
-
-@functools.cache
-def _grid_cosines(width: int) -> npt.NDArray[np.float64]:
-    """cos(j w) for j < width at every grid point, (width, LSF_GRID + 1), built once per width."""
-    table = np.cos(np.arange(width)[:, None] * _GRID)
-    table.flags.writeable = False
-    return table
 
 
 def _deflate(poly, root: float) -> npt.NDArray[np.float64]:
@@ -132,103 +118,59 @@ def _deflate(poly, root: float) -> npt.NDArray[np.float64]:
     return signs * np.cumsum(signs * poly[..., :-1], axis=-1)
 
 
-def _cosine_series(coeffs) -> npt.NDArray[np.float64]:
-    """Cosine series of the sum and difference polynomials of each row's A(z), (n, 2, width).
+def _cosine_series(coeffs) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """Cosine series of the sum and difference polynomials of each row's A(z).
 
     With A(z) extended to degree P+1, P(z) = A(z) + z^-(P+1) A(1/z) and
     Q(z) = A(z) - z^-(P+1) A(1/z); their fixed roots at z = +/-1 are
     deflated so both are palindromic of even degree.  For symmetric c of
     length 2m+1, C(e^{-jw}) e^{jwm} = d_0 + sum_{j=1..m} d_j cos(j w) with
-    d_0 = c_m and d_j = 2 c_{m-j}; the shorter series is zero-padded.
+    d_0 = c_m and d_j = 2 c_{m-j}.  The sum series has m = (P+1)//2 terms
+    past d_0 and the difference series P//2, one per root in (0, pi).
     """
-    n, p = coeffs.shape
+    n = len(coeffs)
     a_ext = np.concatenate((np.ones((n, 1)), -coeffs, np.zeros((n, 1))), axis=1)
     p_poly = a_ext + a_ext[:, ::-1]
     q_poly = _deflate(a_ext - a_ext[:, ::-1], 1.0)
-    if p % 2 == 0:
+    if coeffs.shape[1] % 2 == 0:
         p_poly = _deflate(p_poly, -1.0)
     else:
         q_poly = _deflate(q_poly, -1.0)
-    series = np.zeros((n, 2, p_poly.shape[1] // 2 + 1))
-    for kind, c in enumerate((p_poly, q_poly)):
+    series = []
+    for c in (p_poly, q_poly):
         m = (c.shape[1] - 1) // 2
-        series[:, kind, 0] = c[:, m]
-        series[:, kind, 1 : m + 1] = 2.0 * c[:, :m][:, ::-1]
-    return series
+        series.append(np.concatenate((c[:, m : m + 1], 2.0 * c[:, :m][:, ::-1]), axis=1))
+    return series[0], series[1]
 
 
-def _eval_cosine_series(series, cos_terms) -> npt.NDArray[np.float64]:
-    """Sum series[..., 0] + series[..., j] * cos_terms[j] from the highest j down.
+def _series_roots(series) -> npt.NDArray[np.float64]:
+    """Angles w where each row's series sum_j d_j cos(j w) vanishes, (n, m), unsorted.
 
-    The fixed descending order keeps every evaluation bit-identical, however
-    many points are evaluated together; padded zero terms add exactly 0.
+    With x = cos w the series is the Chebyshev series sum_j d_j T_j(x), whose
+    roots are the eigenvalues of its colleague matrix, scaled as
+    ``np.polynomial.chebyshev.chebcompanion`` builds it (d_m = 2 is never
+    zero).  The eigenvalues of all rows come from one stacked call; each
+    angle then takes one Newton step in w.  A row whose series lacks m
+    distinct roots in (-1, 1) gives angles that ``_valid_lsf_rows`` rejects.
     """
-    out = np.zeros(np.broadcast_shapes(series.shape[:-1], cos_terms.shape[1:]))
-    out += series[..., 0]
-    for j in range(series.shape[-1] - 1, 0, -1):
-        out += series[..., j] * cos_terms[j]
-    return out
-
-
-def _unit_circle_roots(series):
-    """Angles in (0, pi) where the series of each model vanish, as (model, angle) arrays.
-
-    ``series`` is (n, kinds, width).  Sign changes between grid points
-    bracket the roots, and all brackets of all rows are bisected together to
-    width ``LSF_TOL``.  The grid is evaluated one kind at a time, so its
-    tables hold n rows, not 2n.
-    """
-    cos_grid = _grid_cosines(series.shape[-1])
-    zeros, brackets = [], []
-    for kind in range(series.shape[1]):
-        vals = _eval_cosine_series(series[:, kind, None, :], cos_grid[:, None, :])
-        model, point = np.nonzero(vals[:, 1:-1] == 0.0)  # exact zeros at interior points
-        zeros.append((model, _GRID[1:-1][point]))
-        model, cell = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-        brackets.append((model, series[model, kind], cell, vals[model, cell]))
-        del vals  # free this kind's grid table before the next one is built
-    zero_model, zero_angle = (np.concatenate(parts) for parts in zip(*zeros))
-    model, rows, cell, flo = (np.concatenate(parts) for parts in zip(*brackets))
-    lo, hi = _GRID[cell], _GRID[cell + 1]
-    harmonics = np.arange(series.shape[-1])[:, None]
-    active = hi - lo > LSF_TOL
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        fmid = _eval_cosine_series(rows, np.cos(harmonics * mid))
-        left = flo * fmid <= 0.0
-        hi = np.where(active & left, mid, hi)
-        move = active & ~left
-        lo = np.where(move, mid, lo)
-        flo = np.where(move, fmid, flo)
-        active = hi - lo > LSF_TOL
-    return np.concatenate((zero_model, model)), np.concatenate((zero_angle, 0.5 * (lo + hi)))
-
-
-def _lsf_block(models: Sequence[ArModel], order: int, skip_failed: bool):
-    """LSF rows of up to LSF_BLOCK models of one order; see ``ar_to_lsf``."""
-    n = len(models)
-    coeffs = np.array([m.coefficients for m in models])
-    stable = np.array([m.is_stable() for m in models])
-    model, angle = _unit_circle_roots(_cosine_series(coeffs[stable]))
-    model = np.flatnonzero(stable)[model]
-    counts = np.bincount(model, minlength=n)
-    found = counts == order
-    sort = np.lexsort((angle, model))
-    lsfs = np.full((n, order), np.nan)
-    lsfs[found] = angle[sort][found[model[sort]]].reshape(np.count_nonzero(found), order)
-    ok = found & _valid_lsf_rows(lsfs)
-    if skip_failed:
-        return lsfs[ok]
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if not stable[i]:
-            raise ValueError("AR model must be stable for LSF conversion")
-        if not found[i]:
-            raise NumericalDegeneracyError(
-                f"expected {order} line spectral frequencies, found {counts[i]}"
-            )
-        raise ValueError(_INVALID_LSF)
-    return lsfs
+    n, m = series.shape[0], series.shape[1] - 1
+    if m == 0:
+        return np.empty((n, 0))
+    weight = np.full(m, 0.5)  # the scaling makes every coupling 1/2, but sqrt(1/2) at T_0
+    weight[0] = np.sqrt(0.5) if m > 1 else 1.0  # m = 1: the matrix is the root, -d_0 / d_1
+    colleague = np.zeros((n, m, m))
+    inner = np.arange(m - 1)
+    colleague[:, inner, inner + 1] = colleague[:, inner + 1, inner] = weight[:-1]
+    colleague[:, :, -1] -= series[:, :-1] / series[:, -1:] * weight
+    x = np.linalg.eigvals(colleague).real
+    w = np.arccos(np.clip(x, -1.0, 1.0))
+    harmonics = np.arange(m, -1, -1)  # highest first: halves the worst error against exact roots
+    terms = series[:, None, ::-1]
+    jw = harmonics * w[..., None]
+    value = np.sum(terms * np.cos(jw), axis=-1)
+    slope = np.sum(harmonics * terms * np.sin(jw), axis=-1)  # -d value / dw
+    # slope is 0 at w = 0 (an eigenvalue clipped to 1); that angle is left for the row to fail.
+    return w + np.divide(value, slope, out=np.zeros_like(w), where=slope != 0.0)
 
 
 def ar_to_lsf(
@@ -237,14 +179,15 @@ def ar_to_lsf(
     """Convert stable AR models to line spectral frequencies.
 
     One ``ArModel`` gives an ``LsfVector``.  A sequence of models of one
-    order gives an (n, order) array, one row per model, found in blocks of
-    ``LSF_BLOCK`` models: each block has one grid evaluation and one joint
-    bisection, and a one-model call is the one-row case of the same search.
-    A model fails when it is unstable (``ValueError``), when its polynomials
-    do not have ``order`` roots in (0, pi) (``NumericalDegeneracyError``) or
-    when two of its roots coincide (``ValueError``).  The first failing model
-    raises as it would alone; with ``skip_failed`` the rows of failing models
-    are left out instead.
+    order gives an (n, order) array, one row per model, from one stacked
+    eigenvalue call per polynomial kind; a one-model call is the one-row
+    case of the same search.  The sum polynomial's roots take the even
+    places of a row and the difference polynomial's the odd ones, so a row
+    is valid only where the two interlace.  A model fails when it is
+    unstable (``ValueError``) or when its roots do not give ``order``
+    strictly increasing angles in (0, pi) (``NumericalDegeneracyError``).
+    The first failing model raises as it would alone; with ``skip_failed``
+    the rows of failing models are left out instead.
     """
     if isinstance(models, ArModel):
         return LsfVector(ar_to_lsf([models])[0])
@@ -254,10 +197,21 @@ def ar_to_lsf(
     order = models[0].order
     if any(m.order != order for m in models):
         raise ValueError("models must all have one order")
-    return np.concatenate([
-        _lsf_block(models[start : start + LSF_BLOCK], order, skip_failed)
-        for start in range(0, len(models), LSF_BLOCK)
-    ])
+    stable = np.array([m.is_stable() for m in models])
+    sums, diffs = _cosine_series(np.array([m.coefficients for m in models])[stable])
+    lsfs = np.full((len(models), order), np.nan)
+    lsfs[stable, 0::2] = np.sort(_series_roots(sums), axis=1)
+    lsfs[stable, 1::2] = np.sort(_series_roots(diffs), axis=1)
+    ok = stable & _valid_lsf_rows(lsfs)
+    if skip_failed:
+        return lsfs[ok]
+    if not ok.all():
+        if not stable[np.argmin(ok)]:
+            raise ValueError("AR model must be stable for LSF conversion")
+        raise NumericalDegeneracyError(
+            f"could not separate {order} line spectral frequencies in (0, pi)"
+        )
+    return lsfs
 
 
 def lsf_to_ar(lsf: LsfVector) -> ArModel:

@@ -81,11 +81,6 @@ class StpEstimate:
     speech: ArModel
     noise: ArModel
 
-    def __post_init__(self):
-        for model in (self.speech, self.noise):
-            if not np.isfinite(model.excitation_variance) or model.excitation_variance < 0:
-                raise ValueError("excitation variances must be finite and >= 0")
-
 
 def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     peak = observed.max() if len(observed) else 0.0

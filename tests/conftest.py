@@ -31,8 +31,8 @@ def codebook_from_models(models, kind):
 def close_pole_model(order):
     """A stable model whose two pole pairs sit 1e-7 apart just inside the unit circle.
 
-    Their line spectral frequencies share grid cells, so the search finds
-    fewer than ``order`` of them and raises ``NumericalDegeneracyError``.
+    Two of its line spectral frequencies lie about 1e-7 apart: closer than
+    one cell of a 4096-point grid over (0, pi), but ``ar_to_lsf`` separates them.
     """
     pairs = [0.9999999 * np.exp(1j * w) for w in (1.0, 1.0 + 1e-7)]
     pairs += [0.5 * np.exp(1j * (0.5 + k)) for k in range(order // 2 - 2)]

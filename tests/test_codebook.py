@@ -110,11 +110,12 @@ def test_train_matches_per_frame_oracle(rng, monkeypatch):
     order = 10
     speech = frame_rows(ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 70, rng), 200)
     # The autocorrelation method fits stable models to real frames, so the
-    # failing fits are injected: a constant frame of amplitude c has r(0) = c^2
-    # exactly, and the fit below maps r(0) = 4, 9 and 16 to a failing model.
+    # odd fits are injected: a constant frame of amplitude c has r(0) = c^2
+    # exactly, and the fit below maps r(0) = 4 and 16 to a failing model and
+    # r(0) = 9 to a stable model with two LSFs about 1e-7 apart, which converts.
     injected = {
         4.0: lambda r: ArModel(np.r_[np.zeros(order - 1), 1.5]),  # unstable
-        9.0: lambda r: close_pole_model(order),  # LSFs the grid cannot separate
+        9.0: lambda r: close_pole_model(order),
         16.0: lambda r: levinson_durbin(np.r_[1.0, 1.1, np.zeros(order - 1)]),  # |k| >= 1
     }
 
@@ -135,9 +136,10 @@ def test_train_matches_per_frame_oracle(rng, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         cb = codebook.train(frames, size=4, order=order, seed=3)
         want = [v for v in (_frame_to_lsf(f, order, fit) for f in frames) if v is not None]
-    assert len(batches) == 1 and len(want) == len(speech)
+    assert len(batches) == 1 and len(want) == len(speech) + 1
     np.testing.assert_array_equal(batches[0], want)
-    clean = codebook.train(speech, size=4, order=order, seed=3)
+    assert np.min(np.diff(batches[0][44], axis=-1)) < 2e-7  # the close-pole row
+    clean = codebook.train(np.insert(speech, 44, 3.0, axis=0), size=4, order=order, seed=3)
     np.testing.assert_array_equal(cb.entries, clean.entries)
 
 

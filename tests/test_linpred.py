@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binse.linpred import (
-    LSF_BLOCK,
     ArModel,
     LsfVector,
     NumericalDegeneracyError,
@@ -80,6 +79,15 @@ class TestLsfConversion:
             m = stable_model_from_reflections(rng.uniform(-0.9, 0.9, p))
             back = lsf_to_ar(ar_to_lsf(m))
             assert np.max(np.abs(back.coefficients - m.coefficients)) < 1e-8
+        # Order 20 with reflections up to 0.99: a 4096-point grid search misses row 397's
+        # LSFs (its largest pole is 1.5e-14 inside the unit circle); all 400 must convert.
+        models = [
+            stable_model_from_reflections(ks)
+            for ks in np.random.default_rng(0).uniform(-0.99, 0.99, (400, 20))
+        ]
+        for m, row in zip(models, ar_to_lsf(models), strict=True):
+            back = lsf_to_ar(LsfVector(row))
+            assert np.max(np.abs(back.coefficients - m.coefficients)) < 1e-8
 
     def test_near_boundary_pole(self):
         lsf = ar_to_lsf(ArModel(np.array([0.999])))
@@ -109,7 +117,7 @@ class TestLsfConversion:
     )
     def test_round_trip_hypothesis(self, ks):
         m = stable_model_from_reflections(np.asarray(ks))
-        if not m.is_stable(margin=1e-6):
+        if not np.all(np.abs(np.roots(m.inverse_filter())) < 1.0 - 1e-6):
             return
         lsf = ar_to_lsf(m)
         back = lsf_to_ar(lsf)
@@ -146,8 +154,8 @@ class TestArEnvelope:
 def _reference_ar_to_lsf(model):
     """Scalar grid-plus-bisection root search with np.polydiv deflation.
 
-    The loop implementation ``ar_to_lsf`` replaced; kept as the reference
-    its array version must reproduce.
+    An independent root search, bisected to 1e-12; kept as the reference
+    that ``ar_to_lsf`` must match within 1e-12.
     """
 
     def sym_eval(coeffs, omega):
@@ -211,10 +219,8 @@ def test_ar_to_lsf_matches_scalar_reference():
 
 
 def _failing_models(order):
-    """Unstable models (the second with a zero last coefficient) and, from order 4, a
-    stable one whose roots the grid cannot separate."""
-    unstable = [ArModel(np.r_[np.zeros(order - 1), 1.5]), ArModel(np.r_[1.5, np.zeros(order - 1)])]
-    return unstable + ([close_pole_model(order)] if order >= 4 else [])
+    """Unstable models, the second with a zero last coefficient."""
+    return [ArModel(np.r_[np.zeros(order - 1), 1.5]), ArModel(np.r_[1.5, np.zeros(order - 1)])]
 
 
 def _alone(model):
@@ -233,7 +239,7 @@ def _corpus_batches(size):
     return {order: (group * 2)[:size] for order, group in by_order.items()}
 
 
-@pytest.mark.parametrize("size", [0, 1, LSF_BLOCK - 1, LSF_BLOCK, LSF_BLOCK + 1])
+@pytest.mark.parametrize("size", [0, 1, 31, 32, 33])
 def test_batched_ar_to_lsf_equals_one_model_calls(size):
     for order, batch in _corpus_batches(size).items():
         got = ar_to_lsf(batch)
@@ -241,7 +247,7 @@ def test_batched_ar_to_lsf_equals_one_model_calls(size):
         np.testing.assert_array_equal(got, np.reshape([_alone(m) for m in batch], got.shape))
 
 
-@pytest.mark.parametrize("size", [1, LSF_BLOCK - 1, LSF_BLOCK, LSF_BLOCK + 1])
+@pytest.mark.parametrize("size", [1, 31, 32, 33])
 def test_batched_ar_to_lsf_fails_rows_as_one_model_calls(size):
     for order, batch in _corpus_batches(size).items():
         base = [_alone(m) for m in batch]
@@ -261,19 +267,32 @@ def test_batched_ar_to_lsf_fails_rows_as_one_model_calls(size):
 
 
 def test_failing_models_fail_alone():
-    assert isinstance(_alone(close_pole_model(14)), NumericalDegeneracyError)
-    for m in _failing_models(14)[:2]:
+    for m in _failing_models(14):
         assert not m.is_stable()
         assert type(_alone(m)) is ValueError
 
 
+@pytest.mark.parametrize("order", [4, 10, 14])
+def test_close_pole_model_converts(order):
+    lsf = ar_to_lsf(close_pole_model(order)).frequencies
+    # Oracle: np.roots angles of the sum and difference polynomials, as in test_flat_order2.
+    a_ext = np.r_[close_pole_model(order).inverse_filter(), 0.0]
+    roots = np.angle(np.r_[np.roots(a_ext + a_ext[::-1]), np.roots(a_ext - a_ext[::-1])])
+    expect = np.sort([a for a in roots if 1e-9 < a < np.pi - 1e-9])
+    # Both searches put LSFs 1e-7 apart within 3e-9 of the 50-digit roots.
+    np.testing.assert_allclose(lsf, expect, rtol=0.0, atol=1e-8)
+    assert np.all(np.diff(lsf) > 0.0) and 5e-8 < np.min(np.diff(lsf)) < 2e-7
+
+
 def test_batched_ar_to_lsf_raises_for_the_first_failing_model():
-    good, (unstable, _, close) = _reference_corpus()[12], _failing_models(14)
-    with pytest.raises(NumericalDegeneracyError):
-        ar_to_lsf([good, close, unstable])
-    with pytest.raises(ValueError) as info:
-        ar_to_lsf([good, unstable, close])
-    assert type(info.value) is ValueError
+    good, close, (unstable, _) = _reference_corpus()[12], close_pole_model(14), _failing_models(14)
+    for rows in ([good, close, unstable], [good, unstable, close]):
+        with pytest.raises(ValueError, match="must be stable") as info:
+            ar_to_lsf(rows)
+        assert type(info.value) is ValueError
+    np.testing.assert_array_equal(
+        ar_to_lsf([good, unstable, close], skip_failed=True), [_alone(good), _alone(close)]
+    )
 
 
 def test_order_zero_models_have_no_lsfs():
@@ -287,8 +306,8 @@ def test_batched_ar_to_lsf_rejects_mixed_orders():
 
 
 def test_ar_to_lsf_memory_is_bounded_by_the_block():
-    # Unblocked, the grid tables of 1280 order-14 models would take 2 x 1280 x
-    # 4097 doubles (84 MB); blocks of LSF_BLOCK models keep the peak at a few MB.
+    # A grid search over 4097 points would tabulate 2 x 1280 x 4097 doubles (84 MB); the
+    # stacked colleague matrices of 1280 order-14 models are 1280 x 7 x 7 doubles per kind.
     rng = np.random.default_rng(14)
     models = [stable_model_from_reflections(rng.uniform(-0.9, 0.9, 14)) for _ in range(1280)]
     tracemalloc.start()
