@@ -9,7 +9,8 @@ record being smoothed (one entry when no frame is voiced): entries past it
 only ever shift out, so leaving them out marginalizes them exactly.  Every
 row of the transition shifts the entry above it down one place, except the
 head row of each chain, so a model stores only its head rows, over the
-columns they reach.
+columns they reach.  A model does not record which kind it is: the UV
+layout is the V-UV one with an empty excitation chain.
 
 The covariance step is exactly symmetric: a shifted copy of P, one head-row
 product R = W P[head_cols] for the head rows and columns, and the rank-one
@@ -53,7 +54,6 @@ class StateSpaceModel:
     observed: tuple[int, int]  # entries summed into the observation
     process_variances: tuple[float, float]  # (sigma_d^2, sigma_v^2)
     smoother_delay: int
-    kind: str  # "uv" | "vuv"
 
     def __post_init__(self):  # the head block's index, W^T / 2 and Q (inputs are head rows)
         rows, k = self.head_rows, np.searchsorted(self.head_rows, self.inputs)
@@ -101,7 +101,7 @@ class SmootherState:
     frozen: StateSpaceModel | None = None  # the model whose settled gain is ``gain``
 
 
-def _model(speech, noise, smoother_delay, kind, dim, rows, runs, inputs, observed):
+def _model(speech, noise, smoother_delay, dim, rows, runs, inputs, observed):
     """The model whose head ``rows`` hold ``(row, first column, weights)``
     ``runs``; its ``head_cols`` are the columns the runs cover."""
     if smoother_delay < speech.order:
@@ -114,7 +114,7 @@ def _model(speech, noise, smoother_delay, kind, dim, rows, runs, inputs, observe
     cols = np.flatnonzero(covered)
     variances = (speech.excitation_variance, noise.excitation_variance)
     return StateSpaceModel(dim, np.array(rows), cols, block[:, cols], inputs, observed,
-                           variances, smoother_delay, kind)
+                           variances, smoother_delay)
 
 
 def build_uv_model(
@@ -125,7 +125,7 @@ def build_uv_model(
     """Assemble the UV concatenated state space (speech chain + noise chain)."""
     ds1 = smoother_delay + 1
     runs = [(0, 0, speech.coefficients), (ds1, ds1, noise.coefficients)]
-    return _model(speech, noise, smoother_delay, "uv", ds1 + noise.order, [0, ds1], runs,
+    return _model(speech, noise, smoother_delay, ds1 + noise.order, [0, ds1], runs,
                   inputs=(0, ds1), observed=(0, ds1))
 
 
@@ -155,7 +155,7 @@ def build_vuv_model(
     ]
     if pitch.is_voiced:
         runs.append((ds1, ds1 + pitch.period_samples - 1, [pitch.voicing]))
-    return _model(speech, noise, smoother_delay, "vuv", noise_start + noise.order,
+    return _model(speech, noise, smoother_delay, noise_start + noise.order,
                   [0, ds1, noise_start], runs, inputs=(ds1, noise_start),
                   observed=(0, noise_start))
 
@@ -171,12 +171,11 @@ def initial_state(
     """
     dim = model.dim
     cov = np.eye(dim) * obs_variance
-    if model.kind == "vuv":
-        ds1 = model.smoother_delay + 1
-        noise_start = model.observed[1]
-        cov[ds1:noise_start, ds1:noise_start] = (
-            np.eye(noise_start - ds1) * model.process_variances[0]
-        )
+    ds1 = model.smoother_delay + 1
+    noise_start = model.observed[1]  # the UV model has no chain: noise_start == ds1
+    cov[ds1:noise_start, ds1:noise_start] = (
+        np.eye(noise_start - ds1) * model.process_variances[0]
+    )
     return SmootherState(x=np.zeros((dim, *channels)), cov=cov, samples_seen=0)
 
 
@@ -239,12 +238,12 @@ def enhance_channel(
 
     Channels that share the parameters share the model, so one covariance
     recursion serves them all; it starts from the mean of their first-frame
-    energies.  The model is rebuilt at frame boundaries; state and
-    covariance carry across.  Samples after the last full frame are
-    smoothed with the last frame's model.  Output is delay-compensated by
-    flushing the smoother with zero observations, so it aligns
-    sample-for-sample with the input.  Input shorter than one frame has no
-    parameters and is returned unchanged.
+    energies.  Each frame has its own model; state and covariance carry
+    across.  One loop steps through the input and then ``smoother_delay``
+    zero observations, which flush the last samples out, so the output
+    aligns sample-for-sample with the input.  Samples after the last full
+    frame, and the flush, use the last frame's model.  Input shorter than
+    one frame has no parameters and is returned unchanged.
 
     Every voiced period must lie in [1, ``p_max``]; the V-UV excitation
     chain is sized to the longest of them (one entry if none is voiced).
@@ -264,32 +263,18 @@ def enhance_channel(
         )
         if chain_len > p_max:
             raise ValueError(f"pitch period {chain_len} outside [1, {p_max}]")
-    out = np.zeros_like(x)
-    write = 0
-    state = None
-    for fi in range(n_frames):
-        stp, pitch = per_frame_params[fi]
-        if model_kind == "uv":
-            model = build_uv_model(stp.speech, stp.noise, smoother_delay)
-        else:
-            model = build_vuv_model(
-                stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, chain_len
-            )
-        if state is None:
-            head = np.atleast_2d(x)[:, :frame_len]
-            r0 = np.mean([float(np.dot(c, c)) / frame_len for c in head])
-            state = initial_state(model, max(r0, 1e-12), x.shape[:-1])
-        stop = (fi + 1) * frame_len if fi < n_frames - 1 else n_samples
-        for n in range(fi * frame_len, stop):
-            state, emitted = flks_step(state, model, x[..., n])
-            if emitted is not None and write < n_samples:
-                out[..., write] = emitted
-                write += 1
-    # Flush: zero observations until every input sample has been emitted.
-    silence = np.zeros(x.shape[:-1])
-    while write < n_samples:
-        state, emitted = flks_step(state, model, silence)
-        if emitted is not None:
-            out[..., write] = emitted
-            write += 1
+    models = [
+        build_uv_model(stp.speech, stp.noise, smoother_delay) if model_kind == "uv"
+        else build_vuv_model(stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, chain_len)
+        for stp, pitch in per_frame_params
+    ]
+    head = np.atleast_2d(x)[:, :frame_len]
+    r0 = np.mean([float(np.dot(c, c)) / frame_len for c in head])
+    state = initial_state(models[0], max(r0, 1e-12), x.shape[:-1])
+    padded = np.concatenate((x, np.zeros((*x.shape[:-1], smoother_delay))), axis=-1)
+    out = np.empty_like(x)
+    for n in range(padded.shape[-1]):
+        state, emitted = flks_step(state, models[min(n // frame_len, n_frames - 1)], padded[..., n])
+        if n >= smoother_delay:  # the step for sample n emits s(n - smoother_delay)
+            out[..., n - smoother_delay] = emitted
     return out

@@ -183,11 +183,11 @@ def ar_to_lsf(
     eigenvalue call per polynomial kind; a one-model call is the one-row
     case of the same search.  The sum polynomial's roots take the even
     places of a row and the difference polynomial's the odd ones, so a row
-    is valid only where the two interlace.  A model fails when it is
-    unstable (``ValueError``) or when its roots do not give ``order``
-    strictly increasing angles in (0, pi) (``NumericalDegeneracyError``).
-    The first failing model raises as it would alone; with ``skip_failed``
-    the rows of failing models are left out instead.
+    is valid only where the two interlace, which holds exactly when A(z) is
+    minimum-phase (Soong & Juang, ICASSP 1984).  The first failing model
+    raises as it would alone: ``ValueError`` if ``is_stable`` finds it
+    unstable, else ``NumericalDegeneracyError``.  With ``skip_failed`` the
+    rows of failing models are left out instead.
     """
     if isinstance(models, ArModel):
         return LsfVector(ar_to_lsf([models])[0])
@@ -197,16 +197,15 @@ def ar_to_lsf(
     order = models[0].order
     if any(m.order != order for m in models):
         raise ValueError("models must all have one order")
-    stable = np.array([m.is_stable() for m in models])
-    sums, diffs = _cosine_series(np.array([m.coefficients for m in models])[stable])
-    lsfs = np.full((len(models), order), np.nan)
-    lsfs[stable, 0::2] = np.sort(_series_roots(sums), axis=1)
-    lsfs[stable, 1::2] = np.sort(_series_roots(diffs), axis=1)
-    ok = stable & _valid_lsf_rows(lsfs)
+    sums, diffs = _cosine_series(np.array([m.coefficients for m in models]))
+    lsfs = np.empty((len(models), order))
+    lsfs[:, 0::2] = np.sort(_series_roots(sums), axis=1)
+    lsfs[:, 1::2] = np.sort(_series_roots(diffs), axis=1)
+    ok = _valid_lsf_rows(lsfs)
     if skip_failed:
         return lsfs[ok]
     if not ok.all():
-        if not stable[np.argmin(ok)]:
+        if not models[np.argmin(ok)].is_stable():
             raise ValueError("AR model must be stable for LSF conversion")
         raise NumericalDegeneracyError(
             f"could not separate {order} line spectral frequencies in (0, pi)"

@@ -81,68 +81,6 @@ class FrameDiagnostics:
         )
 
 
-def _estimate_frame_params(
-    pzl,
-    pzr,
-    speech: CompiledCodebook,
-    noise: CompiledCodebook,
-    adaptive_entry: ArModel | None,
-    cfg: RunConfig,
-    frame_index: int,
-    diagnostics_out: list | None,
-) -> StpEstimate:
-    diag = StpDiagnostics()
-    est = stp.estimate_stp(
-        pzl,
-        pzr,
-        speech,
-        noise,
-        frame_len=cfg.frame_len,
-        diagnostics=diag,
-        adaptive_noise=adaptive_entry,
-    )
-    if adaptive_entry is not None:
-        # Fuse the codebook-MMSE noise variance with the dual-channel one.
-        fused = 0.5 * (est.noise.excitation_variance + adaptive_entry.excitation_variance)
-        est = replace(est, noise=ArModel(est.noise.coefficients, fused))
-    if diagnostics_out is not None:
-        diagnostics_out.append(
-            FrameDiagnostics(
-                frame=frame_index,
-                best_speech_index=diag.best_speech_index,
-                best_noise_index=diag.best_noise_index,
-                log_weight=diag.best_log_weight,
-                sigma_d2=est.speech.excitation_variance,
-                sigma_v2=est.noise.excitation_variance,
-            )
-        )
-    return est
-
-
-def _pitch_for_frame(
-    xl, xr, noise_model: ArModel, start: int, cfg: RunConfig
-) -> PitchInfo:
-    m = cfg.frame_len
-
-    def whitened_analytic(x):
-        hist = x[max(0, start - noise_model.order) : start]
-        white = prewhiten(x[start : start + m], noise_model, hist)
-        return analytic_signal(white)
-
-    zl_c = whitened_analytic(xl)
-    zr_c = whitened_analytic(xr) if xr is not None else None
-    return estimate_pitch(
-        zl_c,
-        zr_c,
-        cfg.sample_rate,
-        f_min=cfg.f_min,
-        f_max=cfg.f_max,
-        grid_step_hz=cfg.pitch_grid_hz,
-        voicing_threshold=cfg.voicing_threshold,
-        max_order=cfg.max_harmonic_order,
-    )
-
-
 def _channel_params(
     xl,
     xr,
@@ -175,13 +113,33 @@ def _channel_params(
                 adaptive_entry = stp.noise_psd_to_ar(dc_psd, noise.order)
             except (ValueError, ArithmeticError):
                 adaptive_entry = None
-        est = _estimate_frame_params(
-            pzl[fi], pzr[fi], speech, noise, adaptive_entry, cfg, fi, diagnostics_out
-        )
+        diag = StpDiagnostics()
+        est = stp.estimate_stp(pzl[fi], pzr[fi], speech, noise, frame_len=m, diagnostics=diag,
+                               adaptive_noise=adaptive_entry)
+        if adaptive_entry is not None:
+            # Fuse the codebook-MMSE noise variance with the dual-channel one.
+            fused = 0.5 * (est.noise.excitation_variance + adaptive_entry.excitation_variance)
+            est = replace(est, noise=ArModel(est.noise.coefficients, fused))
+        if diagnostics_out is not None:
+            diagnostics_out.append(FrameDiagnostics(
+                frame=fi, best_speech_index=diag.best_speech_index,
+                best_noise_index=diag.best_noise_index, log_weight=diag.best_log_weight,
+                sigma_d2=est.speech.excitation_variance, sigma_v2=est.noise.excitation_variance,
+            ))
+        pitch = UNVOICED
         if cfg.model == "vuv":
-            pitch = _pitch_for_frame(xl, xr, est.noise, fi * m, cfg)
-        else:
-            pitch = UNVOICED
+            # Each ear's frame, whitened after the samples before it, made analytic.
+            start, q = fi * m, est.noise.order
+            zl, zr = (
+                None if x is None else analytic_signal(
+                    prewhiten(x[start : start + m], est.noise, x[max(0, start - q) : start]))
+                for x in (xl, xr)
+            )
+            pitch = estimate_pitch(
+                zl, zr, cfg.sample_rate, f_min=cfg.f_min, f_max=cfg.f_max,
+                grid_step_hz=cfg.pitch_grid_hz, voicing_threshold=cfg.voicing_threshold,
+                max_order=cfg.max_harmonic_order,
+            )
         params.append((est, pitch))
     return params
 

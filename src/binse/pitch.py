@@ -17,15 +17,16 @@ Hermitian Toeplitz with Dirichlet-kernel entries and stay Toeplitz under the
 linear-phase directivity gains.  They depend on the frame length, the grid,
 the directivity and the order cap, not on the data, so a compile step, cached
 per frame shape, runs the Levinson recursion on them once.  It stores, per
-candidate, the packed lower triangle M of reversed forward predictors, 1/eps
-and, for two ears, the left-ear form C, which is diagonal when the ears
-differ by a fixed gain with no interaural delay.  Each frame is then one FFT
-per ear, a gather of the harmonic bins, and the triangular mat-vecs M b,
-M p_left and, where C is not diagonal, C mu; cumulative sums over the orders
-give the joint and per-ear residuals of every candidate and order, with no
-loop over orders.
+candidate in grid order, the packed lower triangle M of reversed forward
+predictors, 1/eps and, for two ears, the left-ear form C, which is diagonal
+when the ears differ by a fixed gain with no interaural delay.  Each frame
+is then one FFT per ear, a gather of the harmonic bins, and the triangular
+mat-vecs M b, M p_left and, where C is not diagonal, C mu; cumulative sums
+over the orders give the joint and per-ear residuals of every candidate and
+order, with no loop over orders.
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
-rate and ``f_min``, and fundamentals at or above Nyquist.
+rate and ``f_min``, grids finer than ``MAX_GRID_DFT_LEN`` bins, and
+fundamentals at or above Nyquist.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ PARAMS_PER_HARMONIC = 3  # real, imaginary amplitude parts + frequency
 # above it (>= 0.28 at 8 kHz, 80 Hz); shorter ones would otherwise reach
 # harmonic sets that least squares cannot separate.
 RESOLVABLE_FLOOR = 1e-2
+# Grid steps below sample_rate / MAX_GRID_DFT_LEN (0.0076 Hz at 8 kHz) resolve nothing
+# more, and the search keeps arrays over every grid point: 3.2e8 of them at 1e-6 Hz.
+MAX_GRID_DFT_LEN = 2**20
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ def check_pitch_grid(
     harmonics.  The search reads harmonic projections off one DFT per ear,
     so every grid frequency must fall on a bin: both
     ``sample_rate / grid_step_hz`` and ``f_min / grid_step_hz`` have to be
-    integers.
+    integers, and the DFT length at most ``MAX_GRID_DFT_LEN``.
     """
     if not 0.0 < f_min <= f_max < sample_rate / 2:
         raise ValueError(
@@ -195,6 +199,8 @@ def check_pitch_grid(
         )
     if not 0.0 < grid_step_hz < np.inf:
         raise ValueError(f"pitch grid step must be > 0 (got {grid_step_hz})")
+    if not sample_rate / grid_step_hz < MAX_GRID_DFT_LEN + 0.5:
+        raise ValueError(f"sample_rate / pitch grid step must be at most {MAX_GRID_DFT_LEN}")
     for name, ratio in (
         ("sample_rate", sample_rate / grid_step_hz),
         ("f_min", f_min / grid_step_hz),
@@ -286,15 +292,16 @@ class _OrderGroup:
 class _CompiledSearch:
     """The data-free half of the pitch search for one frame shape and grid.
 
-    The flat layout holds one entry per harmonic (or harmonic order) below
-    Nyquist and the order cap of each stored candidate, candidate after
-    candidate, grouped by that highest order.  Where a candidate's fits
-    stop below it, its predictors are zero past the fitted order.
+    The stored candidates, in grid order, are those with a harmonic below
+    Nyquist.  The flat layout holds one entry per harmonic (or harmonic
+    order) below Nyquist and the order cap of each stored candidate,
+    candidate after candidate, grouped by that highest order.  Where a
+    candidate's fits stop below it, its predictors are zero past the fitted
+    order.
     """
 
     n_fft: int
-    candidates: npt.NDArray[np.intp]  # grid index of each stored candidate
-    omegas: npt.NDArray[np.float64]  # their fundamentals, rad/sample
+    omegas: npt.NDArray[np.float64]  # the stored candidates' fundamentals, rad/sample
     fits: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one fits
     layout: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one stores
     at_harmonics: npt.NDArray[np.intp]  # flat: the DFT bin of each harmonic
@@ -348,18 +355,19 @@ def _compile_search(
     bins = int(round(f_min / grid_step_hz)) + np.arange(len(f0_grid))
     dirichlet = np.conj(_dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
 
-    # Candidates grouped by their highest order, largest first; the flat
-    # arrays are allocated before the per-order work so that its transients
-    # do not pin memory between the cached arrays.
-    candidates = np.argsort(-l_max, kind="stable")[: np.count_nonzero(l_max >= 1)]
-    top = l_max[candidates]
+    # floor(pi / omega) and the caps only fall as f0 rises, so the usable
+    # candidates are a prefix of the grid, grouped by highest order, largest
+    # first.  The flat arrays are allocated before the per-order work so that
+    # its transients do not pin memory between the cached arrays.
+    usable = np.count_nonzero(l_max >= 1)
+    top, omegas, bins = l_max[:usable], omegas[:usable], bins[:usable]
     layout = np.arange(top[0]) < top[:, None]
-    at_harmonics = np.repeat(bins[candidates], top) * (np.nonzero(layout)[1] + 1) % n_fft
+    at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1) % n_fft
     two = channels == 2
     if two:
-        ears = np.stack(directivity.gains(omegas[candidates], top[0]))
+        ears = np.stack(directivity.gains(omegas, top[0]))
         diagonal = np.array_equal(ears[1] * ears[0][:, :1], ears[0] * ears[1][:, :1])
-    fitted = np.empty(len(candidates), int)
+    fitted = np.empty(usable, int)
     inv_eps = np.empty(at_harmonics.size)
     cross_diag = np.empty(at_harmonics.size) if two else None
     stored = 2 if two and not diagonal else 1
@@ -368,7 +376,7 @@ def _compile_search(
     for order in np.unique(top)[::-1].tolist():
         count = np.count_nonzero(top == order)
         rows, stop = slice(first, first + count), start + count * order
-        kernel = dirichlet[np.outer(bins[candidates[rows]], np.arange(order)) % n_fft]
+        kernel = dirichlet[np.outer(bins[rows], np.arange(order)) % n_fft]
         if two:
             # Linear-phase, constant-magnitude gains keep every Gram matrix
             # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
@@ -397,8 +405,7 @@ def _compile_search(
 
     return _CompiledSearch(
         n_fft=n_fft,
-        candidates=_frozen(candidates),
-        omegas=_frozen(omegas[candidates]),
+        omegas=_frozen(omegas),
         fits=_frozen(np.arange(top[0]) < fitted[:, None]),
         layout=_frozen(layout),
         at_harmonics=_frozen(at_harmonics),
@@ -495,10 +502,7 @@ def estimate_pitch(
     costs = log_sigma2[:, np.arange(len(orders)), orders - 1].sum(axis=0)
 
     best = None  # (cost, omega0, order)
-    by_grid = np.argsort(search.candidates)
-    for cost, omega0, order in zip(
-        costs[by_grid].tolist(), search.omegas[by_grid].tolist(), orders[by_grid].tolist()
-    ):
+    for cost, omega0, order in zip(costs.tolist(), search.omegas.tolist(), orders.tolist()):
         if best is None or cost < best[0] - 1e-12:
             best = (cost, omega0, order)
 

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .codebook import Codebook
-from .linpred import ArModel, LsfVector, ar_envelope, ar_to_lsf, levinson_durbin, lsf_to_ar
+from .linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, lsf_to_ar
 
 OBSERVED_FLOOR_REL = 1e-12
 MU_DEFAULT_ITERS = 50
@@ -60,7 +60,8 @@ def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> Com
     """Compile a codebook, or a list of AR models of one order, for ``dft_len`` bins.
 
     A ``Codebook`` contributes its stored LSF rows as they are; AR models are
-    converted together in one ``ar_to_lsf`` call.
+    converted together in one ``ar_to_lsf`` call.  The envelopes 1/|A(k)|^2
+    come from one FFT over the entries' inverse-filter rows.
     """
     if isinstance(entries, Codebook):
         lsfs = entries.entries
@@ -70,7 +71,10 @@ def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> Com
         if not models:
             raise ValueError("codebooks must be non-empty")
         lsfs = ar_to_lsf(models)
-    envelopes = np.array([ar_envelope(m, dft_len) for m in models])
+    if dft_len < lsfs.shape[1] + 1:
+        raise ValueError("dft_len must be at least order+1")
+    inverse = np.array([m.inverse_filter() for m in models])
+    envelopes = 1.0 / np.abs(np.fft.fft(inverse, n=dft_len)) ** 2
     return CompiledCodebook(lsfs, envelopes)
 
 

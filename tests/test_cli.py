@@ -1,8 +1,14 @@
 import argparse
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binse
 from binse import codebook
 from binse.cli import build_config, main, read_wav, write_wav
 from binse.linpred import ArModel
@@ -230,6 +236,26 @@ class TestEnhanceCommand:
                      "--noise-cb", np_, *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_tiny_pitch_grid_exits_before_allocating(self, tmp_path, stereo_wav, cb_paths):
+        # 8000 / 1e-6 and 80 / 1e-6 are integers, but the grid would hold
+        # 3.2e8 points.  Under a 1 GiB address-space cap, an attempt to
+        # allocate it would end in a MemoryError traceback.
+        sp, np_ = cb_paths
+        out = tmp_path / "enh.wav"
+        env = dict(os.environ, PYTHONPATH=str(Path(binse.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        cap = 1 << 30
+        run = subprocess.run(
+            [sys.executable, "-m", "binse.cli", "enhance", stereo_wav, "-o", str(out),
+             "--speech-cb", sp, "--noise-cb", np_, "--pitch-grid", "0.000001"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert run.returncode == 2
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])

@@ -113,7 +113,6 @@ class TestFlksStep:
             observed=(0, 1),
             process_variances=variances,
             smoother_delay=0,
-            kind="uv",
         )
 
     def test_scalar_posterior_equals_observation(self):
@@ -432,6 +431,32 @@ class TestEnhanceChannel:
         enhance_channel(rng.normal(size=600), params, 200, model_kind="vuv",
                         smoother_delay=10)
         assert dims == [10 + 1 + 1 + 3] * 3
+
+    @pytest.mark.parametrize("delay", [0, 25, 200])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
+    def test_one_step_loop_over_input_then_zeros(self, rng, delay, shape):
+        # The output is a flks_step loop over the input and then `delay` zero
+        # observations, under each frame's model and then the last one; the
+        # step for sample i emits output sample i - delay.
+        speech = ArModel(np.array([1.2, -0.6])[:delay], 1e-3)
+        noise = ArModel(np.array([0.4]), 5e-4)
+        n = 3 * 200 + 70  # a trailing partial frame
+        z = rng.normal(size=(*shape, n))
+        params = [(StpEstimate(speech=speech, noise=noise), pitch)
+                  for pitch in (UNVOICED, voiced(period=40, b=0.6), voiced(period=81, b=0.3))]
+        got = enhance_channel(z, params, 200, model_kind="vuv", smoother_delay=delay)
+        models = [build_vuv_model(speech, noise, pitch, delay, 81) for _, pitch in params]
+        energy = np.mean([float(np.dot(c, c)) / 200 for c in z.reshape(-1, n)[:, :200]])
+        state = initial_state(models[0], energy, shape)
+        observations = np.concatenate((z, np.zeros((*shape, delay))), axis=-1)
+        emitted = []
+        for i in range(n + delay):
+            state, sample = flks_step(state, models[min(i // 200, 2)], observations[..., i])
+            assert (sample is None) == (i < delay)
+            if sample is not None:
+                emitted.append(sample)
+        assert got.shape == z.shape
+        assert got.tobytes() == np.stack(emitted, axis=-1).tobytes()
 
     def test_period_above_p_max_rejected(self, rng):
         params = [(StpEstimate(speech=SPEECH2, noise=ArModel(np.zeros(1), 1.0)),

@@ -295,6 +295,53 @@ def test_batched_ar_to_lsf_raises_for_the_first_failing_model():
     )
 
 
+# Pole radii: anywhere in [0.3, 1.3], or 1e-9 to 1e-6 inside or outside the
+# unit circle.  Nearer than that, the float coefficients no longer decide on
+# which side a pole lies.
+_RADII = st.one_of(
+    st.floats(0.3, 1.3).filter(lambda r: abs(r - 1.0) >= 1e-9),
+    st.builds(lambda side, exponent: 1.0 + side * 10.0**exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-9.0, -6.0)),
+)
+
+
+@st.composite
+def _pole_models(draw):
+    """A model of order 1 to 20 from distinct poles: pair k's angle lies inside the
+    k-th of equal slices of (0, pi), and an odd order adds a real pole."""
+    order = draw(st.integers(1, 20))
+    pairs = order // 2
+    poles = []
+    for k in range(pairs):
+        angle = (k + draw(st.floats(0.05, 0.95))) * np.pi / pairs
+        pole = draw(_RADII) * np.exp(1j * angle)
+        poles += [pole, np.conj(pole)]
+    if order % 2:
+        poles.append(draw(_RADII) * draw(st.sampled_from([-1.0, 1.0])))
+    return ArModel(-np.real(np.poly(poles))[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pole_models())
+def test_lsf_interlacing_keeps_exactly_the_stable_models(model):
+    # ar_to_lsf decides stability by the interlacing of the LSFs alone.
+    assert len(ar_to_lsf([model], skip_failed=True)) == int(model.is_stable())
+
+
+def test_is_stable_only_names_the_error(monkeypatch):
+    # is_stable runs on the first failing model alone, to name its error.
+    calls = []
+    original = ArModel.is_stable
+    monkeypatch.setattr(ArModel, "is_stable", lambda m: calls.append(m) or original(m))
+    good, (first, second) = _reference_corpus()[12], _failing_models(14)
+    ar_to_lsf([good, good])
+    ar_to_lsf([good, first, good], skip_failed=True)
+    assert calls == []
+    with pytest.raises(ValueError, match="must be stable"):
+        ar_to_lsf([good, first, second])
+    assert len(calls) == 1 and calls[0] is first
+
+
 def test_order_zero_models_have_no_lsfs():
     assert ar_to_lsf(ArModel(np.zeros(0))).order == 0
     assert ar_to_lsf([ArModel(np.zeros(0))] * 2).shape == (2, 0)

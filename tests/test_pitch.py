@@ -444,11 +444,30 @@ class TestExactSearch:
         assert top.max() == 49  # 50 * 80 Hz is Nyquist
         assert not np.any(two_ear.fits & ~two_ear.layout)
         # One ear fits the same orders in the same groups.
-        np.testing.assert_array_equal(one_ear.candidates, two_ear.candidates)
+        np.testing.assert_array_equal(one_ear.omegas, two_ear.omegas)
         np.testing.assert_array_equal(one_ear.layout, two_ear.layout)
         np.testing.assert_array_equal(one_ear.fits, two_ear.fits)
         assert [(g.order, g.start, g.stop) for g in one_ear.groups] == [
             (g.order, g.start, g.stop) for g in two_ear.groups]
+
+    @pytest.mark.parametrize(
+        "channels,fs,f_min,f_max,step,max_order",
+        [(1, 8000, 80.0, 400.0, 0.5, None), (2, 8000, 80.0, 400.0, 0.5, None),
+         (2, 8000, 80.0, 400.0, 0.5, 15), (2, 8000, 100.0, 3950.0, 50.0, None),
+         (2, 16000, 80.0, 400.0, 0.5, None)],
+        ids=["default_one_ear", "default_two_ears", "max_order_15", "coarse_50hz", "16khz"],
+    )
+    def test_candidates_are_a_grid_prefix(self, channels, fs, f_min, f_max, step, max_order):
+        # The highest order only falls as f0 rises, so the search stores the
+        # grid's first candidates in grid order, grouped by falling order.
+        d = DirectivityModel(sample_rate=fs)
+        search = pitch._compile_search(180, channels, fs, f_min, f_max, step, d, max_order)
+        grid = 2.0 * np.pi * np.arange(f_min, f_max + 0.5 * step, step) / fs
+        assert 1 <= len(search.omegas) <= len(grid)
+        np.testing.assert_array_equal(search.omegas, grid[: len(search.omegas)])
+        top = search.layout.sum(axis=1)
+        assert np.all(np.diff(top) <= 0)
+        assert [g.order for g in search.groups] == sorted(set(top.tolist()), reverse=True)
 
     def test_compiled_search_cache_keying(self):
         # Frame length, ear count, directivity and order cap all key the
@@ -533,6 +552,15 @@ class TestPitchGrid:
     def test_rejected(self, f_min, f_max, step):
         with pytest.raises(ValueError):
             check_pitch_grid(8000, f_min, f_max, step)
+
+    def test_dft_length_bounded(self):
+        # Grid steps that divide the rate and f_min but would need more than
+        # MAX_GRID_DFT_LEN bins are refused before anything is allocated.
+        n = pitch.MAX_GRID_DFT_LEN
+        assert check_pitch_grid(n, 1.0, 100.0, 1.0) == n
+        for fs, f_min, step in ((n, 1.0, 0.5), (8000, 80.0, 1e-6), (8000, 80.0, 5e-324)):
+            with pytest.raises(ValueError, match="at most"):
+                check_pitch_grid(fs, f_min, 400.0, step)
 
     def test_top_of_band_below_nyquist_accepted(self):
         assert check_pitch_grid(8000, 80.0, 3999.5, 0.5) == 16000

@@ -7,9 +7,10 @@ from binse.linpred import (
     ar_to_lsf,
     levinson_durbin,
 )
-from binse.signal_core import cross_spectrum, periodogram
+from binse.signal_core import AudioBuffer, cross_spectrum, periodogram
 from binse import stp
-from binse.codebook import Codebook
+from binse.codebook import Codebook, train
+from binse.pipeline import RunConfig, process
 from binse.stp import (
     CompiledCodebook,
     DualChannelNoiseTracker,
@@ -375,6 +376,24 @@ class TestCompiledCodebook:
         close = compile_codebook([SPEECH_AR, close_pole_model(4)], 200).lsfs[1]
         np.testing.assert_array_equal(close, ar_to_lsf(close_pole_model(4)).frequencies)
         assert np.all(np.diff(close) > 0.0) and np.min(np.diff(close)) < 2e-7
+
+    def test_stability_is_checked_once_where_models_enter(self, rng, monkeypatch):
+        # ar_to_lsf decides stability by interlacing; is_stable only names a failure.
+        calls = []
+        original = ArModel.is_stable
+        monkeypatch.setattr(ArModel, "is_stable", lambda m: calls.append(m) or original(m))
+        frames = np.stack([ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng) for _ in range(8)])
+        speech = train(frames, size=2, order=4, seed=0)
+        compile_codebook(speech, 200)
+        compile_codebook([SPEECH_AR, ArModel(np.array([0.2, 0.1, 0.0, 0.0]))], 200)
+        noise = codebook_from_models([NOISE_AR, ArModel(np.array([0.3, 0.0]))], "noise")
+        z = np.stack([ar_signal(SPEECH_AR.coefficients, 1e-3, 650, rng) for _ in range(2)])
+        process(AudioBuffer(z, 8000), speech, noise, RunConfig(model="vuv"))
+        assert calls == []
+        unstable = ArModel(np.array([0.0, 0.0, 0.0, 1.5]))
+        with pytest.raises(ValueError, match="must be stable"):
+            compile_codebook([SPEECH_AR, unstable], 200)
+        assert len(calls) == 1 and calls[0] is unstable
 
     def test_dft_length_mismatch(self):
         pz = np.ones(100)
