@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import numpy.typing as npt
 
-from .linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, lsf_to_ar
+from .linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, lsf_to_ar, valid_lsf_rows
 from .signal_core import autocorrelation
 
 _MAGIC = b"CBK1"
@@ -39,8 +39,8 @@ class Codebook:
             raise ValueError("codebook needs at least one entry of shape (count, order)")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
-        for row in entries:
-            LsfVector(row)  # validates monotonicity / bounds
+        if not valid_lsf_rows(entries).all():
+            raise ValueError("LSFs must be strictly increasing within (0, pi)")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -67,11 +67,14 @@ def train(
 
     ``training_frames`` holds one frame per row, (N, frame_len) with
     1 <= ``order`` < frame_len.  Frames below the silence-energy threshold,
-    frames whose Levinson-Durbin fit degenerates and models that
-    ``ar_to_lsf`` cannot convert are skipped; the rest go through one
-    ``ar_to_lsf`` call.  Initial centroids are ``size`` distinct training
-    vectors drawn under ``seed``; empty cells are repaired by splitting the
-    highest-distortion cell.
+    frames whose Levinson-Durbin fit fails and models that ``ar_to_lsf``
+    cannot convert are skipped.  The other frames are fitted in one
+    autocorrelation and Levinson-Durbin pass over their rows, and the fits
+    go through one ``ar_to_lsf`` call.  Initial centroids are ``size``
+    distinct training vectors drawn under ``seed``.  Each Lloyd step assigns
+    every vector by one matrix product and averages the cells by one
+    ``np.bincount`` per LSF column; empty cells are repaired by splitting
+    the highest-distortion cell.
     """
     training_frames = np.asarray(training_frames, dtype=np.float64)
     if training_frames.ndim != 2:
@@ -86,15 +89,9 @@ def train(
         raise ValueError(f"size must be >= 1, got {size}")
     if kind not in _KINDS:
         raise ValueError(f"unknown codebook kind {kind!r}")
-    models = []
-    for frame in training_frames:
-        if np.dot(frame, frame) < SILENCE_ENERGY:
-            continue
-        try:
-            models.append(levinson_durbin(autocorrelation(frame, order)))
-        except (ValueError, ArithmeticError):
-            continue
-    data = ar_to_lsf(models, skip_failed=True)
+    energy = (training_frames[:, None, :] @ training_frames[:, :, None]).ravel()
+    coeffs, _, ok = levinson_durbin(autocorrelation(training_frames[energy >= SILENCE_ENERGY], order))
+    data = ar_to_lsf(coeffs[ok], skip_failed=True)
     if len(data) < size:
         raise ValueError(
             f"need at least {size} usable training frames, got {len(data)}"
@@ -102,21 +99,34 @@ def train(
     rng = np.random.default_rng(seed)
     centroids = data[rng.choice(len(data), size=size, replace=False)].copy()
 
+    data_norms = np.sum(data**2, axis=1)
     prev_distortion = np.inf
     for iteration in range(LLOYD_MAX_ITERS):
-        d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        # Nearest centroid by |x|^2 - 2 x.c + |c|^2, one matmul; the distance
+        # to it is then taken from the difference, which the stop rule reads.
+        d2 = data_norms[:, None] - 2.0 * (data @ centroids.T) + np.sum(centroids**2, axis=1)
         assign = np.argmin(d2, axis=1)
-        per_vector = d2[np.arange(len(data)), assign]
+        per_vector = ((data - centroids[assign]) ** 2).sum(axis=1)
         distortion = float(per_vector.mean())
         if on_iteration is not None:
             on_iteration(iteration, distortion)
-        cell_distortion = np.bincount(assign, weights=per_vector, minlength=size)
-        for cell in range(size):
-            members = data[assign == cell]
-            if len(members):
-                centroids[cell] = members.mean(axis=0)
+        counts = np.bincount(assign, minlength=size)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=size) for col in data.T], axis=1)
+        filled = counts > 0
+        repair = np.flatnonzero(~filled)
+        if len(repair):
+            # An empty cell takes a split of the worst cell's centroid as a
+            # cell-by-cell pass finds it: its old value until the pass reaches
+            # the worst cell, its mean after.  Those cells go in cell order.
+            cell_distortion = np.bincount(assign, weights=per_vector, minlength=size)
+            worst = int(np.argmax(cell_distortion))
+            repair = np.union1d(repair, worst)
+            filled[worst] = False
+        centroids[filled] = sums[filled] / counts[filled, None]
+        for cell in repair.tolist():
+            if counts[cell]:
+                centroids[cell] = sums[cell] / counts[cell]
             else:
-                worst = int(np.argmax(cell_distortion))
                 centroids[cell] = centroids[worst] + 1e-4
                 centroids[worst] = centroids[worst] - 1e-4
         if prev_distortion - distortion < LLOYD_REL_TOL * max(distortion, 1e-30):
@@ -131,12 +141,11 @@ def train(
 def _sanitize_centroids(centroids: npt.NDArray[np.float64]):
     """Force strict monotonicity inside (0, pi); averaging can only violate it marginally."""
     eps = 1e-9
-    out = centroids.copy()
-    for row in out:
-        np.clip(row, eps, np.pi - eps, out=row)
-        for i in range(1, len(row)):
-            if row[i] <= row[i - 1]:
-                row[i] = row[i - 1] + eps
+    out = np.clip(centroids, eps, np.pi - eps)
+    for row in np.flatnonzero(np.any(np.diff(out, axis=1) <= 0.0, axis=1)):
+        for i in range(1, out.shape[1]):
+            if out[row, i] <= out[row, i - 1]:
+                out[row, i] = out[row, i - 1] + eps
     return out
 
 

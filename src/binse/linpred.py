@@ -55,7 +55,7 @@ class LsfVector:
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if len(freqs) and not _valid_lsf_rows(freqs):
+        if len(freqs) and not valid_lsf_rows(freqs):
             raise ValueError(_INVALID_LSF)
         object.__setattr__(self, "frequencies", freqs)
 
@@ -64,43 +64,49 @@ class LsfVector:
         return len(self.frequencies)
 
 
-def levinson_durbin(autocorr: npt.NDArray[np.float64]) -> ArModel:
-    """Fit an AR model of order len(autocorr)-1 by the Levinson-Durbin recursion.
+def levinson_durbin(autocorr: npt.NDArray[np.float64]):
+    """Fit AR models of order P by the Levinson-Durbin recursion on r(0..P).
 
-    Parameters
-    ----------
-    autocorr : array of r(0..P)
-
-    Returns
-    -------
-    ArModel with the forward predictor coefficients and the final
-    prediction-error variance.
+    A 1-D ``autocorr`` gives an ``ArModel`` with the forward predictor
+    coefficients and the final prediction-error variance.  It raises
+    ``ValueError`` where r(0) <= 0 or the fit is not finite, and
+    ``NumericalDegeneracyError`` where a reflection coefficient reaches
+    magnitude 1.  An (N, P+1) array runs one recursion over its rows and
+    returns ``(coefficients, variances, ok)``, of shapes (N, P), (N,) and
+    (N,); ``ok`` is false on the rows that would raise, and their values are
+    not fits.  A 1-D call is the one-row case of the same arithmetic.
     """
     r = np.asarray(autocorr, dtype=np.float64)
-    if r[0] <= 0:
+    rows = r.reshape(-1, r.shape[-1])
+    order = rows.shape[1] - 1
+    ok = ~(rows[:, 0] <= 0)  # a NaN r(0) fails as a non-finite fit
+    if r.ndim == 1 and not ok[0]:
         raise ValueError("autocorrelation r(0) must be positive")
-    order = len(r) - 1
-    a = np.zeros(order)
-    err = r[0]
-    for i in range(1, order + 1):
-        acc = r[i] - np.dot(a[: i - 1], r[i - 1 : 0 : -1])
-        k = acc / err
-        if abs(k) >= 1.0:
-            raise NumericalDegeneracyError(
-                f"reflection coefficient magnitude {abs(k):.6g} >= 1 at order {i}"
-            )
-        a_new = a.copy()
-        a_new[i - 1] = k
-        a_new[: i - 1] = a[: i - 1] - k * a[: i - 1][::-1]
-        a = a_new
-        err *= 1.0 - k * k
-    return ArModel(a, float(err))
+    reversed_r = rows[:, :0:-1].copy()  # r(P..1), so each dot product reads forward
+    a = np.zeros((len(rows), order))
+    err = rows[:, 0].copy()
+    with np.errstate(all="ignore"):  # failed rows run on as garbage and are flagged, not warned
+        for i in range(1, order + 1):
+            acc = rows[:, i] - (a[:, None, : i - 1] @ reversed_r[:, order - i + 1 :, None])[:, 0, 0]
+            k = acc / err
+            if r.ndim == 1 and abs(k[0]) >= 1.0:
+                raise NumericalDegeneracyError(
+                    f"reflection coefficient magnitude {abs(k[0]):.6g} >= 1 at order {i}"
+                )
+            ok &= ~(np.abs(k) >= 1.0)
+            a[:, : i - 1] -= k[:, None] * a[:, : i - 1][:, ::-1]
+            a[:, i - 1] = k
+            err *= 1.0 - k * k
+    ok &= np.isfinite(err) & np.all(np.isfinite(a), axis=1)
+    if r.ndim == 1:
+        return ArModel(a[0], float(err[0]))
+    return a, err, ok
 
 
 _INVALID_LSF = "LSFs must be strictly increasing within (0, pi)"
 
 
-def _valid_lsf_rows(freqs) -> npt.NDArray[np.bool_]:
+def valid_lsf_rows(freqs) -> npt.NDArray[np.bool_]:
     """Whether each row (last axis) is strictly increasing within (0, pi)."""
     inside = np.all((freqs > 0.0) & (freqs < np.pi), axis=-1)
     return inside & np.all(np.diff(freqs, axis=-1) > 0.0, axis=-1)
@@ -151,7 +157,7 @@ def _series_roots(series) -> npt.NDArray[np.float64]:
     ``np.polynomial.chebyshev.chebcompanion`` builds it (d_m = 2 is never
     zero).  The eigenvalues of all rows come from one stacked call; each
     angle then takes one Newton step in w.  A row whose series lacks m
-    distinct roots in (-1, 1) gives angles that ``_valid_lsf_rows`` rejects.
+    distinct roots in (-1, 1) gives angles that ``valid_lsf_rows`` rejects.
     """
     n, m = series.shape[0], series.shape[1] - 1
     if m == 0:
@@ -174,38 +180,44 @@ def _series_roots(series) -> npt.NDArray[np.float64]:
 
 
 def ar_to_lsf(
-    models: ArModel | Sequence[ArModel], *, skip_failed: bool = False
+    models: ArModel | Sequence[ArModel] | npt.NDArray[np.float64], *, skip_failed: bool = False
 ) -> LsfVector | npt.NDArray[np.float64]:
     """Convert stable AR models to line spectral frequencies.
 
     One ``ArModel`` gives an ``LsfVector``.  A sequence of models of one
-    order gives an (n, order) array, one row per model, from one stacked
-    eigenvalue call per polynomial kind; a one-model call is the one-row
-    case of the same search.  The sum polynomial's roots take the even
-    places of a row and the difference polynomial's the odd ones, so a row
-    is valid only where the two interlace, which holds exactly when A(z) is
-    minimum-phase (Soong & Juang, ICASSP 1984).  The first failing model
-    raises as it would alone: ``ValueError`` if ``is_stable`` finds it
-    unstable, else ``NumericalDegeneracyError``.  With ``skip_failed`` the
-    rows of failing models are left out instead.
+    order, or an (n, order) array of their coefficient rows, gives an
+    (n, order) array, one row per model, from one stacked eigenvalue call
+    per polynomial kind; a one-model call is the one-row case of the same
+    search.  The sum polynomial's roots take the even places of a row and
+    the difference polynomial's the odd ones, so a row is valid only where
+    the two interlace, which holds exactly when A(z) is minimum-phase (Soong
+    & Juang, ICASSP 1984).  The first failing model raises as it would
+    alone: ``ValueError`` if ``is_stable`` finds it unstable, else
+    ``NumericalDegeneracyError``.  With ``skip_failed`` the rows of failing
+    models are left out instead.
     """
     if isinstance(models, ArModel):
         return LsfVector(ar_to_lsf([models])[0])
-    models = list(models)
-    if not models:
-        return np.empty((0, 0))
-    order = models[0].order
-    if any(m.order != order for m in models):
-        raise ValueError("models must all have one order")
-    sums, diffs = _cosine_series(np.array([m.coefficients for m in models]))
-    lsfs = np.empty((len(models), order))
+    if isinstance(models, np.ndarray):
+        coeffs = models
+    else:
+        models = list(models)
+        if not models:
+            return np.empty((0, 0))
+        if any(m.order != models[0].order for m in models):
+            raise ValueError("models must all have one order")
+        coeffs = np.array([m.coefficients for m in models])
+    order = coeffs.shape[1]
+    sums, diffs = _cosine_series(coeffs)
+    lsfs = np.empty(coeffs.shape)
     lsfs[:, 0::2] = np.sort(_series_roots(sums), axis=1)
     lsfs[:, 1::2] = np.sort(_series_roots(diffs), axis=1)
-    ok = _valid_lsf_rows(lsfs)
+    ok = valid_lsf_rows(lsfs)
     if skip_failed:
         return lsfs[ok]
     if not ok.all():
-        if not models[np.argmin(ok)].is_stable():
+        first = int(np.argmin(ok))
+        if not (models[first] if isinstance(models, list) else ArModel(coeffs[first])).is_stable():
             raise ValueError("AR model must be stable for LSF conversion")
         raise NumericalDegeneracyError(
             f"could not separate {order} line spectral frequencies in (0, pi)"

@@ -114,39 +114,6 @@ def prewhiten(
     return out
 
 
-def _harmonic_matrix(omega0: float, order: int, m: int) -> npt.NDArray[np.complex128]:
-    n = np.arange(m)
-    return np.exp(1j * omega0 * np.outer(n, np.arange(1, order + 1)))
-
-
-def ml_amplitudes(
-    zl: npt.NDArray[np.complex128],
-    zr: npt.NDArray[np.complex128] | None,
-    omega0: float,
-    order: int,
-    directivity: DirectivityModel | None = None,
-) -> npt.NDArray[np.complex128]:
-    """Least-squares harmonic amplitudes for the stacked two-ear system."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    m = len(zl)
-    channels = 1 if zr is None else 2
-    if channels * m < order:
-        raise ValueError("system is underdetermined for this harmonic order")
-    v = _harmonic_matrix(omega0, order, m)
-    if zr is None:
-        h, y = v, np.asarray(zl, complex)
-    else:
-        directivity = directivity or DirectivityModel()
-        dl, dr = directivity.gains(omega0, order)
-        h = np.vstack((v * dl, v * dr))
-        y = np.concatenate((zl, zr))
-    q, res, rank, _ = np.linalg.lstsq(h, y, rcond=None)
-    if rank < order:
-        raise ValueError(f"rank-deficient harmonic system (rank {rank} < {order})")
-    return q
-
-
 def map_order_select(
     per_order_costs: npt.NDArray[np.float64], n_obs: int
 ) -> int | npt.NDArray[np.intp]:
@@ -163,23 +130,6 @@ def map_order_select(
     criterion = costs + PARAMS_PER_HARMONIC * orders * np.log(n_obs)
     picks = np.argmin(criterion, axis=-1) + 1
     return int(picks) if picks.ndim == 0 else picks
-
-
-def degree_of_voicing(
-    frame: npt.NDArray[np.complex128],
-    omega0: float,
-    order: int,
-    amplitudes: npt.NDArray[np.complex128],
-) -> float:
-    """Harmonic-energy fraction ||V q||^2 / ||z||^2, clamped to [0, 0.95]."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    total = float(np.vdot(frame, frame).real)
-    if total <= 0.0:
-        return 0.0
-    recon = _harmonic_matrix(omega0, order, len(frame)) @ amplitudes
-    ratio = float(np.vdot(recon, recon).real) / total
-    return float(np.clip(ratio, 0.0, VOICING_CLAMP))
 
 
 def check_pitch_grid(
@@ -416,14 +366,18 @@ def _compile_search(
     )
 
 
-def _residuals(search: _CompiledSearch, y_halves) -> npt.NDArray[np.float64]:
-    """Residual energies of the nested fits of every stored candidate, (ears, candidates, orders).
+def _residuals(search: _CompiledSearch, y_halves):
+    """Residual energies of the nested fits of every stored candidate, and their fit terms.
 
-    For two ears the first axis holds the left and the right residual.  Past
-    a candidate's fitted order its last fit repeats.  mu = M b gives the
-    joint drops |mu|^2 / eps.  The left residual is
-    ||z_left||^2 + a^H T a - 2 Re(a^H p_left) with a = sum_n mu_n beta_n;
-    its order increments come from M p_left and C mu.
+    The residuals are (ears, candidates, orders); for two ears the first
+    axis holds the left and the right residual.  Past a candidate's fitted
+    order its last fit repeats.  mu = M b gives the joint drops
+    |mu|^2 / eps.  The left residual is ||z_left||^2 + a^H T a
+    - 2 Re(a^H p_left) with a = sum_n mu_n beta_n; its order increments come
+    from M p_left and C mu.  The fit terms are the flat per-order increments
+    of the joint fit energy ||H a||^2 and, for two ears, of the left ear's
+    a^H T a; their running sums over a candidate's orders are the fitted
+    harmonic energies.
     """
     spectra = np.stack([_dft_bins(y, search.n_fft)[search.at_harmonics] for y in y_halves])
     y = np.concatenate(y_halves)
@@ -437,12 +391,13 @@ def _residuals(search: _CompiledSearch, y_halves) -> npt.NDArray[np.float64]:
         fit[:, g.start : g.stop] = _lower_matvec(g.predictors, block).reshape(len(spectra), -1)
     mu = fit[-1]
     power = np.abs(mu) ** 2
+    drops = power * search.inv_eps
     out = np.empty((len(y_halves), *search.layout.shape))
-    joint = np.cumsum(search.spread(power * search.inv_eps), axis=1)
+    joint = np.cumsum(search.spread(drops), axis=1)
     np.subtract(energy, joint, out=joint)
     if search.gains is None:
         np.maximum(joint, 0.0, out=out[0])
-        return out
+        return out, (drops,)
     quad = power * search.cross_diag
     for g in search.groups:
         if g.cross is not None:
@@ -454,7 +409,7 @@ def _residuals(search: _CompiledSearch, y_halves) -> npt.NDArray[np.float64]:
     top = np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1)
     np.maximum(energy_left + top, 0.0, out=out[0])
     np.maximum(joint - out[0], 0.0, out=out[1])
-    return out
+    return out, (drops, quad)
 
 
 def estimate_pitch(
@@ -495,35 +450,36 @@ def estimate_pitch(
         directivity if channels == 2 else None, max_order,
     )
 
-    log_sigma2 = _residuals(search, y_halves) / m
+    residuals, terms = _residuals(search, y_halves)
+    log_sigma2 = residuals / m
     np.log(np.maximum(log_sigma2, 1e-300, out=log_sigma2), out=log_sigma2)
     log_terms = np.where(search.fits, m * log_sigma2.sum(axis=0), np.inf)
     orders = map_order_select(log_terms, n_obs)
     costs = log_sigma2[:, np.arange(len(orders)), orders - 1].sum(axis=0)
 
-    best = None  # (cost, omega0, order)
-    for cost, omega0, order in zip(costs.tolist(), search.omegas.tolist(), orders.tolist()):
+    best = None  # (cost, candidate)
+    for index, cost in enumerate(costs.tolist()):
         if best is None or cost < best[0] - 1e-12:
-            best = (cost, omega0, order)
+            best = (cost, index)
 
-    _, omega0, order = best
-    amps = ml_amplitudes(
-        y_halves[0], y_halves[1] if channels == 2 else None, omega0, order, directivity
-    )
+    # The winner's fitted harmonic energy per ear, from the running sums of its fit terms.
+    index = best[1]
+    omega0, order = float(search.omegas[index]), int(orders[index])
+    start = np.count_nonzero(search.layout[:index])
+    fitted = [float(np.cumsum(t[start : start + order])[-1]) for t in terms]
     if channels == 2:
-        dl, dr = directivity.gains(omega0, order)
-        voicing = 0.5 * (
-            degree_of_voicing(y_halves[0], omega0, order, amps * dl)
-            + degree_of_voicing(y_halves[1], omega0, order, amps * dr)
-        )
-    else:
-        voicing = degree_of_voicing(y_halves[0], omega0, order, amps)
+        fitted = [fitted[1], fitted[0] - fitted[1]]  # left: a^H T a; right: the rest of the joint fit
+    ratios = []
+    for harmonic, z in zip(fitted, y_halves):
+        total = float(np.vdot(z, z).real)
+        ratios.append(float(np.clip(harmonic / total, 0.0, VOICING_CLAMP)) if total > 0.0 else 0.0)
+    voicing = sum(ratios) / channels
     if voicing < voicing_threshold:
         return UNVOICED
     period = int(round(2.0 * np.pi / omega0))
     return PitchInfo(
-        omega0=float(omega0),
+        omega0=omega0,
         period_samples=period,
-        voicing=float(voicing),
+        voicing=voicing,
         harmonic_order=order,
     )

@@ -67,16 +67,20 @@ def cross_spectrum(left: npt.NDArray[np.float64], right: npt.NDArray[np.float64]
 
 
 def autocorrelation(x: npt.NDArray[np.float64], max_lag: int) -> npt.NDArray[np.float64]:
-    """Biased autocorrelation estimate r(0..max_lag).
+    """Biased autocorrelation estimate r(0..max_lag) of a frame, or of each row of (N, M) frames.
 
     r(q) = (1/M) sum_n x(n) x(n-q).  The biased form keeps the Toeplitz
-    autocorrelation matrix positive semi-definite.
+    autocorrelation matrix positive semi-definite.  Each lag is one stacked
+    row-by-row dot product, so a row's estimate does not depend on the rows
+    beside it.
     """
-    m = len(x)
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[-1]
     if max_lag >= m:
         raise ValueError("max_lag must be smaller than frame length")
-    full = np.correlate(x, x, mode="full")
-    return full[m - 1 : m + max_lag] / m
+    rows = x.reshape(-1, 1, m)
+    lags = [rows[..., q:] @ rows[..., : m - q].transpose(0, 2, 1) for q in range(max_lag + 1)]
+    return np.concatenate(lags, axis=-1).reshape(*x.shape[:-1], max_lag + 1) / m
 
 
 def analytic_signal(x: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:

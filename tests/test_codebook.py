@@ -111,16 +111,23 @@ def test_train_matches_per_frame_oracle(rng, monkeypatch):
     speech = frame_rows(ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 70, rng), 200)
     # The autocorrelation method fits stable models to real frames, so the
     # odd fits are injected: a constant frame of amplitude c has r(0) = c^2
-    # exactly, and the fit below maps r(0) = 4 and 16 to a failing model and
-    # r(0) = 9 to a stable model with two LSFs about 1e-7 apart, which converts.
+    # exactly.  The fit below hands the row with r(0) = 16 to the recursion
+    # as one whose reflection coefficient exceeds 1, and swaps in a failing
+    # model for r(0) = 4 and a stable model with two LSFs about 1e-7 apart,
+    # which converts, for r(0) = 9.
     injected = {
-        4.0: lambda r: ArModel(np.r_[np.zeros(order - 1), 1.5]),  # unstable
-        9.0: lambda r: close_pole_model(order),
-        16.0: lambda r: levinson_durbin(np.r_[1.0, 1.1, np.zeros(order - 1)]),  # |k| >= 1
+        4.0: np.r_[np.zeros(order - 1), 1.5],  # unstable
+        9.0: close_pole_model(order).coefficients,
     }
 
     def fit(r):
-        return injected.get(r[0], levinson_durbin)(r)
+        r = np.where(r[..., :1] == 16.0, np.r_[1.0, 1.1, np.zeros(order - 1)], r)  # |k| >= 1
+        if r.ndim == 1:
+            return ArModel(injected[r[0]]) if r[0] in injected else levinson_durbin(r)
+        coeffs, variances, ok = levinson_durbin(r)
+        for row, r0 in enumerate(r[:, 0].tolist()):
+            coeffs[row] = injected.get(r0, coeffs[row])
+        return coeffs, variances, ok
 
     odd = [np.zeros(200), np.full(200, 1e-6), np.full(200, 1e200)]  # silent, silent, overflow
     odd += [np.full(200, c) for c in (2.0, 3.0, 4.0)]
@@ -142,6 +149,65 @@ def test_train_matches_per_frame_oracle(rng, monkeypatch):
     clean = codebook.train(np.insert(speech, 44, 3.0, axis=0), size=4, order=order, seed=3)
     np.testing.assert_array_equal(cb.entries, clean.entries)
 
+
+def _reference_lloyd(data, size, seed):
+    """Lloyd iterations with a cell-by-cell centroid update, the oracle of ``train``'s."""
+    rng = np.random.default_rng(seed)
+    centroids = data[rng.choice(len(data), size=size, replace=False)].copy()
+    trace, prev = [], np.inf
+    for _ in range(codebook.LLOYD_MAX_ITERS):
+        d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        per_vector = d2[np.arange(len(data)), assign]
+        trace.append(float(per_vector.mean()))
+        cell_distortion = np.bincount(assign, weights=per_vector, minlength=size)
+        for cell in range(size):
+            members = data[assign == cell]
+            if len(members):
+                centroids[cell] = members.mean(axis=0)
+            else:
+                worst = int(np.argmax(cell_distortion))
+                centroids[cell] = centroids[worst] + 1e-4
+                centroids[worst] = centroids[worst] - 1e-4
+        if prev - trace[-1] < codebook.LLOYD_REL_TOL * max(trace[-1], 1e-30):
+            break
+        prev = trace[-1]
+    centroids = codebook._sanitize_centroids(centroids)
+    return centroids[np.lexsort(centroids.T[::-1])], trace
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5, 7])
+def test_lloyd_matches_cell_by_cell_reference(seed, monkeypatch):
+    # Five LSF vectors repeated ten times each, plus fifteen more: the drawn
+    # centroids repeat, so cells empty and are refilled by splitting the
+    # worst cell, which lies before the empty cell (seeds 5 and 7), after it
+    # (0 and 5), or the step has no empty cell (4).
+    rng = np.random.default_rng(seed)
+    data = np.sort(rng.uniform(0.1, 3.0, (20, 6)), axis=1)
+    data = np.concatenate((np.repeat(data[:5], 10, axis=0), data[5:]))
+    monkeypatch.setattr(codebook, "ar_to_lsf", lambda coeffs, **kwargs: data)
+    trace = []
+    cb = codebook.train(rng.normal(size=(10, 40)), size=8, order=6, seed=seed,
+                        on_iteration=lambda it, d: trace.append(d))
+    want, want_trace = _reference_lloyd(data, 8, seed)
+    np.testing.assert_array_equal(cb.entries, want)
+    assert trace == want_trace
+
+
+def test_sanitize_centroids_fixes_rows_in_order():
+    # Clipped into (0, pi), then each entry not above its left neighbour is
+    # set just above it; rows that need nothing are returned as they are.
+    eps = 1e-9
+    rows = np.array([[0.5, 1.0, 2.0, 3.0],
+                     [0.5, 0.5, 0.5, 1.0],    # equal neighbours
+                     [-0.1, 0.0, 1.0, 4.0],   # entries outside (0, pi)
+                     [0.2, 1.5, 1.5 - 1e-12, 2.0]])
+    out = codebook._sanitize_centroids(rows)
+    np.testing.assert_array_equal(out[0], rows[0])
+    np.testing.assert_array_equal(out[1], [0.5, 0.5 + eps, 0.5 + eps + eps, 1.0])
+    np.testing.assert_array_equal(out[2], [eps, 2 * eps, 1.0, np.pi - eps])
+    np.testing.assert_array_equal(out[3], [0.2, 1.5, 1.5 + eps, 2.0])
+    np.testing.assert_array_equal(rows[1], [0.5, 0.5, 0.5, 1.0])  # the input is not touched
 
 class TestSaveLoad:
     def test_round_trip_identity(self, rng, tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from binse.linpred import (
     levinson_durbin,
     lsf_to_ar,
 )
+
+from binse.signal_core import autocorrelation
 
 from conftest import close_pole_model
 
@@ -54,6 +57,48 @@ class TestLevinsonDurbin:
     def test_degenerate_reflection(self):
         with pytest.raises(NumericalDegeneracyError):
             levinson_durbin(np.array([1.0, 1.1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(1, 24),
+        kinds=st.lists(st.sampled_from(["fit", "r0 <= 0", "|k| >= 1", "overflow"]),
+                       min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_single_calls(self, order, kinds, seed):
+        # One recursion over (N, P+1) rows gives each row's one-row fit bit
+        # for bit, and flags the rows a one-row call raises on.
+        rng = np.random.default_rng(seed)
+        frames = rng.normal(size=(len(kinds), 4 * order + 8))
+        frames[np.array(kinds) == "overflow"] *= 1e160  # r(0) overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = autocorrelation(frames, order)
+        for row, kind in zip(rows, kinds):
+            if kind == "r0 <= 0":
+                row[0] = -row[0] * rng.integers(0, 2)
+            elif kind == "|k| >= 1":
+                row[1] = row[0] * rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, variances, ok = levinson_durbin(rows)
+        assert coeffs.shape == (len(kinds), order) and variances.shape == ok.shape == (len(kinds),)
+        np.testing.assert_array_equal(ok, [kind == "fit" for kind in kinds])
+        for row, kind, a, v in zip(rows, kinds, coeffs, variances):
+            if kind == "fit":
+                model = levinson_durbin(row)
+                np.testing.assert_array_equal(a, model.coefficients)
+                assert v == model.excitation_variance
+            else:
+                with pytest.raises((ValueError, NumericalDegeneracyError)):
+                    levinson_durbin(row)
+
+    def test_one_row_errors_name_the_failure(self):
+        with pytest.raises(ValueError, match="r\\(0\\) must be positive"):
+            levinson_durbin(np.array([np.nextafter(0.0, -1.0), 0.0]))
+        with pytest.raises(NumericalDegeneracyError, match="magnitude 2 >= 1 at order 2"):
+            levinson_durbin(np.array([1.0, 0.5, 1.75]))
+        with pytest.raises(ValueError, match="finite"):
+            levinson_durbin(np.array([np.inf, 1.0]))
 
     def test_prediction_error_nonincreasing(self, rng):
         x = rng.normal(size=2000)

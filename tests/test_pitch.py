@@ -9,18 +9,61 @@ from binse.linpred import ArModel
 from binse import pitch
 from binse.pitch import (
     UNVOICED,
+    VOICING_CLAMP,
     DirectivityModel,
     PitchInfo,
     check_pitch_grid,
-    degree_of_voicing,
     estimate_pitch,
     map_order_select,
-    ml_amplitudes,
     prewhiten,
 )
 from binse.signal_core import analytic_signal
 
 from conftest import ar_signal
+
+
+# The least-squares refit of the winning candidate and its harmonic-energy
+# ratio.  The search reads the voicing off its own running sums; these
+# stay as the oracle of reference_estimate_pitch.
+
+
+def _harmonic_matrix(omega0: float, order: int, m: int):
+    n = np.arange(m)
+    return np.exp(1j * omega0 * np.outer(n, np.arange(1, order + 1)))
+
+
+def ml_amplitudes(zl, zr, omega0, order, directivity=None):
+    """Least-squares harmonic amplitudes for the stacked two-ear system."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    m = len(zl)
+    channels = 1 if zr is None else 2
+    if channels * m < order:
+        raise ValueError("system is underdetermined for this harmonic order")
+    v = _harmonic_matrix(omega0, order, m)
+    if zr is None:
+        h, y = v, np.asarray(zl, complex)
+    else:
+        directivity = directivity or DirectivityModel()
+        dl, dr = directivity.gains(omega0, order)
+        h = np.vstack((v * dl, v * dr))
+        y = np.concatenate((zl, zr))
+    q, res, rank, _ = np.linalg.lstsq(h, y, rcond=None)
+    if rank < order:
+        raise ValueError(f"rank-deficient harmonic system (rank {rank} < {order})")
+    return q
+
+
+def degree_of_voicing(frame, omega0, order, amplitudes):
+    """Harmonic-energy fraction ||V q||^2 / ||z||^2, clamped to [0, 0.95]."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    total = float(np.vdot(frame, frame).real)
+    if total <= 0.0:
+        return 0.0
+    recon = _harmonic_matrix(omega0, order, len(frame)) @ amplitudes
+    ratio = float(np.vdot(recon, recon).real) / total
+    return float(np.clip(ratio, 0.0, VOICING_CLAMP))
 
 
 def harmonic_frame(omega0, amps, m, phase0=0.0):
@@ -300,6 +343,14 @@ def reference_estimate_pitch(zl, zr, sample_rate, f_min=80.0, f_max=400.0,
     return PitchInfo(float(omega0), int(round(2.0 * np.pi / omega0)), float(voicing), order)
 
 
+def assert_same_pick(fast, slow):
+    """The search picks the oracle's f0 and order; its voicing, read off its own
+    running sums rather than a refit, agrees to round-off."""
+    assert (fast.omega0, fast.period_samples, fast.harmonic_order) == (
+        slow.omega0, slow.period_samples, slow.harmonic_order)
+    assert abs(fast.voicing - slow.voicing) <= 1e-13
+
+
 def corpus_frame(seed, m=200, fs=8000):
     """Harmonic frame pair with a random f0, harmonic count, SNR, ITD and ILD."""
     rng = np.random.default_rng(seed)
@@ -350,8 +401,7 @@ class TestExactSearch:
             )
         fast = estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
         slow = reference_estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
-        assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
-            slow.omega0, slow.harmonic_order, slow.voicing)
+        assert_same_pick(fast, slow)
 
     @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
     def test_recursion_residuals_match_qr(self, two, directional):
@@ -375,8 +425,32 @@ class TestExactSearch:
             h = np.vstack([v * g for g in d.gains(w0, order)]) if two else v
             ref = _reference_candidate_costs(halves, h)
             assert search.fits.shape == (1, order) and search.fits.all()
-            fast = pitch._residuals(search, halves)[:, 0].T
+            fast = pitch._residuals(search, halves)[0][:, 0].T
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-9 * np.vdot(y, y).real)
+
+    @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
+    def test_fit_terms_sum_to_refit_energies(self, two, directional):
+        # The voicing reads each ear's harmonic energy off running sums of
+        # the search's fit terms: the joint fit energy and the left ear's
+        # a^H T a.  Order by order they match a least-squares refit.
+        fs, f0 = 8000, 133.5
+        zl, zr = (z[10:-10] for z in corpus_frame(3))
+        m = len(zl)
+        halves = [zl, zr] if two else [zl]
+        d = DirectivityModel(delay_seconds=2.5 / fs if directional else 0.0,
+                             sample_rate=fs, magnitude_right=0.6 if directional else 1.0)
+        search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, d, None)
+        sums = [np.cumsum(t) for t in pitch._residuals(search, halves)[1]]
+        w0 = 2 * np.pi * f0 / fs
+        scale = np.vdot(zl, zl).real + (np.vdot(zr, zr).real if two else 0.0)
+        for order in range(1, len(sums[0]) + 1):
+            amps = ml_amplitudes(zl, zr if two else None, w0, order, d)
+            v = _harmonic_matrix(w0, order, m)
+            gains = d.gains(w0, order) if two else [np.ones(order)]
+            ears = [float(np.vdot(v @ (amps * g), v @ (amps * g)).real) for g in gains]
+            got = [running[order - 1] for running in sums]
+            want = [sum(ears), ears[0]] if two else ears
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("two", [True, False])
     def test_coarse_grid_shorter_dft_than_frame(self, two):
@@ -388,8 +462,7 @@ class TestExactSearch:
         kwargs = dict(f_min=100.0, f_max=400.0, grid_step_hz=50.0, voicing_threshold=0.0)
         fast = estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
         slow = reference_estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
-        assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
-            slow.omega0, slow.harmonic_order, slow.voicing)
+        assert_same_pick(fast, slow)
 
     @pytest.mark.parametrize("two", [True, False])
     def test_digital_silence_unvoiced_without_warnings(self, two):
@@ -429,8 +502,7 @@ class TestExactSearch:
             )
         fast = estimate_pitch(zl, zr, self.FS, **kwargs)
         slow = reference_estimate_pitch(zl, zr, self.FS, **kwargs)
-        assert (fast.omega0, fast.harmonic_order, fast.voicing) == (
-            slow.omega0, slow.harmonic_order, slow.voicing)
+        assert_same_pick(fast, slow)
 
     def test_no_harmonic_fitted_at_or_above_nyquist(self):
         # The compiled search of the default grid, for the trimmed frame
@@ -497,9 +569,9 @@ class TestExactSearch:
             assert pick(*case) == warm[case]
             m, two, directivity, max_order = case
             zl, zr = corpus_frame(6, m=m)
-            assert warm[case] == reference_estimate_pitch(
+            assert_same_pick(warm[case], reference_estimate_pitch(
                 zl, zr if two else None, self.FS, f_min=100.0, f_max=180.0,
-                directivity=directivity, max_order=max_order, voicing_threshold=0.0)
+                directivity=directivity, max_order=max_order, voicing_threshold=0.0))
         # One ear never reads the directivity, so it does not key that search.
         pitch._compile_search.cache_clear()
         assert pick(200, False, d, None) == pick(200, False, None, None)

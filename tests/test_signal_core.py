@@ -130,6 +130,18 @@ class TestAutocorrelation:
     def test_lag_bound(self):
         with pytest.raises(ValueError):
             autocorrelation(np.zeros(10), 10)
+        with pytest.raises(ValueError):
+            autocorrelation(np.zeros((3, 10)), 10)
+
+    @pytest.mark.parametrize("m, max_lag", [(1, 0), (15, 14), (64, 10), (200, 14), (333, 40)])
+    def test_rows_match_single_frames(self, rng, m, max_lag):
+        frames = rng.normal(size=(9, m)) * np.logspace(-4, 4, 9)[:, None]
+        rows = autocorrelation(frames, max_lag)
+        assert rows.shape == (9, max_lag + 1)
+        np.testing.assert_array_equal(rows, [autocorrelation(f, max_lag) for f in frames])
+        full = [np.correlate(f, f, "full")[m - 1 : m + max_lag] / m for f in frames]
+        np.testing.assert_allclose(rows, full, rtol=1e-12, atol=0)
+        assert autocorrelation(frames[:0], max_lag).shape == (0, max_lag + 1)
 
 
 class TestAnalyticSignal:
