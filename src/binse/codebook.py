@@ -139,9 +139,14 @@ def train(
 
 
 def _sanitize_centroids(centroids: npt.NDArray[np.float64]):
-    """Force strict monotonicity inside (0, pi); averaging can only violate it marginally."""
+    """Force strict monotonicity inside (0, pi); averaging can only violate it marginally.
+
+    Entry i is clipped into [(i + 1) eps, pi - (P - i) eps], so setting each
+    entry not above its left neighbour just above it stays below pi.
+    """
     eps = 1e-9
-    out = np.clip(centroids, eps, np.pi - eps)
+    steps = eps * np.arange(1, centroids.shape[1] + 1)
+    out = np.clip(centroids, steps, np.pi - steps[::-1])
     for row in np.flatnonzero(np.any(np.diff(out, axis=1) <= 0.0, axis=1)):
         for i in range(1, out.shape[1]):
             if out[row, i] <= out[row, i - 1]:

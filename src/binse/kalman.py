@@ -12,16 +12,18 @@ head row of each chain, so a model stores only its head rows, over the
 columns they reach.  A model does not record which kind it is: the UV
 layout is the V-UV one with an empty excitation chain.
 
-The covariance step is exactly symmetric: a shifted copy of P, one head-row
-product R = W P[head_cols] for the head rows and columns, and the rank-one
-correction u u^T.  Within a frame the gain converges geometrically; once it
-moves by at most ``FREEZE_TOL`` of its max-abs between samples, later steps
-under that model keep it and P.  The freeze reads only P, so channels that
-share it freeze together.  It moved benchmark-scene outputs by <= 2.8e-11.
+Each frame runs in two phases.  Until its gain freezes, ``flks_step`` runs
+one fused, exactly symmetric step per sample on [P | x].  Within a frame the
+gain converges geometrically; once it moves by at most ``FREEZE_TOL`` of its
+max-abs between samples, the rest of the frame keeps it and P and is the
+time-invariant filter x_n = (I - g h) F x_(n-1) + g z_n, run as a few matrix
+products (``_frozen_run``).  The freeze reads only P, so channels that share
+it freeze together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,44 +63,73 @@ class StateSpaceModel:
         q[k, k] = self.process_variances
         object.__setattr__(self, "_head_block", (np.ix_(rows, rows), self.head_weights.T / 2, q))
 
-    def transition(self, a: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        """F a for a ``(dim,)`` or ``(dim, C)`` array.
+    def transition(self, a) -> npt.NDArray[np.float64]:
+        """F a for a ``(dim,)`` or ``(dim, C)`` array."""
+        return self.matrix() @ a
 
-        The head rows are one mat-vec per channel, so a channel gets the
-        same bits alone as beside others.
-        """
-        out = np.empty_like(a)
-        out[1:] = a[:-1]
-        channels, out_channels = a.reshape(len(a), -1), out.reshape(len(a), -1)  # views
-        for c in range(channels.shape[1]):
-            out_channels[self.head_rows, c] = self.head_weights.dot(channels[self.head_cols, c])
-        return out
-
-    def predict_covariance(self, cov: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        """F cov F^T + G diag(sigma_d^2, sigma_v^2) G^T, exactly symmetric for a
-        symmetric cov: R = W cov[head_cols] gives the head rows, R^T the head
-        columns, and M + M^T + Q the head block, with M = R[:, head_cols] W^T / 2.
-        """
-        block, half_weights_t, q = self._head_block
-        heads = self.head_weights.dot(cov[self.head_cols])
+    def predict_covariance(self, cov) -> npt.NDArray[np.float64]:
+        """F cov F^T + G diag(sigma_d^2, sigma_v^2) G^T."""
         out = np.empty_like(cov)
-        out[1:, 1:] = cov[:-1, :-1]
-        out[self.head_rows, 1:] = heads[:, :-1]  # row 0 is always a head row
-        out[1:, self.head_rows] = heads[:, :-1].T
-        m = heads[:, self.head_cols].dot(half_weights_t)
-        out[block] = m + m.T + q
+        self.predict(cov, out, self.dim)
         return out
 
+    def predict(self, joint, out, cov_cols: int) -> None:
+        """Write F P F^T + Q for the first ``cov_cols`` columns (``dim`` or 0)
+        of ``joint`` = [P | X], and F X for the rest, into ``out``.
 
-@dataclass
+        The head rows of F X are one mat-vec per column, so a channel gets
+        the same bits alone as beside others.  F P F^T + Q is exactly
+        symmetric: a shifted copy of P, R = W P[head_cols] for the head rows
+        and R^T for the head columns, and M + M^T + Q for the head block, with
+        M = R[:, head_cols] W^T / 2.
+        """
+        rows, weights, k = self.head_rows, self.head_weights, cov_cols
+        gathered = joint[self.head_cols]
+        out[1:, k:] = joint[:-1, k:]
+        for c in range(k, joint.shape[1]):
+            out[rows, c] = weights.dot(gathered[:, c])
+        if k:
+            block, half_weights_t, q = self._head_block
+            heads = weights.dot(gathered[:, :k])
+            shifted = heads[:, :-1]
+            out[1:, 1:k] = joint[:-1, : k - 1]
+            out[rows, 1:k] = shifted  # row 0 is always a head row
+            out[1:, rows] = shifted.T
+            m = heads[:, self.head_cols].dot(half_weights_t)
+            out[block] = m + m.T + q
+
+    def matrix(self) -> npt.NDArray[np.float64]:
+        """F as a dense ``(dim, dim)`` array."""
+        f = np.eye(self.dim, k=-1)
+        f[self.head_rows] = 0.0
+        f[np.ix_(self.head_rows, self.head_cols)] = self.head_weights
+        return f
+
+
 class SmootherState:
-    """A posteriori state estimate and error covariance."""
+    """A posteriori covariance P and state x, side by side in one
+    ``(dim, dim + C)`` array ``joint`` = [P | x]; ``cov`` and ``x`` (``(dim,)``
+    or ``(dim, C)``) are views of it."""
 
-    x: npt.NDArray[np.float64]
-    cov: npt.NDArray[np.float64]
-    samples_seen: int = 0
-    gain: npt.NDArray[np.float64] | None = None  # the last correction's gain
-    frozen: StateSpaceModel | None = None  # the model whose settled gain is ``gain``
+    def __init__(self, x, cov, samples_seen: int = 0):
+        x = np.asarray(x, dtype=float)
+        self.joint = np.concatenate((cov, x.reshape(len(x), -1)), axis=1)
+        self.x_shape = x.shape
+        self.samples_seen = samples_seen
+        self.gain: npt.NDArray[np.float64] | None = None  # the last correction's gain
+        self.frozen: StateSpaceModel | None = None  # the model whose settled gain is ``gain``
+
+    @property
+    def cov(self) -> npt.NDArray[np.float64]:
+        return self.joint[:, : len(self.joint)]
+
+    @property
+    def x(self) -> npt.NDArray[np.float64]:
+        return self.joint[:, len(self.joint) :].reshape(self.x_shape)
+
+    @x.setter
+    def x(self, value):
+        self.joint[:, len(self.joint) :] = np.reshape(value, (len(self.joint), -1))
 
 
 def _model(speech, noise, smoother_delay, dim, rows, runs, inputs, observed):
@@ -187,41 +218,123 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     covariance and the gain are computed once and serve every channel.  The
     emitted sample (a float, or a ``(C,)`` array) is the last speech entry
     of the a posteriori state, i.e. the smoothed estimate of s(n - d_s);
-    nothing is emitted until the state is filled.  A degenerate innovation
-    variance (digital silence under zero process variances) skips the
-    correction: the state becomes its prediction.  Once the gain settles
-    under ``model``, P is kept as it is and the kept gain corrects x.
+    nothing is emitted until the state is filled.
+
+    Rows i + j of the prediction of [P | x] hold [P h^T | h x], and one
+    rank-one update [P | x] -= u [u | (h x - z) / sqrt(s)], u = P h^T / sqrt(s),
+    corrects both.  A degenerate innovation variance s (digital silence
+    under zero process variances) skips the correction.  Once the gain
+    settles under ``model``, P is kept and the kept gain corrects x.
     """
-    if len(state.x) != model.dim:
+    joint, dim = state.joint, model.dim
+    if len(joint) != dim:
         raise ValueError("state dimension does not match model")
 
     i, j = model.observed
-    x_pred = model.transition(state.x)
-    if state.frozen is not model:
-        cov = model.predict_covariance(state.cov)
-        cov_obs = cov[i] + cov[j]  # columns i and j, as cov is symmetric
-        innov_var = float(cov_obs[i] + cov_obs[j])
+    out = np.empty_like(joint)
+    if state.frozen is model:
+        out[:, :dim] = joint[:, :dim]
+        model.predict(joint[:, dim:], out[:, dim:], 0)
+        out[:, dim:] += np.multiply.outer(state.gain, z_n - (out[i, dim:] + out[j, dim:]))
+    else:
+        model.predict(joint, out, dim)
+        obs = out[i] + out[j]  # [P h^T | h x], as P is symmetric
+        innov_var = float(obs[i] + obs[j])
         gain = None
         if not innov_var <= INNOVATION_EPS:  # a NaN still corrects, so it shows
-            gain = cov_obs / innov_var
-            u = cov_obs / np.sqrt(innov_var)
-            cov -= u[:, None] * u
+            gain = obs[:dim] / innov_var
+            obs[dim:] -= z_n
+            w = obs / math.sqrt(innov_var)
+            out -= np.multiply.outer(w[:dim], w)
             if state.gain is not None and (abs(gain - state.gain).max()
                                            <= FREEZE_TOL * abs(gain).max()):
                 state.frozen = model
-        state.cov, state.gain = cov, gain
-    if state.gain is not None:
-        x_pred += np.multiply.outer(state.gain, z_n - (x_pred[i] + x_pred[j]))
+        state.gain = gain
 
     n = state.samples_seen
-    state.x = x_pred
-    state.samples_seen = n + 1
-
+    state.joint, state.samples_seen = out, n + 1
     delay = model.smoother_delay
     if n < delay:
         return state, None
-    emitted = x_pred[delay]
-    return state, float(emitted) if emitted.ndim == 0 else emitted.copy()
+    emitted = out[delay, dim:]
+    return state, float(emitted[0]) if len(state.x_shape) == 1 else emitted.copy()
+
+
+def _unread_runs(model: StateSpaceModel) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` runs that end a chain past every entry a head
+    row, the observation or the output reads.  Such entries only shift out,
+    so nothing else depends on them within a frame."""
+    read = np.zeros(model.dim, dtype=bool)
+    read[model.head_cols] = read[model.head_rows] = True
+    read[[*model.observed, model.smoother_delay]] = True
+    bounds = [*model.head_rows, model.dim]
+    last_read = [lo + np.flatnonzero(read[lo:hi])[-1] for lo, hi in zip(bounds, bounds[1:])]
+    return [(last + 1, hi) for last, hi in zip(last_read, bounds[1:]) if last + 1 < hi]
+
+
+def _frozen_run(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArray[np.float64]:
+    """Step a state frozen under ``model`` through the ``(C, T)`` observations
+    ``z``; returns the ``(C, T)`` emitted samples and leaves the end state.
+
+    A step is x_t = A x_(t-1) + g z_t, A = (I - g h) F, so a left vector l
+    reads l x_t = l A^t x_0 plus the lower-triangular Toeplitz product of
+    the taps l A^k g with z, and x_T = A^T x_0 + sum_t A^(T-t) g z_t.  The
+    rows l A^t and columns A^k g double block by block through the squares
+    of A.  These span only the entries something reads, so a chain's unread
+    tail (see ``_unread_runs``) does not change the bits of the rest.  Its
+    entry k = start + m ends at x_(start-1)(T-m-1) + sum_(s<=m) g_(k-s) nu_(T-s)
+    if m < T, else at x_(k-T)(0) + sum_(s<T) g_(k-s) nu_(T-s), with the
+    innovation nu_t = z_t - h F x_(t-1) and x_(start-1) as two more left
+    vectors.  Products on the data run per channel, so a channel gets the
+    same bits alone as beside others.
+    """
+    gain, dim, steps = state.gain, model.dim, z.shape[-1]
+    runs = _unread_runs(model)
+    read = np.ones(dim, dtype=bool)
+    for start, stop in runs:
+        read[start:stop] = False
+    at = np.cumsum(read) - 1  # an entry's place among the read entries
+    f = model.matrix()[np.ix_(read, read)]
+    h_f = f[at[model.observed[0]]] + f[at[model.observed[1]]]
+    g = gain[read]
+    a = f - np.multiply.outer(g, h_f)
+    left = np.eye(len(g))[at[[model.smoother_delay, *(start - 1 for start, _ in runs)]]]
+    if runs:
+        left = np.vstack((left, h_f))
+    starts = state.x.reshape(dim, -1).T.copy()  # one row per channel
+    powered = [x[read] for x in starts]  # becomes A^T x_0, one square per bit of T
+    rows = np.empty((len(left), steps + 1, len(g)))  # l A^t for t = 0..T
+    columns = np.empty((len(g), steps))  # A^t g for t = 0..T-1
+    rows[:, 0], columns[:, 0] = left, g
+    square, t = a, 1  # square = A^t
+    while t <= steps:
+        rows[:, t : 2 * t] = rows[:, : min(t, steps + 1 - t)] @ square
+        columns[:, t : 2 * t] = square @ columns[:, : min(t, steps - t)]
+        if steps & t:
+            powered = [square @ x for x in powered]
+        t *= 2
+        if t <= steps:
+            square = square @ square
+    taps = rows[:, :steps] @ g
+    emitted = np.empty_like(z)
+    for c, (x, z_c) in enumerate(zip(starts, z)):
+        reads = rows @ x[read]  # l x_t for t = 0..T, before the inputs
+        for row, taps_l in zip(reads, taps):
+            row[1:] += np.convolve(taps_l, z_c)[:steps]
+        emitted[c] = reads[0, 1:]
+        end = state.joint[:, dim + c]  # every entry is read or in a run
+        end[read] = powered[c] + columns[:, ::-1] @ z_c
+        if runs:
+            nu_reversed = (z_c - reads[-1, :steps])[::-1]  # nu_T, ..., nu_1
+            for (start, stop), last_read in zip(runs, reads[1:]):
+                m = np.arange(stop - start)
+                lag = m[:, None] - np.arange(steps)
+                spread = np.where(lag >= 0, gain[start + np.maximum(lag, 0)], 0.0)
+                fed = np.where(m < steps, last_read[np.maximum(steps - 1 - m, 0)],
+                               x[start + np.maximum(m - steps, 0)])
+                end[start:stop] = fed + (spread * nu_reversed).sum(axis=1)
+    state.samples_seen += steps
+    return emitted
 
 
 def enhance_channel(
@@ -239,11 +352,13 @@ def enhance_channel(
     Channels that share the parameters share the model, so one covariance
     recursion serves them all; it starts from the mean of their first-frame
     energies.  Each frame has its own model; state and covariance carry
-    across.  One loop steps through the input and then ``smoother_delay``
-    zero observations, which flush the last samples out, so the output
-    aligns sample-for-sample with the input.  Samples after the last full
-    frame, and the flush, use the last frame's model.  Input shorter than
-    one frame has no parameters and is returned unchanged.
+    across.  The steps run over the input and then ``smoother_delay`` zero
+    observations, which flush the last samples out, so the output aligns
+    sample-for-sample with the input: the step for sample n emits output
+    sample n - ``smoother_delay``.  Samples after the last full frame, and
+    the flush, use the last frame's model.  Within a frame, ``flks_step``
+    runs until the gain freezes, and ``_frozen_run`` does the rest.  Input
+    shorter than one frame has no parameters and is returned unchanged.
 
     Every voiced period must lie in [1, ``p_max``]; the V-UV excitation
     chain is sized to the longest of them (one entry if none is voiced).
@@ -272,9 +387,17 @@ def enhance_channel(
     r0 = np.mean([float(np.dot(c, c)) / frame_len for c in head])
     state = initial_state(models[0], max(r0, 1e-12), x.shape[:-1])
     padded = np.concatenate((x, np.zeros((*x.shape[:-1], smoother_delay))), axis=-1)
-    out = np.empty_like(x)
-    for n in range(padded.shape[-1]):
-        state, emitted = flks_step(state, models[min(n // frame_len, n_frames - 1)], padded[..., n])
-        if n >= smoother_delay:  # the step for sample n emits s(n - smoother_delay)
-            out[..., n - smoother_delay] = emitted
-    return out
+    observations = padded.reshape(-1, padded.shape[-1])
+    emitted = np.empty_like(observations)  # column n: what the step for sample n emits
+    n = 0
+    for f, model in enumerate(models):
+        end = (f + 1) * frame_len if f < n_frames - 1 else observations.shape[1]
+        while n < end and state.frozen is not model:
+            state, sample = flks_step(state, model, padded[..., n])
+            if sample is not None:
+                emitted[:, n] = sample
+            n += 1
+        if n < end:
+            emitted[:, n:end] = _frozen_run(state, model, observations[:, n:end])
+            n = end
+    return emitted[:, smoother_delay:].reshape(x.shape)

@@ -96,23 +96,23 @@ def _channel_params(
     m = cfg.frame_len
     frames_l = frame_rows(xl, m)
     pzl = pzr = periodogram(frames_l)
-    tracker = DualChannelNoiseTracker() if (xr is not None and cfg.adaptive_noise_codebook) else None
+    adaptive = [None] * len(frames_l)
     if xr is not None:
         frames_r = frame_rows(xr, m)
         pzr = periodogram(frames_r)
-        if tracker is not None:
+        if cfg.adaptive_noise_codebook and len(frames_l):
+            # The tracker does not depend on the STP, so every frame's noise
+            # PSD is fitted in one pass, at the codebook's order so the
+            # LSF-domain averaging in the estimator sees entries of one
+            # common length.  A frame whose fit fails gets no adaptive entry.
+            tracker = DualChannelNoiseTracker()
             cross = cross_spectrum(frames_l, frames_r)
+            dc_psd = [tracker.update(pzl[fi], pzr[fi], cross[fi]) for fi in range(len(frames_l))]
+            coeffs, variances, ok = stp.noise_psd_to_ar(np.array(dc_psd), noise.order)
+            adaptive = [ArModel(c, float(v)) if fit else None
+                        for c, v, fit in zip(coeffs, variances, ok)]
     params = []
-    for fi in range(len(frames_l)):
-        adaptive_entry = None
-        if tracker is not None:
-            dc_psd = tracker.update(pzl[fi], pzr[fi], cross[fi])
-            # Fit at the codebook's order so the LSF-domain averaging in
-            # the estimator sees entries of one common length.
-            try:
-                adaptive_entry = stp.noise_psd_to_ar(dc_psd, noise.order)
-            except (ValueError, ArithmeticError):
-                adaptive_entry = None
+    for fi, adaptive_entry in enumerate(adaptive):
         diag = StpDiagnostics()
         est = stp.estimate_stp(pzl[fi], pzr[fi], speech, noise, frame_len=m, diagnostics=diag,
                                adaptive_noise=adaptive_entry)

@@ -319,17 +319,21 @@ def _inverse_dft_rows(order: int, k: int) -> npt.NDArray[np.complex128]:
     return phases
 
 
-def noise_psd_to_ar(psd, order: int) -> ArModel:
+def noise_psd_to_ar(psd, order: int):
     """Fit an AR model to a noise PSD via inverse-DFT autocorrelation.
 
     r(q) = (1/K) sum_k P(k) exp(i 2 pi q k / K), q = 0..order, then
     Levinson-Durbin.  The 1/K factor keeps r(0) equal to the mean PSD so
-    the fitted excitation variance lives on the periodogram scale.
+    the fitted excitation variance lives on the periodogram scale.  A 1-D
+    ``psd`` gives an ``ArModel`` or raises as ``levinson_durbin`` does (and
+    on an all-zero PSD); an (N, K) array fits its rows in one recursion and
+    returns ``levinson_durbin``'s ``(coefficients, variances, ok)``, each
+    row's r by the same mat-vec as a 1-D call, so the fits are the same bits.
     """
     bins = np.asarray(psd, float)
-    if np.all(bins == 0):
+    if bins.ndim == 1 and np.all(bins == 0):
         raise ValueError("PSD must not be all-zero")
-    k = len(bins)
-    r = np.real(_inverse_dft_rows(order, k) @ bins) / k
-    return levinson_durbin(r)
-
+    k = bins.shape[-1]
+    phases = _inverse_dft_rows(order, k)
+    r = np.real([phases @ row for row in bins.reshape(-1, k)]) / k
+    return levinson_durbin(r[0] if bins.ndim == 1 else r)

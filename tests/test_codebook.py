@@ -3,7 +3,7 @@ import pytest
 
 from binse import codebook
 from binse.codebook import Codebook, CodebookFormatError
-from binse.linpred import ArModel, ar_to_lsf, levinson_durbin
+from binse.linpred import ArModel, ar_to_lsf, levinson_durbin, valid_lsf_rows
 from binse.signal_core import autocorrelation, frame_rows
 
 from conftest import ar_signal, close_pole_model
@@ -208,6 +208,18 @@ def test_sanitize_centroids_fixes_rows_in_order():
     np.testing.assert_array_equal(out[2], [eps, 2 * eps, 1.0, np.pi - eps])
     np.testing.assert_array_equal(out[3], [0.2, 1.5, 1.5 + eps, 2.0])
     np.testing.assert_array_equal(rows[1], [0.5, 0.5, 0.5, 1.0])  # the input is not touched
+
+
+def test_sanitize_centroids_keeps_top_entries_below_pi():
+    # Two top entries above pi: clipping both to pi - eps and stepping the
+    # last one up would reach pi, so each entry is clipped below pi by as
+    # many steps as entries follow it.
+    eps = 1e-9
+    out = codebook._sanitize_centroids(np.array([[1.0, 3.2, 3.3]]))
+    np.testing.assert_array_equal(out[0], [1.0, np.pi - eps - eps, np.pi - eps])
+    assert valid_lsf_rows(out).all()
+    Codebook(out, "speech")
+
 
 class TestSaveLoad:
     def test_round_trip_identity(self, rng, tmp_path):

@@ -296,6 +296,69 @@ def output_snr(s, shat):
     return 10 * np.log10(np.sum(s**2) / np.sum((s - shat) ** 2))
 
 
+def stepped(z, models, frame_len, delay, carried=None):
+    """The flks_step loop over ``z`` and then ``delay`` zeros, as
+    ``enhance_channel`` runs it, with the state's x replaced by
+    ``carried[i]`` before step i.  Returns the output, whether each step
+    ran frozen under its own model, and the x each frame starts from."""
+    n = z.shape[-1]
+    energy = np.mean([float(np.dot(c, c)) / frame_len for c in z.reshape(-1, n)[:, :frame_len]])
+    state = initial_state(models[0], max(energy, 1e-12), z.shape[:-1])
+    observations = np.concatenate((z, np.zeros((*z.shape[:-1], delay))), axis=-1)
+    emitted, frozen, starts = [], [], {}
+    for i in range(n + delay):
+        model = models[min(i // frame_len, len(models) - 1)]
+        if carried is not None and i in carried:
+            state.x = carried[i]
+        if i % frame_len == 0:
+            starts[i] = state.x.copy()
+        frozen.append(state.frozen is model)
+        state, sample = flks_step(state, model, observations[..., i])
+        assert (sample is None) == (i < delay)
+        if sample is not None:
+            emitted.append(sample)
+    return np.stack(emitted, axis=-1), np.array(frozen), starts
+
+
+def spy_steps(monkeypatch):
+    """Record the x each ``enhance_channel`` step starts from, by sample."""
+    import binse.kalman as kalman
+
+    entries = {}
+
+    def spy(state, model, z_n):
+        entries[state.samples_seen] = state.x.copy()
+        return flks_step(state, model, z_n)
+
+    monkeypatch.setattr(kalman, "flks_step", spy)
+    return entries
+
+
+def assert_matches_step_loop(got, z, models, frame_len, delay, entries):
+    """``got`` against the flks_step loop: the loop that starts each frame
+    from the state ``enhance_channel`` carried into it gives every sample
+    up to the frame's freeze bit for bit, and the frozen rest within 1e-12
+    of the peak; the plain loop gives every sample, and every state a frame
+    starts from, within 1e-12 of the peak.  ``enhance_channel`` called
+    flks_step on exactly the unfrozen steps."""
+    starts = {i: x for i, x in entries.items() if i % frame_len == 0}
+    reseeded, frozen, _ = stepped(z, models, frame_len, delay, starts)
+    plain, _, plain_starts = stepped(z, models, frame_len, delay)
+    assert starts.keys() <= plain_starts.keys()
+    for i, x in starts.items():
+        np.testing.assert_allclose(x, plain_starts[i], rtol=0,
+                                   atol=1e-12 * np.nanmax(np.abs(plain_starts[i])))
+    assert sorted(entries) == list(np.flatnonzero(~frozen))
+    assert np.array_equal(np.isnan(got), np.isnan(plain))
+    finite = ~np.isnan(plain)
+    exact = finite & ~frozen[delay:]
+    assert got[exact].tobytes() == reseeded[exact].tobytes()
+    bound = 1e-12 * np.max(np.abs(plain[finite]))
+    np.testing.assert_allclose(got[finite], reseeded[finite], rtol=0, atol=bound)
+    np.testing.assert_allclose(got[finite], plain[finite], rtol=0, atol=bound)
+    return frozen
+
+
 class TestEnhanceChannel:
     def make_params(self, n_frames, speech, noise):
         est = StpEstimate(speech=speech, noise=noise)
@@ -434,29 +497,77 @@ class TestEnhanceChannel:
 
     @pytest.mark.parametrize("delay", [0, 25, 200])
     @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
-    def test_one_step_loop_over_input_then_zeros(self, rng, delay, shape):
+    def test_one_step_loop_over_input_then_zeros(self, rng, monkeypatch, delay, shape):
         # The output is a flks_step loop over the input and then `delay` zero
         # observations, under each frame's model and then the last one; the
-        # step for sample i emits output sample i - delay.
+        # step for sample i emits output sample i - delay.  Up to each
+        # frame's freeze the steps are flks_step itself, bit for bit; the
+        # frozen rest of a frame is a block product, within 1e-12 of the
+        # peak, and so is the state it hands to the next frame.
         speech = ArModel(np.array([1.2, -0.6])[:delay], 1e-3)
         noise = ArModel(np.array([0.4]), 5e-4)
         n = 3 * 200 + 70  # a trailing partial frame
         z = rng.normal(size=(*shape, n))
         params = [(StpEstimate(speech=speech, noise=noise), pitch)
                   for pitch in (UNVOICED, voiced(period=40, b=0.6), voiced(period=81, b=0.3))]
+        entries = spy_steps(monkeypatch)
         got = enhance_channel(z, params, 200, model_kind="vuv", smoother_delay=delay)
         models = [build_vuv_model(speech, noise, pitch, delay, 81) for _, pitch in params]
-        energy = np.mean([float(np.dot(c, c)) / 200 for c in z.reshape(-1, n)[:, :200]])
-        state = initial_state(models[0], energy, shape)
-        observations = np.concatenate((z, np.zeros((*shape, delay))), axis=-1)
-        emitted = []
-        for i in range(n + delay):
-            state, sample = flks_step(state, models[min(i // 200, 2)], observations[..., i])
-            assert (sample is None) == (i < delay)
-            if sample is not None:
-                emitted.append(sample)
         assert got.shape == z.shape
-        assert got.tobytes() == np.stack(emitted, axis=-1).tobytes()
+        assert_matches_step_loop(got, z, models, 200, delay, entries)
+
+    @staticmethod
+    def oracle_params(kind, delay):
+        # Four frames: unvoiced, period 40, a digital-silence frame (zero
+        # input under zero coefficients and variances, so the innovation
+        # variance is 0 and the gain never settles) and period 81.
+        speech = ArModel(np.array([1.2, -0.6])[:delay], 1e-3)
+        noise = ArModel(np.array([0.4]), 5e-4)
+        silent = StpEstimate(speech=ArModel(np.zeros(speech.order), 0.0),
+                             noise=ArModel(np.zeros(1), 0.0))
+        est = StpEstimate(speech=speech, noise=noise)
+        params = [(est, UNVOICED), (est, voiced(period=40, b=0.6)), (silent, UNVOICED),
+                  (est, voiced(period=81, b=0.3))]
+        if kind == "uv":
+            return params, [build_uv_model(e.speech, e.noise, delay) for e, _ in params]
+        return params, [build_vuv_model(e.speech, e.noise, p, delay, 81) for e, p in params]
+
+    @pytest.mark.parametrize("frame_len,delay", [(200, 0), (200, 25), (200, 200), (100, 25)])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("kind", ["uv", "vuv"])
+    def test_frozen_runs_match_step_loop(self, rng, monkeypatch, kind, shape, frame_len, delay):
+        # Each frame steps until its gain freezes and runs the rest as one
+        # block; against the per-sample loop (see assert_matches_step_loop).
+        # With 100-sample frames a V-UV frame's frozen rest is shorter than
+        # the chain entries past its pitch lag.
+        n = 4 * frame_len + 70  # a trailing partial frame
+        z = 0.05 * rng.normal(size=(*shape, n))
+        silent = slice(2 * frame_len, 3 * frame_len)
+        z[..., silent] = 0.0
+        params, models = self.oracle_params(kind, delay)
+        entries = spy_steps(monkeypatch)
+        got = enhance_channel(z, params, frame_len, model_kind=kind, smoother_delay=delay)
+        frozen = assert_matches_step_loop(got, z, models, frame_len, delay, entries)
+        assert not frozen[silent].any()  # the silent frame never freezes
+        for f in (0, 1, 3):  # the other frames do
+            assert frozen[f * frame_len : (f + 1) * frame_len].any()
+
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
+    def test_nan_input_shows(self, rng, monkeypatch, shape):
+        # A NaN in the first channel, in a frozen stretch of the last frame,
+        # turns that channel's output NaN from the sample it reaches on; the
+        # covariance never sees the data, so any other channel is untouched.
+        n, delay = 4 * 200 + 70, 25
+        z = 0.05 * rng.normal(size=(*shape, n))
+        z.reshape(-1, n)[0, 750] = np.nan
+        params, models = self.oracle_params("vuv", delay)
+        entries = spy_steps(monkeypatch)
+        got = enhance_channel(z, params, 200, model_kind="vuv", smoother_delay=delay)
+        frozen = assert_matches_step_loop(got, z, models, 200, delay, entries)
+        assert frozen[750]
+        first = got.reshape(-1, n)[0]
+        assert np.all(np.isnan(first[750 - delay :])) and np.all(np.isfinite(first[: 750 - delay]))
+        assert np.all(np.isfinite(got.reshape(-1, n)[1:]))
 
     def test_period_above_p_max_rejected(self, rng):
         params = [(StpEstimate(speech=SPEECH2, noise=ArModel(np.zeros(1), 1.0)),

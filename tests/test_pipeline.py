@@ -114,6 +114,42 @@ class TestProcess:
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[0], mono)
 
+    def test_adaptive_entries_match_per_frame_fits(self, rng, codebooks, monkeypatch):
+        # All frames' dual-channel noise PSDs are fitted in one batch; each
+        # frame's adaptive entry is the one-frame fit, bit for bit, and a
+        # frame whose fit raises (the silent first frame's all-zero PSD)
+        # gets none.
+        from binse import stp
+        from binse.signal_core import cross_spectrum, frame_rows, periodogram
+
+        scb, ncb = codebooks
+        _, zl, zr = make_scene(rng, n=1000, decorrelate=True)
+        zl.samples[:200] = zr.samples[:200] = 0.0
+        seen = []
+        estimate = stp.estimate_stp
+
+        def spy(*args, adaptive_noise=None, **kwargs):
+            seen.append(adaptive_noise)
+            return estimate(*args, adaptive_noise=adaptive_noise, **kwargs)
+
+        monkeypatch.setattr(stp, "estimate_stp", spy)
+        process(stereo(zl, zr), scb, ncb, fast_cfg())
+        frames_l, frames_r = frame_rows(zl.samples, 200), frame_rows(zr.samples, 200)
+        pzl, pzr = periodogram(frames_l), periodogram(frames_r)
+        cross = cross_spectrum(frames_l, frames_r)
+        tracker = stp.DualChannelNoiseTracker()
+        for fi, got in enumerate(seen):
+            psd = tracker.update(pzl[fi], pzr[fi], cross[fi])
+            try:
+                want = stp.noise_psd_to_ar(psd, ncb.order)
+            except (ValueError, ArithmeticError):
+                want = None
+            assert (got is None) == (want is None) == (fi == 0)
+            if want is not None:
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.excitation_variance == want.excitation_variance
+        assert len(seen) == 5
+
     def test_determinism(self, rng, codebooks):
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, decorrelate=True)

@@ -285,6 +285,28 @@ class TestNoisePsdToAr:
             assert got.excitation_variance == expect.excitation_variance
 
 
+    def test_rows_match_single_calls(self, rng):
+        # An (N, K) PSD fits its rows in one recursion: each row's fit equals
+        # the 1-D call bit for bit, and rows whose 1-D call raises (all
+        # zeros, or a single line, which makes the autocorrelation singular)
+        # come back with ok false.
+        k, order = 101, 14
+        psd = rng.gamma(1.0, 1.0, (6, k))
+        psd[2] = 0.0
+        psd[4] = 0.0
+        psd[4, 7] = 3.0
+        coeffs, variances, ok = noise_psd_to_ar(psd, order)
+        assert list(ok) == [True, True, False, True, False, True]
+        for row, fit, c, v in zip(psd, ok, coeffs, variances):
+            if not fit:
+                with pytest.raises((ValueError, ArithmeticError)):
+                    noise_psd_to_ar(row, order)
+                continue
+            one = noise_psd_to_ar(row, order)
+            assert one.coefficients.tobytes() == c.tobytes()
+            assert one.excitation_variance == v
+
+
 def _reference_mu(pl, pr, ps, pw, iters=50):
     """Scalar multiplicative-update loop for one pair; also returns the update count.
 
