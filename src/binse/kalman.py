@@ -16,9 +16,11 @@ Each frame runs in two phases.  Until its gain freezes, ``flks_step`` runs
 one fused, exactly symmetric step per sample on [P | x].  Within a frame the
 gain converges geometrically; once it moves by at most ``FREEZE_TOL`` of its
 max-abs between samples, the rest of the frame keeps it and P and is the
-time-invariant filter x_n = (I - g h) F x_(n-1) + g z_n, run as a few matrix
-products (``_frozen_run``).  The freeze reads only P, so channels that share
-it freeze together.
+time-invariant filter x_n = (I - g h) F x_(n-1) + g z_n.  A long enough rest
+runs as a few matrix products (``_frozen_run``), a shorter one, or one of a
+large state, as O(dim) steps (``_frozen_steps``); see
+``BLOCK_TAIL_DIM2_PER_STEP``.  The freeze reads only P, so channels that
+share it freeze together.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .pitch import PitchInfo, UNVOICED
 DEFAULT_SMOOTHER_DELAY = 25
 INNOVATION_EPS = 1e-30
 FREEZE_TOL = 1e-12
+# The block tail of a frame costs about as much as r**2 / 100 O(dim) frozen
+# steps, r the entries it spans (one BLAS thread on x86-64, r = 40-296), so
+# a frozen rest of fewer steps runs per sample.
+BLOCK_TAIL_DIM2_PER_STEP = 100
 
 
 @dataclass(frozen=True)
@@ -62,16 +68,6 @@ class StateSpaceModel:
         q = np.zeros((len(rows), len(rows)))
         q[k, k] = self.process_variances
         object.__setattr__(self, "_head_block", (np.ix_(rows, rows), self.head_weights.T / 2, q))
-
-    def transition(self, a) -> npt.NDArray[np.float64]:
-        """F a for a ``(dim,)`` or ``(dim, C)`` array."""
-        return self.matrix() @ a
-
-    def predict_covariance(self, cov) -> npt.NDArray[np.float64]:
-        """F cov F^T + G diag(sigma_d^2, sigma_v^2) G^T."""
-        out = np.empty_like(cov)
-        self.predict(cov, out, self.dim)
-        return out
 
     def predict(self, joint, out, cov_cols: int) -> None:
         """Write F P F^T + Q for the first ``cov_cols`` columns (``dim`` or 0)
@@ -230,13 +226,12 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     if len(joint) != dim:
         raise ValueError("state dimension does not match model")
 
-    i, j = model.observed
-    out = np.empty_like(joint)
+    n, delay = state.samples_seen, model.smoother_delay
     if state.frozen is model:
-        out[:, :dim] = joint[:, :dim]
-        model.predict(joint[:, dim:], out[:, dim:], 0)
-        out[:, dim:] += np.multiply.outer(state.gain, z_n - (out[i, dim:] + out[j, dim:]))
+        emitted = _frozen_steps(state, model, np.reshape(z_n, (-1, 1)))[:, 0]
     else:
+        i, j = model.observed
+        out = np.empty_like(joint)
         model.predict(joint, out, dim)
         obs = out[i] + out[j]  # [P h^T | h x], as P is symmetric
         innov_var = float(obs[i] + obs[j])
@@ -250,14 +245,31 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
                                            <= FREEZE_TOL * abs(gain).max()):
                 state.frozen = model
         state.gain = gain
-
-    n = state.samples_seen
-    state.joint, state.samples_seen = out, n + 1
-    delay = model.smoother_delay
+        state.joint, state.samples_seen = out, n + 1
+        emitted = out[delay, dim:]
     if n < delay:
         return state, None
-    emitted = out[delay, dim:]
     return state, float(emitted[0]) if len(state.x_shape) == 1 else emitted.copy()
+
+
+def _frozen_steps(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArray[np.float64]:
+    """Step a state frozen under ``model`` through the ``(C, T)`` observations
+    ``z`` one sample at a time, P and the gain kept; returns the ``(C, T)``
+    emitted samples and leaves the end state.  A step is the O(dim) update
+    x = F x + g (z - h F x)."""
+    dim, delay = model.dim, model.smoother_delay
+    i, j = model.observed
+    x = state.joint[:, dim:]
+    pred = np.empty_like(x)
+    emitted = np.empty_like(z)
+    for t, z_t in enumerate(z.T):
+        model.predict(x, pred, 0)
+        pred += np.multiply.outer(state.gain, z_t - (pred[i] + pred[j]))
+        x, pred = pred, x
+        emitted[:, t] = x[delay]
+    state.joint[:, dim:] = x
+    state.samples_seen += z.shape[-1]
+    return emitted
 
 
 def _unread_runs(model: StateSpaceModel) -> list[tuple[int, int]]:
@@ -357,8 +369,12 @@ def enhance_channel(
     sample-for-sample with the input: the step for sample n emits output
     sample n - ``smoother_delay``.  Samples after the last full frame, and
     the flush, use the last frame's model.  Within a frame, ``flks_step``
-    runs until the gain freezes, and ``_frozen_run`` does the rest.  Input
-    shorter than one frame has no parameters and is returned unchanged.
+    runs until the gain freezes; the rest runs as a block (``_frozen_run``)
+    if it has at least r**2 / ``BLOCK_TAIL_DIM2_PER_STEP`` samples, r the
+    entries the block spans, else sample by sample (``_frozen_steps``).
+    The choice reads neither the data, nor the channel count, nor a chain's
+    unread tail.  Input shorter than one frame has no parameters and is
+    returned unchanged.
 
     Every voiced period must lie in [1, ``p_max``]; the V-UV excitation
     chain is sized to the longest of them (one entry if none is voiced).
@@ -398,6 +414,9 @@ def enhance_channel(
                 emitted[:, n] = sample
             n += 1
         if n < end:
-            emitted[:, n:end] = _frozen_run(state, model, observations[:, n:end])
+            spanned = model.dim - sum(stop - start for start, stop in _unread_runs(model))
+            block = (end - n) * BLOCK_TAIL_DIM2_PER_STEP >= spanned**2
+            frozen_rest = _frozen_run if block else _frozen_steps
+            emitted[:, n:end] = frozen_rest(state, model, observations[:, n:end])
             n = end
     return emitted[:, smoother_delay:].reshape(x.shape)

@@ -27,7 +27,7 @@ def voiced(period, b):
 class TestBuildUvModel:
     def test_p1_q1_d1(self):
         m = build_uv_model(ArModel(np.array([0.7])), ArModel(np.array([0.3])), 1)
-        f = m.transition(np.eye(m.dim))
+        f = m.matrix()
         expect = np.array([[0.7, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.3]])
         np.testing.assert_array_equal(f, expect)
         assert m.observed == (0, 2)
@@ -35,7 +35,7 @@ class TestBuildUvModel:
 
     def test_zero_coeffs_shift_only(self):
         m = build_uv_model(ArModel(np.zeros(2)), ArModel(np.zeros(2)), 3)
-        f = m.transition(np.eye(m.dim))
+        f = m.matrix()
         expect = np.zeros((6, 6))
         expect[1:4, 0:3] += np.eye(3)
         expect[5, 4] = 1.0
@@ -60,7 +60,7 @@ class TestBuildVuvModel:
             smoother_delay=1,
             chain_len=2,
         )
-        f = m.transition(np.eye(m.dim))
+        f = m.matrix()
         # Layout: [s(n), s(n-1), u(n), u(n-1), w(n)] -> dim 2+2+1 = 5
         expect = np.zeros((5, 5))
         expect[0, 0] = 0.7   # speech regression
@@ -75,8 +75,9 @@ class TestBuildVuvModel:
         cov = np.arange(25.0).reshape(5, 5)
         cov = cov + cov.T
         q = np.diag([0.0, 0.0, 1.0, 0.0, 1.0])  # unit sigma_d^2 and sigma_v^2
-        np.testing.assert_allclose(m.predict_covariance(cov), expect @ cov @ expect.T + q,
-                                   rtol=1e-15)
+        predicted = np.empty_like(cov)
+        m.predict(cov, predicted, m.dim)
+        np.testing.assert_allclose(predicted, expect @ cov @ expect.T + q, rtol=1e-15)
 
     def test_period_out_of_range(self):
         with pytest.raises(ValueError):
@@ -90,7 +91,7 @@ class TestBuildVuvModel:
             ArModel(np.zeros(1)), ArModel(np.zeros(1)), UNVOICED,
             smoother_delay=1, chain_len=4,
         )
-        f = m.transition(np.eye(m.dim))
+        f = m.matrix()
         assert np.all(f[2, :] == 0.0)  # no pitch feedback row
 
     def test_default_p_max(self):
@@ -215,7 +216,7 @@ def dense_flks(model, z, obs_variance):
     observation: P- = F P F^T + Q, K = P- h^T / s and P = (I - K h) P-,
     symmetrized."""
     dim = model.dim
-    f = model.transition(np.eye(dim))
+    f = model.matrix()
     q = np.zeros((dim, dim))
     q[model.inputs, model.inputs] = model.process_variances
     h = np.zeros(dim)
@@ -532,14 +533,21 @@ class TestEnhanceChannel:
             return params, [build_uv_model(e.speech, e.noise, delay) for e, _ in params]
         return params, [build_vuv_model(e.speech, e.noise, p, delay, 81) for e, p in params]
 
+    @pytest.mark.parametrize("tail", ["block", "steps"])
     @pytest.mark.parametrize("frame_len,delay", [(200, 0), (200, 25), (200, 200), (100, 25)])
     @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
     @pytest.mark.parametrize("kind", ["uv", "vuv"])
-    def test_frozen_runs_match_step_loop(self, rng, monkeypatch, kind, shape, frame_len, delay):
-        # Each frame steps until its gain freezes and runs the rest as one
-        # block; against the per-sample loop (see assert_matches_step_loop).
-        # With 100-sample frames a V-UV frame's frozen rest is shorter than
-        # the chain entries past its pitch lag.
+    def test_frozen_runs_match_step_loop(self, rng, monkeypatch, kind, shape, frame_len, delay,
+                                         tail):
+        # Each frame steps until its gain freezes and runs the rest, here
+        # always as one block or always sample by sample; against the
+        # per-sample loop (see assert_matches_step_loop), which the
+        # sample-by-sample rest matches bit for bit.  With 100-sample frames
+        # a V-UV frame's frozen rest is shorter than the chain entries past
+        # its pitch lag.
+        import binse.kalman as kalman
+
+        monkeypatch.setattr(kalman, "BLOCK_TAIL_DIM2_PER_STEP", np.inf if tail == "block" else 0)
         n = 4 * frame_len + 70  # a trailing partial frame
         z = 0.05 * rng.normal(size=(*shape, n))
         silent = slice(2 * frame_len, 3 * frame_len)
@@ -548,6 +556,8 @@ class TestEnhanceChannel:
         entries = spy_steps(monkeypatch)
         got = enhance_channel(z, params, frame_len, model_kind=kind, smoother_delay=delay)
         frozen = assert_matches_step_loop(got, z, models, frame_len, delay, entries)
+        if tail == "steps":
+            assert got.tobytes() == stepped(z, models, frame_len, delay)[0].tobytes()
         assert not frozen[silent].any()  # the silent frame never freezes
         for f in (0, 1, 3):  # the other frames do
             assert frozen[f * frame_len : (f + 1) * frame_len].any()

@@ -118,22 +118,35 @@ class TestProcess:
         # All frames' dual-channel noise PSDs are fitted in one batch; each
         # frame's adaptive entry is the one-frame fit, bit for bit, and a
         # frame whose fit raises (the silent first frame's all-zero PSD)
-        # gets none.
+        # gets none.  That frame is fitted alone, so its failure still
+        # raises out of stp.noise_psd_to_ar, once.
         from binse import stp
         from binse.signal_core import cross_spectrum, frame_rows, periodogram
 
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, n=1000, decorrelate=True)
         zl.samples[:200] = zr.samples[:200] = 0.0
-        seen = []
-        estimate = stp.estimate_stp
+        seen, fits = [], []
+        estimate, fit = stp.estimate_stp, stp.noise_psd_to_ar
 
         def spy(*args, adaptive_noise=None, **kwargs):
             seen.append(adaptive_noise)
             return estimate(*args, adaptive_noise=adaptive_noise, **kwargs)
 
+        def spy_fit(psd, order):
+            try:
+                result = fit(psd, order)
+            except (ValueError, ArithmeticError):
+                fits.append((np.ndim(psd), "raised"))
+                raise
+            fits.append((np.ndim(psd), "returned"))
+            return result
+
         monkeypatch.setattr(stp, "estimate_stp", spy)
+        monkeypatch.setattr(stp, "noise_psd_to_ar", spy_fit)
         process(stereo(zl, zr), scb, ncb, fast_cfg())
+        monkeypatch.setattr(stp, "noise_psd_to_ar", fit)
+        assert fits == [(2, "returned"), (1, "raised")]
         frames_l, frames_r = frame_rows(zl.samples, 200), frame_rows(zr.samples, 200)
         pzl, pzr = periodogram(frames_l), periodogram(frames_r)
         cross = cross_spectrum(frames_l, frames_r)
