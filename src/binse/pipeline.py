@@ -119,11 +119,20 @@ def _channel_params(
                     adaptive[fi] = stp.noise_psd_to_ar(dc_psd[fi], noise.order)
                 except (ValueError, ArithmeticError):
                     pass
+    # The fitted entries are compiled together: one LSF conversion and one
+    # FFT per record, each frame handed its row.
+    compiled = [None] * len(adaptive)
+    fitted = [fi for fi, entry in enumerate(adaptive) if entry is not None]
+    if fitted:
+        rows = compile_codebook([adaptive[fi] for fi in fitted], pzl.shape[1])
+        for row, fi in enumerate(fitted):
+            compiled[fi] = CompiledCodebook(rows.lsfs[row : row + 1],
+                                            rows.envelopes[row : row + 1])
     params = []
     for fi, adaptive_entry in enumerate(adaptive):
         diag = StpDiagnostics()
         est = stp.estimate_stp(pzl[fi], pzr[fi], speech, noise, frame_len=m, diagnostics=diag,
-                               adaptive_noise=adaptive_entry)
+                               adaptive_noise=compiled[fi])
         if adaptive_entry is not None:
             # Fuse the codebook-MMSE noise variance with the dual-channel one.
             fused = 0.5 * (est.noise.excitation_variance + adaptive_entry.excitation_variance)

@@ -12,18 +12,21 @@ Nielsen, Jensen, Jensen, Christensen & Jensen, "Fast fundamental frequency
 estimation", Signal Processing 2017).  Grid frequencies are integer
 multiples of the grid step, so harmonic l of every candidate falls on a bin
 of one ``sample_rate / grid_step_hz``-point DFT per ear, which yields the
-projections V^H z of all candidates and orders.  The Gram matrices V^H V are
-Hermitian Toeplitz with Dirichlet-kernel entries and stay Toeplitz under the
-linear-phase directivity gains.  They depend on the frame length, the grid,
-the directivity and the order cap, not on the data, so a compile step, cached
-per frame shape, runs the Levinson recursion on them once.  It stores, per
-candidate in grid order, the packed lower triangle M of reversed forward
-predictors, 1/eps and, for two ears, the left-ear form C, which is diagonal
-when the ears differ by a fixed gain with no interaural delay.  Each frame
-is then one FFT per ear, a gather of the harmonic bins, and the triangular
-mat-vecs M b, M p_left and, where C is not diagonal, C mu; cumulative sums
-over the orders give the joint and per-ear residuals of every candidate and
-order, with no loop over orders.
+projections V^H z of all candidates and orders.  As in that paper, the
+model's time axis is centred on the frame's middle sample (for two ears,
+also on their mean delay), so the Gram matrices V^H V are real symmetric
+Toeplitz unless the ears differ in magnitude.  They depend on the frame
+length, the grid, the directivity and the order cap, not on the data, so a
+compile step, cached per frame shape, runs the Levinson recursion on them
+once.  It stores, per group of candidates with the same highest order,
+their predictor triangles M as one dense (count, order, order) array, and
+per candidate 1/eps and, for two ears, the left-ear form C, which is
+diagonal when the ears differ by a fixed gain with no interaural delay.
+Each frame is then one FFT per ear, a gather of the harmonic bins times the
+stored rotations and ear gains, one matmul per order group for M b and
+M p_left, and, where C is not diagonal, the packed mat-vec C mu; cumulative
+sums over the orders give the joint and per-ear residuals of every
+candidate and order, with no loop over orders.
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
 rate and ``f_min``, grids finer than ``MAX_GRID_DFT_LEN`` bins, and
 fundamentals at or above Nyquist.
@@ -79,7 +82,8 @@ class DirectivityModel:
     default is free-field nose direction (all ones); ``delay_seconds``
     applies a pure interaural delay to the right ear.  The gains are linear
     in phase and constant in magnitude over the harmonics, which keeps the
-    pitch search's Gram matrices Toeplitz.
+    pitch search's Gram matrices Toeplitz; the search centres them on half
+    the delay, and they are real when the ears' magnitudes are equal.
     """
 
     delay_seconds: float = 0.0
@@ -191,10 +195,22 @@ def _lower_matvec(packed, x):
     return np.add.reduceat(terms, starts, axis=-1)
 
 
+def _centred_dirichlet(q, m: int, n_fft: int) -> npt.NDArray[np.float64]:
+    """``sum_n exp(j w (n - (m - 1) / 2))`` over n < m at w = 2 pi q / n_fft, 0 <= q < n_fft / 2.
+
+    The sum is the real sin(m w / 2) / sin(w / 2), m at q = 0.  q m is
+    reduced modulo 2 n_fft in integers, so the sine's argument stays exact.
+    """
+    ratio = np.sin(np.pi * (q * m % (2 * n_fft)) / n_fft)
+    return np.divide(ratio, np.sin(np.pi * q / n_fft), out=np.full(q.shape, float(m)),
+                     where=q != 0)
+
+
 def _predictors(r):
     """Levinson recursion on Hermitian Toeplitz matrices G given by their first rows ``r``.
 
-    Returns ``(fitted, tri, eps)``.  Row n of ``tri[c]`` is the reversed
+    Returns ``(fitted, tri, eps)``, ``tri`` of the dtype of ``r``, so real
+    for real symmetric G.  Row n of ``tri[c]`` is the reversed
     order-(n+1) forward predictor f_n (G f_n = eps_n e_1, f_n[0] = 1).  The
     least-squares fit of G a = b then grows from order n to n+1 by
     mu_n beta_n, with mu_n = (tri[c] @ b)[n] and the backward vector
@@ -206,9 +222,9 @@ def _predictors(r):
     """
     rows, orders = r.shape
     rc = np.conj(r)
-    f = np.zeros((rows, orders), complex)
+    f = np.zeros((rows, orders), r.dtype)
     f[:, 0] = 1.0
-    tri = np.zeros((rows, orders, orders), complex)
+    tri = np.zeros((rows, orders, orders), r.dtype)
     tri[:, 0, 0] = 1.0
     eps = np.empty((rows, orders))
     eps[:, 0] = r[:, 0].real
@@ -234,8 +250,8 @@ class _OrderGroup:
     order: int
     start: int
     stop: int
-    predictors: npt.NDArray[np.complex128]  # packed lower triangles M, one row per candidate
-    cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed like M, or None
+    predictors: npt.NDArray  # (count, order, order): lower triangles M, real unless ears differ
+    cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed by rows, or None
 
 
 @dataclass(frozen=True)
@@ -255,7 +271,7 @@ class _CompiledSearch:
     fits: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one fits
     layout: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one stores
     at_harmonics: npt.NDArray[np.intp]  # flat: the DFT bin of each harmonic
-    gains: npt.NDArray[np.complex128] | None  # (2, flat): conjugate ear gains, two ears
+    gains: npt.NDArray[np.complex128]  # (flat, ears): conjugate centred ear gains, rotated
     inv_eps: npt.NDArray[np.float64]  # flat: 1 / eps_n
     cross_diag: npt.NDArray[np.float64] | None  # flat: C[n, n], two ears
     groups: tuple[_OrderGroup, ...]
@@ -280,6 +296,17 @@ def _compile_search(
 ) -> _CompiledSearch:
     """All of the search that depends on the frame length and grid but not on the data.
 
+    The harmonic model is fitted on a time axis centred on the frame's
+    middle sample, (m - 1) / 2, and, for two ears, on the ears' mean delay
+    phase.  Harmonic l of a candidate then has amplitude exp(j l phi) times
+    the one on the frame's own time axis, with phi = omega (m - 1) / 2 - omega
+    tau / 2 for a right-ear delay of tau samples, so each Gram row entry is
+    real: the centred Dirichlet kernel D(d omega) = sin(m d omega / 2) /
+    sin(d omega / 2), times, for two ears of equal magnitude,
+    2 cos(d omega tau / 2).  The rotation and the conjugate ear gains are
+    stored together, one factor per harmonic and ear.  Residual energies do
+    not depend on phi.
+
     Per candidate: the predictor triangle M and 1 / eps of ``_predictors``
     on the joint Gram matrix, the fitted order, and, for two ears, the
     left-ear form C[j, k] = beta_j^H T beta_k of the backward vectors and
@@ -287,7 +314,8 @@ def _compile_search(
     of the left ones, T is a multiple of the joint Gram matrix, under which
     the backward vectors are orthogonal, so C is diagonal and only its
     diagonal is kept.  Harmonic l of grid point f_min + i * step sits on DFT
-    bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.
+    bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.  M is
+    stored dense, and is real except for ears that differ in magnitude.
     ``directivity`` is read for two ears only.
     """
     n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
@@ -303,43 +331,55 @@ def _compile_search(
     if not np.any(l_max >= 1):
         raise ValueError("no usable pitch candidates on the grid")
     bins = int(round(f_min / grid_step_hz)) + np.arange(len(f0_grid))
-    dirichlet = np.conj(_dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
 
     # floor(pi / omega) and the caps only fall as f0 rises, so the usable
     # candidates are a prefix of the grid, grouped by highest order, largest
     # first.  The flat arrays are allocated before the per-order work so that
-    # its transients do not pin memory between the cached arrays.
+    # its transients do not pin memory between the cached arrays.  Every
+    # harmonic lies below pi, so its bin, and each Gram row's, lies below
+    # n_fft / 2 with no wrap.
     usable = np.count_nonzero(l_max >= 1)
     top, omegas, bins = l_max[:usable], omegas[:usable], bins[:usable]
     layout = np.arange(top[0]) < top[:, None]
-    at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1) % n_fft
+    at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1)
+    # exp(j l omega (m - 1) / 2), its phase reduced modulo 2 pi in integers.
+    gains = np.exp(1j * np.pi * (at_harmonics * (m - 1) % (2 * n_fft)) / n_fft)[:, None]
     two = channels == 2
+    real = True
     if two:
         ears = np.stack(directivity.gains(omegas, top[0]))
         diagonal = np.array_equal(ears[1] * ears[0][:, :1], ears[0] * ears[1][:, :1])
+        # Centre the ears on their mean delay: left exp(j l omega tau / 2),
+        # right magnitude_right * exp(-j l omega tau / 2).
+        tau = directivity.delay_seconds * directivity.sample_rate
+        ears *= np.exp(0.5j * tau * np.multiply.outer(omegas, np.arange(1, top[0] + 1)))
+        real = abs(directivity.magnitude_right) == 1.0
+        gains = np.conj(ears.transpose(1, 2, 0)[layout]) * gains
     fitted = np.empty(usable, int)
     inv_eps = np.empty(at_harmonics.size)
     cross_diag = np.empty(at_harmonics.size) if two else None
-    stored = 2 if two and not diagonal else 1
-    block = np.empty((stored, int(np.sum(top * (top + 1) // 2))), complex)  # M, C
-    groups, first, start, packed = [], 0, 0, 0
+    block = np.empty(int(np.sum(top**2)), float if real else complex)  # M
+    packed_cross = None
+    if two and not diagonal:
+        packed_cross = np.empty(int(np.sum(top * (top + 1) // 2)), complex)  # C
+    groups, first, start, dense, packed = [], 0, 0, 0, 0
     for order in np.unique(top)[::-1].tolist():
         count = np.count_nonzero(top == order)
         rows, stop = slice(first, first + count), start + count * order
-        kernel = dirichlet[np.outer(bins[rows], np.arange(order)) % n_fft]
+        kernel = _centred_dirichlet(np.outer(bins[rows], np.arange(order)), m, n_fft)
         if two:
             # Linear-phase, constant-magnitude gains keep every Gram matrix
             # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
             gram = [np.conj(d[:, :1]) * d * kernel for d in ears[:, rows, :order]]
-            fitted[rows], tri, eps = _predictors(gram[0] + gram[1])
+            joint = gram[0] + gram[1]
+            fitted[rows], tri, eps = _predictors(joint.real if real else joint)
         else:
             fitted[rows], tri, eps = _predictors(kernel)
         tri[np.arange(order) >= fitted[rows, None]] = 0.0  # mu = 0: the last fit repeats
         inv_eps[start:stop] = 1.0 / eps.ravel()
-        lower = np.tril_indices(order)
-        size = count * len(lower[0])
-        views = block[:, packed : packed + size].reshape(stored, count, -1)
-        views[0] = tri[:, lower[0], lower[1]]
+        predictors = block[dense : dense + tri.size].reshape(tri.shape)
+        predictors[...] = tri
+        cross = None
         if two:
             lag = np.subtract.outer(np.arange(order), np.arange(order))
             left = gram[0][:, np.abs(lag)]
@@ -347,11 +387,15 @@ def _compile_search(
             beta_h = tri / eps[..., None]
             full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
             cross_diag[start:stop] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
-            if not diagonal:
-                views[1] = np.tril(full, -1)[:, lower[0], lower[1]]
-        _frozen(views)
-        groups.append(_OrderGroup(order, start, stop, views[0], views[1] if stored == 2 else None))
-        first, start, packed = first + count, stop, packed + size
+            if packed_cross is not None:
+                lower = np.tril_indices(order)
+                size = count * len(lower[0])
+                cross = packed_cross[packed : packed + size].reshape(count, -1)
+                cross[...] = np.tril(full, -1)[:, lower[0], lower[1]]
+                cross = _frozen(cross)
+                packed += size
+        groups.append(_OrderGroup(order, start, stop, _frozen(predictors), cross))
+        first, start, dense = first + count, stop, dense + tri.size
 
     return _CompiledSearch(
         n_fft=n_fft,
@@ -359,7 +403,7 @@ def _compile_search(
         fits=_frozen(np.arange(top[0]) < fitted[:, None]),
         layout=_frozen(layout),
         at_harmonics=_frozen(at_harmonics),
-        gains=_frozen(np.conj(ears[:, layout])) if two else None,
+        gains=_frozen(gains),
         inv_eps=_frozen(inv_eps),
         cross_diag=_frozen(cross_diag) if two else None,
         groups=tuple(groups),
@@ -374,28 +418,34 @@ def _residuals(search: _CompiledSearch, y_halves):
     order its last fit repeats.  mu = M b gives the joint drops
     |mu|^2 / eps.  The left residual is ||z_left||^2 + a^H T a
     - 2 Re(a^H p_left) with a = sum_n mu_n beta_n; its order increments come
-    from M p_left and C mu.  The fit terms are the flat per-order increments
-    of the joint fit energy ||H a||^2 and, for two ears, of the left ear's
-    a^H T a; their running sums over a candidate's orders are the fitted
-    harmonic energies.
+    from M p_left and C mu.  M b and M p_left are one matmul per order
+    group, on the complex spectra viewed as pairs of reals where M is real.
+    The fit terms are the flat per-order increments of the joint fit energy
+    ||H a||^2 and, for two ears, of the left ear's a^H T a; their running
+    sums over a candidate's orders are the fitted harmonic energies.
     """
-    spectra = np.stack([_dft_bins(y, search.n_fft)[search.at_harmonics] for y in y_halves])
+    spectra = np.stack(
+        [_dft_bins(y, search.n_fft)[search.at_harmonics] for y in y_halves], axis=1
+    )
     y = np.concatenate(y_halves)
     energy = float(np.vdot(y, y).real)
-    if search.gains is not None:
-        spectra *= search.gains
-        spectra[1] += spectra[0]  # p_left, b
+    spectra *= search.gains
+    if len(y_halves) == 2:
+        spectra[:, 1] += spectra[:, 0]  # p_left, b
     fit = np.empty_like(spectra)
+    dtype = search.groups[0].predictors.dtype
+    x, mx = spectra.view(dtype), fit.view(dtype)
     for g in search.groups:
-        block = spectra[:, g.start : g.stop].reshape(len(spectra), -1, g.order)
-        fit[:, g.start : g.stop] = _lower_matvec(g.predictors, block).reshape(len(spectra), -1)
-    mu = fit[-1]
+        shape = (-1, g.order, x.shape[1])
+        np.matmul(g.predictors, x[g.start : g.stop].reshape(shape),
+                  out=mx[g.start : g.stop].reshape(shape))
+    mu = fit[:, -1]
     power = np.abs(mu) ** 2
     drops = power * search.inv_eps
     out = np.empty((len(y_halves), *search.layout.shape))
     joint = np.cumsum(search.spread(drops), axis=1)
     np.subtract(energy, joint, out=joint)
-    if search.gains is None:
+    if search.cross_diag is None:
         np.maximum(joint, 0.0, out=out[0])
         return out, (drops,)
     quad = power * search.cross_diag
@@ -404,7 +454,7 @@ def _residuals(search: _CompiledSearch, y_halves):
             block = mu[g.start : g.stop].reshape(-1, g.order)
             cross_mu = _lower_matvec(g.cross, block).ravel()
             quad[g.start : g.stop] += 2.0 * (np.conj(mu[g.start : g.stop]) * cross_mu).real
-    lin = np.conj(mu) * fit[0] * search.inv_eps
+    lin = np.conj(mu) * fit[:, 0] * search.inv_eps
     energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
     top = np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1)
     np.maximum(energy_left + top, 0.0, out=out[0])

@@ -9,13 +9,14 @@ arrays of K bins.
 
 Codebook entries never change between frames, so their LSF rows and their
 envelopes on the periodogram grid are compiled once per run into a
-``CompiledCodebook``; only the optional adaptive noise entry is converted
-per frame.  The multiplicative updates of all S x W pairs of a frame run
-as one batched array solve on the K/2 + 1 distinct bins of the real
-spectra, weighted (1, 2, ..., 2, 1)/K, each pair stopping on the iteration
-where it would stop if solved alone.  An iteration forms each pair's
-modeled spectrum and its reciprocal once, for the cost and the next
-update, and the final costs give the pair weights.
+``CompiledCodebook``; the optional adaptive noise entries of a record are
+compiled together by the caller, which hands each frame its row.  The
+multiplicative updates of all S x W pairs of a frame run as one batched
+array solve on the K/2 + 1 distinct bins of the real spectra, weighted
+(1, 2, ..., 2, 1)/K, each pair stopping on the iteration where it would
+stop if solved alone.  An iteration forms each pair's modeled spectrum and
+its reciprocal once, for the cost and the next update, and the final costs
+give the pair weights.
 """
 
 from __future__ import annotations
@@ -204,12 +205,13 @@ def estimate_stp(
     noise_entries: CompiledCodebook | Sequence[ArModel],
     frame_len: int,
     diagnostics: StpDiagnostics | None = None,
-    adaptive_noise: ArModel | None = None,
+    adaptive_noise: CompiledCodebook | None = None,
 ) -> StpEstimate:
     """MMSE estimate of the joint STP vector over the codebook pair grid.
 
     Entries given as lists of AR models go through ``compile_codebook``.
-    ``adaptive_noise``, when given, joins the noise entries as the last one.
+    ``adaptive_noise``, a compiled one-entry codebook when given, joins the
+    noise entries as the last one.
     AR shapes are averaged in the LSF domain under the posterior pair
     weights; excitation variances are averaged directly.  Both excitation
     variances have uniform priors, so a pair's weight is its normalized
@@ -223,9 +225,9 @@ def estimate_stp(
         for e in (speech_entries, noise_entries)
     )
     if adaptive_noise is not None:
-        extra = compile_codebook([adaptive_noise], k)
         noise = CompiledCodebook(
-            np.vstack((noise.lsfs, extra.lsfs)), np.vstack((noise.envelopes, extra.envelopes))
+            np.vstack((noise.lsfs, adaptive_noise.lsfs)),
+            np.vstack((noise.envelopes, adaptive_noise.envelopes)),
         )
     if speech.envelopes.shape[1] != k or noise.envelopes.shape[1] != k:
         raise ValueError(f"codebooks compiled for another DFT length than {k}")

@@ -159,9 +159,28 @@ class TestProcess:
                 want = None
             assert (got is None) == (want is None) == (fi == 0)
             if want is not None:
-                assert got.coefficients.tobytes() == want.coefficients.tobytes()
-                assert got.excitation_variance == want.excitation_variance
+                single = stp.compile_codebook([want], 200)
+                assert got.lsfs.tobytes() == single.lsfs.tobytes()
+                assert got.envelopes.tobytes() == single.envelopes.tobytes()
         assert len(seen) == 5
+
+    def test_adaptive_entries_compiled_once_per_record(self, rng, codebooks, monkeypatch):
+        # One LSF conversion serves every frame's adaptive entry; the
+        # estimator converts none of its own.
+        from binse import stp
+
+        scb, ncb = codebooks
+        _, zl, zr = make_scene(rng, n=1000, decorrelate=True)
+        calls = []
+        convert = stp.ar_to_lsf
+
+        def spy(models):
+            calls.append(len(models))
+            return convert(models)
+
+        monkeypatch.setattr(stp, "ar_to_lsf", spy)
+        process(stereo(zl, zr), scb, ncb, fast_cfg())
+        assert calls == [5]
 
     def test_determinism(self, rng, codebooks):
         scb, ncb = codebooks

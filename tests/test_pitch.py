@@ -385,6 +385,93 @@ EQUIVALENCE_CASES = [
 ]
 
 
+# Uncentred search ----------------------------------------------------------
+#
+# The compiled search as it was before its time axis was centred: complex
+# Gram rows t(d) = sum_n exp(j d omega n) over n < m, complex predictor
+# triangles packed by rows, and take / multiply / reduceat mat-vecs for M b
+# and M p_left.  Kept as the oracle of the centred search's residuals and
+# fit terms, in the centred search's flat layout.
+
+
+def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz, directivity):
+    m, two = len(halves[0]), len(halves) == 2
+    n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
+    omegas = 2.0 * np.pi * np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz) / sample_rate
+    l_max = np.floor(np.pi / omegas).astype(int)
+    l_max[l_max * omegas >= np.pi - 1e-9] -= 1
+    l_max = np.minimum(l_max, m)
+    usable = np.count_nonzero(l_max >= 1)
+    top, omegas = l_max[:usable], omegas[:usable]
+    bins = int(round(f_min / grid_step_hz)) + np.arange(usable)
+    layout = np.arange(top[0]) < top[:, None]
+    at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1) % n_fft
+    dirichlet = np.conj(pitch._dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
+    spectra = np.stack([pitch._dft_bins(y, n_fft)[at_harmonics] for y in halves])
+    if two:
+        ears = np.stack(directivity.gains(omegas, top[0]))
+        diagonal = np.array_equal(ears[1] * ears[0][:, :1], ears[0] * ears[1][:, :1])
+        spectra *= np.conj(ears[:, layout])
+        spectra[1] += spectra[0]  # p_left, b
+    fit = np.empty_like(spectra)
+    inv_eps, cross_diag = np.empty(at_harmonics.size), np.empty(at_harmonics.size)
+    quad_cross = np.zeros(at_harmonics.size, complex)
+    first = start = 0
+    for order in np.unique(top)[::-1].tolist():
+        count = np.count_nonzero(top == order)
+        rows, stop = slice(first, first + count), start + count * order
+        kernel = dirichlet[np.outer(bins[rows], np.arange(order)) % n_fft]
+        if two:
+            gram = [np.conj(d[:, :1]) * d * kernel for d in ears[:, rows, :order]]
+            fitted, tri, eps = pitch._predictors(gram[0] + gram[1])
+        else:
+            fitted, tri, eps = pitch._predictors(kernel)
+        tri[np.arange(order) >= fitted[:, None]] = 0.0
+        inv_eps[start:stop] = 1.0 / eps.ravel()
+        lower = np.tril_indices(order)
+        block = spectra[:, start:stop].reshape(len(spectra), -1, order)
+        fit[:, start:stop] = pitch._lower_matvec(
+            tri[:, lower[0], lower[1]], block).reshape(len(spectra), -1)
+        if two:
+            lag = np.subtract.outer(np.arange(order), np.arange(order))
+            left = gram[0][:, np.abs(lag)]
+            left = np.where(lag <= 0, left, np.conj(left))
+            beta_h = tri / eps[..., None]
+            full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
+            cross_diag[start:stop] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
+            if not diagonal:
+                mu = fit[-1, start:stop].reshape(-1, order)
+                cross_mu = pitch._lower_matvec(np.tril(full, -1)[:, lower[0], lower[1]], mu)
+                quad_cross[start:stop] = (np.conj(mu) * cross_mu).ravel()
+        first, start = first + count, stop
+
+    def spread(flat):
+        out = np.zeros(layout.shape)
+        out[layout] = flat
+        return out
+
+    mu = fit[-1]
+    power = np.abs(mu) ** 2
+    drops = power * inv_eps
+    y = np.concatenate(halves)
+    joint = float(np.vdot(y, y).real) - np.cumsum(spread(drops), axis=1)
+    if not two:
+        return np.maximum(joint, 0.0)[None], (drops,)
+    quad = power * cross_diag + 2.0 * quad_cross.real
+    lin = np.conj(mu) * fit[0] * inv_eps
+    left = np.maximum(float(np.vdot(halves[0], halves[0]).real)
+                      + np.cumsum(spread(quad - 2.0 * lin.real), axis=1), 0.0)
+    return np.stack((left, np.maximum(joint - left, 0.0))), (drops, quad)
+
+
+DIRECTIVITY_CASES = {
+    "one_ear": None,
+    "frontal": DirectivityModel(),
+    "delay": DirectivityModel(delay_seconds=2.5 / 8000),
+    "delay_level": DirectivityModel(delay_seconds=2.5 / 8000, magnitude_right=0.6),
+}
+
+
 class TestExactSearch:
     """The FFT-and-recursion search picks what per-candidate QR picks."""
 
@@ -451,6 +538,34 @@ class TestExactSearch:
             got = [running[order - 1] for running in sums]
             want = [sum(ears), ears[0]] if two else ears
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("case", DIRECTIVITY_CASES)
+    def test_centred_predictors_are_real(self, case):
+        # Centring makes every Gram matrix real unless the ears differ in
+        # magnitude: one ear, two frontal ears and an equal-magnitude delay.
+        d = DIRECTIVITY_CASES[case]
+        search = pitch._compile_search(180, 1 if d is None else 2, self.FS, 80.0, 400.0, 0.5,
+                                       d, None)
+        want = np.complex128 if case == "delay_level" else np.float64
+        assert {g.predictors.dtype for g in search.groups} == {np.dtype(want)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", DIRECTIVITY_CASES)
+    def test_residuals_match_uncentred_search(self, seed, case):
+        # The centred search's residuals and fit terms are the uncentred
+        # ones, on the default grid, to round-off of the frame energy.
+        d = DIRECTIVITY_CASES[case]
+        zl, zr = (z[10:-10] for z in corpus_frame(seed))
+        halves = [zl] if d is None else [zl, zr]
+        search = pitch._compile_search(len(zl), len(halves), self.FS, 80.0, 400.0, 0.5, d, None)
+        got, got_terms = pitch._residuals(search, halves)
+        want, want_terms = uncentred_residuals(halves, self.FS, 80.0, 400.0, 0.5, d)
+        y = np.concatenate(halves)
+        atol = 1e-13 * np.vdot(y, y).real
+        assert got.shape == want.shape and len(got_terms) == len(want_terms)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        for a, b in zip(got_terms, want_terms):
+            np.testing.assert_allclose(a, b, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("two", [True, False])
     def test_coarse_grid_shorter_dft_than_frame(self, two):

@@ -427,7 +427,7 @@ class TestCompiledCodebook:
         extra = ArModel(np.array([0.3, -0.1]), 2e-3)
         diag_a, diag_b = StpDiagnostics(), StpDiagnostics()
         a = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR], 200, diagnostics=diag_a,
-                         adaptive_noise=extra)
+                         adaptive_noise=compile_codebook([extra], 200))
         b = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR, extra], 200, diagnostics=diag_b)
         for ma, mb in ((a.speech, b.speech), (a.noise, b.noise)):
             np.testing.assert_array_equal(ma.coefficients, mb.coefficients)
