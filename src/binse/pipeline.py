@@ -120,19 +120,19 @@ def _channel_params(
                 except (ValueError, ArithmeticError):
                     pass
     # The fitted entries are compiled together: one LSF conversion and one
-    # FFT per record, each frame handed its row.
-    compiled = [None] * len(adaptive)
-    fitted = [fi for fi, entry in enumerate(adaptive) if entry is not None]
-    if fitted:
-        rows = compile_codebook([adaptive[fi] for fi in fitted], pzl.shape[1])
-        for row, fi in enumerate(fitted):
-            compiled[fi] = CompiledCodebook(rows.lsfs[row : row + 1],
-                                            rows.envelopes[row : row + 1])
+    # FFT per record.  Each frame's entry joins its noise entries as the last.
+    fitted = [entry for entry in adaptive if entry is not None]
+    rows = compile_codebook(fitted, pzl.shape[1]) if fitted else None
     params = []
+    row = 0
     for fi, adaptive_entry in enumerate(adaptive):
         diag = StpDiagnostics()
-        est = stp.estimate_stp(pzl[fi], pzr[fi], speech, noise, frame_len=m, diagnostics=diag,
-                               adaptive_noise=compiled[fi])
+        entries = noise
+        if adaptive_entry is not None:
+            entries = CompiledCodebook(np.vstack((noise.lsfs, rows.lsfs[row])),
+                                       np.vstack((noise.envelopes, rows.envelopes[row])))
+            row += 1
+        est = stp.estimate_stp(pzl[fi], pzr[fi], speech, entries, frame_len=m, diagnostics=diag)
         if adaptive_entry is not None:
             # Fuse the codebook-MMSE noise variance with the dual-channel one.
             fused = 0.5 * (est.noise.excitation_variance + adaptive_entry.excitation_variance)

@@ -15,10 +15,10 @@ of one ``sample_rate / grid_step_hz``-point DFT per ear, which yields the
 projections V^H z of all candidates and orders.  As in that paper, the
 model's time axis is centred on the frame's middle sample (for two ears,
 also on their mean delay), so the Gram matrices V^H V are real symmetric
-Toeplitz unless the ears differ in magnitude.  They depend on the frame
-length, the grid, the directivity and the order cap, not on the data, so a
-compile step, cached per frame shape, runs the Levinson recursion on them
-once.  It stores, per group of candidates with the same highest order,
+Toeplitz unless the ears differ both in delay and in magnitude.  They
+depend on the frame length, the grid, the directivity and the order cap,
+not on the data, so a compile step, cached per frame shape, runs the
+Levinson recursion on them once.  It stores, per group of candidates with the same highest order,
 their predictor triangles M as one dense (count, order, order) array, and
 per candidate 1/eps and, for two ears, the left-ear form C, which is
 diagonal when the ears differ by a fixed gain with no interaural delay.
@@ -83,7 +83,8 @@ class DirectivityModel:
     applies a pure interaural delay to the right ear.  The gains are linear
     in phase and constant in magnitude over the harmonics, which keeps the
     pitch search's Gram matrices Toeplitz; the search centres them on half
-    the delay, and they are real when the ears' magnitudes are equal.
+    the delay, and they are real when the ears' magnitudes are equal or
+    there is no delay.
     """
 
     delay_seconds: float = 0.0
@@ -250,7 +251,7 @@ class _OrderGroup:
     order: int
     start: int
     stop: int
-    predictors: npt.NDArray  # (count, order, order): lower triangles M, real unless ears differ
+    predictors: npt.NDArray  # (count, order, order): lower triangles M, real or complex
     cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed by rows, or None
 
 
@@ -302,10 +303,10 @@ def _compile_search(
     the one on the frame's own time axis, with phi = omega (m - 1) / 2 - omega
     tau / 2 for a right-ear delay of tau samples, so each Gram row entry is
     real: the centred Dirichlet kernel D(d omega) = sin(m d omega / 2) /
-    sin(d omega / 2), times, for two ears of equal magnitude,
-    2 cos(d omega tau / 2).  The rotation and the conjugate ear gains are
-    stored together, one factor per harmonic and ear.  Residual energies do
-    not depend on phi.
+    sin(d omega / 2), times, for two ears, 2 cos(d omega tau / 2) if their
+    magnitudes are equal or 1 + magnitude_right^2 if there is no delay.
+    The rotation and the conjugate ear gains are stored together, one
+    factor per harmonic and ear.  Residual energies do not depend on phi.
 
     Per candidate: the predictor triangle M and 1 / eps of ``_predictors``
     on the joint Gram matrix, the fitted order, and, for two ears, the
@@ -315,7 +316,8 @@ def _compile_search(
     the backward vectors are orthogonal, so C is diagonal and only its
     diagonal is kept.  Harmonic l of grid point f_min + i * step sits on DFT
     bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.  M is
-    stored dense, and is real except for ears that differ in magnitude.
+    stored dense, and is real except for ears that differ both in delay and
+    in magnitude.
     ``directivity`` is read for two ears only.
     """
     n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
@@ -353,7 +355,9 @@ def _compile_search(
         # right magnitude_right * exp(-j l omega tau / 2).
         tau = directivity.delay_seconds * directivity.sample_rate
         ears *= np.exp(0.5j * tau * np.multiply.outer(omegas, np.arange(1, top[0] + 1)))
-        real = abs(directivity.magnitude_right) == 1.0
+        # exp(j d omega tau / 2) + |magnitude_right|^2 exp(-j d omega tau / 2)
+        # is real for equal magnitudes or no delay.
+        real = tau == 0.0 or abs(directivity.magnitude_right) == 1.0
         gains = np.conj(ears.transpose(1, 2, 0)[layout]) * gains
     fitted = np.empty(usable, int)
     inv_eps = np.empty(at_harmonics.size)

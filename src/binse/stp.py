@@ -9,8 +9,8 @@ arrays of K bins.
 
 Codebook entries never change between frames, so their LSF rows and their
 envelopes on the periodogram grid are compiled once per run into a
-``CompiledCodebook``; the optional adaptive noise entries of a record are
-compiled together by the caller, which hands each frame its row.  The
+``CompiledCodebook``; the caller compiles a record's adaptive noise
+entries together and appends each frame's row to its noise entries.  The
 multiplicative updates of all S x W pairs of a frame run as one batched
 array solve on the K/2 + 1 distinct bins of the real spectra, weighted
 (1, 2, ..., 2, 1)/K, each pair stopping on the iteration where it would
@@ -205,13 +205,10 @@ def estimate_stp(
     noise_entries: CompiledCodebook | Sequence[ArModel],
     frame_len: int,
     diagnostics: StpDiagnostics | None = None,
-    adaptive_noise: CompiledCodebook | None = None,
 ) -> StpEstimate:
     """MMSE estimate of the joint STP vector over the codebook pair grid.
 
     Entries given as lists of AR models go through ``compile_codebook``.
-    ``adaptive_noise``, a compiled one-entry codebook when given, joins the
-    noise entries as the last one.
     AR shapes are averaged in the LSF domain under the posterior pair
     weights; excitation variances are averaged directly.  Both excitation
     variances have uniform priors, so a pair's weight is its normalized
@@ -224,11 +221,6 @@ def estimate_stp(
         e if isinstance(e, CompiledCodebook) else compile_codebook(e, k)
         for e in (speech_entries, noise_entries)
     )
-    if adaptive_noise is not None:
-        noise = CompiledCodebook(
-            np.vstack((noise.lsfs, adaptive_noise.lsfs)),
-            np.vstack((noise.envelopes, adaptive_noise.envelopes)),
-        )
     if speech.envelopes.shape[1] != k or noise.envelopes.shape[1] != k:
         raise ValueError(f"codebooks compiled for another DFT length than {k}")
     ns, nw = len(speech), len(noise)

@@ -116,7 +116,9 @@ class TestProcess:
 
     def test_adaptive_entries_match_per_frame_fits(self, rng, codebooks, monkeypatch):
         # All frames' dual-channel noise PSDs are fitted in one batch; each
-        # frame's adaptive entry is the one-frame fit, bit for bit, and a
+        # frame's adaptive entry is the one-frame fit, bit for bit: its
+        # compiled row is the last of the frame's noise entries, and its
+        # excitation variance is fused into the frame's noise variance.  A
         # frame whose fit raises (the silent first frame's all-zero PSD)
         # gets none.  That frame is fitted alone, so its failure still
         # raises out of stp.noise_psd_to_ar, once.
@@ -126,12 +128,13 @@ class TestProcess:
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, n=1000, decorrelate=True)
         zl.samples[:200] = zr.samples[:200] = 0.0
-        seen, fits = [], []
+        seen, estimates, fits = [], [], []
         estimate, fit = stp.estimate_stp, stp.noise_psd_to_ar
 
-        def spy(*args, adaptive_noise=None, **kwargs):
-            seen.append(adaptive_noise)
-            return estimate(*args, adaptive_noise=adaptive_noise, **kwargs)
+        def spy(pzl, pzr, speech_entries, noise_entries, *args, **kwargs):
+            seen.append(noise_entries)
+            estimates.append(estimate(pzl, pzr, speech_entries, noise_entries, *args, **kwargs))
+            return estimates[-1]
 
         def spy_fit(psd, order):
             try:
@@ -144,25 +147,34 @@ class TestProcess:
 
         monkeypatch.setattr(stp, "estimate_stp", spy)
         monkeypatch.setattr(stp, "noise_psd_to_ar", spy_fit)
-        process(stereo(zl, zr), scb, ncb, fast_cfg())
+        diagnostics = []
+        process(stereo(zl, zr), scb, ncb, fast_cfg(), diagnostics_out=diagnostics)
         monkeypatch.setattr(stp, "noise_psd_to_ar", fit)
         assert fits == [(2, "returned"), (1, "raised")]
         frames_l, frames_r = frame_rows(zl.samples, 200), frame_rows(zr.samples, 200)
         pzl, pzr = periodogram(frames_l), periodogram(frames_r)
         cross = cross_spectrum(frames_l, frames_r)
         tracker = stp.DualChannelNoiseTracker()
-        for fi, got in enumerate(seen):
+        base = stp.compile_codebook(ncb, 200)
+        for fi, (got, est, diag) in enumerate(zip(seen, estimates, diagnostics)):
             psd = tracker.update(pzl[fi], pzr[fi], cross[fi])
             try:
                 want = stp.noise_psd_to_ar(psd, ncb.order)
             except (ValueError, ArithmeticError):
                 want = None
-            assert (got is None) == (want is None) == (fi == 0)
-            if want is not None:
+            assert (want is None) == (fi == 0)
+            assert len(got) == len(base) + (want is not None)
+            assert got.lsfs[: len(base)].tobytes() == base.lsfs.tobytes()
+            assert got.envelopes[: len(base)].tobytes() == base.envelopes.tobytes()
+            if want is None:
+                assert diag.sigma_v2 == est.noise.excitation_variance
+            else:
                 single = stp.compile_codebook([want], 200)
-                assert got.lsfs.tobytes() == single.lsfs.tobytes()
-                assert got.envelopes.tobytes() == single.envelopes.tobytes()
-        assert len(seen) == 5
+                assert got.lsfs[-1:].tobytes() == single.lsfs.tobytes()
+                assert got.envelopes[-1:].tobytes() == single.envelopes.tobytes()
+                fused = 0.5 * (est.noise.excitation_variance + want.excitation_variance)
+                assert diag.sigma_v2 == fused
+        assert len(seen) == len(diagnostics) == 5
 
     def test_adaptive_entries_compiled_once_per_record(self, rng, codebooks, monkeypatch):
         # One LSF conversion serves every frame's adaptive entry; the

@@ -468,6 +468,7 @@ DIRECTIVITY_CASES = {
     "one_ear": None,
     "frontal": DirectivityModel(),
     "delay": DirectivityModel(delay_seconds=2.5 / 8000),
+    "level": DirectivityModel(magnitude_right=0.6),
     "delay_level": DirectivityModel(delay_seconds=2.5 / 8000, magnitude_right=0.6),
 }
 
@@ -541,8 +542,9 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("case", DIRECTIVITY_CASES)
     def test_centred_predictors_are_real(self, case):
-        # Centring makes every Gram matrix real unless the ears differ in
-        # magnitude: one ear, two frontal ears and an equal-magnitude delay.
+        # Centring makes every Gram matrix real unless the ears differ both
+        # in delay and in magnitude: one ear, two frontal ears, an
+        # equal-magnitude delay and a level difference with no delay.
         d = DIRECTIVITY_CASES[case]
         search = pitch._compile_search(180, 1 if d is None else 2, self.FS, 80.0, 400.0, 0.5,
                                        d, None)

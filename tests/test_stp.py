@@ -423,11 +423,19 @@ class TestCompiledCodebook:
             estimate_stp(pz, pz, compile_codebook([SPEECH_AR], 200), [NOISE_AR], 100)
 
     def test_adaptive_entry_joins_noise_entries(self, rng):
+        # An adaptive entry compiled on its own and stacked under the
+        # compiled noise entries, as the pipeline does, is the entry
+        # compiled among them.
         pz = periodogram(ar_signal(SPEECH_AR.coefficients, 1e-3, 200, rng))
         extra = ArModel(np.array([0.3, -0.1]), 2e-3)
+        noise, row = compile_codebook([NOISE_AR], 200), compile_codebook([extra], 200)
+        stacked = CompiledCodebook(np.vstack((noise.lsfs, row.lsfs[0])),
+                                   np.vstack((noise.envelopes, row.envelopes[0])))
+        together = compile_codebook([NOISE_AR, extra], 200)
+        np.testing.assert_array_equal(stacked.lsfs, together.lsfs)
+        np.testing.assert_array_equal(stacked.envelopes, together.envelopes)
         diag_a, diag_b = StpDiagnostics(), StpDiagnostics()
-        a = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR], 200, diagnostics=diag_a,
-                         adaptive_noise=compile_codebook([extra], 200))
+        a = estimate_stp(pz, pz, [SPEECH_AR], stacked, 200, diagnostics=diag_a)
         b = estimate_stp(pz, pz, [SPEECH_AR], [NOISE_AR, extra], 200, diagnostics=diag_b)
         for ma, mb in ((a.speech, b.speech), (a.noise, b.noise)):
             np.testing.assert_array_equal(ma.coefficients, mb.coefficients)
