@@ -1,14 +1,15 @@
 """Model-based binaural speech enhancement.
 
 Codebook-driven Bayesian estimation of speech/noise AR parameters, a
-directional harmonic-model pitch estimator, and fixed-lag Kalman
-smoothing under unvoiced and voiced-unvoiced excitation models.
+harmonic-model pitch estimator for a frontal target seen by one or two
+ears, and fixed-lag Kalman smoothing under unvoiced and voiced-unvoiced
+excitation models.
 """
 
 from .codebook import Codebook
 from .linpred import ArModel, LsfVector
 from .pipeline import RunConfig, process
-from .pitch import DirectivityModel, PitchInfo
+from .pitch import PitchInfo
 from .signal_core import AudioBuffer
 from .stp import StpEstimate
 
@@ -16,7 +17,6 @@ __all__ = [
     "ArModel",
     "AudioBuffer",
     "Codebook",
-    "DirectivityModel",
     "LsfVector",
     "PitchInfo",
     "RunConfig",

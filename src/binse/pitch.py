@@ -1,11 +1,14 @@
-"""Directional harmonic-model pitch estimation.
+"""Frontal two-ear harmonic-model pitch estimation.
 
 Noisy frames are pre-whitened with the estimated noise AR coefficients,
 converted to analytic signals, and matched against a harmonic model on a
-dense fundamental-frequency grid.  The harmonic order per candidate is
-chosen by a BIC-style penalized rule, and a harmonic-energy voicing ratio
-gates the voiced/unvoiced decision.  Analytic frames carry no energy at or
-above Nyquist, so each candidate fits only the harmonics below pi.
+dense fundamental-frequency grid.  Two ears are searched as a target in the
+nose direction, as in the paper: one set of harmonic amplitudes, seen by
+both ears with equal gains and no interaural delay.  The harmonic order per
+candidate is chosen by a BIC-style penalized rule, and a harmonic-energy
+voicing ratio gates the voiced/unvoiced decision.  Analytic frames carry no
+energy at or above Nyquist, so each candidate fits only the harmonics below
+pi.
 
 The grid search is exact and factorizes no matrix per candidate (after
 Nielsen, Jensen, Jensen, Christensen & Jensen, "Fast fundamental frequency
@@ -13,20 +16,17 @@ estimation", Signal Processing 2017).  Grid frequencies are integer
 multiples of the grid step, so harmonic l of every candidate falls on a bin
 of one ``sample_rate / grid_step_hz``-point DFT per ear, which yields the
 projections V^H z of all candidates and orders.  As in that paper, the
-model's time axis is centred on the frame's middle sample (for two ears,
-also on their mean delay), so the Gram matrices V^H V are real symmetric
-Toeplitz unless the ears differ both in delay and in magnitude.  They
-depend on the frame length, the grid, the directivity and the order cap,
-not on the data, so a compile step, cached per frame shape, runs the
-Levinson recursion on them once.  It stores, per group of candidates with the same highest order,
-their predictor triangles M as one dense (count, order, order) array, and
-per candidate 1/eps and, for two ears, the left-ear form C, which is
-diagonal when the ears differ by a fixed gain with no interaural delay.
-Each frame is then one FFT per ear, a gather of the harmonic bins times the
-stored rotations and ear gains, one matmul per order group for M b and
-M p_left, and, where C is not diagonal, the packed mat-vec C mu; cumulative
-sums over the orders give the joint and per-ear residuals of every
-candidate and order, with no loop over orders.
+model's time axis is centred on the frame's middle sample, so the Gram
+matrices V^H V are real symmetric Toeplitz, and two ears' joint one is
+twice an ear's.  They depend on the frame length, the grid and the order
+cap, not on the data, so a compile step, cached per frame shape, runs the
+Levinson recursion on them once.  It stores, per group of candidates with
+the same highest order, their real predictor triangles M as one dense
+(count, order, order) array, and per candidate 1/eps.  Each frame is then
+one FFT per ear, a gather of the harmonic bins times the stored rotations,
+and one matmul per order group for M b and M p_left; cumulative sums over
+the orders give the joint and per-ear residuals of every candidate and
+order, with no loop over orders.
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
 rate and ``f_min``, grids finer than ``MAX_GRID_DFT_LEN`` bins, and
 fundamentals at or above Nyquist.
@@ -71,33 +71,6 @@ class PitchInfo:
 
 
 UNVOICED = PitchInfo(omega0=0.0, period_samples=0, voicing=0.0, harmonic_order=0)
-
-
-@dataclass(frozen=True)
-class DirectivityModel:
-    """Per-harmonic complex ear gains for a given fundamental frequency.
-
-    ``gains(omega0, order)`` returns (left, right) complex vectors of
-    length ``order``, or rows of them for an array of ``omega0``.  The
-    default is free-field nose direction (all ones); ``delay_seconds``
-    applies a pure interaural delay to the right ear.  The gains are linear
-    in phase and constant in magnitude over the harmonics, which keeps the
-    pitch search's Gram matrices Toeplitz; the search centres them on half
-    the delay, and they are real when the ears' magnitudes are equal or
-    there is no delay.
-    """
-
-    delay_seconds: float = 0.0
-    sample_rate: int = 8000
-    magnitude_right: float = 1.0
-
-    def gains(self, omega0, order: int):
-        harmonics = np.multiply.outer(omega0, np.arange(1, order + 1))
-        left = np.ones(harmonics.shape, dtype=complex)
-        right = self.magnitude_right * np.exp(
-            -1j * harmonics * self.delay_seconds * self.sample_rate
-        )
-        return left, right
 
 
 def prewhiten(
@@ -180,22 +153,6 @@ def _frozen(array: npt.NDArray) -> npt.NDArray:
     return array
 
 
-@functools.cache
-def _triangle(order: int) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-    """Column of each entry, and start of each row, of a row-major packed lower triangle."""
-    rows = np.arange(order)
-    cols = np.concatenate([np.arange(n + 1) for n in rows])
-    return _frozen(cols), _frozen(rows * (rows + 1) // 2)
-
-
-def _lower_matvec(packed, x):
-    """``L @ x`` over the last axis, for lower triangles L packed as rows of ``packed``."""
-    cols, starts = _triangle(x.shape[-1])
-    terms = np.take(x, cols, axis=-1)
-    terms *= packed
-    return np.add.reduceat(terms, starts, axis=-1)
-
-
 def _centred_dirichlet(q, m: int, n_fft: int) -> npt.NDArray[np.float64]:
     """``sum_n exp(j w (n - (m - 1) / 2))`` over n < m at w = 2 pi q / n_fft, 0 <= q < n_fft / 2.
 
@@ -251,8 +208,7 @@ class _OrderGroup:
     order: int
     start: int
     stop: int
-    predictors: npt.NDArray  # (count, order, order): lower triangles M, real or complex
-    cross: npt.NDArray[np.complex128] | None  # C below its diagonal, packed by rows, or None
+    predictors: npt.NDArray[np.float64]  # (count, order, order): lower triangles M
 
 
 @dataclass(frozen=True)
@@ -272,9 +228,8 @@ class _CompiledSearch:
     fits: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one fits
     layout: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one stores
     at_harmonics: npt.NDArray[np.intp]  # flat: the DFT bin of each harmonic
-    gains: npt.NDArray[np.complex128]  # (flat, ears): conjugate centred ear gains, rotated
+    rotations: npt.NDArray[np.complex128]  # (flat, 1): the centring rotation, for every ear
     inv_eps: npt.NDArray[np.float64]  # flat: 1 / eps_n
-    cross_diag: npt.NDArray[np.float64] | None  # flat: C[n, n], two ears
     groups: tuple[_OrderGroup, ...]
 
     def spread(self, flat):
@@ -292,33 +247,23 @@ def _compile_search(
     f_min: float,
     f_max: float,
     grid_step_hz: float,
-    directivity: DirectivityModel | None,
     max_order: int | None,
 ) -> _CompiledSearch:
     """All of the search that depends on the frame length and grid but not on the data.
 
     The harmonic model is fitted on a time axis centred on the frame's
-    middle sample, (m - 1) / 2, and, for two ears, on the ears' mean delay
-    phase.  Harmonic l of a candidate then has amplitude exp(j l phi) times
-    the one on the frame's own time axis, with phi = omega (m - 1) / 2 - omega
-    tau / 2 for a right-ear delay of tau samples, so each Gram row entry is
-    real: the centred Dirichlet kernel D(d omega) = sin(m d omega / 2) /
-    sin(d omega / 2), times, for two ears, 2 cos(d omega tau / 2) if their
-    magnitudes are equal or 1 + magnitude_right^2 if there is no delay.
-    The rotation and the conjugate ear gains are stored together, one
-    factor per harmonic and ear.  Residual energies do not depend on phi.
+    middle sample, (m - 1) / 2.  Harmonic l of a candidate then has
+    amplitude exp(j l phi) times the one on the frame's own time axis, with
+    phi = omega (m - 1) / 2, so each Gram row entry is real: the centred
+    Dirichlet kernel D(d omega) = sin(m d omega / 2) / sin(d omega / 2).
+    Frontal ears see the same harmonics, so the joint Gram matrix of
+    ``channels`` ears is ``channels`` times the kernel, and one rotation per
+    harmonic serves every ear.  Residual energies do not depend on phi.
 
-    Per candidate: the predictor triangle M and 1 / eps of ``_predictors``
-    on the joint Gram matrix, the fitted order, and, for two ears, the
-    left-ear form C[j, k] = beta_j^H T beta_k of the backward vectors and
-    the left Gram matrix T.  Where the right-ear gains are a fixed multiple
-    of the left ones, T is a multiple of the joint Gram matrix, under which
-    the backward vectors are orthogonal, so C is diagonal and only its
-    diagonal is kept.  Harmonic l of grid point f_min + i * step sits on DFT
-    bin (k0 + i) * l, so the Gram rows are Dirichlet-kernel samples.  M is
-    stored dense, and is real except for ears that differ both in delay and
-    in magnitude.
-    ``directivity`` is read for two ears only.
+    Per candidate: the real predictor triangle M and 1 / eps of
+    ``_predictors`` on the joint Gram matrix, and the fitted order.
+    Harmonic l of grid point f_min + i * step sits on DFT bin (k0 + i) * l,
+    so the Gram rows are Dirichlet-kernel samples.
     """
     n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
     f0_grid = np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz)
@@ -345,60 +290,21 @@ def _compile_search(
     layout = np.arange(top[0]) < top[:, None]
     at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1)
     # exp(j l omega (m - 1) / 2), its phase reduced modulo 2 pi in integers.
-    gains = np.exp(1j * np.pi * (at_harmonics * (m - 1) % (2 * n_fft)) / n_fft)[:, None]
-    two = channels == 2
-    real = True
-    if two:
-        ears = np.stack(directivity.gains(omegas, top[0]))
-        diagonal = np.array_equal(ears[1] * ears[0][:, :1], ears[0] * ears[1][:, :1])
-        # Centre the ears on their mean delay: left exp(j l omega tau / 2),
-        # right magnitude_right * exp(-j l omega tau / 2).
-        tau = directivity.delay_seconds * directivity.sample_rate
-        ears *= np.exp(0.5j * tau * np.multiply.outer(omegas, np.arange(1, top[0] + 1)))
-        # exp(j d omega tau / 2) + |magnitude_right|^2 exp(-j d omega tau / 2)
-        # is real for equal magnitudes or no delay.
-        real = tau == 0.0 or abs(directivity.magnitude_right) == 1.0
-        gains = np.conj(ears.transpose(1, 2, 0)[layout]) * gains
+    rotations = np.exp(1j * np.pi * (at_harmonics * (m - 1) % (2 * n_fft)) / n_fft)[:, None]
     fitted = np.empty(usable, int)
     inv_eps = np.empty(at_harmonics.size)
-    cross_diag = np.empty(at_harmonics.size) if two else None
-    block = np.empty(int(np.sum(top**2)), float if real else complex)  # M
-    packed_cross = None
-    if two and not diagonal:
-        packed_cross = np.empty(int(np.sum(top * (top + 1) // 2)), complex)  # C
-    groups, first, start, dense, packed = [], 0, 0, 0, 0
+    block = np.empty(int(np.sum(top**2)))  # M
+    groups, first, start, dense = [], 0, 0, 0
     for order in np.unique(top)[::-1].tolist():
         count = np.count_nonzero(top == order)
         rows, stop = slice(first, first + count), start + count * order
         kernel = _centred_dirichlet(np.outer(bins[rows], np.arange(order)), m, n_fft)
-        if two:
-            # Linear-phase, constant-magnitude gains keep every Gram matrix
-            # Toeplitz: (D^H V^H V D)[k, l] = conj(d_1) d_(1+l-k) t(l-k).
-            gram = [np.conj(d[:, :1]) * d * kernel for d in ears[:, rows, :order]]
-            joint = gram[0] + gram[1]
-            fitted[rows], tri, eps = _predictors(joint.real if real else joint)
-        else:
-            fitted[rows], tri, eps = _predictors(kernel)
+        fitted[rows], tri, eps = _predictors(channels * kernel)
         tri[np.arange(order) >= fitted[rows, None]] = 0.0  # mu = 0: the last fit repeats
         inv_eps[start:stop] = 1.0 / eps.ravel()
         predictors = block[dense : dense + tri.size].reshape(tri.shape)
         predictors[...] = tri
-        cross = None
-        if two:
-            lag = np.subtract.outer(np.arange(order), np.arange(order))
-            left = gram[0][:, np.abs(lag)]
-            left = np.where(lag <= 0, left, np.conj(left))  # T, from its first row
-            beta_h = tri / eps[..., None]
-            full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
-            cross_diag[start:stop] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
-            if packed_cross is not None:
-                lower = np.tril_indices(order)
-                size = count * len(lower[0])
-                cross = packed_cross[packed : packed + size].reshape(count, -1)
-                cross[...] = np.tril(full, -1)[:, lower[0], lower[1]]
-                cross = _frozen(cross)
-                packed += size
-        groups.append(_OrderGroup(order, start, stop, _frozen(predictors), cross))
+        groups.append(_OrderGroup(order, start, stop, _frozen(predictors)))
         first, start, dense = first + count, stop, dense + tri.size
 
     return _CompiledSearch(
@@ -407,9 +313,8 @@ def _compile_search(
         fits=_frozen(np.arange(top[0]) < fitted[:, None]),
         layout=_frozen(layout),
         at_harmonics=_frozen(at_harmonics),
-        gains=_frozen(gains),
+        rotations=_frozen(rotations),
         inv_eps=_frozen(inv_eps),
-        cross_diag=_frozen(cross_diag) if two else None,
         groups=tuple(groups),
     )
 
@@ -421,43 +326,39 @@ def _residuals(search: _CompiledSearch, y_halves):
     axis holds the left and the right residual.  Past a candidate's fitted
     order its last fit repeats.  mu = M b gives the joint drops
     |mu|^2 / eps.  The left residual is ||z_left||^2 + a^H T a
-    - 2 Re(a^H p_left) with a = sum_n mu_n beta_n; its order increments come
-    from M p_left and C mu.  M b and M p_left are one matmul per order
-    group, on the complex spectra viewed as pairs of reals where M is real.
-    The fit terms are the flat per-order increments of the joint fit energy
-    ||H a||^2 and, for two ears, of the left ear's a^H T a; their running
-    sums over a candidate's orders are the fitted harmonic energies.
+    - 2 Re(a^H p_left) with a = sum_n mu_n beta_n.  The left ear's Gram
+    matrix T is half the joint one, under which the backward vectors are
+    orthogonal with beta_n^H T beta_n = 1 / (2 eps_n), so a^H T a grows by
+    half of each joint drop, and a^H p_left by conj(mu_n) (M p_left)_n /
+    eps_n.  M b and M p_left are one matmul per order group, on the complex
+    spectra viewed as pairs of reals.  The fit terms are the flat per-order
+    increments of the joint fit energy ||H a||^2 and, for two ears, of the
+    left ear's a^H T a; their running sums over a candidate's orders are
+    the fitted harmonic energies.
     """
     spectra = np.stack(
         [_dft_bins(y, search.n_fft)[search.at_harmonics] for y in y_halves], axis=1
     )
     y = np.concatenate(y_halves)
     energy = float(np.vdot(y, y).real)
-    spectra *= search.gains
+    spectra *= search.rotations
     if len(y_halves) == 2:
         spectra[:, 1] += spectra[:, 0]  # p_left, b
     fit = np.empty_like(spectra)
-    dtype = search.groups[0].predictors.dtype
-    x, mx = spectra.view(dtype), fit.view(dtype)
+    x, mx = spectra.view(float), fit.view(float)
     for g in search.groups:
         shape = (-1, g.order, x.shape[1])
         np.matmul(g.predictors, x[g.start : g.stop].reshape(shape),
                   out=mx[g.start : g.stop].reshape(shape))
     mu = fit[:, -1]
-    power = np.abs(mu) ** 2
-    drops = power * search.inv_eps
+    drops = np.abs(mu) ** 2 * search.inv_eps
     out = np.empty((len(y_halves), *search.layout.shape))
     joint = np.cumsum(search.spread(drops), axis=1)
     np.subtract(energy, joint, out=joint)
-    if search.cross_diag is None:
+    if len(y_halves) == 1:
         np.maximum(joint, 0.0, out=out[0])
         return out, (drops,)
-    quad = power * search.cross_diag
-    for g in search.groups:
-        if g.cross is not None:
-            block = mu[g.start : g.stop].reshape(-1, g.order)
-            cross_mu = _lower_matvec(g.cross, block).ravel()
-            quad[g.start : g.stop] += 2.0 * (np.conj(mu[g.start : g.stop]) * cross_mu).real
+    quad = 0.5 * drops
     lin = np.conj(mu) * fit[:, 0] * search.inv_eps
     energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
     top = np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1)
@@ -473,7 +374,6 @@ def estimate_pitch(
     f_min: float = 80.0,
     f_max: float = 400.0,
     grid_step_hz: float = 0.5,
-    directivity: DirectivityModel | None = None,
     voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
     max_order: int | None = None,
     edge_trim: int = 10,
@@ -483,13 +383,16 @@ def estimate_pitch(
     For each candidate the harmonic order is selected by the penalized
     rule; the winning candidate minimizes the summed per-channel
     log-residual variances.  Frames failing the voicing threshold come
-    back unvoiced (order 0).
+    back unvoiced (order 0).  Two ears are searched as a frontal target, so
+    ``zl`` and ``zr`` must have the same length.
 
     ``edge_trim`` samples are dropped from each frame end before fitting:
     the FFT-based analytic-signal conversion leaks near the edges for
     frequencies that are not frame-periodic, which otherwise biases the
     estimate by up to a grid step.
     """
+    if zr is not None and len(zr) != len(zl):
+        raise ValueError(f"ear frames differ in length ({len(zl)} and {len(zr)} samples)")
     if edge_trim and len(zl) > 4 * edge_trim:
         zl = zl[edge_trim:-edge_trim]
         if zr is not None:
@@ -497,12 +400,8 @@ def estimate_pitch(
     m = len(zl)
     channels = 1 if zr is None else 2
     n_obs = channels * m
-    directivity = directivity or DirectivityModel(sample_rate=sample_rate)
     y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
-    search = _compile_search(
-        m, channels, sample_rate, f_min, f_max, grid_step_hz,
-        directivity if channels == 2 else None, max_order,
-    )
+    search = _compile_search(m, channels, sample_rate, f_min, f_max, grid_step_hz, max_order)
 
     residuals, terms = _residuals(search, y_halves)
     log_sigma2 = residuals / m

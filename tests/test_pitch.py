@@ -10,7 +10,6 @@ from binse import pitch
 from binse.pitch import (
     UNVOICED,
     VOICING_CLAMP,
-    DirectivityModel,
     PitchInfo,
     check_pitch_grid,
     estimate_pitch,
@@ -32,8 +31,8 @@ def _harmonic_matrix(omega0: float, order: int, m: int):
     return np.exp(1j * omega0 * np.outer(n, np.arange(1, order + 1)))
 
 
-def ml_amplitudes(zl, zr, omega0, order, directivity=None):
-    """Least-squares harmonic amplitudes for the stacked two-ear system."""
+def ml_amplitudes(zl, zr, omega0, order):
+    """Least-squares harmonic amplitudes for the stacked two-ear system of a frontal target."""
     if order < 1:
         raise ValueError("order must be >= 1")
     m = len(zl)
@@ -44,9 +43,7 @@ def ml_amplitudes(zl, zr, omega0, order, directivity=None):
     if zr is None:
         h, y = v, np.asarray(zl, complex)
     else:
-        directivity = directivity or DirectivityModel()
-        dl, dr = directivity.gains(omega0, order)
-        h = np.vstack((v * dl, v * dr))
+        h = np.vstack((v, v))
         y = np.concatenate((zl, zr))
     q, res, rank, _ = np.linalg.lstsq(h, y, rcond=None)
     if rank < order:
@@ -109,20 +106,6 @@ class TestMlAmplitudes:
     def test_zero_input(self):
         est = ml_amplitudes(np.zeros(100, complex), np.zeros(100, complex), 0.1, 2)
         np.testing.assert_allclose(est, 0.0, atol=1e-14)
-
-    def test_itd_directivity_recovery(self):
-        m = 200
-        fs = 8000
-        omega0 = 2 * np.pi * 120 / fs
-        amps = np.array([1.0, 0.5 - 0.5j])
-        d = DirectivityModel(delay_seconds=0.3e-3, sample_rate=fs)
-        dl, dr = d.gains(omega0, 2)
-        n = np.arange(m)
-        v = np.exp(1j * omega0 * np.outer(n, [1, 2]))
-        zl = v @ (amps * dl)
-        zr = v @ (amps * dr)
-        est = ml_amplitudes(zl, zr, omega0, 2, directivity=d)
-        np.testing.assert_allclose(est, amps, atol=1e-6)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -257,6 +240,13 @@ class TestEstimatePitch:
         assert a.omega0 == b.omega0
         assert a.harmonic_order == b.harmonic_order
 
+    def test_ear_length_mismatch_rejected(self, rng):
+        # Frontal ears share one set of Gram matrices, built for the left
+        # ear's length, so a shorter right ear is refused, not fitted with them.
+        al, ar = self.noisy_pair(rng, 100.0, 10.0)
+        with pytest.raises(ValueError, match="differ in length"):
+            estimate_pitch(al, ar[:120], self.FS, f_min=80.0, f_max=150.0)
+
     def test_single_channel_mode(self, rng):
         al, _ = self.noisy_pair(rng, 100.0, 20.0)
         info = estimate_pitch(al, None, self.FS, f_min=80.0, f_max=130.0)
@@ -294,8 +284,8 @@ def _reference_candidate_costs(y_halves, h):
 
 
 def reference_estimate_pitch(zl, zr, sample_rate, f_min=80.0, f_max=400.0,
-                             grid_step_hz=0.5, directivity=None,
-                             voicing_threshold=0.3, max_order=None, edge_trim=10):
+                             grid_step_hz=0.5, voicing_threshold=0.3, max_order=None,
+                             edge_trim=10):
     f0_grid = np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz)
     if edge_trim and len(zl) > 4 * edge_trim:
         zl = zl[edge_trim:-edge_trim]
@@ -304,7 +294,6 @@ def reference_estimate_pitch(zl, zr, sample_rate, f_min=80.0, f_max=400.0,
     m = len(zl)
     channels = 1 if zr is None else 2
     n_obs = channels * m
-    directivity = directivity or DirectivityModel(sample_rate=sample_rate)
     y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
     best = None
     for f0 in f0_grid:
@@ -318,11 +307,7 @@ def reference_estimate_pitch(zl, zr, sample_rate, f_min=80.0, f_max=400.0,
         if l_max < 1:
             continue
         v = np.exp(1j * omega0 * np.outer(np.arange(m), np.arange(1, l_max + 1)))
-        if zr is None:
-            h = v
-        else:
-            dl, dr = directivity.gains(omega0, l_max)
-            h = np.vstack((v * dl, v * dr))
+        h = v if zr is None else np.vstack((v, v))
         energies = _reference_candidate_costs(y_halves, h)
         sigma2 = np.maximum(energies / m, 1e-300)
         log_terms = m * np.log(sigma2).sum(axis=1)
@@ -331,13 +316,8 @@ def reference_estimate_pitch(zl, zr, sample_rate, f_min=80.0, f_max=400.0,
         if best is None or cost < best[0] - 1e-12:
             best = (cost, omega0, order)
     _, omega0, order = best
-    amps = ml_amplitudes(y_halves[0], zr, omega0, order, directivity)
-    if channels == 2:
-        dl, dr = directivity.gains(omega0, order)
-        voicing = 0.5 * (degree_of_voicing(y_halves[0], omega0, order, amps * dl)
-                         + degree_of_voicing(y_halves[1], omega0, order, amps * dr))
-    else:
-        voicing = degree_of_voicing(y_halves[0], omega0, order, amps)
+    amps = ml_amplitudes(y_halves[0], zr, omega0, order)
+    voicing = sum(degree_of_voicing(z, omega0, order, amps) for z in y_halves) / channels
     if voicing < voicing_threshold:
         return UNVOICED
     return PitchInfo(float(omega0), int(round(2.0 * np.pi / omega0)), float(voicing), order)
@@ -374,14 +354,12 @@ def corpus_frame(seed, m=200, fs=8000):
 
 EQUIVALENCE_CASES = [
     pytest.param(
-        seed, two, max_order, band, directional,
-        id=f"seed{seed}-{'two' if two else 'one'}-L{max_order}-{band[0]:g}_{band[1]:g}"
-        + ("-itd" if directional else ""),
+        seed, two, max_order, band,
+        id=f"seed{seed}-{'two' if two else 'one'}-L{max_order}-{band[0]:g}_{band[1]:g}",
     )
     for seed, band in zip(range(8), [(80.0, 400.0), (90.5, 170.0), (150.0, 400.0)] * 3)
     for two in (True, False)
     for max_order in (None, 15)
-    for directional in ((False, True) if two else (False,))
 ]
 
 
@@ -389,12 +367,29 @@ EQUIVALENCE_CASES = [
 #
 # The compiled search as it was before its time axis was centred: complex
 # Gram rows t(d) = sum_n exp(j d omega n) over n < m, complex predictor
-# triangles packed by rows, and take / multiply / reduceat mat-vecs for M b
-# and M p_left.  Kept as the oracle of the centred search's residuals and
-# fit terms, in the centred search's flat layout.
+# triangles packed by rows, take / multiply / reduceat mat-vecs for M b and
+# M p_left, and the left-ear form C = B^H T B of the backward vectors B and
+# the left ear's Gram matrix T, in full.  Kept as the oracle of the centred
+# search's residuals and fit terms, in the centred search's flat layout; the
+# centred search takes C as half the joint drops, which this oracle checks.
 
 
-def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz, directivity):
+def _triangle(order):
+    """Column of each entry, and start of each row, of a row-major packed lower triangle."""
+    rows = np.arange(order)
+    cols = np.concatenate([np.arange(n + 1) for n in rows])
+    return cols, rows * (rows + 1) // 2
+
+
+def _lower_matvec(packed, x):
+    """``L @ x`` over the last axis, for lower triangles L packed as rows of ``packed``."""
+    cols, starts = _triangle(x.shape[-1])
+    terms = np.take(x, cols, axis=-1)
+    terms *= packed
+    return np.add.reduceat(terms, starts, axis=-1)
+
+
+def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz):
     m, two = len(halves[0]), len(halves) == 2
     n_fft = check_pitch_grid(sample_rate, f_min, f_max, grid_step_hz)
     omegas = 2.0 * np.pi * np.arange(f_min, f_max + 0.5 * grid_step_hz, grid_step_hz) / sample_rate
@@ -402,16 +397,13 @@ def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz, directi
     l_max[l_max * omegas >= np.pi - 1e-9] -= 1
     l_max = np.minimum(l_max, m)
     usable = np.count_nonzero(l_max >= 1)
-    top, omegas = l_max[:usable], omegas[:usable]
+    top = l_max[:usable]
     bins = int(round(f_min / grid_step_hz)) + np.arange(usable)
     layout = np.arange(top[0]) < top[:, None]
     at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1) % n_fft
     dirichlet = np.conj(pitch._dft_bins(np.ones(m), n_fft))  # sum_n exp(+j w n)
     spectra = np.stack([pitch._dft_bins(y, n_fft)[at_harmonics] for y in halves])
     if two:
-        ears = np.stack(directivity.gains(omegas, top[0]))
-        diagonal = np.array_equal(ears[1] * ears[0][:, :1], ears[0] * ears[1][:, :1])
-        spectra *= np.conj(ears[:, layout])
         spectra[1] += spectra[0]  # p_left, b
     fit = np.empty_like(spectra)
     inv_eps, cross_diag = np.empty(at_harmonics.size), np.empty(at_harmonics.size)
@@ -420,29 +412,24 @@ def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz, directi
     for order in np.unique(top)[::-1].tolist():
         count = np.count_nonzero(top == order)
         rows, stop = slice(first, first + count), start + count * order
-        kernel = dirichlet[np.outer(bins[rows], np.arange(order)) % n_fft]
-        if two:
-            gram = [np.conj(d[:, :1]) * d * kernel for d in ears[:, rows, :order]]
-            fitted, tri, eps = pitch._predictors(gram[0] + gram[1])
-        else:
-            fitted, tri, eps = pitch._predictors(kernel)
+        kernel = dirichlet[np.outer(bins[rows], np.arange(order)) % n_fft]  # an ear's Gram rows
+        fitted, tri, eps = pitch._predictors(len(halves) * kernel)
         tri[np.arange(order) >= fitted[:, None]] = 0.0
         inv_eps[start:stop] = 1.0 / eps.ravel()
         lower = np.tril_indices(order)
         block = spectra[:, start:stop].reshape(len(spectra), -1, order)
-        fit[:, start:stop] = pitch._lower_matvec(
+        fit[:, start:stop] = _lower_matvec(
             tri[:, lower[0], lower[1]], block).reshape(len(spectra), -1)
         if two:
             lag = np.subtract.outer(np.arange(order), np.arange(order))
-            left = gram[0][:, np.abs(lag)]
-            left = np.where(lag <= 0, left, np.conj(left))
+            left = kernel[:, np.abs(lag)]
+            left = np.where(lag <= 0, left, np.conj(left))  # T, from its first row
             beta_h = tri / eps[..., None]
             full = beta_h @ left @ np.conj(beta_h).transpose(0, 2, 1)
             cross_diag[start:stop] = np.diagonal(full, axis1=1, axis2=2).real.ravel()
-            if not diagonal:
-                mu = fit[-1, start:stop].reshape(-1, order)
-                cross_mu = pitch._lower_matvec(np.tril(full, -1)[:, lower[0], lower[1]], mu)
-                quad_cross[start:stop] = (np.conj(mu) * cross_mu).ravel()
+            mu = fit[-1, start:stop].reshape(-1, order)
+            cross_mu = _lower_matvec(np.tril(full, -1)[:, lower[0], lower[1]], mu)
+            quad_cross[start:stop] = (np.conj(mu) * cross_mu).ravel()
         first, start = first + count, stop
 
     def spread(flat):
@@ -464,13 +451,7 @@ def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz, directi
     return np.stack((left, np.maximum(joint - left, 0.0))), (drops, quad)
 
 
-DIRECTIVITY_CASES = {
-    "one_ear": None,
-    "frontal": DirectivityModel(),
-    "delay": DirectivityModel(delay_seconds=2.5 / 8000),
-    "level": DirectivityModel(magnitude_right=0.6),
-    "delay_level": DirectivityModel(delay_seconds=2.5 / 8000, magnitude_right=0.6),
-}
+EAR_CASES = {"one_ear": 1, "frontal": 2}
 
 
 class TestExactSearch:
@@ -478,21 +459,17 @@ class TestExactSearch:
 
     FS = 8000
 
-    @pytest.mark.parametrize("seed,two,max_order,band,directional", EQUIVALENCE_CASES)
-    def test_matches_qr_reference(self, seed, two, max_order, band, directional):
+    @pytest.mark.parametrize("seed,two,max_order,band", EQUIVALENCE_CASES)
+    def test_matches_qr_reference(self, seed, two, max_order, band):
         zl, zr = corpus_frame(seed)
         kwargs = dict(f_min=band[0], f_max=band[1], max_order=max_order,
                       voicing_threshold=0.0)
-        if directional:
-            kwargs["directivity"] = DirectivityModel(
-                delay_seconds=2.5 / self.FS, sample_rate=self.FS, magnitude_right=0.6
-            )
         fast = estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
         slow = reference_estimate_pitch(zl, zr if two else None, self.FS, **kwargs)
         assert_same_pick(fast, slow)
 
-    @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
-    def test_recursion_residuals_match_qr(self, two, directional):
+    @pytest.mark.parametrize("two", [True, False])
+    def test_recursion_residuals_match_qr(self, two):
         # The per-ear split moves picks only at second order (a log-product
         # of two parts of a fixed sum), so it is checked residual by residual.
         # At 16 kHz the Nyquist cap leaves each f0 the orders that span the
@@ -505,19 +482,17 @@ class TestExactSearch:
             m = len(zl)
             y = np.concatenate((zl, zr)) if two else zl
             halves = [zl, zr] if two else [zl]
-            d = DirectivityModel(delay_seconds=2.5 / fs if directional else 0.0,
-                                 sample_rate=fs, magnitude_right=0.6 if directional else 1.0)
-            search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, d, None)
+            search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, None)
             w0 = 2 * np.pi * f0 / fs
             v = np.exp(1j * w0 * np.outer(np.arange(m), np.arange(1, order + 1)))
-            h = np.vstack([v * g for g in d.gains(w0, order)]) if two else v
+            h = np.vstack((v, v)) if two else v
             ref = _reference_candidate_costs(halves, h)
             assert search.fits.shape == (1, order) and search.fits.all()
             fast = pitch._residuals(search, halves)[0][:, 0].T
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-9 * np.vdot(y, y).real)
 
-    @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
-    def test_fit_terms_sum_to_refit_energies(self, two, directional):
+    @pytest.mark.parametrize("two", [True, False])
+    def test_fit_terms_sum_to_refit_energies(self, two):
         # The voicing reads each ear's harmonic energy off running sums of
         # the search's fit terms: the joint fit energy and the left ear's
         # a^H T a.  Order by order they match a least-squares refit.
@@ -525,43 +500,35 @@ class TestExactSearch:
         zl, zr = (z[10:-10] for z in corpus_frame(3))
         m = len(zl)
         halves = [zl, zr] if two else [zl]
-        d = DirectivityModel(delay_seconds=2.5 / fs if directional else 0.0,
-                             sample_rate=fs, magnitude_right=0.6 if directional else 1.0)
-        search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, d, None)
+        search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, None)
         sums = [np.cumsum(t) for t in pitch._residuals(search, halves)[1]]
         w0 = 2 * np.pi * f0 / fs
         scale = np.vdot(zl, zl).real + (np.vdot(zr, zr).real if two else 0.0)
         for order in range(1, len(sums[0]) + 1):
-            amps = ml_amplitudes(zl, zr if two else None, w0, order, d)
-            v = _harmonic_matrix(w0, order, m)
-            gains = d.gains(w0, order) if two else [np.ones(order)]
-            ears = [float(np.vdot(v @ (amps * g), v @ (amps * g)).real) for g in gains]
+            amps = ml_amplitudes(zl, zr if two else None, w0, order)
+            recon = _harmonic_matrix(w0, order, m) @ amps
+            ears = [float(np.vdot(recon, recon).real)] * len(halves)
             got = [running[order - 1] for running in sums]
             want = [sum(ears), ears[0]] if two else ears
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("case", DIRECTIVITY_CASES)
+    @pytest.mark.parametrize("case", EAR_CASES)
     def test_centred_predictors_are_real(self, case):
-        # Centring makes every Gram matrix real unless the ears differ both
-        # in delay and in magnitude: one ear, two frontal ears, an
-        # equal-magnitude delay and a level difference with no delay.
-        d = DIRECTIVITY_CASES[case]
-        search = pitch._compile_search(180, 1 if d is None else 2, self.FS, 80.0, 400.0, 0.5,
-                                       d, None)
-        want = np.complex128 if case == "delay_level" else np.float64
-        assert {g.predictors.dtype for g in search.groups} == {np.dtype(want)}
+        # Centring makes the Gram matrix of one ear, and of two frontal
+        # ears, real, so the stored predictors are.
+        search = pitch._compile_search(180, EAR_CASES[case], self.FS, 80.0, 400.0, 0.5, None)
+        assert {g.predictors.dtype for g in search.groups} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("case", DIRECTIVITY_CASES)
+    @pytest.mark.parametrize("case", EAR_CASES)
     def test_residuals_match_uncentred_search(self, seed, case):
         # The centred search's residuals and fit terms are the uncentred
         # ones, on the default grid, to round-off of the frame energy.
-        d = DIRECTIVITY_CASES[case]
         zl, zr = (z[10:-10] for z in corpus_frame(seed))
-        halves = [zl] if d is None else [zl, zr]
-        search = pitch._compile_search(len(zl), len(halves), self.FS, 80.0, 400.0, 0.5, d, None)
+        halves = [zl, zr][: EAR_CASES[case]]
+        search = pitch._compile_search(len(zl), len(halves), self.FS, 80.0, 400.0, 0.5, None)
         got, got_terms = pitch._residuals(search, halves)
-        want, want_terms = uncentred_residuals(halves, self.FS, 80.0, 400.0, 0.5, d)
+        want, want_terms = uncentred_residuals(halves, self.FS, 80.0, 400.0, 0.5)
         y = np.concatenate(halves)
         atol = 1e-13 * np.vdot(y, y).real
         assert got.shape == want.shape and len(got_terms) == len(want_terms)
@@ -591,17 +558,19 @@ class TestExactSearch:
         assert info == slow == UNVOICED
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("two,directional", [(True, False), (True, True), (False, False)])
-    def test_matches_qr_reference_at_top_of_band(self, seed, two, directional):
+    @pytest.mark.parametrize("two,lateral", [(True, False), (True, True), (False, False)])
+    def test_matches_qr_reference_at_top_of_band(self, seed, two, lateral):
         # f0 of 300-400 Hz with every harmonic up to just below 4 kHz: the
         # highest harmonic the capped search may fit is the one the frame
-        # holds.  The oracle still fits orders up to 2 pi.
+        # holds.  The oracle still fits orders up to 2 pi.  A lateral
+        # target reaches the right ear 2.5 samples late, which the frontal
+        # search does not model; it must still pick what the oracle picks.
         rng = np.random.default_rng(100 + seed)
         m = 200
         f0 = rng.uniform(300.0, 400.0)
         w0 = 2 * np.pi * f0 / self.FS
         n = np.arange(m)
-        itd = 2.5 if directional else 0.0
+        itd = 2.5 if lateral else 0.0
         s_l = np.zeros(m)
         s_r = np.zeros(m)
         for l in range(1, int(np.ceil(np.pi / w0))):
@@ -613,10 +582,6 @@ class TestExactSearch:
         zl = analytic_signal(s_l + sigma * rng.normal(size=m))
         zr = analytic_signal(s_r + sigma * rng.normal(size=m)) if two else None
         kwargs = dict(f_min=300.0, f_max=400.0, voicing_threshold=0.0)
-        if directional:
-            kwargs["directivity"] = DirectivityModel(
-                delay_seconds=itd / self.FS, sample_rate=self.FS
-            )
         fast = estimate_pitch(zl, zr, self.FS, **kwargs)
         slow = reference_estimate_pitch(zl, zr, self.FS, **kwargs)
         assert_same_pick(fast, slow)
@@ -624,8 +589,7 @@ class TestExactSearch:
     def test_no_harmonic_fitted_at_or_above_nyquist(self):
         # The compiled search of the default grid, for the trimmed frame
         # that estimate_pitch hands it.
-        d = DirectivityModel(sample_rate=self.FS)
-        two_ear, one_ear = (pitch._compile_search(180, c, self.FS, 80.0, 400.0, 0.5, d, None)
+        two_ear, one_ear = (pitch._compile_search(180, c, self.FS, 80.0, 400.0, 0.5, None)
                             for c in (2, 1))
         # Every harmonic the search gathers, fitted or not, lies below pi.
         top = two_ear.layout.sum(axis=1)
@@ -649,8 +613,7 @@ class TestExactSearch:
     def test_candidates_are_a_grid_prefix(self, channels, fs, f_min, f_max, step, max_order):
         # The highest order only falls as f0 rises, so the search stores the
         # grid's first candidates in grid order, grouped by falling order.
-        d = DirectivityModel(sample_rate=fs)
-        search = pitch._compile_search(180, channels, fs, f_min, f_max, step, d, max_order)
+        search = pitch._compile_search(180, channels, fs, f_min, f_max, step, max_order)
         grid = 2.0 * np.pi * np.arange(f_min, f_max + 0.5 * step, step) / fs
         assert 1 <= len(search.omegas) <= len(grid)
         np.testing.assert_array_equal(search.omegas, grid[: len(search.omegas)])
@@ -659,22 +622,21 @@ class TestExactSearch:
         assert [g.order for g in search.groups] == sorted(set(top.tolist()), reverse=True)
 
     def test_compiled_search_cache_keying(self):
-        # Frame length, ear count, directivity and order cap all key the
+        # Frame length, ear count, grid band and order cap all key the
         # cache; an interleaved run, which hits and evicts entries, picks
         # what a cold cache and the QR oracle pick.
-        d = DirectivityModel(delay_seconds=2.5 / self.FS, sample_rate=self.FS, magnitude_right=0.6)
         cases = [
-            (m, two, directivity, max_order)
+            (m, two, f_max, max_order)
             for m in (200, 160)
-            for two, directivity in ((True, None), (True, d), (False, None))
+            for two in (True, False)
+            for f_max in (180.0, 220.0)
             for max_order in (None, 12)
         ]
 
-        def pick(m, two, directivity, max_order):
+        def pick(m, two, f_max, max_order):
             zl, zr = corpus_frame(6, m=m)
-            return estimate_pitch(zl, zr if two else None, self.FS, f_min=100.0, f_max=180.0,
-                                  directivity=directivity, max_order=max_order,
-                                  voicing_threshold=0.0)
+            return estimate_pitch(zl, zr if two else None, self.FS, f_min=100.0, f_max=f_max,
+                                  max_order=max_order, voicing_threshold=0.0)
 
         pitch._compile_search.cache_clear()
         warm = {}
@@ -684,30 +646,23 @@ class TestExactSearch:
         for case in cases:
             pitch._compile_search.cache_clear()
             assert pick(*case) == warm[case]
-            m, two, directivity, max_order = case
+            m, two, f_max, max_order = case
             zl, zr = corpus_frame(6, m=m)
             assert_same_pick(warm[case], reference_estimate_pitch(
-                zl, zr if two else None, self.FS, f_min=100.0, f_max=180.0,
-                directivity=directivity, max_order=max_order, voicing_threshold=0.0))
-        # One ear never reads the directivity, so it does not key that search.
-        pitch._compile_search.cache_clear()
-        assert pick(200, False, d, None) == pick(200, False, None, None)
-        assert pitch._compile_search.cache_info().misses == 1
+                zl, zr if two else None, self.FS, f_min=100.0, f_max=f_max,
+                max_order=max_order, voicing_threshold=0.0))
 
-    @pytest.mark.parametrize("delay", [0.0, 2.5])
-    def test_compiled_search_size(self, delay):
-        # Packed triangles keep the default grid at the default trimmed
-        # frame, two ears, within 6.5 MB; the cache hands out read-only arrays.
-        # Without an interaural delay the left-ear form is diagonal, and no
-        # part of it below the diagonal is stored.
-        d = DirectivityModel(delay_seconds=delay / self.FS, sample_rate=self.FS)
-        search = pitch._compile_search(180, 2, self.FS, 80.0, 400.0, 0.5, d, None)
+    def test_compiled_search_size(self):
+        # Dense real triangles keep the default grid at the default trimmed
+        # frame, two ears, within 6.5 MB; the cache hands out read-only
+        # arrays.  One centring rotation per harmonic serves both ears.
+        search = pitch._compile_search(180, 2, self.FS, 80.0, 400.0, 0.5, None)
         arrays = [getattr(search, f.name) for f in dataclasses.fields(search)]
-        arrays += [a for g in search.groups for a in (g.predictors, g.cross)]
+        arrays += [g.predictors for g in search.groups]
         total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert total <= 6.5e6
         assert all(not a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
-        assert all((g.cross is None) == (delay == 0.0) for g in search.groups)
+        assert search.rotations.shape == (search.at_harmonics.size, 1)
 
     @pytest.mark.parametrize("frame_len", [20, 40, 60, 86, 92, 120])
     @pytest.mark.parametrize("two", [True, False])
