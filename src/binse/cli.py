@@ -151,6 +151,10 @@ def _load_codebooks(args, cfg: RunConfig):
         noise_cb = codebook.load(args.noise_cb)
     except (OSError, codebook.CodebookFormatError) as exc:
         raise CliError(str(exc)) from exc
+    for path, cb, kind in ((args.speech_cb, speech_cb, "speech"), (args.noise_cb, noise_cb, "noise")):
+        if cb.kind != kind:
+            raise CliError(f"{path}: stored as a {cb.kind} codebook, but --{kind}-cb "
+                           f"needs a {kind} one")
     if speech_cb.order > cfg.smoother_delay:
         raise CliError(
             f"{args.speech_cb}: speech codebook order {speech_cb.order} exceeds "

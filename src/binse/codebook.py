@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import numpy.typing as npt
 
-from .linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, lsf_to_ar, valid_lsf_rows
+from .linpred import ArModel, ar_to_lsf, levinson_durbin, lsf_to_ar, valid_lsf_rows
 from .signal_core import autocorrelation
 
 _MAGIC = b"CBK1"
@@ -52,7 +52,7 @@ class Codebook:
         return self.entries.shape[0]
 
     def ar_models(self) -> list[ArModel]:
-        return [lsf_to_ar(LsfVector(row)) for row in self.entries]
+        return [ArModel(row) for row in lsf_to_ar(self.entries)]
 
 
 def train(

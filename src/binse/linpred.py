@@ -225,31 +225,47 @@ def ar_to_lsf(
     return lsfs
 
 
-def lsf_to_ar(lsf: LsfVector) -> ArModel:
-    """Reconstruct the AR model (unit excitation variance) from its LSFs."""
-    p = lsf.order
-    freqs = lsf.frequencies
+def _times_fixed(poly, lag: int, sign: float) -> npt.NDArray[np.float64]:
+    """Each row of ``poly`` times (1 + sign z^-lag)."""
+    out = np.zeros((len(poly), poly.shape[1] + lag))
+    out[:, :-lag] = poly
+    out[:, lag:] += sign * poly
+    return out
+
+
+def lsf_to_ar(lsf: LsfVector | npt.NDArray[np.float64]) -> ArModel | npt.NDArray[np.float64]:
+    """Reconstruct AR models (unit excitation variance) from their LSFs.
+
+    One ``LsfVector`` gives an ``ArModel``.  An (n, order) array of LSF rows
+    gives the (n, order) array of their coefficient rows, with one
+    vectorised product per quadratic factor; a one-model call is the
+    one-row case of the same arithmetic.
+    """
+    if isinstance(lsf, LsfVector):
+        return ArModel(lsf_to_ar(lsf.frequencies[None])[0], 1.0)
+    freqs = np.asarray(lsf, dtype=np.float64)
+    if not valid_lsf_rows(freqs).all():
+        raise ValueError(_INVALID_LSF)
+    n, p = freqs.shape
     # Interleaved ascending: even positions belong to the symmetric
-    # polynomial, odd positions to the antisymmetric one.
-    p_freqs = freqs[0::2]
-    q_freqs = freqs[1::2]
-
-    def from_angles(angles):
-        poly = np.array([1.0])
-        for w in angles:
-            poly = np.convolve(poly, np.array([1.0, -2.0 * np.cos(w), 1.0]))
-        return poly
-
-    p_poly = from_angles(p_freqs)
-    q_poly = from_angles(q_freqs)
+    # polynomial, odd positions to the antisymmetric one.  Angle w gives
+    # the factor 1 - 2 cos(w) z^-1 + z^-2.
+    polys = []
+    for angles in (freqs[:, 0::2], freqs[:, 1::2]):
+        poly = np.ones((n, 1))
+        for middle in -2.0 * np.cos(angles.T):
+            grown = np.zeros((n, poly.shape[1] + 2))
+            grown[:, :-2] = poly
+            grown[:, 1:-1] += middle[:, None] * poly
+            grown[:, 2:] += poly
+            poly = grown
+        polys.append(poly)
+    p_poly, q_poly = polys
     if p % 2 == 0:
-        p_poly = np.convolve(p_poly, np.array([1.0, 1.0]))
-        q_poly = np.convolve(q_poly, np.array([1.0, -1.0]))
+        p_poly, q_poly = _times_fixed(p_poly, 1, 1.0), _times_fixed(q_poly, 1, -1.0)
     else:
-        q_poly = np.convolve(q_poly, np.array([1.0, -1.0]))
-        q_poly = np.convolve(q_poly, np.array([1.0, 1.0]))
-    inverse = 0.5 * (p_poly + q_poly)[: p + 1]
-    return ArModel(-inverse[1:], 1.0)
+        q_poly = _times_fixed(q_poly, 2, -1.0)
+    return -0.5 * (p_poly + q_poly)[:, 1 : p + 1]
 
 
 def ar_envelope(model: ArModel, dft_len: int) -> npt.NDArray[np.float64]:

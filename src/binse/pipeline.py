@@ -21,7 +21,6 @@ from .signal_core import AudioBuffer, analytic_signal, cross_spectrum, frame_row
 from .stp import (
     CompiledCodebook,
     DualChannelNoiseTracker,
-    StpDiagnostics,
     StpEstimate,
     compile_codebook,
 )
@@ -122,22 +121,28 @@ def _channel_params(
     # The fitted entries are compiled together: one LSF conversion and one
     # FFT per record.  Each frame's entry joins its noise entries as the last.
     fitted = [entry for entry in adaptive if entry is not None]
-    rows = compile_codebook(fitted, pzl.shape[1]) if fitted else None
-    params = []
-    row = 0
-    for fi, adaptive_entry in enumerate(adaptive):
-        diag = StpDiagnostics()
-        entries = noise
-        if adaptive_entry is not None:
-            entries = CompiledCodebook(np.vstack((noise.lsfs, rows.lsfs[row])),
-                                       np.vstack((noise.envelopes, rows.envelopes[row])))
+    entries = noise
+    if fitted:
+        rows = compile_codebook(fitted, pzl.shape[1])
+        entries, row = [], 0
+        for adaptive_entry in adaptive:
+            if adaptive_entry is None:
+                entries.append(noise)
+                continue
+            entries.append(CompiledCodebook(np.vstack((noise.lsfs, rows.lsfs[row])),
+                                            np.vstack((noise.envelopes, rows.envelopes[row]))))
             row += 1
-        est = stp.estimate_stp(pzl[fi], pzr[fi], speech, entries, frame_len=m, diagnostics=diag)
+    stp_diagnostics = [] if diagnostics_out is not None else None
+    estimates = stp.estimate_stp(pzl, pzr, speech, entries, frame_len=m,
+                                 diagnostics=stp_diagnostics)
+    params = []
+    for fi, (est, adaptive_entry) in enumerate(zip(estimates, adaptive)):
         if adaptive_entry is not None:
             # Fuse the codebook-MMSE noise variance with the dual-channel one.
             fused = 0.5 * (est.noise.excitation_variance + adaptive_entry.excitation_variance)
             est = replace(est, noise=ArModel(est.noise.coefficients, fused))
         if diagnostics_out is not None:
+            diag = stp_diagnostics[fi]
             diagnostics_out.append(FrameDiagnostics(
                 frame=fi, best_speech_index=diag.best_speech_index,
                 best_noise_index=diag.best_noise_index, log_weight=diag.best_log_weight,

@@ -5,23 +5,27 @@ excitation variances by multiplicative updates on an Itakura-Saito cost;
 pair weights are the likelihoods under uniform priors on both excitation
 variances, and the final estimate is the weighted average (AR shapes
 averaged in the LSF domain so the result stays stable).  Spectra are plain
-arrays of K bins.
+arrays of K bins, one frame per row of a record.
 
 Codebook entries never change between frames, so their LSF rows and their
 envelopes on the periodogram grid are compiled once per run into a
 ``CompiledCodebook``; the caller compiles a record's adaptive noise
-entries together and appends each frame's row to its noise entries.  The
-multiplicative updates of all S x W pairs of a frame run as one batched
-array solve on the K/2 + 1 distinct bins of the real spectra, weighted
-(1, 2, ..., 2, 1)/K, each pair stopping on the iteration where it would
-stop if solved alone.  An iteration forms each pair's modeled spectrum and
-its reciprocal once, for the cost and the next update, and the final costs
-give the pair weights.
+entries together and appends each frame's row to its noise entries.
+``estimate_stp`` takes a whole record.  The multiplicative updates of all
+S x W pairs of a group of consecutive frames with one entry count (up to
+MU_BATCH_ROWS pairs) run as one batched array solve on the K/2 + 1
+distinct bins of the real spectra, weighted (1, 2, ..., 2, 1)/K, each pair
+stopping on the iteration where it would stop if solved alone, with the
+bits it would get alone.  An iteration forms each pair's modeled spectrum
+and its reciprocal once, for the cost and the next update, and the final
+costs give the pair weights.  The LSF averages of all frames go back to
+AR coefficients in one ``lsf_to_ar`` call per kind.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -29,11 +33,12 @@ import numpy as np
 import numpy.typing as npt
 
 from .codebook import Codebook
-from .linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, lsf_to_ar
+from .linpred import ArModel, ar_to_lsf, levinson_durbin, lsf_to_ar
 
 OBSERVED_FLOOR_REL = 1e-12
 MU_DEFAULT_ITERS = 50
 MU_REL_TOL = 1e-6
+MU_BATCH_ROWS = 400  # pairs per batched solve, from the group-size table in ROADMAP item 2
 DC_PSD_FLOOR = 0.01
 DC_PSD_SMOOTHING = 0.9
 
@@ -88,18 +93,22 @@ class StpEstimate:
 
 
 def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    peak = observed.max() if len(observed) else 0.0
-    if peak <= 0.0:
-        return np.maximum(observed, 1e-300)
-    return np.maximum(observed, OBSERVED_FLOOR_REL * peak)
+    """Each spectrum (last axis) floored at OBSERVED_FLOOR_REL of its peak, or 1e-300 if silent."""
+    peak = observed.max(axis=-1, keepdims=True) if observed.shape[-1] else np.zeros(1)
+    return np.maximum(observed, np.where(peak <= 0.0, 1e-300, OBSERVED_FLOOR_REL * peak))
 
 
 def _weighted_is(floors, inv, weights):
-    """Weighted two-channel IS cost per row, from the (2, 1, H) floored spectra and 1/modeled."""
+    """Weighted two-channel IS cost per row, from the (2, n or 1, H) floored spectra and 1/modeled.
+
+    The sum over bins is one dot product per row (``np.vecdot``), so a row's
+    cost does not depend on how many rows there are; a BLAS mat-vec's does.
+    """
     ratio = floors * inv
     ratio -= np.log(ratio)
     ratio -= 1.0
-    return ratio[0] @ weights + ratio[1] @ weights
+    per_channel = np.vecdot(ratio, weights)
+    return per_channel[0] + per_channel[1]
 
 
 def is_divergence(observed, modeled):
@@ -123,7 +132,7 @@ def ml_excitation_variances(
     pzr,
     speech_env: npt.NDArray[np.float64],
     noise_env: npt.NDArray[np.float64],
-    init: tuple[float, float] | None = None,
+    init=None,
     iters: int = MU_DEFAULT_ITERS,
     bin_weights: npt.NDArray[np.float64] | None = None,
 ):
@@ -132,32 +141,40 @@ def ml_excitation_variances(
     Minimizes the summed two-channel Itakura-Saito cost between the
     observed periodograms and ``sigma_d^2 * speech_env + sigma_v^2 * noise_env``,
     a ``bin_weights``-weighted sum over bins (default: the plain mean).
-    Returns (sigma_d2, sigma_v2, final_cost) as floats for 1-D envelopes;
-    envelopes whose leading axes broadcast to a shape L fit one pair per
-    index of L and give three arrays of that shape.  Each pair stops on the
-    iteration where it would stop alone: when its cost changes by less than
-    MU_REL_TOL relative, when both its variances reach zero (keeping the
-    cost from before that update), or after ``iters`` updates.
+    Returns (sigma_d2, sigma_v2, final_cost) as floats for 1-D arguments.
+    The four spectra may carry leading axes (the observed ones one frame
+    per index, the envelopes one entry per index); they broadcast to a
+    shape (L, K), one pair per index of L, and give three arrays of shape
+    L.  ``init`` holds the start variances, each broadcast against L; by
+    default both start at a quarter of the frame's weighted total power.
+    Each pair gets the same bits alone as in any batch, and stops on the
+    iteration where it would stop alone: when its cost changes by less
+    than MU_REL_TOL relative, when both its variances reach zero (keeping
+    the cost from before that update), or after ``iters`` updates.
     """
     pl, pr, ps, pw = (np.asarray(x, float) for x in (pzl, pzr, speech_env, noise_env))
     if np.any(ps <= 0) or np.any(pw <= 0):
         raise ValueError("envelopes must be strictly positive")
-    *lead, k = np.broadcast_shapes(ps.shape, pw.shape)
+    shape = np.broadcast_shapes(pl.shape, pr.shape, ps.shape, pw.shape)
+    lead, k = shape[:-1], shape[-1]
     weights = np.full(k, 1.0 / k) if bin_weights is None else np.asarray(bin_weights, float)
-    total = pl + pr
     if init is None:
-        sd0 = sv0 = max(float(total @ weights) / 4.0, 1e-12)
-    else:
-        sd0, sv0 = init
-        if sd0 <= 0 or sv0 <= 0:
-            raise ValueError("initial variances must be positive")
-    floors = np.stack((_floored(pl), _floored(pr)))[:, None, :]
+        start = np.maximum(np.vecdot(pl + pr, weights) / 4.0, 1e-12)
+        init = (start, start)
+    elif np.any(np.asarray(init[0]) <= 0) or np.any(np.asarray(init[1]) <= 0):
+        raise ValueError("initial variances must be positive")
 
-    # Row n holds pair n's (speech, noise) envelopes and variances.
-    env = np.stack(np.broadcast_arrays(ps, pw), axis=-2).reshape(-1, 2, k)
-    var = np.tile([float(sd0), float(sv0)], (len(env), 1))
+    # Row n holds pair n's (speech, noise) envelopes and variances.  The
+    # floored spectra and total power sit in observed[:, n], or in one
+    # column that every row reads when all the pairs share one frame.
+    per_row = math.prod(np.broadcast_shapes(pl.shape, pr.shape)[:-1]) > 1
+    observed = np.stack([(np.broadcast_to(a, shape) if per_row else a).reshape(-1, k)
+                         for a in (_floored(pl), _floored(pr), pl + pr)])
+    env = np.stack([np.broadcast_to(a, shape) for a in (ps, pw)], axis=-2).reshape(-1, 2, k)
+    var = np.stack([np.broadcast_to(np.asarray(v, float), lead) for v in init],
+                   axis=-1).reshape(-1, 2)
     inv = 1.0 / np.einsum("nc,nck->nk", var, env)
-    cost = _weighted_is(floors, inv, weights)
+    cost = _weighted_is(observed[:2], inv, weights)
     out_var, out_cost = var.copy(), cost.copy()
     rows = np.arange(len(env))
     for _ in range(iters):
@@ -165,19 +182,21 @@ def ml_excitation_variances(
             break
         w_inv = inv * weights
         grad = w_inv * inv
-        grad *= total
-        var = np.maximum(var * np.einsum("nck,nk->nc", env, grad)
-                         / (2.0 * np.einsum("nck,nk->nc", env, w_inv)), 0.0)
+        grad *= observed[2]
+        var = np.maximum(var * np.vecdot(env, grad[:, None])
+                         / (2.0 * np.vecdot(env, w_inv[:, None])), 0.0)
         inv = 1.0 / np.einsum("nc,nck->nk", np.maximum(var, 1e-300), env)
         # A pair whose variances both reach zero (a silent frame) stops with
         # the cost from before this update.
         zero = (var <= 0).all(axis=1)
-        cur = np.where(zero, cost, _weighted_is(floors, inv, weights))
+        cur = np.where(zero, cost, _weighted_is(observed[:2], inv, weights))
         moving = ~(zero | (np.abs(cost - cur) < MU_REL_TOL * np.maximum(np.abs(cost), 1e-30)))
         cost = cur
         if not moving.all():
             out_var[rows], out_cost[rows] = var, cost
             rows, env, var, cost, inv = (a[moving] for a in (rows, env, var, cost, inv))
+            if per_row:
+                observed = observed[:, moving]
     out_var[rows], out_cost[rows] = var, cost
     if not lead:
         return float(out_var[0, 0]), float(out_var[0, 1]), float(out_cost[0])
@@ -198,74 +217,122 @@ class StpDiagnostics:
     weights: npt.NDArray[np.float64] | None = None  # normalized (ns, nw) posterior
 
 
+def _frame_entries(entries, n_frames: int, k: int) -> list[CompiledCodebook]:
+    """One compiled entry set per frame, from shared entries or a per-frame list of them."""
+    if isinstance(entries, CompiledCodebook):
+        return [entries] * n_frames
+    entries = list(entries)
+    if entries and isinstance(entries[0], CompiledCodebook):
+        if len(entries) != n_frames:
+            raise ValueError(f"{len(entries)} per-frame entry sets for {n_frames} frames")
+        return entries
+    return [compile_codebook(entries, k)] * n_frames
+
+
+def _frame_groups(noise: list[CompiledCodebook], ns: int):
+    """Slices of consecutive frames with one noise entry count, each of at
+    most MU_BATCH_ROWS pairs, or of one frame where a frame has more."""
+    first = 0
+    while first < len(noise):
+        nw = len(noise[first])
+        cap = min(len(noise), first + max(1, MU_BATCH_ROWS // (ns * nw)))
+        last = first + 1
+        while last < cap and len(noise[last]) == nw:
+            last += 1
+        yield slice(first, last)
+        first = last
+
+
 def estimate_stp(
     pzl: npt.ArrayLike,
     pzr: npt.ArrayLike,
     speech_entries: CompiledCodebook | Sequence[ArModel],
-    noise_entries: CompiledCodebook | Sequence[ArModel],
+    noise_entries: CompiledCodebook | Sequence[ArModel] | Sequence[CompiledCodebook],
     frame_len: int,
-    diagnostics: StpDiagnostics | None = None,
-) -> StpEstimate:
-    """MMSE estimate of the joint STP vector over the codebook pair grid.
+    diagnostics: StpDiagnostics | list | None = None,
+) -> StpEstimate | list[StpEstimate]:
+    """MMSE estimate of the joint STP vector over the codebook pair grid, per frame.
 
-    Entries given as lists of AR models go through ``compile_codebook``.
-    AR shapes are averaged in the LSF domain under the posterior pair
-    weights; excitation variances are averaged directly.  Both excitation
+    ``pzl`` and ``pzr`` hold one frame's spectra (K,), or a record's, one
+    frame per row (F, K).  Entries given as lists of AR models go through
+    ``compile_codebook``.  The speech entries serve every frame; the noise
+    entries too, or they are a list of compiled entry sets, one per frame
+    (the codebook plus that frame's adaptive row).  A frame's AR shapes
+    are averaged in the LSF domain under its posterior pair weights, and
+    its excitation variances are averaged directly.  Both excitation
     variances have uniform priors, so a pair's weight is its normalized
     likelihood.
+
+    Consecutive frames with the same entry count are solved together, up
+    to MU_BATCH_ROWS pairs a group; the solve gives each pair the bits it
+    gets alone, so a frame's estimate does not depend on its record.  A
+    1-D call returns an ``StpEstimate`` and fills ``diagnostics``; a record
+    gives a list of them, one per frame, and appends one ``StpDiagnostics``
+    per frame to a ``diagnostics`` list.
     """
-    if len(pzl) != len(pzr):
+    one_frame = np.ndim(pzl) == 1
+    pl_all, pr_all = (np.atleast_2d(np.asarray(x, float)) for x in (pzl, pzr))
+    if pl_all.shape != pr_all.shape:
         raise ValueError("channel spectra must have equal length")
-    k = len(pzl)
-    speech, noise = (
-        e if isinstance(e, CompiledCodebook) else compile_codebook(e, k)
-        for e in (speech_entries, noise_entries)
-    )
-    if speech.envelopes.shape[1] != k or noise.envelopes.shape[1] != k:
+    n_frames, k = pl_all.shape
+    speech = (speech_entries if isinstance(speech_entries, CompiledCodebook)
+              else compile_codebook(speech_entries, k))
+    noise = _frame_entries(noise_entries, n_frames, k)
+    if any(e.envelopes.shape[1] != k for e in [speech, *noise]):
         raise ValueError(f"codebooks compiled for another DFT length than {k}")
-    ns, nw = len(speech), len(noise)
+    if len({e.order for e in noise}) > 1:
+        raise ValueError("the frames' noise entries must share one order")
+    if not n_frames:
+        return []
+    ns = len(speech)
 
     # Real spectra repeat their bins, so the solve runs on the K//2 + 1
     # distinct ones, weighted (1, 2, ..., 2, 1)/K (no Nyquist bin for odd K).
-    # Pair (i, j) is entry [i, j] of the (ns, nw) results.
+    # Pair (i, j) of a frame is entry [i, j] of its (ns, nw) results.
     half = k // 2 + 1
     bins = np.full(half, 2.0 / k)
     bins[0], bins[-1] = 1.0 / k, (1.0 + k % 2) / k
-    pl, pr = np.asarray(pzl, float)[:half], np.asarray(pzr, float)[:half]
-    ps, pw = speech.envelopes[:, None, :half], noise.envelopes[None, :, :half]
-    sig_d, sig_v, cost = ml_excitation_variances(pl, pr, ps, pw, bin_weights=bins)
-    silent = (sig_d <= 0) & (sig_v <= 0)
-    if silent.any():  # the solve keeps their cost from before the last update
-        floors = np.stack((_floored(pl), _floored(pr)))[:, None, :]
-        cost[silent] = _weighted_is(floors, 1.0 / (1e-300 * ps + 1e-300 * pw)[silent], bins)
-    log_weights = -0.5 * frame_len * cost
-
-    # With a finite peak every weight lies in [0, 1] and the peak's is 1.
-    bi, bj = divmod(int(np.argmax(log_weights)), nw)
-    peak = log_weights[bi, bj]
-    fallback = not np.isfinite(peak)
-    if fallback:
-        weights = np.zeros((ns, nw))
-        weights[bi, bj] = 1.0
-    else:
-        weights = np.exp(log_weights - peak)
-        weights /= weights.sum()
-
+    pl_all, pr_all = pl_all[:, :half], pr_all[:, :half]
+    ps = speech.envelopes[:, :half]
+    found, speech_lsf, noise_lsf, variances = [], [], [], []
+    for group in _frame_groups(noise, ns):
+        pl, pr = pl_all[group, None, None], pr_all[group, None, None]
+        pw = np.stack([e.envelopes[:, :half] for e in noise[group]])[:, None]
+        sig_d, sig_v, cost = ml_excitation_variances(pl, pr, ps[:, None], pw, bin_weights=bins)
+        silent = (sig_d <= 0) & (sig_v <= 0)
+        if silent.any():  # the solve keeps their cost from before the last update
+            g, i, j = np.nonzero(silent)
+            floors = np.stack((_floored(pl_all[group]), _floored(pr_all[group])))
+            cost[silent] = _weighted_is(floors[:, g], 1.0 / (1e-300 * ps[i] + 1e-300 * pw[g, 0, j]),
+                                        bins)
+        for f, entries in enumerate(noise[group]):
+            # With a finite peak every weight lies in [0, 1] and the peak's is 1.
+            log_weights = -0.5 * frame_len * cost[f]
+            bi, bj = divmod(int(np.argmax(log_weights)), log_weights.shape[1])
+            peak = log_weights[bi, bj]
+            fallback = not np.isfinite(peak)
+            if fallback:
+                weights = np.zeros(log_weights.shape)
+                weights[bi, bj] = 1.0
+            else:
+                weights = np.exp(log_weights - peak)
+                weights /= weights.sum()
+            found.append(StpDiagnostics(bi, bj, float(peak), fallback, weights))
+            speech_lsf.append(np.einsum("i,ij->j", weights.sum(axis=1), speech.lsfs))
+            noise_lsf.append(np.einsum("i,ij->j", weights.sum(axis=0), entries.lsfs))
+            variances.append((float((weights * sig_d[f]).sum()),
+                              float((weights * sig_v[f]).sum())))
+    speech_ar = lsf_to_ar(np.sort(speech_lsf, axis=1))
+    noise_ar = lsf_to_ar(np.sort(noise_lsf, axis=1))
+    estimates = [StpEstimate(ArModel(a_d, v_d), ArModel(a_v, v_v))
+                 for a_d, a_v, (v_d, v_v) in zip(speech_ar, noise_ar, variances)]
+    if one_frame:
+        if diagnostics is not None:
+            vars(diagnostics).update(vars(found[0]))
+        return estimates[0]
     if diagnostics is not None:
-        diagnostics.best_speech_index = bi
-        diagnostics.best_noise_index = bj
-        diagnostics.best_log_weight = float(peak)
-        diagnostics.underflow_fallback = fallback
-        diagnostics.weights = weights.copy()
-
-    speech_lsf = np.einsum("i,ij->j", weights.sum(axis=1), speech.lsfs)
-    noise_lsf = np.einsum("i,ij->j", weights.sum(axis=0), noise.lsfs)
-    return StpEstimate(
-        speech=ArModel(lsf_to_ar(LsfVector(np.sort(speech_lsf))).coefficients,
-                       float((weights * sig_d).sum())),
-        noise=ArModel(lsf_to_ar(LsfVector(np.sort(noise_lsf))).coefficients,
-                      float((weights * sig_v).sum())),
-    )
+        diagnostics.extend(found)
+    return estimates
 
 
 class DualChannelNoiseTracker:

@@ -288,6 +288,29 @@ class TestEnhanceCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["enhance", "enhance-single", "pitch"])
+    def test_swapped_codebook_kinds_usage_error(
+        self, tmp_path, stereo_wav, cb_paths, capsys, command
+    ):
+        # Each codebook file stores its kind; a noise codebook given as
+        # --speech-cb (and a speech one as --noise-cb) is refused by name.
+        sp, np_ = cb_paths
+        wav = stereo_wav
+        if command == "enhance-single":
+            wav = tmp_path / "mono.wav"
+            write_wav(wav, AudioBuffer(read_wav(stereo_wav).samples[0], 8000))
+        out = tmp_path / "out"
+        code = main([command, str(wav), "-o", str(out), "--speech-cb", np_, "--noise-cb", sp])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {np_}: stored as a noise codebook") and "--speech-cb" in err
+        assert not out.exists()
+        # The noise side is checked too.
+        code = main([command, str(wav), "-o", str(out), "--speech-cb", sp, "--noise-cb", sp])
+        assert code == 2
+        assert f"{sp}: stored as a speech codebook, but --noise-cb" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_frame_len_at_codebook_order_with_delay_inside_frame_usage_error(
         self, tmp_path, stereo_wav, cb_paths, capsys
     ):

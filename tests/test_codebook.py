@@ -3,7 +3,7 @@ import pytest
 
 from binse import codebook
 from binse.codebook import Codebook, CodebookFormatError
-from binse.linpred import ArModel, ar_to_lsf, levinson_durbin, valid_lsf_rows
+from binse.linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, valid_lsf_rows
 from binse.signal_core import autocorrelation, frame_rows
 
 from conftest import ar_signal, close_pole_model
@@ -67,6 +67,22 @@ class TestTrain:
         cb = codebook.train(frame_rows(x, 200), size=8, order=10, seed=2)
         for m in cb.ar_models():
             assert m.is_stable()
+
+    def test_ar_models_convert_in_one_call(self, rng, monkeypatch):
+        # One lsf_to_ar call converts every entry; each model is the entry's
+        # one-model conversion, bit for bit.
+        x = ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 50, rng)
+        cb = codebook.train(frame_rows(x, 200), size=8, order=10, seed=2)
+        calls = []
+        convert = codebook.lsf_to_ar
+        monkeypatch.setattr(codebook, "lsf_to_ar", lambda lsf: calls.append(lsf) or convert(lsf))
+        models = cb.ar_models()
+        assert len(calls) == 1
+        monkeypatch.setattr(codebook, "lsf_to_ar", convert)
+        for m, row in zip(models, cb.entries, strict=True):
+            one = convert(LsfVector(row))
+            np.testing.assert_array_equal(m.coefficients, one.coefficients)
+            assert m.excitation_variance == one.excitation_variance == 1.0
 
 
     @pytest.mark.parametrize(

@@ -134,6 +134,24 @@ class TestLsfConversion:
             back = lsf_to_ar(LsfVector(row))
             assert np.max(np.abs(back.coefficients - m.coefficients)) < 1e-8
 
+    def test_lsf_rows_match_one_model_calls(self, rng):
+        # (n, order) LSF rows convert in one call; each row's coefficients are
+        # the one-model call's, bit for bit, at odd and even orders.
+        for order in (1, 2, 7, 14):
+            models = [stable_model_from_reflections(rng.uniform(-0.95, 0.95, order))
+                      for _ in range(9)]
+            lsfs = ar_to_lsf(models)
+            rows = lsf_to_ar(lsfs)
+            assert rows.shape == (9, order)
+            for row, lsf, m in zip(rows, lsfs, models, strict=True):
+                one = lsf_to_ar(LsfVector(lsf))
+                np.testing.assert_array_equal(row, one.coefficients)
+                assert one.excitation_variance == 1.0
+                assert np.max(np.abs(row - m.coefficients)) < 1e-8
+        assert lsf_to_ar(np.empty((0, 4))).shape == (0, 4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lsf_to_ar(np.array([[0.5, 1.0], [1.0, 0.5]]))
+
     def test_near_boundary_pole(self):
         lsf = ar_to_lsf(ArModel(np.array([0.999])))
         # Oracle: direct roots of the symmetric/antisymmetric polynomials.

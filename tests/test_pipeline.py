@@ -128,13 +128,16 @@ class TestProcess:
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, n=1000, decorrelate=True)
         zl.samples[:200] = zr.samples[:200] = 0.0
-        seen, estimates, fits = [], [], []
+        seen, estimates, fits, records = [], [], [], []
         estimate, fit = stp.estimate_stp, stp.noise_psd_to_ar
 
         def spy(pzl, pzr, speech_entries, noise_entries, *args, **kwargs):
-            seen.append(noise_entries)
-            estimates.append(estimate(pzl, pzr, speech_entries, noise_entries, *args, **kwargs))
-            return estimates[-1]
+            # One record-level call: one noise entry set and one estimate per frame.
+            records.append(len(pzl))
+            seen.extend(noise_entries)
+            result = estimate(pzl, pzr, speech_entries, noise_entries, *args, **kwargs)
+            estimates.extend(result)
+            return result
 
         def spy_fit(psd, order):
             try:
@@ -175,6 +178,7 @@ class TestProcess:
                 fused = 0.5 * (est.noise.excitation_variance + want.excitation_variance)
                 assert diag.sigma_v2 == fused
         assert len(seen) == len(diagnostics) == 5
+        assert records == [5]
 
     def test_adaptive_entries_compiled_once_per_record(self, rng, codebooks, monkeypatch):
         # One LSF conversion serves every frame's adaptive entry; the

@@ -334,15 +334,17 @@ def _reference_mu(pl, pr, ps, pw, iters=50):
     return sd, sv, prev, iters
 
 
+def _random_model(rng, order):
+    """A stable model built from random reflection coefficients."""
+    a = np.zeros(0)
+    for refl in rng.uniform(-0.9, 0.9, order):
+        a = np.concatenate((a - refl * a[::-1], [refl]))
+    return ArModel(a)
+
+
 def _random_envelopes(rng, n, k, order):
     """Envelopes of n stable models built from random reflection coefficients."""
-    envelopes = []
-    for _ in range(n):
-        a = np.zeros(0)
-        for refl in rng.uniform(-0.9, 0.9, order):
-            a = np.concatenate((a - refl * a[::-1], [refl]))
-        envelopes.append(ar_envelope(ArModel(a), k))
-    return np.array(envelopes)
+    return np.array([ar_envelope(_random_model(rng, order), k) for _ in range(n)])
 
 
 class TestBatchedMu:
@@ -378,6 +380,116 @@ class TestBatchedMu:
                     assert len(stops) > 3  # pairs converge on different updates
                 if not pl.any():
                     assert stops == {1} and not sd.any() and not sv.any()
+
+
+    def test_pair_alone_equals_its_row_in_multi_frame_solve(self, rng):
+        # Frames solved together (one frame's spectra per index of the
+        # leading axis, each starting from its own power) give every pair
+        # the bits it gets alone or in a smaller batch, silent frame included.
+        k = 200
+        half = k // 2 + 1
+        bins = np.full(half, 2.0 / k)
+        bins[0] = bins[-1] = 1.0 / k
+        ps = _random_envelopes(rng, 6, k, 4)[:, :half]
+        pw = _random_envelopes(rng, 3, k, 2)[:, :half]
+        s = ar_signal([1.2, -0.8, 0.3, -0.1], 1e-3, 4 * k, rng)
+        pl, pr = (np.array([periodogram(frame + g * rng.normal(size=k))[:half]
+                            for frame, g in zip(s.reshape(4, k), (0.01, 0.05, 0.2, 0.05))])
+                  for _ in range(2))
+        pl[2] = pr[2] = 0.0  # digital silence between frames with sound
+        for iters in (50, 7):
+            together = ml_excitation_variances(
+                pl[:, None, None], pr[:, None, None], ps[:, None], pw[None], iters=iters,
+                bin_weights=bins)
+            assert all(a.shape == (4, 6, 3) for a in together)
+            assert not together[0][2].any() and not together[1][2].any()
+            fewer = ml_excitation_variances(
+                pl[1:3, None, None], pr[1:3, None, None], ps[:, None], pw[None], iters=iters,
+                bin_weights=bins)
+            for a, b in zip(together, fewer):
+                np.testing.assert_array_equal(a[1:3], b)
+            for f, i, j in np.ndindex(4, 6, 3):
+                alone = ml_excitation_variances(pl[f], pr[f], ps[i], pw[j], iters=iters,
+                                                bin_weights=bins)
+                np.testing.assert_array_equal([a[f, i, j] for a in together], alone)
+
+
+class TestRecordEstimate:
+    """A record-level estimate_stp gives each frame the bits of a one-frame call."""
+
+    def test_record_matches_one_frame_calls(self, rng, monkeypatch):
+        # 40 speech entries x (4 + 1) noise entries is 200 pairs a frame, so
+        # the row budget splits the frames with an adaptive row into pairs.
+        # Frame 3 has no adaptive row (160 pairs), which also ends a group,
+        # and frame 5 is digital silence.
+        k, n_frames = 200, 7
+        assert stp.MU_BATCH_ROWS // 200 == 2 and stp.MU_BATCH_ROWS // 160 == 2
+
+        def models(count, order):
+            return [_random_model(rng, order) for _ in range(count)]
+
+        speech = compile_codebook(models(40, 4), k)
+        base = compile_codebook(models(4, 2), k)
+        rows = compile_codebook(models(n_frames, 2), k)
+        entries = [
+            base if f == 3 else CompiledCodebook(np.vstack((base.lsfs, rows.lsfs[f])),
+                                                 np.vstack((base.envelopes, rows.envelopes[f])))
+            for f in range(n_frames)
+        ]
+        s = ar_signal(SPEECH_AR.coefficients, 1e-3, n_frames * k, rng).reshape(n_frames, k)
+        pl, pr = (periodogram(s + 0.01 * rng.normal(size=s.shape)) for _ in range(2))
+        pl[5] = pr[5] = 0.0
+
+        groups, lsf_rows = [], []
+        solve, convert = stp.ml_excitation_variances, stp.lsf_to_ar
+
+        def spy_solve(*args, **kwargs):
+            groups.append(np.broadcast_shapes(*(np.shape(a) for a in args))[0])
+            return solve(*args, **kwargs)
+
+        def spy_convert(lsf):
+            lsf_rows.append(lsf)
+            return convert(lsf)
+
+        monkeypatch.setattr(stp, "ml_excitation_variances", spy_solve)
+        monkeypatch.setattr(stp, "lsf_to_ar", spy_convert)
+        for noise in (entries, base):  # per-frame entries, then shared ones
+            groups.clear()
+            lsf_rows.clear()
+            diags = []
+            record = estimate_stp(pl, pr, speech, noise, k, diagnostics=diags)
+            assert groups == ([2, 1, 1, 2, 1] if noise is entries else [2, 2, 2, 1])
+            assert len(lsf_rows) == 2 and all(r.shape == (n_frames, o) for r, o in
+                                              zip(lsf_rows, (4, 2)))
+            record_lsfs = list(lsf_rows)
+            assert len(record) == len(diags) == n_frames
+            for f in range(n_frames):
+                lsf_rows.clear()
+                diag = StpDiagnostics()
+                one = estimate_stp(pl[f], pr[f], speech, entries[f] if noise is entries else base,
+                                   k, diagnostics=diag)
+                for got, want in zip(record_lsfs, lsf_rows):
+                    np.testing.assert_array_equal(got[f], want[0])
+                for got, want in ((record[f].speech, one.speech), (record[f].noise, one.noise)):
+                    np.testing.assert_array_equal(got.coefficients, want.coefficients)
+                    assert got.excitation_variance == want.excitation_variance
+                np.testing.assert_array_equal(diags[f].weights, diag.weights)
+                assert vars(diags[f]).keys() == vars(diag).keys()
+                for key in ("best_speech_index", "best_noise_index", "best_log_weight",
+                            "underflow_fallback"):
+                    assert getattr(diags[f], key) == getattr(diag, key)
+            assert record[5].speech.excitation_variance == 0.0
+            assert record[5].noise.excitation_variance == 0.0
+
+    def test_empty_record(self):
+        assert estimate_stp(np.empty((0, 200)), np.empty((0, 200)), [SPEECH_AR], [NOISE_AR],
+                            200) == []
+
+    def test_per_frame_entries_must_match_frames(self):
+        pz = np.ones((3, 200))
+        noise = compile_codebook([NOISE_AR], 200)
+        with pytest.raises(ValueError, match="2 per-frame entry sets for 3 frames"):
+            estimate_stp(pz, pz, [SPEECH_AR], [noise, noise], 200)
 
 
 class TestCompiledCodebook:
@@ -479,7 +591,11 @@ class TestHalfSpectrumSolve:
     """estimate_stp solves on the K//2 + 1 distinct bins with weights (1, 2, ..., 2, 1)/K."""
 
     def solve_inside_estimate(self, rng, monkeypatch, k, silent):
-        """Run estimate_stp on a 6x3 grid; return its solve's arguments and results."""
+        """Run estimate_stp on a 6x3 grid; return its solve's arguments and results.
+
+        The solve sees the frame as a one-frame record, so its results have a
+        leading frame axis of length 1.
+        """
         speech = CompiledCodebook(np.tile(np.linspace(0.4, 2.6, 4), (6, 1)),
                                   _random_envelopes(rng, 6, k, 4))
         noise = CompiledCodebook(np.tile(np.linspace(0.8, 2.2, 2), (3, 1)),
@@ -500,7 +616,7 @@ class TestHalfSpectrumSolve:
         diag = StpDiagnostics()
         estimate_stp(pl, pr, speech, noise, k, diagnostics=diag)
         (args, kwargs, solved), = calls
-        assert len(args[0]) == len(kwargs["bin_weights"]) == k // 2 + 1
+        assert args[0].shape[-1] == len(kwargs["bin_weights"]) == k // 2 + 1
         return speech, noise, pl, pr, args, kwargs, solved, diag
 
     @pytest.mark.parametrize("silent", [False, True], ids=["noisy", "silent"])
@@ -510,10 +626,10 @@ class TestHalfSpectrumSolve:
             rng, monkeypatch, k, silent)
         for iters in (50, 7):  # 50 is what estimate_stp runs; 7 caps pairs mid-solve
             got = solved if iters == 50 else ml_excitation_variances(*args, **kwargs, iters=iters)
-            assert all(g.shape == (len(speech), len(noise)) for g in got)
+            assert all(g.shape == (1, len(speech), len(noise)) for g in got)
             for i, j in np.ndindex(len(speech), len(noise)):
                 ref = _reference_mu(pl, pr, speech.envelopes[i], noise.envelopes[j], iters)
-                np.testing.assert_allclose([g[i, j] for g in got], ref[:3], rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose([g[0, i, j] for g in got], ref[:3], rtol=1e-12, atol=0.0)
             if silent:
                 assert not got[0].any() and not got[1].any()
 
@@ -522,6 +638,7 @@ class TestHalfSpectrumSolve:
         k = 200
         speech, noise, pl, pr, _, _, (sd, sv, _), diag = self.solve_inside_estimate(
             rng, monkeypatch, k, silent)
+        sd, sv = sd[0], sv[0]  # the one frame
         assert silent == (not sd.any() and not sv.any())
         modeled = (np.maximum(sd, 1e-300)[..., None] * speech.envelopes[:, None]
                    + np.maximum(sv, 1e-300)[..., None] * noise.envelopes[None])
