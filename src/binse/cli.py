@@ -43,7 +43,10 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:
-    pcm = np.clip(np.round(buffer.samples * 32767.0), -32768, 32767).astype("<i2")
+    pcm = np.round(buffer.samples * 32767.0)
+    if clipped := np.count_nonzero((pcm < -32768) | (pcm > 32767)):
+        print(f"warning: {clipped} samples clipped at full scale in {path}", file=sys.stderr)
+    pcm = np.clip(pcm, -32768, 32767).astype("<i2")
     if buffer.channel_count == 2:
         pcm = pcm.T.reshape(-1)
     with wave.open(str(path), "wb") as wf:

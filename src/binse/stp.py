@@ -1,31 +1,17 @@
 """Codebook-driven binaural estimation of speech/noise short-term predictor parameters.
 
-Per frame, every (speech entry, noise entry) pair gets maximum-likelihood
-excitation variances by multiplicative updates on an Itakura-Saito cost;
-pair weights are the likelihoods under uniform priors on both excitation
-variances, and the final estimate is the weighted average (AR shapes
-averaged in the LSF domain so the result stays stable).  Spectra are plain
-arrays of K bins, one frame per row of a record.
-
-Codebook entries never change between frames, so their LSF rows and their
-envelopes on the periodogram grid are compiled once per run into a
-``CompiledCodebook``; the caller compiles a record's adaptive noise
-entries together and appends each frame's row to its noise entries.
-``estimate_stp`` takes a whole record.  The multiplicative updates of all
-S x W pairs of a group of consecutive frames with one entry count (up to
-MU_BATCH_ROWS pairs) run as one batched array solve on the K/2 + 1
-distinct bins of the real spectra, weighted (1, 2, ..., 2, 1)/K, each pair
-stopping on the iteration where it would stop if solved alone, with the
-bits it would get alone.  An iteration forms each pair's modeled spectrum
-and its reciprocal once, for the cost and the next update, and the final
-costs give the pair weights.  The LSF averages of all frames go back to
-AR coefficients in one ``lsf_to_ar`` call per kind.
+Every (speech entry, noise entry) pair of a frame gets the maximum-likelihood excitation
+variances of a two-channel Itakura-Saito cost.  Pair weights are the likelihoods under uniform
+variance priors; the estimate is the weighted average, AR shapes averaged in the LSF domain so
+it stays stable.  Codebook LSF rows and envelopes are compiled once per run (``CompiledCodebook``)
+and each frame's adaptive noise row joins its noise entries.  ``estimate_stp`` takes a record and
+solves consecutive frames with one entry count together, up to MU_BATCH_ROWS pairs, on the K/2 + 1
+distinct bins of the real spectra, each pair by the profile solve of ``ml_excitation_variances``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,9 +22,8 @@ from .codebook import Codebook
 from .linpred import ArModel, ar_to_lsf, levinson_durbin, lsf_to_ar
 
 OBSERVED_FLOOR_REL = 1e-12
-MU_DEFAULT_ITERS = 50
-MU_REL_TOL = 1e-6
-MU_BATCH_ROWS = 400  # pairs per batched solve, from the group-size table in ROADMAP item 2
+PROFILE_TOL = 1e-13  # cost change under which a pair's profile solve stops
+MU_BATCH_ROWS = 800  # pairs per batched solve, from the group-size table in ROADMAP item 2
 DC_PSD_FLOOR = 0.01
 DC_PSD_SMOOTHING = 0.9
 
@@ -98,19 +83,6 @@ def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return np.maximum(observed, np.where(peak <= 0.0, 1e-300, OBSERVED_FLOOR_REL * peak))
 
 
-def _weighted_is(floors, inv, weights):
-    """Weighted two-channel IS cost per row, from the (2, n or 1, H) floored spectra and 1/modeled.
-
-    The sum over bins is one dot product per row (``np.vecdot``), so a row's
-    cost does not depend on how many rows there are; a BLAS mat-vec's does.
-    """
-    ratio = floors * inv
-    ratio -= np.log(ratio)
-    ratio -= 1.0
-    per_channel = np.vecdot(ratio, weights)
-    return per_channel[0] + per_channel[1]
-
-
 def is_divergence(observed, modeled):
     """Mean Itakura-Saito divergence (1/K) sum [P/P^ - ln(P/P^) - 1].
 
@@ -127,30 +99,58 @@ def is_divergence(observed, modeled):
     return float(out) if out.ndim == 0 else out
 
 
+def _profile(lam, data, weights, work):
+    """Half the profile cost at ``lam`` up to a row constant, its slope and curvature, u and spread.
+
+    Rows of ``data``: q = w (F_l + F_r) / E_d, ratio = E_v / E_d, delta = ratio - 1.  With v =
+    1 - lam + lam ratio, a = 1/v, b = delta a: the scale is u / 2 with u = sum q a, half the cost
+    log u + sum w log v, and 1 / max |b| (the spread) the distance to the nearest root of a v."""
+    q, ratio, delta = data
+    v, a, b = work
+    np.multiply(ratio, lam[:, None], out=v)
+    v += (1.0 - lam)[:, None]
+    np.divide(1.0, v, out=a)
+    np.multiply(delta, a, out=b)
+    u = np.vecdot(q, a)
+    a *= q
+    u1 = np.vecdot(a, b) / u
+    a *= b
+    u2 = np.vecdot(a, b) / u
+    slope = np.vecdot(b, weights) - u1
+    b *= b
+    curvature = 2.0 * u2 - u1 * u1 - np.vecdot(b, weights)
+    np.log(v, out=v)
+    return np.log(u) + np.vecdot(v, weights), slope, curvature, u, np.sqrt(b.max(axis=1))
+
+
+def _gain(distance, slope, curvature):  # the most the profile cost changes over distance
+    return np.abs(distance) * (np.abs(slope) + 0.5 * np.abs(curvature * distance))
+
+
 def ml_excitation_variances(
     pzl,
     pzr,
     speech_env: npt.NDArray[np.float64],
     noise_env: npt.NDArray[np.float64],
     init=None,
-    iters: int = MU_DEFAULT_ITERS,
+    iters: int = 50,
     bin_weights: npt.NDArray[np.float64] | None = None,
 ):
-    """Multiplicative-update ML estimation of (speech, noise) excitation variances.
+    """Maximum-likelihood (speech, noise) excitation variances of each pair.
 
-    Minimizes the summed two-channel Itakura-Saito cost between the
-    observed periodograms and ``sigma_d^2 * speech_env + sigma_v^2 * noise_env``,
-    a ``bin_weights``-weighted sum over bins (default: the plain mean).
-    Returns (sigma_d2, sigma_v2, final_cost) as floats for 1-D arguments.
-    The four spectra may carry leading axes (the observed ones one frame
-    per index, the envelopes one entry per index); they broadcast to a
-    shape (L, K), one pair per index of L, and give three arrays of shape
-    L.  ``init`` holds the start variances, each broadcast against L; by
-    default both start at a quarter of the frame's weighted total power.
-    Each pair gets the same bits alone as in any batch, and stops on the
-    iteration where it would stop alone: when its cost changes by less
-    than MU_REL_TOL relative, when both its variances reach zero (keeping
-    the cost from before that update), or after ``iters`` updates.
+    Minimizes the two-channel Itakura-Saito cost of ``sigma_d^2 * speech_env +
+    sigma_v^2 * noise_env``, a ``bin_weights``-weighted sum over bins (default:
+    the mean).  Returns (sigma_d2, sigma_v2, final_cost): floats for 1-D
+    arguments, else arrays of shape L where the spectra broadcast to (L, K).
+    The model is s E_d (1 - lam + lam E_v / E_d), lam = sigma_v^2 / (sigma_d^2 +
+    sigma_v^2), with s in closed form.  From the lam of ``init`` (default 1/2)
+    each pair descends to the nearest minimum of this profile cost by Newton
+    steps kept in a bracket, none further than half the way to a root of a
+    bin's model term; a point becomes the best only where the cost falls, and a
+    step lands on 0 or 1 where going on gains under PROFILE_TOL (an exact zero
+    variance).  A pair stops where a Newton step gains under PROFILE_TOL or after
+    ``iters`` steps, with the bits it gets alone; one without observed power
+    gets zero variances, costed at 1e-300 each.
     """
     pl, pr, ps, pw = (np.asarray(x, float) for x in (pzl, pzr, speech_env, noise_env))
     if np.any(ps <= 0) or np.any(pw <= 0):
@@ -158,49 +158,66 @@ def ml_excitation_variances(
     shape = np.broadcast_shapes(pl.shape, pr.shape, ps.shape, pw.shape)
     lead, k = shape[:-1], shape[-1]
     weights = np.full(k, 1.0 / k) if bin_weights is None else np.asarray(bin_weights, float)
-    if init is None:
-        start = np.maximum(np.vecdot(pl + pr, weights) / 4.0, 1e-12)
-        init = (start, start)
-    elif np.any(np.asarray(init[0]) <= 0) or np.any(np.asarray(init[1]) <= 0):
+    weights = weights / (total := weights.sum())  # the cost scales with it; the minimum does not
+    sd, sv = (0.5, 0.5) if init is None else (np.asarray(v, float) for v in init)
+    if np.any(sd <= 0) or np.any(sv <= 0):
         raise ValueError("initial variances must be positive")
 
-    # Row n holds pair n's (speech, noise) envelopes and variances.  The
-    # floored spectra and total power sit in observed[:, n], or in one
-    # column that every row reads when all the pairs share one frame.
-    per_row = math.prod(np.broadcast_shapes(pl.shape, pr.shape)[:-1]) > 1
-    observed = np.stack([(np.broadcast_to(a, shape) if per_row else a).reshape(-1, k)
-                         for a in (_floored(pl), _floored(pr), pl + pr)])
-    env = np.stack([np.broadcast_to(a, shape) for a in (ps, pw)], axis=-2).reshape(-1, 2, k)
-    var = np.stack([np.broadcast_to(np.asarray(v, float), lead) for v in init],
-                   axis=-1).reshape(-1, 2)
-    inv = 1.0 / np.einsum("nc,nck->nk", var, env)
-    cost = _weighted_is(observed[:2], inv, weights)
-    out_var, out_cost = var.copy(), cost.copy()
-    rows = np.arange(len(env))
-    for _ in range(iters):
-        if not len(rows):
-            break
-        w_inv = inv * weights
-        grad = w_inv * inv
-        grad *= observed[2]
-        var = np.maximum(var * np.vecdot(env, grad[:, None])
-                         / (2.0 * np.vecdot(env, w_inv[:, None])), 0.0)
-        inv = 1.0 / np.einsum("nc,nck->nk", np.maximum(var, 1e-300), env)
-        # A pair whose variances both reach zero (a silent frame) stops with
-        # the cost from before this update.
-        zero = (var <= 0).all(axis=1)
-        cur = np.where(zero, cost, _weighted_is(observed[:2], inv, weights))
-        moving = ~(zero | (np.abs(cost - cur) < MU_REL_TOL * np.maximum(np.abs(cost), 1e-30)))
-        cost = cur
-        if not moving.all():
-            out_var[rows], out_cost[rows] = var, cost
-            rows, env, var, cost, inv = (a[moving] for a in (rows, env, var, cost, inv))
-            if per_row:
-                observed = observed[:, moving]
-    out_var[rows], out_cost[rows] = var, cost
-    if not lead:
-        return float(out_var[0, 0]), float(out_var[0, 1]), float(out_cost[0])
-    return out_var[:, 0].reshape(lead), out_var[:, 1].reshape(lead), out_cost.reshape(lead)
+    def rows(a):  # one row per pair
+        return np.broadcast_to(a, shape).reshape(-1, k)
+
+    fl, fr = _floored(pl), _floored(pr)
+    silent = rows(np.vecdot(pl + pr, weights)[..., None] <= 0)[:, 0]
+    data, best = np.empty((3, len(silent), k)), np.zeros((3, len(silent)))
+    np.divide((fl + fr) * weights, ps, out=data[0].reshape(shape))
+    np.divide(pw, ps, out=data[1].reshape(shape))
+    np.subtract(data[1], 1.0, out=data[2])
+    idx = np.flatnonzero(~silent)
+    if silent.any():
+        data = data[:, idx]
+    work = np.empty_like(data)
+    x = np.broadcast_to(sv / (sd + sv), lead).reshape(-1)[idx]
+    # cur: lam, half cost, slope, curvature, u, spread at the last point; low: at lo, the best.
+    cur = low = np.vstack((x, *_profile(x, data, weights, work)))
+    hi, known = np.where(cur[2] < 0, 1.0, 0.0), np.zeros(len(x), bool)
+    for step_no in range(iters + 1):
+        (x, _, g, h), (lo, c_lo, g_lo, h_lo) = cur[:4], low[:4]
+        # A Newton step inside the bracket, else the unseen boundary or the midpoint, no further
+        # than half the way to a root of a v, ending on 0 or 1 if going on gains under PROFILE_TOL.
+        newton = x + np.where(h > 0, -g / np.where(h > 0, h, 1.0), np.inf)
+        inside = (newton - lo) * (newton - hi) < 0
+        base, spread = np.where(inside, cur[[0, 5]], low[[0, 5]])
+        reach = 0.5 / np.maximum(spread, 0.5)
+        t = base + np.clip(np.where(inside, newton, np.where(known, 0.5 * (lo + hi), hi)) - base,
+                           -reach, reach)
+        t = np.where(_gain(t, g, h) <= PROFILE_TOL, 0.0,
+                     np.where(_gain(1.0 - t, g, h) <= PROFILE_TOL, 1.0, t))
+        # Done where a Newton step gains under PROFILE_TOL, the bracket no more, or t repeats.
+        converged = (g * g <= PROFILE_TOL * np.maximum(h, 0.0)) & ((t == x) | (t > 0) & (t < 1))
+        done = (converged | (t == lo) | known & (t == hi) | (step_no == iters)
+                | (_gain(hi - lo, g_lo, h_lo) <= PROFILE_TOL))
+        if done.any():
+            best[:, idx[done]] = np.where(converged, cur[[0, 1, 4]], low[[0, 1, 4]])[:, done]
+            keep = ~done
+            idx, t, hi, known, cur, low = (a[..., keep] for a in (idx, t, hi, known, cur, low))
+            data, lo, c_lo = data[:, keep], low[0], low[1]
+            if not len(idx):
+                break
+        new = np.vstack((t, *_profile(t, data, weights, work[:, :len(t)])))
+        above = new[1] > c_lo + 1e3 * np.finfo(float).eps * (1.0 + np.abs(c_lo))  # not rounding
+        past = (new[2] * (hi - lo) > 0) | above
+        hi, known, low = np.where(past, t, hi), known | past, np.where(past, low, new)
+        cur = np.where(above, low, new)
+    lam, c, u = best
+    var = 0.5 * u * np.stack((1.0 - lam, lam))
+    # At the closed-form scale sum w (F_l + F_r) / M is 2, so the cost is 2 (c - log 2) + logs.
+    logs = np.vecdot(2.0 * np.log(ps) - np.log(fl) - np.log(fr), weights)
+    cost = 2.0 * (c - np.log(2.0)) + rows(logs[..., None])[:, 0]
+    if silent.any():  # F / M is 1 / (E_d + E_v) at both variances 1e-300
+        ratio = 1.0 / (rows(ps)[silent] + rows(pw)[silent])
+        cost[silent] = 2.0 * np.vecdot(ratio - np.log(ratio) - 1.0, weights)
+    cost *= total
+    return tuple(a.reshape(lead) if lead else float(a[0]) for a in (*var, cost))
 
 
 def pair_log_likelihood(pzl, pzr, modeled, frame_len: int):
@@ -253,22 +270,14 @@ def estimate_stp(
 ) -> StpEstimate | list[StpEstimate]:
     """MMSE estimate of the joint STP vector over the codebook pair grid, per frame.
 
-    ``pzl`` and ``pzr`` hold one frame's spectra (K,), or a record's, one
-    frame per row (F, K).  Entries given as lists of AR models go through
-    ``compile_codebook``.  The speech entries serve every frame; the noise
-    entries too, or they are a list of compiled entry sets, one per frame
-    (the codebook plus that frame's adaptive row).  A frame's AR shapes
-    are averaged in the LSF domain under its posterior pair weights, and
-    its excitation variances are averaged directly.  Both excitation
-    variances have uniform priors, so a pair's weight is its normalized
-    likelihood.
-
-    Consecutive frames with the same entry count are solved together, up
-    to MU_BATCH_ROWS pairs a group; the solve gives each pair the bits it
-    gets alone, so a frame's estimate does not depend on its record.  A
-    1-D call returns an ``StpEstimate`` and fills ``diagnostics``; a record
-    gives a list of them, one per frame, and appends one ``StpDiagnostics``
-    per frame to a ``diagnostics`` list.
+    ``pzl`` and ``pzr`` hold one frame's spectra (K,) or a record's (F, K).
+    Entries given as AR models go through ``compile_codebook``.  The speech
+    entries serve every frame; the noise entries too, or they are a list of
+    compiled sets, one per frame.  A frame's AR shapes are averaged in the
+    LSF domain under its pair weights, the normalized likelihoods, and its
+    variances directly.  A frame gets the bits it gets alone.  A 1-D call
+    returns an ``StpEstimate`` and fills ``diagnostics``; a record gives a
+    list, one per frame, and appends one ``StpDiagnostics`` per frame.
     """
     one_frame = np.ndim(pzl) == 1
     pl_all, pr_all = (np.atleast_2d(np.asarray(x, float)) for x in (pzl, pzr))
@@ -286,9 +295,8 @@ def estimate_stp(
         return []
     ns = len(speech)
 
-    # Real spectra repeat their bins, so the solve runs on the K//2 + 1
-    # distinct ones, weighted (1, 2, ..., 2, 1)/K (no Nyquist bin for odd K).
-    # Pair (i, j) of a frame is entry [i, j] of its (ns, nw) results.
+    # The solve runs on the K//2 + 1 distinct bins of real spectra, weighted (1, 2, ..., 2, 1)/K
+    # (no Nyquist bin for odd K).  Pair (i, j) of a frame is entry [i, j] of its results.
     half = k // 2 + 1
     bins = np.full(half, 2.0 / k)
     bins[0], bins[-1] = 1.0 / k, (1.0 + k % 2) / k
@@ -299,31 +307,20 @@ def estimate_stp(
         pl, pr = pl_all[group, None, None], pr_all[group, None, None]
         pw = np.stack([e.envelopes[:, :half] for e in noise[group]])[:, None]
         sig_d, sig_v, cost = ml_excitation_variances(pl, pr, ps[:, None], pw, bin_weights=bins)
-        silent = (sig_d <= 0) & (sig_v <= 0)
-        if silent.any():  # the solve keeps their cost from before the last update
-            g, i, j = np.nonzero(silent)
-            floors = np.stack((_floored(pl_all[group]), _floored(pr_all[group])))
-            cost[silent] = _weighted_is(floors[:, g], 1.0 / (1e-300 * ps[i] + 1e-300 * pw[g, 0, j]),
-                                        bins)
         for f, entries in enumerate(noise[group]):
-            # With a finite peak every weight lies in [0, 1] and the peak's is 1.
+            # Weights lie in [0, 1], the peak's 1; a non-finite peak's pair gets all the weight.
             log_weights = -0.5 * frame_len * cost[f]
             bi, bj = divmod(int(np.argmax(log_weights)), log_weights.shape[1])
             peak = log_weights[bi, bj]
             fallback = not np.isfinite(peak)
-            if fallback:
-                weights = np.zeros(log_weights.shape)
-                weights[bi, bj] = 1.0
-            else:
-                weights = np.exp(log_weights - peak)
-                weights /= weights.sum()
+            weights = np.zeros(log_weights.shape) if fallback else np.exp(log_weights - peak)
+            weights[bi, bj] = 1.0
+            weights /= weights.sum()
             found.append(StpDiagnostics(bi, bj, float(peak), fallback, weights))
             speech_lsf.append(np.einsum("i,ij->j", weights.sum(axis=1), speech.lsfs))
             noise_lsf.append(np.einsum("i,ij->j", weights.sum(axis=0), entries.lsfs))
-            variances.append((float((weights * sig_d[f]).sum()),
-                              float((weights * sig_v[f]).sum())))
-    speech_ar = lsf_to_ar(np.sort(speech_lsf, axis=1))
-    noise_ar = lsf_to_ar(np.sort(noise_lsf, axis=1))
+            variances.append([float((weights * var[f]).sum()) for var in (sig_d, sig_v)])
+    speech_ar, noise_ar = (lsf_to_ar(np.sort(lsf, axis=1)) for lsf in (speech_lsf, noise_lsf))
     estimates = [StpEstimate(ArModel(a_d, v_d), ArModel(a_v, v_v))
                  for a_d, a_v, (v_d, v_v) in zip(speech_ar, noise_ar, variances)]
     if one_frame:

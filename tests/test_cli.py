@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,19 @@ class TestWavIO:
 
         with pytest.raises(CliError):
             read_wav(path)
+
+
+    def test_clipped_samples_counted_on_stderr(self, tmp_path, capsys):
+        x = np.array([[0.5, 1.5, -1.0, -2.0, 0.999], [0.0, 0.1, 1.0001, 0.2, -0.3]])
+        path = tmp_path / "loud.wav"
+        write_wav(path, AudioBuffer(x, 8000))
+        assert capsys.readouterr().err == f"warning: 3 samples clipped at full scale in {path}\n"
+        with wave.open(str(path), "rb") as wf:
+            pcm = np.frombuffer(wf.readframes(wf.getnframes()), "<i2")
+        want = np.clip(np.round(x * 32767.0), -32768, 32767).astype("<i2")
+        np.testing.assert_array_equal(pcm, want.T.reshape(-1))
+        write_wav(path, AudioBuffer(np.clip(x, -1.0, 1.0), 8000))
+        assert capsys.readouterr().err == ""
 
 
 class TestTrainCommand:
