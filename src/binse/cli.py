@@ -190,8 +190,7 @@ def cmd_enhance(args) -> int:
     out = pipeline.process(noisy, speech_cb, noise_cb, cfg, diagnostics_out=diagnostics)
     write_wav(args.output, out)
     if args.diagnostics:
-        lines = ["frame,best_i,best_j,log_weight,sigma_d2,sigma_v2"]
-        lines += [d.csv_line() for d in diagnostics]
+        lines = [pipeline.FrameDiagnostics.CSV_HEADER, *(d.csv_line() for d in diagnostics)]
         Path(args.diagnostics).write_text("\n".join(lines) + "\n")
     print(f"wrote enhanced audio to {args.output}")
     return EXIT_OK
@@ -263,12 +262,10 @@ def cmd_likelihood_surface(args) -> int:
     pz = true_var * speech_env + true_var * noise_env
 
     grid = np.logspace(np.log10(args.var_min), np.log10(args.var_max), args.grid_points)
+    sd, sv = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    ll = stp.pair_log_likelihood(pz, pz, np.outer(sd, speech_env) + np.outer(sv, noise_env), m)
     lines = ["sigma_d2,sigma_v2,log_likelihood"]
-    for sd in grid:
-        for sv in grid:
-            modeled = sd * speech_env + sv * noise_env
-            ll = stp.pair_log_likelihood(pz, pz, modeled, m)
-            lines.append(f"{sd:.8e},{sv:.8e},{ll:.8e}")
+    lines += [f"{d:.8e},{v:.8e},{x:.8e}" for d, v, x in zip(sd, sv, ll)]
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,96 +73,80 @@ class FrameDiagnostics:
     log_weight: float
     sigma_d2: float
     sigma_v2: float
+    ear: str  # both (a binaural pair), left, right or mono
+
+    CSV_HEADER: ClassVar[str] = "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
 
     def csv_line(self) -> str:
         return (
             f"{self.frame},{self.best_speech_index},{self.best_noise_index},"
-            f"{self.log_weight:.6g},{self.sigma_d2:.6g},{self.sigma_v2:.6g}"
+            f"{self.log_weight:.6g},{self.sigma_d2:.6g},{self.sigma_v2:.6g},{self.ear}"
         )
 
 
-def _channel_params(
-    xl,
-    xr,
-    speech: CompiledCodebook,
-    noise: CompiledCodebook,
-    cfg: RunConfig,
-    diagnostics_out: list | None,
-):
-    """Shared per-frame parameter estimation for a channel pair (xr may be None).
+def channel_groups(channels, cfg: RunConfig) -> list[tuple[str, list[int]]]:
+    """(ear, channel indices) of each group of channels that shares one parameter set:
+    both ears in binaural stereo, each channel alone in bilateral stereo and mono."""
+    if len(channels) == 2 and cfg.mode == "binaural":
+        return [("both", [0, 1])]
+    ears = ["left", "right"] if len(channels) == 2 else ["mono"]
+    return [(ear, [c]) for c, ear in enumerate(ears)]
 
-    The spectra of all frames are computed up front, one frame per row.
-    """
+
+def _group_params(x, ear: str, speech: CompiledCodebook, noise: CompiledCodebook,
+                  cfg: RunConfig, diagnostics_out: list | None):
+    """Per-frame (StpEstimate, PitchInfo) list shared by the ``(C, n)`` rows of ``x``.  All
+    frames' spectra come first; the first and last rows are the STP's left and right ears."""
     m = cfg.frame_len
-    frames_l = frame_rows(xl, m)
-    pzl = pzr = periodogram(frames_l)
-    adaptive = [None] * len(frames_l)
-    if xr is not None:
-        frames_r = frame_rows(xr, m)
-        pzr = periodogram(frames_r)
-        if cfg.adaptive_noise_codebook and len(frames_l):
-            # The tracker does not depend on the STP, so every frame's noise
-            # PSD is fitted in one pass, at the codebook's order so the
-            # LSF-domain averaging in the estimator sees entries of one
-            # common length.  A frame whose fit fails gets no adaptive entry.
-            tracker = DualChannelNoiseTracker()
-            cross = cross_spectrum(frames_l, frames_r)
-            dc_psd = [tracker.update(pzl[fi], pzr[fi], cross[fi]) for fi in range(len(frames_l))]
-            coeffs, variances, ok = stp.noise_psd_to_ar(np.array(dc_psd), noise.order)
-            for fi, fit in enumerate(ok):
-                if fit:
-                    adaptive[fi] = ArModel(coeffs[fi], float(variances[fi]))
-                    continue
-                # A row the batch cannot fit is fitted alone, which raises
-                # as a one-frame fit does, so the failure shows.
-                try:
-                    adaptive[fi] = stp.noise_psd_to_ar(dc_psd[fi], noise.order)
-                except (ValueError, ArithmeticError):
-                    pass
-    # The fitted entries are compiled together: one LSF conversion and one
-    # FFT per record.  Each frame's entry joins its noise entries as the last.
-    fitted = [entry for entry in adaptive if entry is not None]
-    entries = noise
-    if fitted:
-        rows = compile_codebook(fitted, pzl.shape[1])
-        entries, row = [], 0
-        for adaptive_entry in adaptive:
-            if adaptive_entry is None:
-                entries.append(noise)
-                continue
-            entries.append(CompiledCodebook(np.vstack((noise.lsfs, rows.lsfs[row])),
-                                            np.vstack((noise.envelopes, rows.envelopes[row]))))
-            row += 1
+    frames = np.array([frame_rows(row, m) for row in x])
+    pz = periodogram(frames)
+    n_frames = frames.shape[1]
+    entries, ok = noise, np.zeros(n_frames, bool)
+    if len(x) == 2 and cfg.adaptive_noise_codebook and n_frames:
+        # The tracker does not depend on the STP, so all frames' noise PSDs are fitted in one
+        # pass, at the codebook's order: the LSF-domain average needs entries of one length.
+        tracker = DualChannelNoiseTracker()
+        dc_psd = np.array([tracker.update(*pair) for pair in zip(*pz, cross_spectrum(*frames))])
+        coeffs, variances, ok = stp.noise_psd_to_ar(dc_psd, noise.order)
+        for psd in dc_psd[~ok]:
+            # A row the batch cannot fit is fitted alone, which raises as a
+            # one-frame fit does, so the failure shows; it gets no entry.
+            try:
+                stp.noise_psd_to_ar(psd, noise.order)
+            except (ValueError, ArithmeticError):
+                pass
+        if ok.any():
+            # The fitted entries are compiled together: one LSF conversion and
+            # one FFT per record.  Each frame's row joins its noise entries last.
+            fitted = compile_codebook([ArModel(a) for a in coeffs[ok]], m)
+            entries = [noise] * n_frames
+            for fi, lsf, env in zip(np.flatnonzero(ok), fitted.lsfs, fitted.envelopes):
+                entries[fi] = CompiledCodebook(np.vstack((noise.lsfs, lsf)),
+                                               np.vstack((noise.envelopes, env)))
     stp_diagnostics = [] if diagnostics_out is not None else None
-    estimates = stp.estimate_stp(pzl, pzr, speech, entries, frame_len=m,
+    estimates = stp.estimate_stp(pz[0], pz[-1], speech, entries, frame_len=m,
                                  diagnostics=stp_diagnostics)
     params = []
-    for fi, (est, adaptive_entry) in enumerate(zip(estimates, adaptive)):
-        if adaptive_entry is not None:
+    for fi, est in enumerate(estimates):
+        if ok[fi]:
             # Fuse the codebook-MMSE noise variance with the dual-channel one.
-            fused = 0.5 * (est.noise.excitation_variance + adaptive_entry.excitation_variance)
+            fused = 0.5 * (est.noise.excitation_variance + float(variances[fi]))
             est = replace(est, noise=ArModel(est.noise.coefficients, fused))
         if diagnostics_out is not None:
             diag = stp_diagnostics[fi]
             diagnostics_out.append(FrameDiagnostics(
-                frame=fi, best_speech_index=diag.best_speech_index,
-                best_noise_index=diag.best_noise_index, log_weight=diag.best_log_weight,
-                sigma_d2=est.speech.excitation_variance, sigma_v2=est.noise.excitation_variance,
-            ))
+                fi, diag.best_speech_index, diag.best_noise_index, diag.best_log_weight,
+                est.speech.excitation_variance, est.noise.excitation_variance, ear))
         pitch = UNVOICED
         if cfg.model == "vuv":
             # Each ear's frame, whitened after the samples before it, made analytic.
             start, q = fi * m, est.noise.order
-            zl, zr = (
-                None if x is None else analytic_signal(
-                    prewhiten(x[start : start + m], est.noise, x[max(0, start - q) : start]))
-                for x in (xl, xr)
-            )
+            z = [analytic_signal(prewhiten(row[start : start + m], est.noise,
+                                           row[max(0, start - q) : start])) for row in x]
             pitch = estimate_pitch(
-                zl, zr, cfg.sample_rate, f_min=cfg.f_min, f_max=cfg.f_max,
-                grid_step_hz=cfg.pitch_grid_hz, voicing_threshold=cfg.voicing_threshold,
-                max_order=cfg.max_harmonic_order,
-            )
+                z[0], z[1] if len(z) == 2 else None, cfg.sample_rate, f_min=cfg.f_min,
+                f_max=cfg.f_max, grid_step_hz=cfg.pitch_grid_hz,
+                voicing_threshold=cfg.voicing_threshold, max_order=cfg.max_harmonic_order)
         params.append((est, pitch))
     return params
 
@@ -175,28 +160,21 @@ def frame_params(
 ) -> list[list[tuple[StpEstimate, PitchInfo]]]:
     """Per-frame (StpEstimate, PitchInfo) lists, one per channel of ``z``.
 
-    A stereo buffer in binaural mode gets one list, estimated from both
-    ears and shared by them; bilateral stereo and mono estimate each
-    channel from that channel alone.  Diagnostics cover the left (or only)
-    channel.
+    Each group of ``channel_groups`` is estimated from its own channels, and
+    its channels share one list: both ears of binaural stereo, each channel
+    alone otherwise.  Diagnostics rows follow the groups, left before right.
     """
     if z.sample_rate != cfg.sample_rate:
         raise ValueError(f"sample rate {z.sample_rate} != configured {cfg.sample_rate}")
     speech = compile_codebook(speech_cb, cfg.frame_len)
     noise = compile_codebook(noise_cb, cfg.frame_len)
     channels = np.atleast_2d(z.samples)
-    if _shares_params(channels, cfg):
-        shared = _channel_params(*channels, speech, noise, cfg, diagnostics_out)
-        return [shared, shared]
-    return [
-        _channel_params(x, None, speech, noise, cfg, diagnostics_out if c == 0 else None)
-        for c, x in enumerate(channels)
-    ]
-
-
-def _shares_params(channels, cfg: RunConfig) -> bool:
-    """Binaural stereo: both ears share one parameter set per frame."""
-    return len(channels) == 2 and cfg.mode == "binaural"
+    params = [None] * len(channels)
+    for ear, rows in channel_groups(channels, cfg):
+        shared = _group_params(channels[rows], ear, speech, noise, cfg, diagnostics_out)
+        for c in rows:
+            params[c] = shared
+    return params
 
 
 def process(
@@ -208,18 +186,15 @@ def process(
 ) -> AudioBuffer:
     """Enhance a mono ``(n,)`` or stereo ``(2, n)`` buffer; returns one of the same shape.
 
-    Binaural mode shares one parameter set per frame across both ears, so
-    one smoother recursion serves both; bilateral mode, and a mono buffer,
-    estimate and smooth each channel from that channel alone.
+    The channels of a group share one parameter set per frame, so one
+    smoother recursion serves them: both ears in binaural mode, each channel
+    alone in bilateral mode and for a mono buffer.
     """
     params = frame_params(z, speech_cb, noise_cb, cfg, diagnostics_out)
     channels = np.atleast_2d(z.samples)
-    smooth = dict(
-        frame_len=cfg.frame_len, model_kind=cfg.model,
-        smoother_delay=cfg.smoother_delay, p_max=cfg.p_max,
-    )
-    if _shares_params(channels, cfg):
-        out = kalman.enhance_channel(channels, params[0], **smooth)
-    else:
-        out = [kalman.enhance_channel(x, p, **smooth) for x, p in zip(channels, params)]
-    return AudioBuffer(np.reshape(out, z.samples.shape), z.sample_rate)
+    out = np.empty(channels.shape)
+    for _, rows in channel_groups(channels, cfg):
+        out[rows] = kalman.enhance_channel(
+            channels[rows], params[rows[0]], frame_len=cfg.frame_len, model_kind=cfg.model,
+            smoother_delay=cfg.smoother_delay, p_max=cfg.p_max)
+    return AudioBuffer(out.reshape(z.samples.shape), z.sample_rate)

@@ -45,6 +45,10 @@ from .linpred import ArModel
 VOICING_CLAMP = 0.95
 DEFAULT_VOICING_THRESHOLD = 0.3
 PARAMS_PER_HARMONIC = 3  # real, imaginary amplitude parts + frequency
+# Samples dropped from each end of a frame before fitting: the FFT-based
+# analytic-signal conversion leaks near the edges for frequencies that are not
+# frame-periodic, which otherwise biases the estimate by up to a grid step.
+EDGE_TRIM = 10
 # A harmonic that keeps less than this share of its energy outside the span
 # of the lower ones is not resolvable in the frame, and the candidate's order
 # stops below it.  Frames of at least sample_rate / f_min samples stay far
@@ -376,7 +380,6 @@ def estimate_pitch(
     grid_step_hz: float = 0.5,
     voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
     max_order: int | None = None,
-    edge_trim: int = 10,
 ) -> PitchInfo:
     """Grid-search ML fundamental-frequency estimate on analytic-signal frames.
 
@@ -384,19 +387,15 @@ def estimate_pitch(
     rule; the winning candidate minimizes the summed per-channel
     log-residual variances.  Frames failing the voicing threshold come
     back unvoiced (order 0).  Two ears are searched as a frontal target, so
-    ``zl`` and ``zr`` must have the same length.
-
-    ``edge_trim`` samples are dropped from each frame end before fitting:
-    the FFT-based analytic-signal conversion leaks near the edges for
-    frequencies that are not frame-periodic, which otherwise biases the
-    estimate by up to a grid step.
+    ``zl`` and ``zr`` must have the same length.  Frames longer than
+    4 * EDGE_TRIM lose EDGE_TRIM samples at each end before fitting.
     """
     if zr is not None and len(zr) != len(zl):
         raise ValueError(f"ear frames differ in length ({len(zl)} and {len(zr)} samples)")
-    if edge_trim and len(zl) > 4 * edge_trim:
-        zl = zl[edge_trim:-edge_trim]
+    if len(zl) > 4 * EDGE_TRIM:
+        zl = zl[EDGE_TRIM:-EDGE_TRIM]
         if zr is not None:
-            zr = zr[edge_trim:-edge_trim]
+            zr = zr[EDGE_TRIM:-EDGE_TRIM]
     m = len(zl)
     channels = 1 if zr is None else 2
     n_obs = channels * m

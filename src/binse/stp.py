@@ -5,7 +5,7 @@ variances of a two-channel Itakura-Saito cost.  Pair weights are the likelihoods
 variance priors; the estimate is the weighted average, AR shapes averaged in the LSF domain so
 it stays stable.  Codebook LSF rows and envelopes are compiled once per run (``CompiledCodebook``)
 and each frame's adaptive noise row joins its noise entries.  ``estimate_stp`` takes a record and
-solves consecutive frames with one entry count together, up to MU_BATCH_ROWS pairs, on the K/2 + 1
+solves consecutive frames with one entry count together, up to PAIR_BATCH_ROWS pairs, on the K/2 + 1
 distinct bins of the real spectra, each pair by the profile solve of ``ml_excitation_variances``.
 """
 
@@ -23,7 +23,7 @@ from .linpred import ArModel, ar_to_lsf, levinson_durbin, lsf_to_ar
 
 OBSERVED_FLOOR_REL = 1e-12
 PROFILE_TOL = 1e-13  # cost change under which a pair's profile solve stops
-MU_BATCH_ROWS = 800  # pairs per batched solve, from the group-size table in ROADMAP item 2
+PAIR_BATCH_ROWS = 800  # pairs per batched solve, from the group-size table in ROADMAP item 2
 DC_PSD_FLOOR = 0.01
 DC_PSD_SMOOTHING = 0.9
 
@@ -248,11 +248,11 @@ def _frame_entries(entries, n_frames: int, k: int) -> list[CompiledCodebook]:
 
 def _frame_groups(noise: list[CompiledCodebook], ns: int):
     """Slices of consecutive frames with one noise entry count, each of at
-    most MU_BATCH_ROWS pairs, or of one frame where a frame has more."""
+    most PAIR_BATCH_ROWS pairs, or of one frame where a frame has more."""
     first = 0
     while first < len(noise):
         nw = len(noise[first])
-        cap = min(len(noise), first + max(1, MU_BATCH_ROWS // (ns * nw)))
+        cap = min(len(noise), first + max(1, PAIR_BATCH_ROWS // (ns * nw)))
         last = first + 1
         while last < cap and len(noise[last]) == nw:
             last += 1

@@ -158,8 +158,33 @@ class TestEnhanceCommand:
         assert enh.channel_count == 2
         assert len(enh) == len(noisy)
         lines = diag.read_text().strip().splitlines()
-        assert lines[0] == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2"
+        assert lines[0] == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
         assert len(lines) == 1 + len(noisy) // 200
+        assert all(line.endswith(",both") for line in lines[1:])
+
+    def test_enhance_bilateral_diagnostics_cover_both_ears(self, tmp_path, cb_paths, rng):
+        # Each ear of a bilateral run is its own group, so the CSV has every
+        # frame's row for the left ear, then every frame's row for the right.
+        sp, np_ = cb_paths
+        s = ar_signal(SPEECH_MODELS[0].coefficients, 1e-3, 2100, rng)
+        noise = [ar_signal(NOISE_MODELS[1].coefficients, 1e-3, 2100, rng) for _ in range(2)]
+        z = np.vstack([s + snr_scale(s, n, 5.0) * n for n in noise])
+        path = tmp_path / "two-ear.wav"
+        write_wav(path, AudioBuffer(0.5 * z / np.max(np.abs(z)), 8000))
+        diag = tmp_path / "diag.csv"
+        code = main([
+            "enhance", str(path), "-o", str(tmp_path / "enh.wav"),
+            "--speech-cb", sp, "--noise-cb", np_, "--mode", "bilateral", "--model", "uv",
+            "--diagnostics", str(diag),
+        ])
+        assert code == 0
+        header, *rows = diag.read_text().strip().splitlines()
+        assert header == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
+        fields = [row.split(",") for row in rows]
+        assert [(f[0], f[-1]) for f in fields] == (
+            [(str(fi), "left") for fi in range(10)] + [(str(fi), "right") for fi in range(10)]
+        )
+        assert [f[1:-1] for f in fields[:10]] != [f[1:-1] for f in fields[10:]]
 
     def test_mono_with_binaural_mode_is_usage_error(self, tmp_path, cb_paths, rng):
         sp, np_ = cb_paths
@@ -434,7 +459,7 @@ class TestConfigFile:
         assert main([*base, "--speech-order", "14"]) == 2
 
     def test_mu_iteration_setting_rejected(self, tmp_path, stereo_wav, cb_paths):
-        # The MU solve always runs the estimator's own iteration cap.
+        # The variance solve always runs the estimator's own step cap.
         sp, np_ = cb_paths
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu_iters = 10\n")

@@ -226,10 +226,12 @@ class TestProcess:
         diags = []
         process(stereo(zl, zr), scb, ncb, fast_cfg(), diagnostics_out=diags)
         assert len(diags) == 5
+        assert FrameDiagnostics.CSV_HEADER.split(",") == [
+            "frame", "best_i", "best_j", "log_weight", "sigma_d2", "sigma_v2", "ear"]
         line = diags[0].csv_line()
         parts = line.split(",")
-        assert len(parts) == 6
-        assert parts[0] == "0"
+        assert len(parts) == 7
+        assert parts[0] == "0" and parts[-1] == "both"
 
     def test_binaural_param_accuracy_vs_bilateral(self, rng, codebooks):
         # Binaural estimation sees both channels; with independent noise
@@ -243,7 +245,7 @@ class TestProcess:
                 fast_cfg(mode="bilateral", adaptive_noise_codebook=False),
                 diagnostics_out=diag_bil)
         hits_bin = sum(d.best_speech_index == 0 for d in diag_bin)
-        hits_bil = sum(d.best_speech_index == 0 for d in diag_bil)
+        hits_bil = sum(d.best_speech_index == 0 for d in diag_bil if d.ear == "left")
         assert hits_bin >= hits_bil
 
     def test_vuv_model_runs(self, rng, codebooks):
@@ -277,6 +279,22 @@ class TestProcessSingle:
         out_pair = channels(process(stereo(zl, zl), scb, ncb, cfg))
         out_single = process(zl, scb, ncb, cfg)
         np.testing.assert_allclose(out_single.samples, out_pair[0].samples, atol=1e-10)
+
+    def test_bilateral_right_ear_matches_mono_run(self, rng, codebooks):
+        # Under the default config each bilateral ear is a one-channel group,
+        # estimated and smoothed as a mono buffer is, bit for bit.
+        scb, ncb = codebooks
+        _, zl, zr = make_scene(rng, n=1100, decorrelate=True)
+        cfg = RunConfig(mode="bilateral")
+        diags_pair, diags_single = [], []
+        out_pair = process(stereo(zl, zr), scb, ncb, cfg, diagnostics_out=diags_pair).samples
+        out_single = process(zr, scb, ncb, cfg, diagnostics_out=diags_single).samples
+        np.testing.assert_array_equal(out_pair[1], out_single)
+        assert not np.array_equal(out_pair[0], out_single)
+        assert [d.ear for d in diags_pair] == ["left"] * 5 + ["right"] * 5
+        assert [d.ear for d in diags_single] == ["mono"] * 5
+        assert [d.csv_line().rsplit(",", 1)[0] for d in diags_pair[5:]] == [
+            d.csv_line().rsplit(",", 1)[0] for d in diags_single]
 
 
 class TestEdges:

@@ -485,7 +485,7 @@ class TestRecordEstimate:
         # Frame 3 has no adaptive row (320 pairs), which also ends a group,
         # and frame 5 is digital silence.
         k, n_frames = 200, 7
-        assert stp.MU_BATCH_ROWS // 400 == 2 and stp.MU_BATCH_ROWS // 320 == 2
+        assert stp.PAIR_BATCH_ROWS // 400 == 2 and stp.PAIR_BATCH_ROWS // 320 == 2
 
         def models(count, order):
             return [_random_model(rng, order) for _ in range(count)]
