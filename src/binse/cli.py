@@ -13,6 +13,7 @@ import numpy as np
 from . import codebook, metrics, pipeline, stp
 from .linpred import ar_envelope, levinson_durbin
 from .pipeline import RunConfig
+from .pitch import check_pitch_grid
 from .signal_core import AudioBuffer, frame_rows
 
 EXIT_OK = 0
@@ -77,7 +78,6 @@ def load_config_file(path) -> dict:
 _SWITCH = {"on": True, "true": True, "yes": True, "1": True,
            "off": False, "false": False, "no": False, "0": False}
 _CONFIG_FIELDS = {
-    "sample_rate": int,
     "frame_len": int,
     "smoother_delay": int,
     "f_min": float,
@@ -170,28 +170,35 @@ def _load_codebooks(args, cfg: RunConfig):
     return speech_cb, noise_cb
 
 
-def _read_input(args, cfg: RunConfig, channels: int) -> AudioBuffer:
+def _read_input(args, cfg: RunConfig) -> AudioBuffer:
+    """The mono or stereo input; the pitch grid is checked at its rate before any search."""
     noisy = read_wav(args.input)
-    if noisy.channel_count != channels:
-        layout = "mono" if channels == 1 else "stereo"
-        raise CliError(f"{args.input}: {args.command} expects a {layout} input")
-    if noisy.sample_rate != cfg.sample_rate:
-        raise CliError(
-            f"{args.input}: rate {noisy.sample_rate} != configured {cfg.sample_rate}"
-        )
+    try:
+        check_pitch_grid(noisy.sample_rate, cfg.f_min, cfg.f_max, cfg.pitch_grid_hz)
+    except ValueError as exc:
+        raise CliError(f"{args.input}: {exc}") from exc
     return noisy
+
+
+def _write_text(path, lines) -> None:
+    """Write ``lines`` to ``path``, or to stdout if it is not given."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_enhance(args) -> int:
     cfg = build_config(args)
     speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = _read_input(args, cfg, args.channels)
+    noisy = _read_input(args, cfg)
     diagnostics = [] if args.diagnostics else None
     out = pipeline.process(noisy, speech_cb, noise_cb, cfg, diagnostics_out=diagnostics)
     write_wav(args.output, out)
     if args.diagnostics:
-        lines = [pipeline.FrameDiagnostics.CSV_HEADER, *(d.csv_line() for d in diagnostics)]
-        Path(args.diagnostics).write_text("\n".join(lines) + "\n")
+        _write_text(args.diagnostics, [pipeline.FrameDiagnostics.CSV_HEADER,
+                                       *(d.csv_line() for d in diagnostics)])
     print(f"wrote enhanced audio to {args.output}")
     return EXIT_OK
 
@@ -199,19 +206,12 @@ def cmd_enhance(args) -> int:
 def cmd_pitch(args) -> int:
     cfg = dataclasses.replace(build_config(args), model="vuv", mode="binaural")
     speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = _read_input(args, cfg, 2)
+    noisy = _read_input(args, cfg)
+    [(_, params)] = pipeline.frame_params(noisy, speech_cb, noise_cb, cfg)
     lines = ["frame,f0_hz,period_samples,voicing,order"]
-    params, _ = pipeline.frame_params(noisy, speech_cb, noise_cb, cfg)
-    for fi, (_, pitch) in enumerate(params):
-        f0 = pitch.omega0 * cfg.sample_rate / (2 * np.pi)
-        lines.append(
-            f"{fi},{f0:.2f},{pitch.period_samples},{pitch.voicing:.4f},{pitch.harmonic_order}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    lines += [f"{fi},{p.omega0 * noisy.sample_rate / (2 * np.pi):.2f},{p.period_samples},"
+              f"{p.voicing:.4f},{p.harmonic_order}" for fi, (_, p) in enumerate(params)]
+    _write_text(args.output, lines)
     return EXIT_OK
 
 
@@ -266,17 +266,12 @@ def cmd_likelihood_surface(args) -> int:
     ll = stp.pair_log_likelihood(pz, pz, np.outer(sd, speech_env) + np.outer(sv, noise_env), m)
     lines = ["sigma_d2,sigma_v2,log_likelihood"]
     lines += [f"{d:.8e},{v:.8e},{x:.8e}" for d, v, x in zip(sd, sv, ll)]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, lines)
     return EXIT_OK
 
 
 def _add_config_flags(p):
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--sample-rate", dest="sample_rate", type=int)
     p.add_argument("--frame-len", dest="frame_len", type=int)
     p.add_argument("--smoother-delay", dest="smoother_delay", type=int)
     p.add_argument("--f-min", dest="f_min", type=float)
@@ -304,24 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-len", dest="frame_len", type=int, default=200)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("enhance", help="enhance a stereo WAV")
+    p = sub.add_parser("enhance", aliases=["enhance-single"],
+                       help="enhance a mono or stereo WAV")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--speech-cb", required=True)
     p.add_argument("--noise-cb", required=True)
     p.add_argument("--diagnostics", help="per-frame CSV output path")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_enhance, channels=2)
+    p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("enhance-single", help="enhance a mono WAV")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--speech-cb", required=True)
-    p.add_argument("--noise-cb", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_enhance, channels=1, diagnostics=None)
-
-    p = sub.add_parser("pitch", help="track pitch of a stereo WAV")
+    p = sub.add_parser("pitch", help="track pitch of a mono or stereo WAV")
     p.add_argument("input")
     p.add_argument("-o", "--output")
     p.add_argument("--speech-cb", required=True)

@@ -355,7 +355,6 @@ def enhance_channel(
     frame_len: int,
     model_kind: str = "uv",
     smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
-    p_max: int = 100,
 ) -> npt.NDArray[np.float64]:
     """Run the FLKS over an ``(n,)`` channel, or over the C channels of a
     ``(C, n)`` array that share the per-frame (StpEstimate, PitchInfo);
@@ -376,8 +375,8 @@ def enhance_channel(
     unread tail.  Input shorter than one frame has no parameters and is
     returned unchanged.
 
-    Every voiced period must lie in [1, ``p_max``]; the V-UV excitation
-    chain is sized to the longest of them (one entry if none is voiced).
+    The V-UV excitation chain is sized to the longest voiced period (one
+    entry if none is voiced).
     """
     x = np.asarray(x, dtype=float)
     n_samples = x.shape[-1]
@@ -389,11 +388,8 @@ def enhance_channel(
     if n_frames == 0:
         return x.copy()
     if model_kind != "uv":
-        chain_len = max(
-            (p.period_samples for _, p in per_frame_params if p and p.is_voiced), default=1
-        )
-        if chain_len > p_max:
-            raise ValueError(f"pitch period {chain_len} outside [1, {p_max}]")
+        chain_len = max((p.period_samples for _, p in per_frame_params if p and p.is_voiced),
+                        default=1)
     models = [
         build_uv_model(stp.speech, stp.noise, smoother_delay) if model_kind == "uv"
         else build_vuv_model(stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, chain_len)

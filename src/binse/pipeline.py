@@ -29,9 +29,9 @@ from .stp import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline configuration; defaults follow the 8 kHz / 25 ms setup."""
+    """Pipeline configuration; ``frame_len`` is in samples, 25 ms at 8 kHz.  The sample
+    rate and the channel count are the input's own."""
 
-    sample_rate: int = 8000
     frame_len: int = 200
     smoother_delay: int = 25
     f_min: float = 80.0
@@ -52,17 +52,12 @@ class RunConfig:
             raise ValueError("frame_len must be even (analytic-signal step)")
         if not 0 <= self.smoother_delay <= self.frame_len:
             raise ValueError(f"smoother_delay {self.smoother_delay} outside [0, frame_len]")
-        check_pitch_grid(self.sample_rate, self.f_min, self.f_max, self.pitch_grid_hz)
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError(
                 f"voicing_threshold must lie in [0, 1] (got {self.voicing_threshold})"
             )
         if self.max_harmonic_order is not None and self.max_harmonic_order < 1:
             raise ValueError("max_harmonic_order must be >= 1")
-
-    @property
-    def p_max(self) -> int:
-        return int(np.ceil(self.sample_rate / self.f_min))
 
 
 @dataclass
@@ -93,8 +88,8 @@ def channel_groups(channels, cfg: RunConfig) -> list[tuple[str, list[int]]]:
     return [(ear, [c]) for c, ear in enumerate(ears)]
 
 
-def _group_params(x, ear: str, speech: CompiledCodebook, noise: CompiledCodebook,
-                  cfg: RunConfig, diagnostics_out: list | None):
+def _group_params(x, sample_rate: int, ear: str, speech: CompiledCodebook,
+                  noise: CompiledCodebook, cfg: RunConfig, diagnostics_out: list | None):
     """Per-frame (StpEstimate, PitchInfo) list shared by the ``(C, n)`` rows of ``x``.  All
     frames' spectra come first; the first and last rows are the STP's left and right ears."""
     m = cfg.frame_len
@@ -144,7 +139,7 @@ def _group_params(x, ear: str, speech: CompiledCodebook, noise: CompiledCodebook
             z = [analytic_signal(prewhiten(row[start : start + m], est.noise,
                                            row[max(0, start - q) : start])) for row in x]
             pitch = estimate_pitch(
-                z[0], z[1] if len(z) == 2 else None, cfg.sample_rate, f_min=cfg.f_min,
+                z[0], z[1] if len(z) == 2 else None, sample_rate, f_min=cfg.f_min,
                 f_max=cfg.f_max, grid_step_hz=cfg.pitch_grid_hz,
                 voicing_threshold=cfg.voicing_threshold, max_order=cfg.max_harmonic_order)
         params.append((est, pitch))
@@ -157,24 +152,18 @@ def frame_params(
     noise_cb: Codebook,
     cfg: RunConfig,
     diagnostics_out: list | None = None,
-) -> list[list[tuple[StpEstimate, PitchInfo]]]:
-    """Per-frame (StpEstimate, PitchInfo) lists, one per channel of ``z``.
-
-    Each group of ``channel_groups`` is estimated from its own channels, and
-    its channels share one list: both ears of binaural stereo, each channel
-    alone otherwise.  Diagnostics rows follow the groups, left before right.
+) -> list[tuple[list[int], list[tuple[StpEstimate, PitchInfo]]]]:
+    """(channel indices, per-frame (StpEstimate, PitchInfo) list) of each group
+    of ``channel_groups``, estimated from its own channels of ``z`` at the
+    buffer's sample rate.  Diagnostics rows follow the groups, left before right.
     """
-    if z.sample_rate != cfg.sample_rate:
-        raise ValueError(f"sample rate {z.sample_rate} != configured {cfg.sample_rate}")
+    check_pitch_grid(z.sample_rate, cfg.f_min, cfg.f_max, cfg.pitch_grid_hz)
     speech = compile_codebook(speech_cb, cfg.frame_len)
     noise = compile_codebook(noise_cb, cfg.frame_len)
     channels = np.atleast_2d(z.samples)
-    params = [None] * len(channels)
-    for ear, rows in channel_groups(channels, cfg):
-        shared = _group_params(channels[rows], ear, speech, noise, cfg, diagnostics_out)
-        for c in rows:
-            params[c] = shared
-    return params
+    return [(rows, _group_params(channels[rows], z.sample_rate, ear, speech, noise, cfg,
+                                 diagnostics_out))
+            for ear, rows in channel_groups(channels, cfg)]
 
 
 def process(
@@ -190,11 +179,10 @@ def process(
     smoother recursion serves them: both ears in binaural mode, each channel
     alone in bilateral mode and for a mono buffer.
     """
-    params = frame_params(z, speech_cb, noise_cb, cfg, diagnostics_out)
     channels = np.atleast_2d(z.samples)
     out = np.empty(channels.shape)
-    for _, rows in channel_groups(channels, cfg):
-        out[rows] = kalman.enhance_channel(
-            channels[rows], params[rows[0]], frame_len=cfg.frame_len, model_kind=cfg.model,
-            smoother_delay=cfg.smoother_delay, p_max=cfg.p_max)
+    for rows, params in frame_params(z, speech_cb, noise_cb, cfg, diagnostics_out):
+        out[rows] = kalman.enhance_channel(channels[rows], params, frame_len=cfg.frame_len,
+                                           model_kind=cfg.model,
+                                           smoother_delay=cfg.smoother_delay)
     return AudioBuffer(out.reshape(z.samples.shape), z.sample_rate)

@@ -20,13 +20,13 @@ model's time axis is centred on the frame's middle sample, so the Gram
 matrices V^H V are real symmetric Toeplitz, and two ears' joint one is
 twice an ear's.  They depend on the frame length, the grid and the order
 cap, not on the data, so a compile step, cached per frame shape, runs the
-Levinson recursion on them once.  It stores, per group of candidates with
-the same highest order, their real predictor triangles M as one dense
-(count, order, order) array, and per candidate 1/eps.  Each frame is then
-one FFT per ear, a gather of the harmonic bins times the stored rotations,
-and one matmul per order group for M b and M p_left; cumulative sums over
-the orders give the joint and per-ear residuals of every candidate and
-order, with no loop over orders.
+Levinson recursion on one ear's once.  It stores, per group of candidates
+with the same highest order, their real predictor triangles M as one dense
+(count, order, order) array, and per candidate 1/eps, which two ears halve.
+Each frame is then one FFT per ear, a gather of the harmonic bins times the
+stored rotations, and one matmul per order group for M b and M p_left;
+cumulative sums over the orders give the joint and per-ear residuals of
+every candidate and order, with no loop over orders.
 ``check_pitch_grid`` rejects grids whose step does not divide the sample
 rate and ``f_min``, grids finer than ``MAX_GRID_DFT_LEN`` bins, and
 fundamentals at or above Nyquist.
@@ -233,7 +233,7 @@ class _CompiledSearch:
     layout: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one stores
     at_harmonics: npt.NDArray[np.intp]  # flat: the DFT bin of each harmonic
     rotations: npt.NDArray[np.complex128]  # (flat, 1): the centring rotation, for every ear
-    inv_eps: npt.NDArray[np.float64]  # flat: 1 / eps_n
+    inv_eps: npt.NDArray[np.float64]  # flat: 1 / eps_n of one ear
     groups: tuple[_OrderGroup, ...]
 
     def spread(self, flat):
@@ -246,7 +246,6 @@ class _CompiledSearch:
 @functools.lru_cache(maxsize=1)  # a run searches frames of one shape
 def _compile_search(
     m: int,
-    channels: int,
     sample_rate: int,
     f_min: float,
     f_max: float,
@@ -260,12 +259,13 @@ def _compile_search(
     amplitude exp(j l phi) times the one on the frame's own time axis, with
     phi = omega (m - 1) / 2, so each Gram row entry is real: the centred
     Dirichlet kernel D(d omega) = sin(m d omega / 2) / sin(d omega / 2).
-    Frontal ears see the same harmonics, so the joint Gram matrix of
-    ``channels`` ears is ``channels`` times the kernel, and one rotation per
-    harmonic serves every ear.  Residual energies do not depend on phi.
+    Frontal ears see the same harmonics, so the joint Gram matrix of two
+    ears is twice the kernel, and one rotation per harmonic serves every
+    ear.  Residual energies do not depend on phi.
 
     Per candidate: the real predictor triangle M and 1 / eps of
-    ``_predictors`` on the joint Gram matrix, and the fitted order.
+    ``_predictors`` on one ear's Gram matrix, and the fitted order.  On two
+    ears' Levinson scales every step by exactly 2: M stays and 1 / eps halves.
     Harmonic l of grid point f_min + i * step sits on DFT bin (k0 + i) * l,
     so the Gram rows are Dirichlet-kernel samples.
     """
@@ -303,7 +303,7 @@ def _compile_search(
         count = np.count_nonzero(top == order)
         rows, stop = slice(first, first + count), start + count * order
         kernel = _centred_dirichlet(np.outer(bins[rows], np.arange(order)), m, n_fft)
-        fitted[rows], tri, eps = _predictors(channels * kernel)
+        fitted[rows], tri, eps = _predictors(kernel)
         tri[np.arange(order) >= fitted[rows, None]] = 0.0  # mu = 0: the last fit repeats
         inv_eps[start:stop] = 1.0 / eps.ravel()
         predictors = block[dense : dense + tri.size].reshape(tri.shape)
@@ -346,6 +346,7 @@ def _residuals(search: _CompiledSearch, y_halves):
     y = np.concatenate(y_halves)
     energy = float(np.vdot(y, y).real)
     spectra *= search.rotations
+    inv_eps = search.inv_eps / len(y_halves)  # the joint Gram matrix's
     if len(y_halves) == 2:
         spectra[:, 1] += spectra[:, 0]  # p_left, b
     fit = np.empty_like(spectra)
@@ -355,7 +356,7 @@ def _residuals(search: _CompiledSearch, y_halves):
         np.matmul(g.predictors, x[g.start : g.stop].reshape(shape),
                   out=mx[g.start : g.stop].reshape(shape))
     mu = fit[:, -1]
-    drops = np.abs(mu) ** 2 * search.inv_eps
+    drops = np.abs(mu) ** 2 * inv_eps
     out = np.empty((len(y_halves), *search.layout.shape))
     joint = np.cumsum(search.spread(drops), axis=1)
     np.subtract(energy, joint, out=joint)
@@ -363,7 +364,7 @@ def _residuals(search: _CompiledSearch, y_halves):
         np.maximum(joint, 0.0, out=out[0])
         return out, (drops,)
     quad = 0.5 * drops
-    lin = np.conj(mu) * fit[:, 0] * search.inv_eps
+    lin = np.conj(mu) * fit[:, 0] * inv_eps
     energy_left = float(np.vdot(y_halves[0], y_halves[0]).real)
     top = np.cumsum(search.spread(quad - 2.0 * lin.real), axis=1)
     np.maximum(energy_left + top, 0.0, out=out[0])
@@ -400,7 +401,7 @@ def estimate_pitch(
     channels = 1 if zr is None else 2
     n_obs = channels * m
     y_halves = [np.asarray(zl, complex)] + ([] if zr is None else [np.asarray(zr, complex)])
-    search = _compile_search(m, channels, sample_rate, f_min, f_max, grid_step_hz, max_order)
+    search = _compile_search(m, sample_rate, f_min, f_max, grid_step_hz, max_order)
 
     residuals, terms = _residuals(search, y_halves)
     log_sigma2 = residuals / m

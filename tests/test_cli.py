@@ -14,6 +14,7 @@ from binse import codebook
 from binse.cli import build_config, main, read_wav, write_wav
 from binse.linpred import ArModel
 from binse.metrics import segmental_snr
+from binse.pipeline import RunConfig, process
 from binse.signal_core import AudioBuffer
 
 from conftest import ar_signal, codebook_from_models, snr_scale
@@ -186,15 +187,26 @@ class TestEnhanceCommand:
         )
         assert [f[1:-1] for f in fields[:10]] != [f[1:-1] for f in fields[10:]]
 
-    def test_mono_with_binaural_mode_is_usage_error(self, tmp_path, cb_paths, rng):
+    def test_enhance_mono_diagnostics(self, tmp_path, stereo_wav, cb_paths):
+        # enhance reads the channel count from the WAV: a mono input is one
+        # group, whatever the mode, with one mono row per frame.
         sp, np_ = cb_paths
         mono = tmp_path / "mono.wav"
-        write_wav(mono, AudioBuffer(np.zeros(1000) + 0.01, 8000))
+        write_wav(mono, AudioBuffer(read_wav(stereo_wav).samples[0], 8000))
+        out, diag = tmp_path / "o.wav", tmp_path / "diag.csv"
         code = main([
-            "enhance", str(mono), "-o", str(tmp_path / "o.wav"),
-            "--speech-cb", sp, "--noise-cb", np_, "--mode", "binaural",
+            "enhance", str(mono), "-o", str(out), "--speech-cb", sp, "--noise-cb", np_,
+            "--mode", "binaural", "--model", "vuv", "--diagnostics", str(diag),
         ])
-        assert code == 2
+        assert code == 0
+        header, *rows = diag.read_text().strip().splitlines()
+        assert header == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
+        assert [(r.split(",")[0], r.split(",")[-1]) for r in rows] == [
+            (str(fi), "mono") for fi in range(10)]
+        want = process(read_wav(mono), codebook.load(sp), codebook.load(np_),
+                       RunConfig(mode="binaural", model="vuv"))
+        write_wav(tmp_path / "want.wav", want)
+        assert out.read_bytes() == (tmp_path / "want.wav").read_bytes()
 
     def test_missing_codebook_usage_error(self, tmp_path, stereo_wav):
         code = main([
@@ -234,13 +246,17 @@ class TestEnhanceCommand:
         assert err.startswith("error: ") and "smoother_delay 100000" in err
         assert not out.exists()
 
-    def test_rate_mismatch_usage_error(self, tmp_path, stereo_wav, cb_paths):
+    def test_enhance_takes_the_wav_rate(self, tmp_path, cb_paths, rng):
+        # A 16 kHz input needs no rate flag or key: the rate is the WAV's.
         sp, np_ = cb_paths
-        code = main([
-            "enhance", stereo_wav, "-o", str(tmp_path / "o.wav"),
-            "--speech-cb", sp, "--noise-cb", np_, "--sample-rate", "16000",
-        ])
-        assert code == 2
+        z = np.clip(0.1 * rng.normal(size=(2, 2100)), -1.0, 1.0)
+        wav = tmp_path / "wide.wav"
+        write_wav(wav, AudioBuffer(z, 16000))
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", str(wav), "-o", str(out), "--speech-cb", sp, "--noise-cb", np_])
+        assert code == 0
+        enh = read_wav(out)
+        assert (enh.channel_count, len(enh), enh.sample_rate) == (2, 2100, 16000)
 
     def test_short_frames_vuv(self, tmp_path, stereo_wav, cb_paths):
         # 60-sample frames leave 40 samples per ear for the pitch search,
@@ -418,7 +434,6 @@ class TestEnhanceCommand:
         assert main(["enhance-single", str(mono), "-o", str(out), *argv]) == 0
         enh = read_wav(out)
         assert enh.channel_count == 1 and len(enh) == 2000
-        assert main(["enhance-single", stereo_wav, "-o", str(out), *argv]) == 2
 
 
 class TestConfigFile:
@@ -457,6 +472,16 @@ class TestConfigFile:
                 "--speech-cb", sp, "--noise-cb", np_]
         assert main([*base, "--config", str(cfg)]) == 2
         assert main([*base, "--speech-order", "14"]) == 2
+
+    def test_sample_rate_setting_rejected(self, tmp_path, stereo_wav, cb_paths):
+        # The sample rate is the input WAV's own.
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sample_rate = 8000\n")
+        base = ["enhance", stereo_wav, "-o", str(tmp_path / "o.wav"),
+                "--speech-cb", sp, "--noise-cb", np_]
+        assert main([*base, "--config", str(cfg)]) == 2
+        assert main([*base, "--sample-rate", "8000"]) == 2
 
     def test_mu_iteration_setting_rejected(self, tmp_path, stereo_wav, cb_paths):
         # The variance solve always runs the estimator's own step cap.
@@ -542,6 +567,19 @@ class TestPitchCommand:
         assert len(lines) == 11
         f0s = [float(l.split(",")[1]) for l in lines[1:]]
         assert sum(abs(f - 100.0) <= 1.0 for f in f0s) >= 8
+
+    def test_pitch_csv_mono(self, tmp_path, stereo_wav, cb_paths, capsys):
+        # A mono WAV runs the one-ear search: one row per whole frame.
+        sp, np_ = cb_paths
+        wav = tmp_path / "mono.wav"
+        write_wav(wav, AudioBuffer(read_wav(stereo_wav).samples[0], 8000))
+        code = main(["pitch", str(wav), "--speech-cb", sp, "--noise-cb", np_,
+                     "--voicing-threshold", "0"])
+        assert code == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header == "frame,f0_hz,period_samples,voicing,order"
+        assert [r.split(",")[0] for r in rows] == [str(fi) for fi in range(10)]
+        assert all(float(r.split(",")[1]) >= 80.0 for r in rows)
 
 
 class TestEvalCommand:

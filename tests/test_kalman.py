@@ -449,14 +449,14 @@ class TestEnhanceChannel:
         assert seen == [(pytest.approx(np.mean(energies), rel=1e-12), (2,))]
 
     @pytest.mark.parametrize(
-        "periods,p_max",
+        "periods,full_len",
         [((None, 40, 81, None, 100, 40), 128), ((81, None, 40, None), 100)],
         ids=["longest_100_of_128", "longest_81_of_100"],
     )
     @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
-    def test_sized_chain_matches_full_chain(self, rng, monkeypatch, periods, p_max, shape):
+    def test_sized_chain_matches_full_chain(self, rng, monkeypatch, periods, full_len, shape):
         # Chain entries past the longest period only shift out, so the
-        # sized state must give the full p_max state's output bit for bit.
+        # sized state must give a full_len-entry chain's output bit for bit.
         import binse.kalman as kalman
 
         speech = ArModel(np.array([1.2, -0.6]), 1e-3)
@@ -469,14 +469,14 @@ class TestEnhanceChannel:
              UNVOICED if p is None else voiced(period=p, b=0.6))
             for p in periods
         ]
-        sized = enhance_channel(z, params, 200, model_kind="vuv", p_max=p_max)
+        sized = enhance_channel(z, params, 200, model_kind="vuv")
 
         def full_chain(speech, noise, pitch, smoother_delay, chain_len):
-            assert chain_len == max(p for p in periods if p is not None) < p_max
-            return build_vuv_model(speech, noise, pitch, smoother_delay, p_max)
+            assert chain_len == max(p for p in periods if p is not None) < full_len
+            return build_vuv_model(speech, noise, pitch, smoother_delay, full_len)
 
         monkeypatch.setattr(kalman, "build_vuv_model", full_chain)
-        full = enhance_channel(z, params, 200, model_kind="vuv", p_max=p_max)
+        full = enhance_channel(z, params, 200, model_kind="vuv")
         assert sized.tobytes() == full.tobytes()
 
     def test_unvoiced_record_builds_one_entry_chain(self, rng, monkeypatch):
@@ -578,12 +578,6 @@ class TestEnhanceChannel:
         first = got.reshape(-1, n)[0]
         assert np.all(np.isnan(first[750 - delay :])) and np.all(np.isfinite(first[: 750 - delay]))
         assert np.all(np.isfinite(got.reshape(-1, n)[1:]))
-
-    def test_period_above_p_max_rejected(self, rng):
-        params = [(StpEstimate(speech=SPEECH2, noise=ArModel(np.zeros(1), 1.0)),
-                   voiced(period=101, b=0.5))]
-        with pytest.raises(ValueError, match="outside"):
-            enhance_channel(rng.normal(size=200), params, 200, model_kind="vuv", p_max=100)
 
     def test_known_params_near_wiener(self, rng):
         import time

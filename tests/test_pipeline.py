@@ -50,11 +50,9 @@ def codebooks():
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.sample_rate == 8000
         assert cfg.frame_len == 200
         assert cfg.smoother_delay == 25
         assert (cfg.f_min, cfg.f_max, cfg.pitch_grid_hz) == (80.0, 400.0, 0.5)
-        assert cfg.p_max == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,8 +106,9 @@ class TestProcess:
         cfg = fast_cfg()
         z = stereo(zl, zl)
         out = process(z, scb, ncb, cfg).samples
-        shared, _ = pipeline.frame_params(z, scb, ncb, cfg)
-        monkeypatch.setattr(pipeline, "frame_params", lambda *args, **kw: [shared])
+        [(rows, shared)] = pipeline.frame_params(z, scb, ncb, cfg)
+        assert rows == [0, 1]
+        monkeypatch.setattr(pipeline, "frame_params", lambda *args, **kw: [([0], shared)])
         mono = process(zl, scb, ncb, cfg).samples
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[0], mono)
@@ -214,11 +213,17 @@ class TestProcess:
         assert len(out_l) == len(zl) and len(out_r) == len(zr)
         assert out_l.sample_rate == 8000
 
-    def test_rate_mismatch(self, rng, codebooks):
+    def test_pitch_grid_checked_at_buffer_rate(self, rng, codebooks):
+        # The rate is the buffer's own: a 5 kHz top fundamental lies above
+        # Nyquist at 8 kHz, and below it at 16 kHz.
         scb, ncb = codebooks
-        z = AudioBuffer(np.zeros(1000), 16000)
-        with pytest.raises(ValueError):
-            process(stereo(z, z), scb, ncb, fast_cfg())
+        _, zl, zr = make_scene(rng, n=1000)
+        cfg = fast_cfg(f_max=5000.0)
+        with pytest.raises(ValueError, match="f_max"):
+            process(stereo(zl, zr), scb, ncb, cfg)
+        wide = AudioBuffer(np.vstack((zl.samples, zr.samples)), 16000)
+        out = process(wide, scb, ncb, cfg)
+        assert out.samples.shape == (2, 1000) and out.sample_rate == 16000
 
     def test_diagnostics_lines(self, rng, codebooks):
         scb, ncb = codebooks

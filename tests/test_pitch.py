@@ -482,7 +482,7 @@ class TestExactSearch:
             m = len(zl)
             y = np.concatenate((zl, zr)) if two else zl
             halves = [zl, zr] if two else [zl]
-            search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, None)
+            search = pitch._compile_search(m, fs, f0, f0, 0.5, None)
             w0 = 2 * np.pi * f0 / fs
             v = np.exp(1j * w0 * np.outer(np.arange(m), np.arange(1, order + 1)))
             h = np.vstack((v, v)) if two else v
@@ -500,7 +500,7 @@ class TestExactSearch:
         zl, zr = (z[10:-10] for z in corpus_frame(3))
         m = len(zl)
         halves = [zl, zr] if two else [zl]
-        search = pitch._compile_search(m, len(halves), fs, f0, f0, 0.5, None)
+        search = pitch._compile_search(m, fs, f0, f0, 0.5, None)
         sums = [np.cumsum(t) for t in pitch._residuals(search, halves)[1]]
         w0 = 2 * np.pi * f0 / fs
         scale = np.vdot(zl, zl).real + (np.vdot(zr, zr).real if two else 0.0)
@@ -515,9 +515,12 @@ class TestExactSearch:
     @pytest.mark.parametrize("case", EAR_CASES)
     def test_centred_predictors_are_real(self, case):
         # Centring makes the Gram matrix of one ear, and of two frontal
-        # ears, real, so the stored predictors are.
-        search = pitch._compile_search(180, EAR_CASES[case], self.FS, 80.0, 400.0, 0.5, None)
+        # ears, real, so the stored predictors are; one compile serves both.
+        search = pitch._compile_search(180, self.FS, 80.0, 400.0, 0.5, None)
         assert {g.predictors.dtype for g in search.groups} == {np.dtype(np.float64)}
+        halves = [z[10:-10] for z in corpus_frame(0)][: EAR_CASES[case]]
+        residuals, _ = pitch._residuals(search, halves)
+        assert residuals.shape == (len(halves), *search.layout.shape)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("case", EAR_CASES)
@@ -526,7 +529,7 @@ class TestExactSearch:
         # ones, on the default grid, to round-off of the frame energy.
         zl, zr = (z[10:-10] for z in corpus_frame(seed))
         halves = [zl, zr][: EAR_CASES[case]]
-        search = pitch._compile_search(len(zl), len(halves), self.FS, 80.0, 400.0, 0.5, None)
+        search = pitch._compile_search(len(zl), self.FS, 80.0, 400.0, 0.5, None)
         got, got_terms = pitch._residuals(search, halves)
         want, want_terms = uncentred_residuals(halves, self.FS, 80.0, 400.0, 0.5)
         y = np.concatenate(halves)
@@ -589,19 +592,12 @@ class TestExactSearch:
     def test_no_harmonic_fitted_at_or_above_nyquist(self):
         # The compiled search of the default grid, for the trimmed frame
         # that estimate_pitch hands it.
-        two_ear, one_ear = (pitch._compile_search(180, c, self.FS, 80.0, 400.0, 0.5, None)
-                            for c in (2, 1))
+        search = pitch._compile_search(180, self.FS, 80.0, 400.0, 0.5, None)
         # Every harmonic the search gathers, fitted or not, lies below pi.
-        top = two_ear.layout.sum(axis=1)
-        assert (two_ear.omegas * top).max() < np.pi
+        top = search.layout.sum(axis=1)
+        assert (search.omegas * top).max() < np.pi
         assert top.max() == 49  # 50 * 80 Hz is Nyquist
-        assert not np.any(two_ear.fits & ~two_ear.layout)
-        # One ear fits the same orders in the same groups.
-        np.testing.assert_array_equal(one_ear.omegas, two_ear.omegas)
-        np.testing.assert_array_equal(one_ear.layout, two_ear.layout)
-        np.testing.assert_array_equal(one_ear.fits, two_ear.fits)
-        assert [(g.order, g.start, g.stop) for g in one_ear.groups] == [
-            (g.order, g.start, g.stop) for g in two_ear.groups]
+        assert not np.any(search.fits & ~search.layout)
 
     @pytest.mark.parametrize(
         "channels,fs,f_min,f_max,step,max_order",
@@ -613,18 +609,22 @@ class TestExactSearch:
     def test_candidates_are_a_grid_prefix(self, channels, fs, f_min, f_max, step, max_order):
         # The highest order only falls as f0 rises, so the search stores the
         # grid's first candidates in grid order, grouped by falling order.
-        search = pitch._compile_search(180, channels, fs, f_min, f_max, step, max_order)
+        # One compile serves one ear and two.
+        search = pitch._compile_search(180, fs, f_min, f_max, step, max_order)
         grid = 2.0 * np.pi * np.arange(f_min, f_max + 0.5 * step, step) / fs
         assert 1 <= len(search.omegas) <= len(grid)
         np.testing.assert_array_equal(search.omegas, grid[: len(search.omegas)])
         top = search.layout.sum(axis=1)
         assert np.all(np.diff(top) <= 0)
         assert [g.order for g in search.groups] == sorted(set(top.tolist()), reverse=True)
+        halves = [z[10:-10] for z in corpus_frame(0, fs=fs)][:channels]
+        residuals, _ = pitch._residuals(search, halves)
+        assert residuals.shape == (channels, *search.layout.shape)
 
     def test_compiled_search_cache_keying(self):
-        # Frame length, ear count, grid band and order cap all key the
-        # cache; an interleaved run, which hits and evicts entries, picks
-        # what a cold cache and the QR oracle pick.
+        # Frame length, grid band and order cap all key the cache; an
+        # interleaved run of one and two ears, which hits and evicts
+        # entries, picks what a cold cache and the QR oracle pick.
         cases = [
             (m, two, f_max, max_order)
             for m in (200, 160)
@@ -652,11 +652,34 @@ class TestExactSearch:
                 zl, zr if two else None, self.FS, f_min=100.0, f_max=f_max,
                 max_order=max_order, voicing_threshold=0.0))
 
+    def test_one_and_two_ears_share_one_compile(self):
+        # The ear count does not key the cache: a two-ear frame and a
+        # one-ear frame of one shape compile the search once.
+        zl, zr = corpus_frame(6)
+        pitch._compile_search.cache_clear()
+        estimate_pitch(zl, zr, self.FS)
+        estimate_pitch(zl, None, self.FS)
+        info = pitch._compile_search.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("fs,m", [(8000, 180), (16000, 380)])
+    def test_two_ear_recursion_is_one_ear_scaled(self, fs, m):
+        # Levinson on two frontal ears' Gram matrix, twice one ear's, scales
+        # every step by exactly 2: the same predictor bits and fitted
+        # orders, and eps doubled, so one ear's compile serves two.
+        n_fft = check_pitch_grid(fs, 80.0, 400.0, 0.5)
+        kernel = pitch._centred_dirichlet(np.outer(np.arange(160, 401), np.arange(20)), m, n_fft)
+        fitted, tri, eps = pitch._predictors(kernel)
+        fitted2, tri2, eps2 = pitch._predictors(2.0 * kernel)
+        np.testing.assert_array_equal(fitted2, fitted)
+        assert tri2.tobytes() == tri.tobytes()
+        assert eps2.tobytes() == (2.0 * eps).tobytes()
+
     def test_compiled_search_size(self):
         # Dense real triangles keep the default grid at the default trimmed
-        # frame, two ears, within 6.5 MB; the cache hands out read-only
-        # arrays.  One centring rotation per harmonic serves both ears.
-        search = pitch._compile_search(180, 2, self.FS, 80.0, 400.0, 0.5, None)
+        # frame within 6.5 MB; the cache hands out read-only arrays.  One
+        # centring rotation per harmonic serves both ears.
+        search = pitch._compile_search(180, self.FS, 80.0, 400.0, 0.5, None)
         arrays = [getattr(search, f.name) for f in dataclasses.fields(search)]
         arrays += [g.predictors for g in search.groups]
         total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
