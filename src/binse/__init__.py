@@ -7,7 +7,7 @@ excitation models.
 """
 
 from .codebook import Codebook
-from .linpred import ArModel, LsfVector
+from .linpred import ArModel
 from .pipeline import RunConfig, process
 from .pitch import PitchInfo
 from .signal_core import AudioBuffer
@@ -17,7 +17,6 @@ __all__ = [
     "ArModel",
     "AudioBuffer",
     "Codebook",
-    "LsfVector",
     "PitchInfo",
     "RunConfig",
     "StpEstimate",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import wave
 from pathlib import Path
@@ -91,8 +90,9 @@ _CONFIG_FIELDS = {
 }
 
 
-def build_config(args) -> RunConfig:
-    """Flags override config-file values, which override built-in defaults."""
+def build_config(args, **fixed) -> RunConfig:
+    """``fixed`` overrides flags, which override config-file values, which override
+    built-in defaults."""
     kwargs = {}
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
@@ -106,6 +106,7 @@ def build_config(args) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
+    kwargs.update(fixed)
     try:
         return RunConfig(**kwargs)
     except ValueError as exc:
@@ -158,11 +159,6 @@ def _load_codebooks(args, cfg: RunConfig):
         if cb.kind != kind:
             raise CliError(f"{path}: stored as a {cb.kind} codebook, but --{kind}-cb "
                            f"needs a {kind} one")
-    if speech_cb.order > cfg.smoother_delay:
-        raise CliError(
-            f"{args.speech_cb}: speech codebook order {speech_cb.order} exceeds "
-            f"smoother_delay {cfg.smoother_delay}"
-        )
     for path, cb in ((args.speech_cb, speech_cb), (args.noise_cb, noise_cb)):
         if cb.order >= cfg.frame_len:
             raise CliError(f"{path}: codebook order {cb.order} needs frame_len above it, "
@@ -170,13 +166,23 @@ def _load_codebooks(args, cfg: RunConfig):
     return speech_cb, noise_cb
 
 
-def _read_input(args, cfg: RunConfig) -> AudioBuffer:
-    """The mono or stereo input; the pitch grid is checked at its rate before any search."""
+def _read_input(args, cfg: RunConfig, in_samples: tuple[str, ...]) -> AudioBuffer:
+    """The mono or stereo input; the pitch grid is checked at its rate before any search.
+
+    The ``cfg`` settings named in ``in_samples`` count samples, and their defaults
+    suit 8000 Hz, so at any other rate one stderr line gives them in ms.
+    """
     noisy = read_wav(args.input)
     try:
         check_pitch_grid(noisy.sample_rate, cfg.f_min, cfg.f_max, cfg.pitch_grid_hz)
     except ValueError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
+    rate = noisy.sample_rate
+    if rate != 8000:
+        spans = ", ".join(f"{name} {getattr(cfg, name)} samples = "
+                          f"{1000 * getattr(cfg, name) / rate:g} ms" for name in in_samples)
+        print(f"note: {args.input} is {rate} Hz: {spans} (the defaults suit 8000 Hz)",
+              file=sys.stderr)
     return noisy
 
 
@@ -192,7 +198,10 @@ def _write_text(path, lines) -> None:
 def cmd_enhance(args) -> int:
     cfg = build_config(args)
     speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = _read_input(args, cfg)
+    if speech_cb.order > cfg.smoother_delay:
+        raise CliError(f"{args.speech_cb}: speech codebook order {speech_cb.order} exceeds "
+                       f"smoother_delay {cfg.smoother_delay}")
+    noisy = _read_input(args, cfg, ("frame_len", "smoother_delay"))
     diagnostics = [] if args.diagnostics else None
     out = pipeline.process(noisy, speech_cb, noise_cb, cfg, diagnostics_out=diagnostics)
     write_wav(args.output, out)
@@ -204,9 +213,10 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_pitch(args) -> int:
-    cfg = dataclasses.replace(build_config(args), model="vuv", mode="binaural")
+    # pitch never smooths: the enhance settings a shared config file may hold are overridden.
+    cfg = build_config(args, model="vuv", mode="binaural", smoother_delay=0)
     speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = _read_input(args, cfg)
+    noisy = _read_input(args, cfg, ("frame_len",))
     [(_, params)] = pipeline.frame_params(noisy, speech_cb, noise_cb, cfg)
     lines = ["frame,f0_hz,period_samples,voicing,order"]
     lines += [f"{fi},{p.omega0 * noisy.sample_rate / (2 * np.pi):.2f},{p.period_samples},"
@@ -271,14 +281,12 @@ def cmd_likelihood_surface(args) -> int:
 
 
 def _add_config_flags(p):
+    """The flags of the settings that ``enhance`` and ``pitch`` both read."""
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--frame-len", dest="frame_len", type=int)
-    p.add_argument("--smoother-delay", dest="smoother_delay", type=int)
     p.add_argument("--f-min", dest="f_min", type=float)
     p.add_argument("--f-max", dest="f_max", type=float)
     p.add_argument("--pitch-grid", dest="pitch_grid_hz", type=float)
-    p.add_argument("--mode", choices=["binaural", "bilateral"])
-    p.add_argument("--model", choices=["uv", "vuv"])
     p.add_argument("--voicing-threshold", dest="voicing_threshold", type=float)
     p.add_argument("--max-harmonic-order", dest="max_harmonic_order", type=int)
 
@@ -307,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-cb", required=True)
     p.add_argument("--diagnostics", help="per-frame CSV output path")
     _add_config_flags(p)
+    p.add_argument("--smoother-delay", dest="smoother_delay", type=int)
+    p.add_argument("--mode", choices=["binaural", "bilateral"])
+    p.add_argument("--model", choices=["uv", "vuv"])
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("pitch", help="track pitch of a mono or stereo WAV")

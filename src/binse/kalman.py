@@ -34,7 +34,6 @@ import numpy.typing as npt
 from .linpred import ArModel
 from .pitch import PitchInfo, UNVOICED
 
-DEFAULT_SMOOTHER_DELAY = 25
 INNOVATION_EPS = 1e-30
 FREEZE_TOL = 1e-12
 # The block tail of a frame costs about as much as r**2 / 100 O(dim) frozen
@@ -107,11 +106,11 @@ class SmootherState:
     ``(dim, dim + C)`` array ``joint`` = [P | x]; ``cov`` and ``x`` (``(dim,)``
     or ``(dim, C)``) are views of it."""
 
-    def __init__(self, x, cov, samples_seen: int = 0):
+    def __init__(self, x, cov):
         x = np.asarray(x, dtype=float)
         self.joint = np.concatenate((cov, x.reshape(len(x), -1)), axis=1)
         self.x_shape = x.shape
-        self.samples_seen = samples_seen
+        self.samples_seen = 0
         self.gain: npt.NDArray[np.float64] | None = None  # the last correction's gain
         self.frozen: StateSpaceModel | None = None  # the model whose settled gain is ``gain``
 
@@ -144,11 +143,7 @@ def _model(speech, noise, smoother_delay, dim, rows, runs, inputs, observed):
                            variances, smoother_delay)
 
 
-def build_uv_model(
-    speech: ArModel,
-    noise: ArModel,
-    smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
-) -> StateSpaceModel:
+def build_uv_model(speech: ArModel, noise: ArModel, smoother_delay: int) -> StateSpaceModel:
     """Assemble the UV concatenated state space (speech chain + noise chain)."""
     ds1 = smoother_delay + 1
     runs = [(0, 0, speech.coefficients), (ds1, ds1, noise.coefficients)]
@@ -157,11 +152,7 @@ def build_uv_model(
 
 
 def build_vuv_model(
-    speech: ArModel,
-    noise: ArModel,
-    pitch: PitchInfo,
-    smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
-    chain_len: int = 100,
+    speech: ArModel, noise: ArModel, pitch: PitchInfo, smoother_delay: int, chain_len: int
 ) -> StateSpaceModel:
     """Assemble the V-UV state space with a ``chain_len``-entry excitation chain.
 
@@ -203,7 +194,7 @@ def initial_state(
     cov[ds1:noise_start, ds1:noise_start] = (
         np.eye(noise_start - ds1) * model.process_variances[0]
     )
-    return SmootherState(x=np.zeros((dim, *channels)), cov=cov, samples_seen=0)
+    return SmootherState(x=np.zeros((dim, *channels)), cov=cov)
 
 
 def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
@@ -350,11 +341,8 @@ def _frozen_run(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArray[
 
 
 def enhance_channel(
-    x: npt.NDArray[np.float64],
-    per_frame_params,
-    frame_len: int,
-    model_kind: str = "uv",
-    smoother_delay: int = DEFAULT_SMOOTHER_DELAY,
+    x: npt.NDArray[np.float64], per_frame_params, frame_len: int, model_kind: str,
+    smoother_delay: int,
 ) -> npt.NDArray[np.float64]:
     """Run the FLKS over an ``(n,)`` channel, or over the C channels of a
     ``(C, n)`` array that share the per-frame (StpEstimate, PitchInfo);
@@ -375,8 +363,9 @@ def enhance_channel(
     unread tail.  Input shorter than one frame has no parameters and is
     returned unchanged.
 
-    The V-UV excitation chain is sized to the longest voiced period (one
-    entry if none is voiced).
+    ``model_kind`` "uv" builds UV models; "vuv" builds V-UV ones, whose
+    excitation chain is sized to the longest voiced period (one entry if
+    none is voiced).
     """
     x = np.asarray(x, dtype=float)
     n_samples = x.shape[-1]

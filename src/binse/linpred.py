@@ -47,23 +47,6 @@ class ArModel:
         return bool(np.all(np.abs(np.roots(self.inverse_filter())) < 1.0))
 
 
-@dataclass(frozen=True)
-class LsfVector:
-    """Line spectral frequencies: strictly increasing, each in (0, pi)."""
-
-    frequencies: npt.NDArray[np.float64]
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if len(freqs) and not valid_lsf_rows(freqs):
-            raise ValueError(_INVALID_LSF)
-        object.__setattr__(self, "frequencies", freqs)
-
-    @property
-    def order(self) -> int:
-        return len(self.frequencies)
-
-
 def levinson_durbin(autocorr: npt.NDArray[np.float64]):
     """Fit AR models of order P by the Levinson-Durbin recursion on r(0..P).
 
@@ -101,9 +84,6 @@ def levinson_durbin(autocorr: npt.NDArray[np.float64]):
     if r.ndim == 1:
         return ArModel(a[0], float(err[0]))
     return a, err, ok
-
-
-_INVALID_LSF = "LSFs must be strictly increasing within (0, pi)"
 
 
 def valid_lsf_rows(freqs) -> npt.NDArray[np.bool_]:
@@ -180,24 +160,20 @@ def _series_roots(series) -> npt.NDArray[np.float64]:
 
 
 def ar_to_lsf(
-    models: ArModel | Sequence[ArModel] | npt.NDArray[np.float64], *, skip_failed: bool = False
-) -> LsfVector | npt.NDArray[np.float64]:
+    models: Sequence[ArModel] | npt.NDArray[np.float64], *, skip_failed: bool = False
+) -> npt.NDArray[np.float64]:
     """Convert stable AR models to line spectral frequencies.
 
-    One ``ArModel`` gives an ``LsfVector``.  A sequence of models of one
-    order, or an (n, order) array of their coefficient rows, gives an
-    (n, order) array, one row per model, from one stacked eigenvalue call
-    per polynomial kind; a one-model call is the one-row case of the same
-    search.  The sum polynomial's roots take the even places of a row and
-    the difference polynomial's the odd ones, so a row is valid only where
-    the two interlace, which holds exactly when A(z) is minimum-phase (Soong
-    & Juang, ICASSP 1984).  The first failing model raises as it would
-    alone: ``ValueError`` if ``is_stable`` finds it unstable, else
-    ``NumericalDegeneracyError``.  With ``skip_failed`` the rows of failing
-    models are left out instead.
+    A sequence of models of one order, or an (n, order) array of their
+    coefficient rows, gives an (n, order) array, one row per model, from
+    one stacked eigenvalue call per polynomial kind.  The sum polynomial's
+    roots take the even places of a row and the difference polynomial's the
+    odd ones, so a row is valid only where the two interlace, which holds
+    exactly when A(z) is minimum-phase (Soong & Juang, ICASSP 1984).  The
+    first failing model raises as it would alone: ``ValueError`` if
+    ``is_stable`` finds it unstable, else ``NumericalDegeneracyError``.
+    With ``skip_failed`` the rows of failing models are left out instead.
     """
-    if isinstance(models, ArModel):
-        return LsfVector(ar_to_lsf([models])[0])
     if isinstance(models, np.ndarray):
         coeffs = models
     else:
@@ -233,19 +209,15 @@ def _times_fixed(poly, lag: int, sign: float) -> npt.NDArray[np.float64]:
     return out
 
 
-def lsf_to_ar(lsf: LsfVector | npt.NDArray[np.float64]) -> ArModel | npt.NDArray[np.float64]:
-    """Reconstruct AR models (unit excitation variance) from their LSFs.
+def lsf_to_ar(lsf: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """Reconstruct AR coefficients from LSFs.
 
-    One ``LsfVector`` gives an ``ArModel``.  An (n, order) array of LSF rows
-    gives the (n, order) array of their coefficient rows, with one
-    vectorised product per quadratic factor; a one-model call is the
-    one-row case of the same arithmetic.
+    An (n, order) array of LSF rows gives the (n, order) array of their
+    coefficient rows, with one vectorised product per quadratic factor.
     """
-    if isinstance(lsf, LsfVector):
-        return ArModel(lsf_to_ar(lsf.frequencies[None])[0], 1.0)
     freqs = np.asarray(lsf, dtype=np.float64)
     if not valid_lsf_rows(freqs).all():
-        raise ValueError(_INVALID_LSF)
+        raise ValueError("LSFs must be strictly increasing within (0, pi)")
     n, p = freqs.shape
     # Interleaved ascending: even positions belong to the symmetric
     # polynomial, odd positions to the antisymmetric one.  Angle w gives

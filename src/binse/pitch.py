@@ -96,22 +96,14 @@ def prewhiten(
     return out
 
 
-def map_order_select(
-    per_order_costs: npt.NDArray[np.float64], n_obs: int
-) -> int | npt.NDArray[np.intp]:
+def map_order_select(costs: npt.NDArray[np.float64], n_obs: int) -> npt.NDArray[np.intp]:
     """Penalized order choice: argmin of cost(L) + 3L ln(n_obs) over L >= 1.
 
-    ``per_order_costs[L-1]`` is the log-residual term n_obs * ln sigma^2(L)
-    (summed over channels for the stacked estimator).  A 2-D array is one
-    candidate per row and gives an array of orders.
+    ``costs[..., L-1]`` is the log-residual term n_obs * ln sigma^2(L)
+    (summed over channels for the stacked estimator); one candidate per row.
     """
-    costs = np.asarray(per_order_costs, float)
-    if costs.shape[-1] == 0:
-        return 0
     orders = np.arange(1, costs.shape[-1] + 1)
-    criterion = costs + PARAMS_PER_HARMONIC * orders * np.log(n_obs)
-    picks = np.argmin(criterion, axis=-1) + 1
-    return int(picks) if picks.ndim == 0 else picks
+    return np.argmin(costs + PARAMS_PER_HARMONIC * orders * np.log(n_obs), axis=-1) + 1
 
 
 def check_pitch_grid(
@@ -224,12 +216,11 @@ class _CompiledSearch:
     order) below Nyquist and the order cap of each stored candidate,
     candidate after candidate, grouped by that highest order.  Where a
     candidate's fits stop below it, its predictors are zero past the fitted
-    order.
+    order, so its residual past that order repeats the last fit's bit for bit.
     """
 
     n_fft: int
     omegas: npt.NDArray[np.float64]  # the stored candidates' fundamentals, rad/sample
-    fits: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one fits
     layout: npt.NDArray[np.bool_]  # (candidates, top order): the orders each one stores
     at_harmonics: npt.NDArray[np.intp]  # flat: the DFT bin of each harmonic
     rotations: npt.NDArray[np.complex128]  # (flat, 1): the centring rotation, for every ear
@@ -264,8 +255,8 @@ def _compile_search(
     ear.  Residual energies do not depend on phi.
 
     Per candidate: the real predictor triangle M and 1 / eps of
-    ``_predictors`` on one ear's Gram matrix, and the fitted order.  On two
-    ears' Levinson scales every step by exactly 2: M stays and 1 / eps halves.
+    ``_predictors`` on one ear's Gram matrix, zero past its fitted order.  On
+    two ears' Levinson scales every step by exactly 2: M stays and 1 / eps halves.
     Harmonic l of grid point f_min + i * step sits on DFT bin (k0 + i) * l,
     so the Gram rows are Dirichlet-kernel samples.
     """
@@ -295,7 +286,6 @@ def _compile_search(
     at_harmonics = np.repeat(bins, top) * (np.nonzero(layout)[1] + 1)
     # exp(j l omega (m - 1) / 2), its phase reduced modulo 2 pi in integers.
     rotations = np.exp(1j * np.pi * (at_harmonics * (m - 1) % (2 * n_fft)) / n_fft)[:, None]
-    fitted = np.empty(usable, int)
     inv_eps = np.empty(at_harmonics.size)
     block = np.empty(int(np.sum(top**2)))  # M
     groups, first, start, dense = [], 0, 0, 0
@@ -303,8 +293,8 @@ def _compile_search(
         count = np.count_nonzero(top == order)
         rows, stop = slice(first, first + count), start + count * order
         kernel = _centred_dirichlet(np.outer(bins[rows], np.arange(order)), m, n_fft)
-        fitted[rows], tri, eps = _predictors(kernel)
-        tri[np.arange(order) >= fitted[rows, None]] = 0.0  # mu = 0: the last fit repeats
+        fitted, tri, eps = _predictors(kernel)
+        tri[np.arange(order) >= fitted[:, None]] = 0.0  # mu = 0: the last fit repeats
         inv_eps[start:stop] = 1.0 / eps.ravel()
         predictors = block[dense : dense + tri.size].reshape(tri.shape)
         predictors[...] = tri
@@ -314,7 +304,6 @@ def _compile_search(
     return _CompiledSearch(
         n_fft=n_fft,
         omegas=_frozen(omegas),
-        fits=_frozen(np.arange(top[0]) < fitted[:, None]),
         layout=_frozen(layout),
         at_harmonics=_frozen(at_harmonics),
         rotations=_frozen(rotations),
@@ -406,8 +395,9 @@ def estimate_pitch(
     residuals, terms = _residuals(search, y_halves)
     log_sigma2 = residuals / m
     np.log(np.maximum(log_sigma2, 1e-300, out=log_sigma2), out=log_sigma2)
-    log_terms = np.where(search.fits, m * log_sigma2.sum(axis=0), np.inf)
-    orders = map_order_select(log_terms, n_obs)
+    # Past a candidate's fitted order the residuals repeat while the penalty grows, so
+    # the penalized rule never picks there.
+    orders = map_order_select(m * log_sigma2.sum(axis=0), n_obs)
     costs = log_sigma2[:, np.arange(len(orders)), orders - 1].sum(axis=0)
 
     best = None  # (cost, candidate)

@@ -333,7 +333,7 @@ def estimate_stp(
 
 
 class DualChannelNoiseTracker:
-    """Recursively smoothed dual-channel noise PSD across frames.
+    """Dual-channel noise PSD across frames, smoothed by ``DC_PSD_SMOOTHING``.
 
     The coherent (nose-direction) target cancels in the magnitude
     cross-spectrum subtraction; diffuse noise survives.  The channel
@@ -343,10 +343,7 @@ class DualChannelNoiseTracker:
     power instead of overestimating it.
     """
 
-    def __init__(self, smoothing: float = DC_PSD_SMOOTHING):
-        if not 0.0 <= smoothing < 1.0:
-            raise ValueError("smoothing factor must be in [0, 1)")
-        self.smoothing = smoothing
+    def __init__(self):
         self._mean_power: npt.NDArray[np.float64] | None = None
         self._cross: npt.NDArray[np.complex128] | None = None
 
@@ -360,7 +357,7 @@ class DualChannelNoiseTracker:
             self._mean_power = mean_power
             self._cross = cx
         else:
-            a = self.smoothing
+            a = DC_PSD_SMOOTHING
             self._mean_power = a * self._mean_power + (1.0 - a) * mean_power
             self._cross = a * self._cross + (1.0 - a) * cx
         return np.maximum(

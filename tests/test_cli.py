@@ -258,6 +258,25 @@ class TestEnhanceCommand:
         enh = read_wav(out)
         assert (enh.channel_count, len(enh), enh.sample_rate) == (2, 2100, 16000)
 
+    @pytest.mark.parametrize("command", ["enhance", "pitch"])
+    def test_frame_timing_noted_off_8khz(self, tmp_path, cb_paths, rng, capsys, command):
+        # The frame settings count samples and their defaults suit 8 kHz, so
+        # another rate gets one stderr line with them in ms; 8 kHz gets none.
+        sp, np_ = cb_paths
+        z = np.clip(0.1 * rng.normal(size=(2, 2100)), -1.0, 1.0)
+        errs = []
+        for rate in (8000, 16000):
+            wav = tmp_path / f"{rate}.wav"
+            write_wav(wav, AudioBuffer(z, rate))
+            code = main([command, str(wav), "-o", str(tmp_path / "out"), "--speech-cb", sp,
+                         "--noise-cb", np_])
+            assert code == 0
+            errs.append(capsys.readouterr().err)
+        spans = "frame_len 200 samples = 12.5 ms"
+        if command == "enhance":
+            spans += ", smoother_delay 25 samples = 1.5625 ms"
+        assert errs == ["", f"note: {wav} is 16000 Hz: {spans} (the defaults suit 8000 Hz)\n"]
+
     def test_short_frames_vuv(self, tmp_path, stereo_wav, cb_paths):
         # 60-sample frames leave 40 samples per ear for the pitch search,
         # fewer than the harmonics below Nyquist of a low fundamental.
@@ -580,6 +599,34 @@ class TestPitchCommand:
         assert header == "frame,f0_hz,period_samples,voicing,order"
         assert [r.split(",")[0] for r in rows] == [str(fi) for fi in range(10)]
         assert all(float(r.split(",")[1]) >= 80.0 for r in rows)
+
+
+    def test_pitch_frames_need_no_smoother_delay(self, tmp_path, stereo_wav, cb_paths, capsys):
+        # pitch never smooths, so frames shorter than enhance's default delay run.
+        sp, np_ = cb_paths
+        code = main(["pitch", stereo_wav, "--speech-cb", sp, "--noise-cb", np_,
+                     "--frame-len", "20"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2000 // 20
+
+    @pytest.mark.parametrize("flag", [["--mode", "bilateral"], ["--model", "uv"],
+                                      ["--smoother-delay", "20"]])
+    def test_enhance_only_flags_rejected(self, tmp_path, stereo_wav, cb_paths, capsys, flag):
+        sp, np_ = cb_paths
+        code = main(["pitch", stereo_wav, "--speech-cb", sp, "--noise-cb", np_, *flag])
+        assert code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_enhance_only_config_keys_overridden(self, tmp_path, stereo_wav, cb_paths, capsys):
+        # A config file shared with enhance may hold its settings; pitch overrides them.
+        sp, np_ = cb_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = bilateral\nmodel = uv\nsmoother_delay = 300\n")
+        argv = ["pitch", stereo_wav, "--speech-cb", sp, "--noise-cb", np_]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestEvalCommand:

@@ -3,7 +3,7 @@ import pytest
 
 from binse import codebook
 from binse.codebook import Codebook, CodebookFormatError
-from binse.linpred import ArModel, LsfVector, ar_to_lsf, levinson_durbin, valid_lsf_rows
+from binse.linpred import ArModel, ar_to_lsf, levinson_durbin, valid_lsf_rows
 from binse.signal_core import autocorrelation, frame_rows
 
 from conftest import ar_signal, close_pole_model
@@ -16,7 +16,7 @@ class TestTrain:
         cb = codebook.train(frame_rows(x, 400), size=1, order=14, seed=7)
         # Oracle: Levinson-Durbin on the pooled signal.
         r = autocorrelation(x, 14)
-        pooled = ar_to_lsf(levinson_durbin(r)).frequencies
+        [pooled] = ar_to_lsf([levinson_durbin(r)])
         assert np.linalg.norm(cb.entries[0] - pooled) < 0.01
 
     def test_two_separated_processes(self, rng):
@@ -28,7 +28,7 @@ class TestTrain:
         targets = []
         for x in (lo, hi):
             r = autocorrelation(x, 2)
-            targets.append(ar_to_lsf(levinson_durbin(r)).frequencies)
+            targets.extend(ar_to_lsf([levinson_durbin(r)]))
         for t in targets:
             assert min(np.linalg.norm(cb.entries[i] - t) for i in range(2)) < 0.05
 
@@ -70,7 +70,7 @@ class TestTrain:
 
     def test_ar_models_convert_in_one_call(self, rng, monkeypatch):
         # One lsf_to_ar call converts every entry; each model is the entry's
-        # one-model conversion, bit for bit.
+        # one-row conversion, bit for bit.
         x = ar_signal([1.2, -0.6, 0.1], 1.0, 200 * 50, rng)
         cb = codebook.train(frame_rows(x, 200), size=8, order=10, seed=2)
         calls = []
@@ -80,9 +80,8 @@ class TestTrain:
         assert len(calls) == 1
         monkeypatch.setattr(codebook, "lsf_to_ar", convert)
         for m, row in zip(models, cb.entries, strict=True):
-            one = convert(LsfVector(row))
-            np.testing.assert_array_equal(m.coefficients, one.coefficients)
-            assert m.excitation_variance == one.excitation_variance == 1.0
+            np.testing.assert_array_equal(m.coefficients, convert(row[None])[0])
+            assert m.excitation_variance == 1.0
 
 
     @pytest.mark.parametrize(
@@ -117,7 +116,7 @@ def _frame_to_lsf(frame, order, fit=levinson_durbin):
         return None
     try:
         model = fit(r)
-        return ar_to_lsf(model).frequencies
+        return ar_to_lsf([model])[0]
     except (ValueError, ArithmeticError):
         return None
 

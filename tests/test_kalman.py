@@ -46,7 +46,8 @@ class TestBuildUvModel:
             build_uv_model(ArModel(np.zeros(14)), ArModel(np.zeros(2)), 13)
 
     def test_default_dimensions(self):
-        m = build_uv_model(ArModel(np.zeros(14)), ArModel(np.zeros(14)))
+        # At RunConfig's default delay.
+        m = build_uv_model(ArModel(np.zeros(14)), ArModel(np.zeros(14)), 25)
         assert m.dim == 26 + 14
         assert m.smoother_delay == 25
 
@@ -93,12 +94,6 @@ class TestBuildVuvModel:
         )
         f = m.matrix()
         assert np.all(f[2, :] == 0.0)  # no pitch feedback row
-
-    def test_default_p_max(self):
-        m = build_vuv_model(
-            ArModel(np.zeros(14), 1.0), ArModel(np.zeros(14), 1.0), UNVOICED
-        )
-        assert m.dim == 26 + 100 + 14
 
 
 class TestFlksStep:
@@ -370,7 +365,7 @@ class TestEnhanceChannel:
         speech = ArModel(np.array([1.0, -0.5]), 1e-3)
         noise = ArModel(np.array([0.0]), 0.0)
         out = enhance_channel(
-            s, self.make_params(10, speech, noise), 200
+            s, self.make_params(10, speech, noise), 200, "uv", 25
         )
         err = out - s
         assert np.sqrt(np.mean(err**2)) < 1e-6
@@ -380,7 +375,7 @@ class TestEnhanceChannel:
         speech = ArModel(np.array([1.0, -0.5]), 0.0)
         noise = ArModel(np.array([0.3]), 1e-3)
         out = enhance_channel(
-            w, self.make_params(10, speech, noise), 200
+            w, self.make_params(10, speech, noise), 200, "uv", 25
         )
         # Skip the first frame: the initial covariance lets some noise leak
         # into the speech states until the filter settles.
@@ -394,7 +389,7 @@ class TestEnhanceChannel:
         noise = ArModel(np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
             enhance_channel(
-                s, self.make_params(3, speech, noise), 200
+                s, self.make_params(3, speech, noise), 200, "uv", 25
             )
 
     def test_trailing_partial_frame_smoothed(self, rng):
@@ -405,19 +400,19 @@ class TestEnhanceChannel:
         g = snr_scale(s, noise_sig, 10.0)
         z = s + g * noise_sig
         params = self.make_params(5, speech, ArModel(np.array([0.0]), g * g))
-        out = enhance_channel(z, params, 200)
+        out = enhance_channel(z, params, 200, "uv", 25)
         assert len(out) == n
         ratio = np.sqrt(np.mean(out[1000:] ** 2) / np.mean(z[1000:] ** 2))
         assert 0.5 <= ratio <= 2.0
 
     def test_shorter_than_one_frame_passed_through(self, rng):
         z = rng.normal(size=150)
-        out = enhance_channel(z, [], 200)
+        out = enhance_channel(z, [], 200, "uv", 25)
         np.testing.assert_array_equal(out, z)
 
     def test_shorter_than_one_frame_multichannel_passed_through(self, rng):
         z = rng.normal(size=(2, 150))
-        out = enhance_channel(z, [], 200)
+        out = enhance_channel(z, [], 200, "uv", 25)
         np.testing.assert_array_equal(out, z)
 
     def test_channels_share_one_recursion(self, rng):
@@ -427,8 +422,8 @@ class TestEnhanceChannel:
         a = ar_signal(speech.coefficients, 1e-3, 5 * 200 + 70, rng)
         a += 0.05 * rng.normal(size=len(a))
         params = self.make_params(5, speech, ArModel(np.array([0.0]), 2.5e-3))
-        one = enhance_channel(a, params, 200)
-        both = enhance_channel(np.vstack([a, -a]), params, 200)
+        one = enhance_channel(a, params, 200, "uv", 25)
+        both = enhance_channel(np.vstack([a, -a]), params, 200, "uv", 25)
         assert both.shape == (2, len(a))
         np.testing.assert_array_equal(both, [one, -one])
 
@@ -444,7 +439,7 @@ class TestEnhanceChannel:
         monkeypatch.setattr(kalman, "initial_state", spy)
         z = rng.normal(size=(2, 450)) * np.array([[1.0], [3.0]])
         params = self.make_params(2, SPEECH2, ArModel(np.array([0.0]), 1.0))
-        enhance_channel(z, params, 200)
+        enhance_channel(z, params, 200, "uv", 25)
         energies = [np.dot(c[:200], c[:200]) / 200 for c in z]
         assert seen == [(pytest.approx(np.mean(energies), rel=1e-12), (2,))]
 
@@ -469,14 +464,14 @@ class TestEnhanceChannel:
              UNVOICED if p is None else voiced(period=p, b=0.6))
             for p in periods
         ]
-        sized = enhance_channel(z, params, 200, model_kind="vuv")
+        sized = enhance_channel(z, params, 200, "vuv", 25)
 
         def full_chain(speech, noise, pitch, smoother_delay, chain_len):
             assert chain_len == max(p for p in periods if p is not None) < full_len
             return build_vuv_model(speech, noise, pitch, smoother_delay, full_len)
 
         monkeypatch.setattr(kalman, "build_vuv_model", full_chain)
-        full = enhance_channel(z, params, 200, model_kind="vuv")
+        full = enhance_channel(z, params, 200, "vuv", 25)
         assert sized.tobytes() == full.tobytes()
 
     def test_unvoiced_record_builds_one_entry_chain(self, rng, monkeypatch):
@@ -593,7 +588,7 @@ class TestEnhanceChannel:
         noise = ArModel(np.array([0.0]), g * g)
         params = self.make_params(n // 200, speech, noise)
         t0 = time.perf_counter()
-        out = enhance_channel(z, params, 200)
+        out = enhance_channel(z, params, 200, "uv", 25)
         elapsed = time.perf_counter() - t0
         in_snr = output_snr(s, z)
         flks_snr = output_snr(s, out)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from binse.linpred import (
     ArModel,
-    LsfVector,
     NumericalDegeneracyError,
     ar_envelope,
     ar_to_lsf,
@@ -109,34 +108,33 @@ class TestLevinsonDurbin:
 
 class TestLsfConversion:
     def test_flat_order2(self):
-        lsf = ar_to_lsf(ArModel(np.zeros(2)))
+        [lsf] = ar_to_lsf([ArModel(np.zeros(2))])
         # Oracle: roots of P(z)=1+z^-3 and Q(z)=1-z^-3 on the unit circle.
         p_root = np.sort(np.angle(np.roots([1, 0, 0, 1])))
         q_root = np.sort(np.angle(np.roots([1, 0, 0, -1])))
         expect = np.sort(
             [a for a in np.concatenate((p_root, q_root)) if 0 < a < np.pi - 1e-9]
         )
-        np.testing.assert_allclose(lsf.frequencies, expect, atol=1e-10)
+        np.testing.assert_allclose(lsf, expect, atol=1e-10)
 
     def test_round_trip_many_orders(self, rng):
         for _ in range(1000):
             p = int(rng.integers(2, 15))
             m = stable_model_from_reflections(rng.uniform(-0.9, 0.9, p))
-            back = lsf_to_ar(ar_to_lsf(m))
-            assert np.max(np.abs(back.coefficients - m.coefficients)) < 1e-8
+            [back] = lsf_to_ar(ar_to_lsf([m]))
+            assert np.max(np.abs(back - m.coefficients)) < 1e-8
         # Order 20 with reflections up to 0.99: a 4096-point grid search misses row 397's
         # LSFs (its largest pole is 1.5e-14 inside the unit circle); all 400 must convert.
         models = [
             stable_model_from_reflections(ks)
             for ks in np.random.default_rng(0).uniform(-0.99, 0.99, (400, 20))
         ]
-        for m, row in zip(models, ar_to_lsf(models), strict=True):
-            back = lsf_to_ar(LsfVector(row))
-            assert np.max(np.abs(back.coefficients - m.coefficients)) < 1e-8
+        for m, back in zip(models, lsf_to_ar(ar_to_lsf(models)), strict=True):
+            assert np.max(np.abs(back - m.coefficients)) < 1e-8
 
     def test_lsf_rows_match_one_model_calls(self, rng):
         # (n, order) LSF rows convert in one call; each row's coefficients are
-        # the one-model call's, bit for bit, at odd and even orders.
+        # the one-row call's, bit for bit, at odd and even orders.
         for order in (1, 2, 7, 14):
             models = [stable_model_from_reflections(rng.uniform(-0.95, 0.95, order))
                       for _ in range(9)]
@@ -144,16 +142,12 @@ class TestLsfConversion:
             rows = lsf_to_ar(lsfs)
             assert rows.shape == (9, order)
             for row, lsf, m in zip(rows, lsfs, models, strict=True):
-                one = lsf_to_ar(LsfVector(lsf))
-                np.testing.assert_array_equal(row, one.coefficients)
-                assert one.excitation_variance == 1.0
+                np.testing.assert_array_equal(row, lsf_to_ar(lsf[None])[0])
                 assert np.max(np.abs(row - m.coefficients)) < 1e-8
         assert lsf_to_ar(np.empty((0, 4))).shape == (0, 4)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            lsf_to_ar(np.array([[0.5, 1.0], [1.0, 0.5]]))
 
     def test_near_boundary_pole(self):
-        lsf = ar_to_lsf(ArModel(np.array([0.999])))
+        [lsf] = ar_to_lsf([ArModel(np.array([0.999]))])
         # Oracle: direct roots of the symmetric/antisymmetric polynomials.
         a_ext = np.array([1.0, -0.999, 0.0])
         p_poly = a_ext + a_ext[::-1]
@@ -162,17 +156,18 @@ class TestLsfConversion:
         for poly in (p_poly, q_poly):
             roots.extend(np.angle(np.roots(poly)))
         expect = np.sort([r for r in roots if 1e-12 < r < np.pi - 1e-12])
-        np.testing.assert_allclose(lsf.frequencies, expect, atol=1e-9)
+        np.testing.assert_allclose(lsf, expect, atol=1e-9)
         # Closed form: P(z) = 1 - 1.998 z^-1 + z^-2, root at cos(w) = 0.999.
-        assert abs(lsf.frequencies[0] - np.arccos(0.999)) < 1e-9
+        assert abs(lsf[0] - np.arccos(0.999)) < 1e-9
 
     def test_unstable_rejected(self):
         with pytest.raises(ValueError):
-            ar_to_lsf(ArModel(np.array([1.5])))
+            ar_to_lsf([ArModel(np.array([1.5]))])
 
     def test_non_monotone_rejected(self):
-        with pytest.raises(ValueError):
-            LsfVector(np.array([1.0, 0.5]))
+        # One bad row fails the whole call.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lsf_to_ar(np.array([[0.5, 1.0], [1.0, 0.5]]))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -182,9 +177,8 @@ class TestLsfConversion:
         m = stable_model_from_reflections(np.asarray(ks))
         if not np.all(np.abs(np.roots(m.inverse_filter())) < 1.0 - 1e-6):
             return
-        lsf = ar_to_lsf(m)
-        back = lsf_to_ar(lsf)
-        assert np.max(np.abs(back.coefficients - m.coefficients)) < 1e-8
+        [back] = lsf_to_ar(ar_to_lsf([m]))
+        assert np.max(np.abs(back - m.coefficients)) < 1e-8
 
     def test_levinson_output_stable(self, rng):
         from conftest import ar_signal
@@ -274,7 +268,7 @@ def test_ar_to_lsf_matches_scalar_reference():
     worst = 0.0
     for m in _reference_corpus():
         order = m.order
-        got = ar_to_lsf(m).frequencies
+        [got] = ar_to_lsf([m])
         want = _reference_ar_to_lsf(m)
         assert got.shape == want.shape == (order,)
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -289,7 +283,7 @@ def _failing_models(order):
 def _alone(model):
     """LSFs of one model converted by itself, or the exception that raises."""
     try:
-        return ar_to_lsf(model).frequencies
+        return ar_to_lsf([model])[0]
     except (ValueError, ArithmeticError) as exc:
         return exc
 
@@ -337,7 +331,7 @@ def test_failing_models_fail_alone():
 
 @pytest.mark.parametrize("order", [4, 10, 14])
 def test_close_pole_model_converts(order):
-    lsf = ar_to_lsf(close_pole_model(order)).frequencies
+    [lsf] = ar_to_lsf([close_pole_model(order)])
     # Oracle: np.roots angles of the sum and difference polynomials, as in test_flat_order2.
     a_ext = np.r_[close_pole_model(order).inverse_filter(), 0.0]
     roots = np.angle(np.r_[np.roots(a_ext + a_ext[::-1]), np.roots(a_ext - a_ext[::-1])])
@@ -406,7 +400,6 @@ def test_is_stable_only_names_the_error(monkeypatch):
 
 
 def test_order_zero_models_have_no_lsfs():
-    assert ar_to_lsf(ArModel(np.zeros(0))).order == 0
     assert ar_to_lsf([ArModel(np.zeros(0))] * 2).shape == (2, 0)
 
 

@@ -137,9 +137,6 @@ class TestMapOrderSelect:
         costs = 2 * m * np.log(sigma2)
         assert map_order_select(costs, 2 * m) == 2
 
-    def test_empty(self):
-        assert map_order_select(np.array([]), 200) == 0
-
 
 class TestDegreeOfVoicing:
     def test_pure_harmonic_clamped(self):
@@ -451,6 +448,20 @@ def uncentred_residuals(halves, sample_rate, f_min, f_max, grid_step_hz):
     return np.stack((left, np.maximum(joint - left, 0.0))), (drops, quad)
 
 
+def fitted_orders(m, fs, f_min, f_max):
+    """(fits, layout) of the 0.5 Hz grid's compiled search for ``m``-sample frames:
+    fits[c, L-1] is whether candidate c's Levinson recursion resolves order L."""
+    search = pitch._compile_search(m, fs, f_min, f_max, 0.5, None)
+    top = search.layout.sum(axis=1)
+    bins = int(f_min / 0.5) + np.arange(len(top))
+    fitted = np.empty(len(top), int)
+    for order in np.unique(top):
+        rows = top == order
+        kernel = pitch._centred_dirichlet(np.outer(bins[rows], np.arange(order)), m, search.n_fft)
+        fitted[rows] = pitch._predictors(kernel)[0]
+    return np.arange(top[0]) < fitted[:, None], search.layout
+
+
 EAR_CASES = {"one_ear": 1, "frontal": 2}
 
 
@@ -487,7 +498,7 @@ class TestExactSearch:
             v = np.exp(1j * w0 * np.outer(np.arange(m), np.arange(1, order + 1)))
             h = np.vstack((v, v)) if two else v
             ref = _reference_candidate_costs(halves, h)
-            assert search.fits.shape == (1, order) and search.fits.all()
+            assert search.layout.shape == (1, order)
             fast = pitch._residuals(search, halves)[0][:, 0].T
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-9 * np.vdot(y, y).real)
 
@@ -597,7 +608,33 @@ class TestExactSearch:
         top = search.layout.sum(axis=1)
         assert (search.omegas * top).max() < np.pi
         assert top.max() == 49  # 50 * 80 Hz is Nyquist
-        assert not np.any(search.fits & ~search.layout)
+
+    @pytest.mark.parametrize("fs,m,band", [(8000, 60, (80.0, 400.0)), (16000, 200, (60.0, 300.0))],
+                             ids=["8khz_60", "16khz_200_60hz_grid"])
+    @pytest.mark.parametrize("case", EAR_CASES)
+    def test_unmasked_orders_pick_as_masked(self, monkeypatch, fs, m, band, case):
+        # Past a candidate's fitted order its residuals repeat while the
+        # penalty grows, so the order rule needs no mask there.  Oracle: the
+        # same search with those orders masked out before the rule, on frames
+        # where some candidates' fits stop below their stored top: 60-sample
+        # frames at 8 kHz, and at 16 kHz default 200-sample ones on a 60 Hz grid.
+        trimmed = m - 2 * pitch.EDGE_TRIM if m > 4 * pitch.EDGE_TRIM else m
+        fits, layout = fitted_orders(trimmed, fs, *band)
+        assert np.any(layout & ~fits)
+        unmasked = pitch.map_order_select
+
+        def masked(log_terms, n_obs):
+            return unmasked(np.where(fits, log_terms, np.inf), n_obs)
+
+        for seed in range(12):
+            zl, zr = corpus_frame(seed, m=m, fs=fs)
+            zr = zr if EAR_CASES[case] == 2 else None
+            kwargs = dict(f_min=band[0], f_max=band[1], voicing_threshold=0.0)
+            got = estimate_pitch(zl, zr, fs, **kwargs)
+            with monkeypatch.context() as patched:
+                patched.setattr(pitch, "map_order_select", masked)
+                want = estimate_pitch(zl, zr, fs, **kwargs)
+            assert got == want
 
     @pytest.mark.parametrize(
         "channels,fs,f_min,f_max,step,max_order",
