@@ -32,7 +32,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .linpred import ArModel
-from .pitch import PitchInfo, UNVOICED
+from .pitch import PitchInfo
 
 INNOVATION_EPS = 1e-30
 FREEZE_TOL = 1e-12
@@ -130,8 +130,6 @@ class SmootherState:
 def _model(speech, noise, smoother_delay, dim, rows, runs, inputs, observed):
     """The model whose head ``rows`` hold ``(row, first column, weights)``
     ``runs``; its ``head_cols`` are the columns the runs cover."""
-    if smoother_delay < speech.order:
-        raise ValueError("smoother delay must be >= speech AR order")
     block = np.zeros((len(rows), dim))
     covered = np.zeros(dim, dtype=bool)
     for row, start, weights in runs:
@@ -160,10 +158,6 @@ def build_vuv_model(
     state survives pitch changes; unvoiced frames simply zero the tap.
     d(n+1) enters the excitation chain and v(n) the noise chain.
     """
-    if pitch.is_voiced and not (1 <= pitch.period_samples <= chain_len):
-        raise ValueError(
-            f"pitch period {pitch.period_samples} outside [1, {chain_len}]"
-        )
     ds1 = smoother_delay + 1
     noise_start = ds1 + chain_len
     runs = [
@@ -214,9 +208,6 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     settles under ``model``, P is kept and the kept gain corrects x.
     """
     joint, dim = state.joint, model.dim
-    if len(joint) != dim:
-        raise ValueError("state dimension does not match model")
-
     n, delay = state.samples_seen, model.smoother_delay
     if state.frozen is model:
         emitted = _frozen_steps(state, model, np.reshape(z_n, (-1, 1)))[:, 0]
@@ -360,8 +351,10 @@ def enhance_channel(
     if it has at least r**2 / ``BLOCK_TAIL_DIM2_PER_STEP`` samples, r the
     entries the block spans, else sample by sample (``_frozen_steps``).
     The choice reads neither the data, nor the channel count, nor a chain's
-    unread tail.  Input shorter than one frame has no parameters and is
-    returned unchanged.
+    unread tail.  ``per_frame_params`` holds one entry per whole frame, as
+    ``pipeline.frame_params`` gives it, and ``smoother_delay`` is at least
+    the speech order, as ``pipeline.process`` checks.  Input shorter than
+    one frame has no parameters and is returned unchanged.
 
     ``model_kind`` "uv" builds UV models; "vuv" builds V-UV ones, whose
     excitation chain is sized to the longest voiced period (one entry if
@@ -370,18 +363,14 @@ def enhance_channel(
     x = np.asarray(x, dtype=float)
     n_samples = x.shape[-1]
     n_frames = n_samples // frame_len
-    if len(per_frame_params) != n_frames:
-        raise ValueError(
-            f"expected {n_frames} parameter sets, got {len(per_frame_params)}"
-        )
     if n_frames == 0:
         return x.copy()
     if model_kind != "uv":
-        chain_len = max((p.period_samples for _, p in per_frame_params if p and p.is_voiced),
+        chain_len = max((p.period_samples for _, p in per_frame_params if p.is_voiced),
                         default=1)
     models = [
         build_uv_model(stp.speech, stp.noise, smoother_delay) if model_kind == "uv"
-        else build_vuv_model(stp.speech, stp.noise, pitch or UNVOICED, smoother_delay, chain_len)
+        else build_vuv_model(stp.speech, stp.noise, pitch, smoother_delay, chain_len)
         for stp, pitch in per_frame_params
     ]
     head = np.atleast_2d(x)[:, :frame_len]

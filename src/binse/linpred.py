@@ -164,7 +164,7 @@ def ar_to_lsf(
 ) -> npt.NDArray[np.float64]:
     """Convert stable AR models to line spectral frequencies.
 
-    A sequence of models of one order, or an (n, order) array of their
+    A non-empty sequence of models of one order, or an (n, order) array of their
     coefficient rows, gives an (n, order) array, one row per model, from
     one stacked eigenvalue call per polynomial kind.  The sum polynomial's
     roots take the even places of a row and the difference polynomial's the
@@ -178,10 +178,6 @@ def ar_to_lsf(
         coeffs = models
     else:
         models = list(models)
-        if not models:
-            return np.empty((0, 0))
-        if any(m.order != models[0].order for m in models):
-            raise ValueError("models must all have one order")
         coeffs = np.array([m.coefficients for m in models])
     order = coeffs.shape[1]
     sums, diffs = _cosine_series(coeffs)
@@ -241,14 +237,10 @@ def lsf_to_ar(lsf: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def ar_envelope(model: ArModel, dft_len: int) -> npt.NDArray[np.float64]:
-    """Spectral envelope 1/|A(k)|^2 of the AR inverse filter over dft_len bins.
+    """Spectral envelope 1/|A(k)|^2 of a stable model's inverse filter over dft_len > order bins.
 
     A flat (zero-coefficient) model yields an all-ones envelope, consistent
     with a unit-variance white process whose periodogram has unit mean.
     """
-    if dft_len < model.order + 1:
-        raise ValueError("dft_len must be at least order+1")
-    if not model.is_stable():
-        raise ValueError("AR model must be stable")
     a_fft = np.fft.fft(model.inverse_filter(), n=dft_len)
     return 1.0 / np.abs(a_fft) ** 2

@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("frame_len must be even (analytic-signal step)")
         if not 0 <= self.smoother_delay <= self.frame_len:
             raise ValueError(f"smoother_delay {self.smoother_delay} outside [0, frame_len]")
+        if self.frame_len <= 0:
+            raise ValueError(f"frame_len must be positive (got {self.frame_len})")
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError(
                 f"voicing_threshold must lie in [0, 1] (got {self.voicing_threshold})"
@@ -104,8 +106,9 @@ def _group_params(x, sample_rate: int, ear: str, speech: CompiledCodebook,
         dc_psd = np.array([tracker.update(*pair) for pair in zip(*pz, cross_spectrum(*frames))])
         coeffs, variances, ok = stp.noise_psd_to_ar(dc_psd, noise.order)
         for psd in dc_psd[~ok]:
-            # A row the batch cannot fit is fitted alone, which raises as a
-            # one-frame fit does, so the failure shows; it gets no entry.
+            # A row the batch cannot fit gets no entry.  Its one-row refit raises,
+            # caught here, so only a tracer wrapping stp.noise_psd_to_ar counts
+            # it (perfbench's stp.noise_psd_to_ar.failed).
             try:
                 stp.noise_psd_to_ar(psd, noise.order)
             except (ValueError, ArithmeticError):
@@ -156,8 +159,16 @@ def frame_params(
     """(channel indices, per-frame (StpEstimate, PitchInfo) list) of each group
     of ``channel_groups``, estimated from its own channels of ``z`` at the
     buffer's sample rate.  Diagnostics rows follow the groups, left before right.
+
+    Before any frame work it checks the pitch grid at the buffer's rate and
+    that both codebook orders lie below ``frame_len``; the per-frame stages
+    beneath it take these for granted.
     """
     check_pitch_grid(z.sample_rate, cfg.f_min, cfg.f_max, cfg.pitch_grid_hz)
+    for kind, cb in (("speech", speech_cb), ("noise", noise_cb)):
+        if cb.order >= cfg.frame_len:
+            raise ValueError(f"{kind} codebook order {cb.order} must be below "
+                             f"frame_len {cfg.frame_len}")
     speech = compile_codebook(speech_cb, cfg.frame_len)
     noise = compile_codebook(noise_cb, cfg.frame_len)
     channels = np.atleast_2d(z.samples)
@@ -177,8 +188,12 @@ def process(
 
     The channels of a group share one parameter set per frame, so one
     smoother recursion serves them: both ears in binaural mode, each channel
-    alone in bilateral mode and for a mono buffer.
+    alone in bilateral mode and for a mono buffer.  A speech codebook order
+    above ``smoother_delay`` is rejected before ``frame_params`` runs.
     """
+    if speech_cb.order > cfg.smoother_delay:
+        raise ValueError(f"speech codebook order {speech_cb.order} exceeds "
+                         f"smoother_delay {cfg.smoother_delay}")
     channels = np.atleast_2d(z.samples)
     out = np.empty(channels.shape)
     for rows, params in frame_params(z, speech_cb, noise_cb, cfg, diagnostics_out):

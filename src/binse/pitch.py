@@ -380,8 +380,6 @@ def estimate_pitch(
     ``zl`` and ``zr`` must have the same length.  Frames longer than
     4 * EDGE_TRIM lose EDGE_TRIM samples at each end before fitting.
     """
-    if zr is not None and len(zr) != len(zl):
-        raise ValueError(f"ear frames differ in length ({len(zl)} and {len(zr)} samples)")
     if len(zl) > 4 * EDGE_TRIM:
         zl = zl[EDGE_TRIM:-EDGE_TRIM]
         if zr is not None:

@@ -39,13 +39,11 @@ class AudioBuffer:
 
 
 def frame_rows(x: npt.NDArray[np.float64], frame_len: int) -> npt.NDArray[np.float64]:
-    """The whole frames of the 1-D signal ``x`` as rows of an (n_frames, frame_len) view.
+    """The whole frames of the 1-D signal ``x`` as rows of an (n_frames, frame_len > 0) view.
 
     The trailing partial frame is dropped; a signal shorter than one frame
     gives zero rows.
     """
-    if frame_len <= 0:
-        raise ValueError("frame_len must be positive")
     n_frames = len(x) // frame_len
     return x[: n_frames * frame_len].reshape(n_frames, frame_len)
 
@@ -60,14 +58,13 @@ def periodogram(frames: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def cross_spectrum(left: npt.NDArray[np.float64], right: npt.NDArray[np.float64]):
-    """Complex cross-spectrum X_l(k) conj(X_r(k)) / M over the last axis, like periodogram."""
-    if np.shape(left) != np.shape(right):
-        raise ValueError("frames must have equal shape")
+    """Complex cross-spectrum X_l(k) conj(X_r(k)) / M over the last axis of frames of one
+    shape, like periodogram."""
     return np.fft.fft(left) * np.conj(np.fft.fft(right)) / np.shape(left)[-1]
 
 
 def autocorrelation(x: npt.NDArray[np.float64], max_lag: int) -> npt.NDArray[np.float64]:
-    """Biased autocorrelation estimate r(0..max_lag) of a frame, or of each row of (N, M) frames.
+    """Biased autocorrelation r(0..max_lag), max_lag < M, of a frame or each row of (N, M) frames.
 
     r(q) = (1/M) sum_n x(n) x(n-q).  The biased form keeps the Toeplitz
     autocorrelation matrix positive semi-definite.  Each lag is one stacked
@@ -76,8 +73,6 @@ def autocorrelation(x: npt.NDArray[np.float64], max_lag: int) -> npt.NDArray[np.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[-1]
-    if max_lag >= m:
-        raise ValueError("max_lag must be smaller than frame length")
     rows = x.reshape(-1, 1, m)
     lags = [rows[..., q:] @ rows[..., : m - q].transpose(0, 2, 1) for q in range(max_lag + 1)]
     return np.concatenate(lags, axis=-1).reshape(*x.shape[:-1], max_lag + 1) / m
@@ -90,8 +85,6 @@ def analytic_signal(x: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
     zero the ones above it, and invert.
     """
     n = len(x)
-    if n % 2 != 0:
-        raise ValueError("analytic_signal requires an even frame length")
     spectrum = np.fft.fft(x)
     spectrum[1 : n // 2] *= 2.0
     spectrum[n // 2 + 1 :] = 0.0

@@ -48,7 +48,7 @@ class CompiledCodebook:
 
 
 def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> CompiledCodebook:
-    """Compile a codebook, or a list of AR models of one order, for ``dft_len`` bins.
+    """Compile a codebook, or a non-empty list of AR models of one order, for dft_len > order bins.
 
     A ``Codebook`` contributes its stored LSF rows as they are; AR models are
     converted together in one ``ar_to_lsf`` call.  The envelopes 1/|A(k)|^2
@@ -59,11 +59,7 @@ def compile_codebook(entries: Codebook | Sequence[ArModel], dft_len: int) -> Com
         models = entries.ar_models()
     else:
         models = list(entries)
-        if not models:
-            raise ValueError("codebooks must be non-empty")
         lsfs = ar_to_lsf(models)
-    if dft_len < lsfs.shape[1] + 1:
-        raise ValueError("dft_len must be at least order+1")
     inverse = np.array([m.inverse_filter() for m in models])
     envelopes = 1.0 / np.abs(np.fft.fft(inverse, n=dft_len)) ** 2
     return CompiledCodebook(lsfs, envelopes)
@@ -84,16 +80,12 @@ def _floored(observed: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def is_divergence(observed, modeled):
-    """Mean Itakura-Saito divergence (1/K) sum [P/P^ - ln(P/P^) - 1].
+    """Mean Itakura-Saito divergence (1/K) sum [P/P^ - ln(P/P^) - 1], P^ > 0 on P's K bins.
 
     A float for a 1-D ``modeled``; one divergence per row for (N, K).
     """
     p = np.asarray(observed, float)
     q = np.asarray(modeled, float)
-    if p.shape[-1] != q.shape[-1]:
-        raise ValueError("spectra must have equal length")
-    if np.any(q <= 0):
-        raise ValueError("modeled spectrum must be strictly positive")
     ratio = _floored(p) / q
     out = np.mean(ratio - np.log(ratio) - 1.0, axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -139,12 +131,13 @@ def ml_excitation_variances(
     """Maximum-likelihood (speech, noise) excitation variances of each pair.
 
     Minimizes the two-channel Itakura-Saito cost of ``sigma_d^2 * speech_env +
-    sigma_v^2 * noise_env``, a ``bin_weights``-weighted sum over bins (default:
-    the mean).  Returns (sigma_d2, sigma_v2, final_cost): floats for 1-D
-    arguments, else arrays of shape L where the spectra broadcast to (L, K).
+    sigma_v^2 * noise_env`` (positive envelopes), a ``bin_weights``-weighted
+    sum over bins (default: the mean).  Returns (sigma_d2, sigma_v2,
+    final_cost): floats for 1-D arguments, else arrays of shape L where the
+    spectra broadcast to (L, K).
     The model is s E_d (1 - lam + lam E_v / E_d), lam = sigma_v^2 / (sigma_d^2 +
-    sigma_v^2), with s in closed form.  From the lam of ``init`` (default 1/2)
-    each pair descends to the nearest minimum of this profile cost by Newton
+    sigma_v^2), with s in closed form.  From the lam of ``init`` (positive; default
+    1/2) each pair descends to the nearest minimum of this profile cost by Newton
     steps kept in a bracket, none further than half the way to a root of a
     bin's model term; a point becomes the best only where the cost falls, and a
     step lands on 0 or 1 where going on gains under PROFILE_TOL (an exact zero
@@ -153,15 +146,11 @@ def ml_excitation_variances(
     gets zero variances, costed at 1e-300 each.
     """
     pl, pr, ps, pw = (np.asarray(x, float) for x in (pzl, pzr, speech_env, noise_env))
-    if np.any(ps <= 0) or np.any(pw <= 0):
-        raise ValueError("envelopes must be strictly positive")
     shape = np.broadcast_shapes(pl.shape, pr.shape, ps.shape, pw.shape)
     lead, k = shape[:-1], shape[-1]
     weights = np.full(k, 1.0 / k) if bin_weights is None else np.asarray(bin_weights, float)
     weights = weights / (total := weights.sum())  # the cost scales with it; the minimum does not
     sd, sv = (0.5, 0.5) if init is None else (np.asarray(v, float) for v in init)
-    if np.any(sd <= 0) or np.any(sv <= 0):
-        raise ValueError("initial variances must be positive")
 
     def rows(a):  # one row per pair
         return np.broadcast_to(a, shape).reshape(-1, k)
@@ -240,8 +229,6 @@ def _frame_entries(entries, n_frames: int, k: int) -> list[CompiledCodebook]:
         return [entries] * n_frames
     entries = list(entries)
     if entries and isinstance(entries[0], CompiledCodebook):
-        if len(entries) != n_frames:
-            raise ValueError(f"{len(entries)} per-frame entry sets for {n_frames} frames")
         return entries
     return [compile_codebook(entries, k)] * n_frames
 
@@ -271,26 +258,21 @@ def estimate_stp(
     """MMSE estimate of the joint STP vector over the codebook pair grid, per frame.
 
     ``pzl`` and ``pzr`` hold one frame's spectra (K,) or a record's (F, K).
-    Entries given as AR models go through ``compile_codebook``.  The speech
-    entries serve every frame; the noise entries too, or they are a list of
-    compiled sets, one per frame.  A frame's AR shapes are averaged in the
-    LSF domain under its pair weights, the normalized likelihoods, and its
-    variances directly.  A frame gets the bits it gets alone.  A 1-D call
-    returns an ``StpEstimate`` and fills ``diagnostics``; a record gives a
-    list, one per frame, and appends one ``StpDiagnostics`` per frame.
+    Entries given as AR models go through ``compile_codebook``; compiled ones
+    are compiled for K bins.  The speech entries serve every frame; the noise
+    entries too, or they are a list of compiled sets of one order, one per
+    frame.  A frame's AR shapes are averaged in the LSF domain under its pair
+    weights, the normalized likelihoods, and its variances directly.  A frame
+    gets the bits it gets alone.  A 1-D call returns an ``StpEstimate`` and
+    fills ``diagnostics``; a record gives a list, one per frame, and appends
+    one ``StpDiagnostics`` per frame.
     """
     one_frame = np.ndim(pzl) == 1
     pl_all, pr_all = (np.atleast_2d(np.asarray(x, float)) for x in (pzl, pzr))
-    if pl_all.shape != pr_all.shape:
-        raise ValueError("channel spectra must have equal length")
     n_frames, k = pl_all.shape
     speech = (speech_entries if isinstance(speech_entries, CompiledCodebook)
               else compile_codebook(speech_entries, k))
     noise = _frame_entries(noise_entries, n_frames, k)
-    if any(e.envelopes.shape[1] != k for e in [speech, *noise]):
-        raise ValueError(f"codebooks compiled for another DFT length than {k}")
-    if len({e.order for e in noise}) > 1:
-        raise ValueError("the frames' noise entries must share one order")
     if not n_frames:
         return []
     ns = len(speech)
@@ -380,14 +362,12 @@ def noise_psd_to_ar(psd, order: int):
     r(q) = (1/K) sum_k P(k) exp(i 2 pi q k / K), q = 0..order, then
     Levinson-Durbin.  The 1/K factor keeps r(0) equal to the mean PSD so
     the fitted excitation variance lives on the periodogram scale.  A 1-D
-    ``psd`` gives an ``ArModel`` or raises as ``levinson_durbin`` does (and
-    on an all-zero PSD); an (N, K) array fits its rows in one recursion and
-    returns ``levinson_durbin``'s ``(coefficients, variances, ok)``, each
+    ``psd`` gives an ``ArModel`` or raises as ``levinson_durbin`` does, as on
+    an all-zero PSD (r(0) = 0); an (N, K) array fits its rows in one recursion
+    and returns ``levinson_durbin``'s ``(coefficients, variances, ok)``, each
     row's r by the same mat-vec as a 1-D call, so the fits are the same bits.
     """
     bins = np.asarray(psd, float)
-    if bins.ndim == 1 and np.all(bins == 0):
-        raise ValueError("PSD must not be all-zero")
     k = bins.shape[-1]
     phases = _inverse_dft_rows(order, k)
     r = np.real([phases @ row for row in bins.reshape(-1, k)]) / k

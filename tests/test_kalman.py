@@ -11,10 +11,12 @@ from binse.kalman import (
     initial_state,
 )
 from binse.linpred import ArModel
+from binse.pipeline import RunConfig, frame_params, process
 from binse.pitch import UNVOICED, PitchInfo
+from binse.signal_core import AudioBuffer
 from binse.stp import StpEstimate
 
-from conftest import ar_signal, snr_scale
+from conftest import ar_signal, codebook_from_models, snr_scale
 
 SPEECH2 = ArModel(np.array([1.0, -0.5]), 1.0)
 
@@ -41,9 +43,14 @@ class TestBuildUvModel:
         expect[5, 4] = 1.0
         np.testing.assert_array_equal(f, expect)
 
-    def test_delay_too_small(self):
-        with pytest.raises(ValueError):
-            build_uv_model(ArModel(np.zeros(14)), ArModel(np.zeros(2)), 13)
+    def test_delay_too_small(self, rng):
+        # The speech chain's smoother_delay + 1 entries must hold the speech
+        # order's; process rejects a shorter chain before it builds any model.
+        speech = codebook_from_models([ArModel(np.r_[0.5, np.zeros(13)])], "speech")
+        noise = codebook_from_models([ArModel(np.zeros(2))], "noise")
+        with pytest.raises(ValueError, match="order 14 exceeds smoother_delay 13"):
+            process(AudioBuffer(rng.normal(size=400), 8000), speech, noise,
+                    RunConfig(smoother_delay=13))
 
     def test_default_dimensions(self):
         # At RunConfig's default delay.
@@ -79,13 +86,6 @@ class TestBuildVuvModel:
         predicted = np.empty_like(cov)
         m.predict(cov, predicted, m.dim)
         np.testing.assert_allclose(predicted, expect @ cov @ expect.T + q, rtol=1e-15)
-
-    def test_period_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_vuv_model(
-                ArModel(np.zeros(1)), ArModel(np.zeros(1)),
-                voiced(period=3, b=0.5), smoother_delay=1, chain_len=2,
-            )
 
     def test_unvoiced_zero_tap(self):
         m = build_vuv_model(
@@ -384,13 +384,14 @@ class TestEnhanceChannel:
         )
 
     def test_param_count_mismatch(self, rng):
-        s = rng.normal(size=400)
-        speech = ArModel(np.array([0.5]), 1.0)
-        noise = ArModel(np.array([0.0]), 1.0)
-        with pytest.raises(ValueError):
-            enhance_channel(
-                s, self.make_params(3, speech, noise), 200, "uv", 25
-            )
+        # enhance_channel reads one parameter set per whole frame, and
+        # frame_params gives exactly that many, a trailing partial frame none.
+        speech = codebook_from_models([ArModel(np.array([0.5]))], "speech")
+        noise = codebook_from_models([ArModel(np.array([0.1]))], "noise")
+        for n in (199, 200, 599):
+            z = AudioBuffer(rng.normal(size=n), 8000)
+            [(_, params)] = frame_params(z, speech, noise, RunConfig(model="uv"))
+            assert len(params) == n // 200
 
     def test_trailing_partial_frame_smoothed(self, rng):
         n = 5 * 200 + 150

@@ -225,6 +225,35 @@ class TestProcess:
         out = process(wide, scb, ncb, cfg)
         assert out.samples.shape == (2, 1000) and out.sample_rate == 16000
 
+    def test_speech_order_above_delay_rejected_before_frame_work(self, rng, codebooks,
+                                                                monkeypatch):
+        # The order-4 speech chain needs a delay of 4: process refuses 3
+        # before frame_params runs the record's STP estimate.
+        from binse import stp
+
+        calls, estimate = [], stp.estimate_stp
+        monkeypatch.setattr(stp, "estimate_stp",
+                            lambda *a, **k: calls.append(1) or estimate(*a, **k))
+        scb, ncb = codebooks
+        _, zl, zr = make_scene(rng, n=1000)
+        with pytest.raises(ValueError, match="speech codebook order 4 exceeds smoother_delay 3"):
+            process(stereo(zl, zr), scb, ncb, fast_cfg(smoother_delay=3))
+        assert calls == []
+        process(stereo(zl, zr), scb, ncb, fast_cfg(smoother_delay=4))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("kind, frame_len", [("speech", 4), ("noise", 2)])
+    def test_codebook_order_not_below_frame_len_rejected(self, rng, codebooks, kind, frame_len):
+        # Speech order 4 and noise order 2 need frames longer than each.
+        scb, ncb = codebooks
+        if kind == "noise":
+            scb = codebook_from_models([ArModel(np.array([0.5]))], "speech")
+        _, zl, zr = make_scene(rng, n=1000)
+        cfg = fast_cfg(frame_len=frame_len, smoother_delay=frame_len)
+        with pytest.raises(ValueError, match=f"{kind} codebook order {frame_len} must be "
+                                             f"below frame_len {frame_len}"):
+            pipeline.frame_params(stereo(zl, zr), scb, ncb, cfg)
+
     def test_diagnostics_lines(self, rng, codebooks):
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, n=1000)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from binse.codebook import train
+from binse.pipeline import RunConfig
 from binse.signal_core import (
     AudioBuffer,
     analytic_signal,
@@ -46,10 +48,11 @@ class TestExtractFrames:
         assert frame_rows(np.zeros(399), 200).shape == (1, 200)
 
     def test_bad_frame_len(self):
+        # The pipeline frames at RunConfig's frame_len, which must be positive.
+        with pytest.raises(ValueError, match="frame_len must be positive"):
+            RunConfig(frame_len=0, smoother_delay=0)
         with pytest.raises(ValueError):
-            frame_rows(np.zeros(100), 0)
-        with pytest.raises(ValueError):
-            frame_rows(np.zeros(100), -200)
+            RunConfig(frame_len=-200, smoother_delay=0)
 
     def test_shorter_than_one_frame_gives_no_rows(self):
         assert frame_rows(np.zeros(100), 101).shape == (0, 101)
@@ -127,11 +130,10 @@ class TestAutocorrelation:
             eigs = np.linalg.eigvalsh(mat)
             assert eigs.min() > -1e-10 * max(r[0], 1.0)
 
-    def test_lag_bound(self):
-        with pytest.raises(ValueError):
-            autocorrelation(np.zeros(10), 10)
-        with pytest.raises(ValueError):
-            autocorrelation(np.zeros((3, 10)), 10)
+    def test_lag_bound(self, rng):
+        # Codebook training, the one caller, keeps the order below the frame length.
+        with pytest.raises(ValueError, match="below the frame length 10"):
+            train(rng.normal(size=(3, 10)), size=1, order=10, seed=0)
 
     @pytest.mark.parametrize("m, max_lag", [(1, 0), (15, 14), (64, 10), (200, 14), (333, 40)])
     def test_rows_match_single_frames(self, rng, m, max_lag):
@@ -164,8 +166,9 @@ class TestAnalyticSignal:
         assert np.max(np.abs(out - expect)) < 1e-10
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_signal(np.zeros(33))
+        # The pipeline's analytic frames are RunConfig's frame_len long, which must be even.
+        with pytest.raises(ValueError, match="even"):
+            RunConfig(frame_len=33, smoother_delay=0)
 
     def test_linearity(self, rng):
         x, y = rng.normal(size=64), rng.normal(size=64)

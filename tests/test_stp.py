@@ -97,10 +97,6 @@ class TestMlExcitationVariances:
         assert abs(grid[int(np.argmin(costs))] - 2e-3) < 1e-5
         assert final <= min(costs) + 1e-9
 
-    def test_bad_envelope(self):
-        with pytest.raises(ValueError):
-            ml_excitation_variances(np.ones(4), np.ones(4), np.zeros(4), np.ones(4))
-
     def test_cost_non_increasing_random(self, rng):
         k = 64
         for _ in range(100):
@@ -268,7 +264,8 @@ class TestNoisePsdToAr:
         np.testing.assert_allclose(m.coefficients, true.coefficients, atol=1e-3)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
+        # Raised by levinson_durbin: an all-zero PSD has r(0) = 0.
+        with pytest.raises(ValueError, match=r"r\(0\) must be positive"):
             noise_psd_to_ar(np.zeros(32), 2)
 
     def test_cached_table_gives_the_same_bits(self, rng):
@@ -543,12 +540,6 @@ class TestRecordEstimate:
         assert estimate_stp(np.empty((0, 200)), np.empty((0, 200)), [SPEECH_AR], [NOISE_AR],
                             200) == []
 
-    def test_per_frame_entries_must_match_frames(self):
-        pz = np.ones((3, 200))
-        noise = compile_codebook([NOISE_AR], 200)
-        with pytest.raises(ValueError, match="2 per-frame entry sets for 3 frames"):
-            estimate_stp(pz, pz, [SPEECH_AR], [noise, noise], 200)
-
 
 class TestCompiledCodebook:
     def test_codebook_rows_used_as_stored(self):
@@ -587,10 +578,14 @@ class TestCompiledCodebook:
             compile_codebook([SPEECH_AR, unstable], 200)
         assert len(calls) == 1 and calls[0] is unstable
 
-    def test_dft_length_mismatch(self):
-        pz = np.ones(100)
-        with pytest.raises(ValueError):
-            estimate_stp(pz, pz, compile_codebook([SPEECH_AR], 200), [NOISE_AR], 100)
+    def test_dft_length_mismatch(self, rng):
+        # The pipeline compiles both codebooks for frame_len bins, after
+        # frame_params has checked that each order lies below frame_len.
+        speech = codebook_from_models([SPEECH_AR], "speech")
+        noise = codebook_from_models([ArModel(np.r_[0.3, np.zeros(9)])], "noise")
+        z = AudioBuffer(rng.normal(size=(2, 100)), 8000)
+        with pytest.raises(ValueError, match="noise codebook order 10 must be below frame_len 10"):
+            process(z, speech, noise, RunConfig(frame_len=10, smoother_delay=4))
 
     def test_adaptive_entry_joins_noise_entries(self, rng):
         # An adaptive entry compiled on its own and stacked under the
