@@ -12,7 +12,6 @@ import numpy as np
 from . import codebook, metrics, pipeline, stp
 from .linpred import ar_envelope, levinson_durbin
 from .pipeline import RunConfig
-from .pitch import check_pitch_grid
 from .signal_core import AudioBuffer, frame_rows
 
 EXIT_OK = 0
@@ -20,29 +19,26 @@ EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Usage or input problem; maps to exit code 2."""
-
-
 def read_wav(path) -> AudioBuffer:
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getsampwidth() != 2:
-                raise CliError(f"{path}: only 16-bit PCM supported")
+                raise ValueError(f"{path}: only 16-bit PCM supported")
             n_ch = wf.getnchannels()
             if n_ch not in (1, 2):
-                raise CliError(f"{path}: expected mono or stereo, got {n_ch} channels")
+                raise ValueError(f"{path}: expected mono or stereo, got {n_ch} channels")
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise CliError(f"{path}: not a valid WAV file ({exc})") from exc
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside a chunk header
+        raise ValueError(f"{path}: not a valid WAV file ({str(exc) or 'truncated'})") from exc
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_ch == 2:
         data = data.reshape(-1, 2).T
     return AudioBuffer(data, rate)
 
 
-def write_wav(path, buffer: AudioBuffer) -> None:
+def write_wav(path, buffer: AudioBuffer):
+    """Write ``buffer`` as 16-bit PCM; returns the int16 samples written."""
     pcm = np.round(buffer.samples * 32767.0)
     if clipped := np.count_nonzero((pcm < -32768) | (pcm > 32767)):
         print(f"warning: {clipped} samples clipped at full scale in {path}", file=sys.stderr)
@@ -54,6 +50,7 @@ def write_wav(path, buffer: AudioBuffer) -> None:
         wf.setsampwidth(2)
         wf.setframerate(buffer.sample_rate)
         wf.writeframes(pcm.tobytes())
+    return pcm
 
 
 def load_config_file(path) -> dict:
@@ -61,14 +58,14 @@ def load_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -97,31 +94,24 @@ def build_config(args, **fixed) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
-                raise CliError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             try:
                 kwargs[key] = _CONFIG_FIELDS[key](value)
             except (KeyError, ValueError):
-                raise CliError(f"{args.config}: bad value {value!r} for {key}") from None
+                raise ValueError(f"{args.config}: bad value {value!r} for {key}") from None
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
     kwargs.update(fixed)
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return RunConfig(**kwargs)
 
 
 def cmd_train(args) -> int:
-    if args.size < 1:
-        raise CliError("codebook size must be >= 1")
     if args.order < 1:
-        raise CliError("--order must be >= 1")
+        raise ValueError("--order must be >= 1")
     if args.order >= args.frame_len:
-        raise CliError(f"--order {args.order} must be below --frame-len {args.frame_len}")
-    if not args.inputs:
-        raise CliError("at least one input WAV is required")
+        raise ValueError(f"--order {args.order} must be below --frame-len {args.frame_len}")
     frames = []
     rate = None
     for path in args.inputs:
@@ -129,61 +119,42 @@ def cmd_train(args) -> int:
         if rate is None:
             rate = buf.sample_rate
         elif buf.sample_rate != rate:
-            raise CliError(f"{path}: sample rate {buf.sample_rate} != {rate}")
+            raise ValueError(f"{path}: sample rate {buf.sample_rate} != {rate}")
         if len(buf) < args.frame_len:
-            raise CliError(f"{path}: --frame-len {args.frame_len} exceeds its {len(buf)} samples")
+            raise ValueError(f"{path}: --frame-len {args.frame_len} exceeds its {len(buf)} samples")
         frames.extend(frame_rows(x, args.frame_len) for x in np.atleast_2d(buf.samples))
     frames = np.concatenate(frames)  # rebound, so the input buffers can be freed
 
     def report(iteration, distortion):
         print(f"iteration {iteration}: distortion {distortion:.6e}")
 
-    try:
-        cb = codebook.train(
-            frames, args.size, args.order, args.seed, kind=args.kind, on_iteration=report
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cb = codebook.train(frames, args.size, args.order, args.seed, kind=args.kind,
+                        on_iteration=report)
     codebook.save(cb, args.output)
     print(f"wrote {cb.size}x{cb.order} {cb.kind} codebook to {args.output}")
     return EXIT_OK
 
 
-def _load_codebooks(args, cfg: RunConfig):
-    try:
-        speech_cb = codebook.load(args.speech_cb)
-        noise_cb = codebook.load(args.noise_cb)
-    except (OSError, codebook.CodebookFormatError) as exc:
-        raise CliError(str(exc)) from exc
+def _load_codebooks(args):
+    speech_cb = codebook.load(args.speech_cb)
+    noise_cb = codebook.load(args.noise_cb)
     for path, cb, kind in ((args.speech_cb, speech_cb, "speech"), (args.noise_cb, noise_cb, "noise")):
         if cb.kind != kind:
-            raise CliError(f"{path}: stored as a {cb.kind} codebook, but --{kind}-cb "
-                           f"needs a {kind} one")
-    for path, cb in ((args.speech_cb, speech_cb), (args.noise_cb, noise_cb)):
-        if cb.order >= cfg.frame_len:
-            raise CliError(f"{path}: codebook order {cb.order} needs frame_len above it, "
-                           f"got {cfg.frame_len}")
+            raise ValueError(f"{path}: stored as a {cb.kind} codebook, but --{kind}-cb "
+                             f"needs a {kind} one")
     return speech_cb, noise_cb
 
 
-def _read_input(args, cfg: RunConfig, in_samples: tuple[str, ...]) -> AudioBuffer:
-    """The mono or stereo input; the pitch grid is checked at its rate before any search.
-
-    The ``cfg`` settings named in ``in_samples`` count samples, and their defaults
-    suit 8000 Hz, so at any other rate one stderr line gives them in ms.
+def _note_rate(path, rate: int, cfg: RunConfig, in_samples: tuple[str, ...]) -> None:
+    """The ``cfg`` settings named in ``in_samples`` count samples, and their defaults
+    suit 8000 Hz, so at any other rate one stderr line gives them in ms.  Callers print
+    it once the library's checks have passed, so a rejected run prints only its error.
     """
-    noisy = read_wav(args.input)
-    try:
-        check_pitch_grid(noisy.sample_rate, cfg.f_min, cfg.f_max, cfg.pitch_grid_hz)
-    except ValueError as exc:
-        raise CliError(f"{args.input}: {exc}") from exc
-    rate = noisy.sample_rate
     if rate != 8000:
         spans = ", ".join(f"{name} {getattr(cfg, name)} samples = "
                           f"{1000 * getattr(cfg, name) / rate:g} ms" for name in in_samples)
-        print(f"note: {args.input} is {rate} Hz: {spans} (the defaults suit 8000 Hz)",
+        print(f"note: {path} is {rate} Hz: {spans} (the defaults suit 8000 Hz)",
               file=sys.stderr)
-    return noisy
 
 
 def _write_text(path, lines) -> None:
@@ -197,14 +168,14 @@ def _write_text(path, lines) -> None:
 
 def cmd_enhance(args) -> int:
     cfg = build_config(args)
-    speech_cb, noise_cb = _load_codebooks(args, cfg)
-    if speech_cb.order > cfg.smoother_delay:
-        raise CliError(f"{args.speech_cb}: speech codebook order {speech_cb.order} exceeds "
-                       f"smoother_delay {cfg.smoother_delay}")
-    noisy = _read_input(args, cfg, ("frame_len", "smoother_delay"))
+    speech_cb, noise_cb = _load_codebooks(args)
+    noisy = read_wav(args.input)
     diagnostics = [] if args.diagnostics else None
     out = pipeline.process(noisy, speech_cb, noise_cb, cfg, diagnostics_out=diagnostics)
-    write_wav(args.output, out)
+    _note_rate(args.input, noisy.sample_rate, cfg, ("frame_len", "smoother_delay"))
+    written = write_wav(args.output, out)
+    if noisy.samples.any() and not written.any():
+        print(f"warning: {args.output} is all zeros, but {args.input} is not", file=sys.stderr)
     if args.diagnostics:
         _write_text(args.diagnostics, [pipeline.FrameDiagnostics.CSV_HEADER,
                                        *(d.csv_line() for d in diagnostics)])
@@ -215,9 +186,10 @@ def cmd_enhance(args) -> int:
 def cmd_pitch(args) -> int:
     # pitch never smooths: the enhance settings a shared config file may hold are overridden.
     cfg = build_config(args, model="vuv", mode="binaural", smoother_delay=0)
-    speech_cb, noise_cb = _load_codebooks(args, cfg)
-    noisy = _read_input(args, cfg, ("frame_len",))
+    speech_cb, noise_cb = _load_codebooks(args)
+    noisy = read_wav(args.input)
     [(_, params)] = pipeline.frame_params(noisy, speech_cb, noise_cb, cfg)
+    _note_rate(args.input, noisy.sample_rate, cfg, ("frame_len",))
     lines = ["frame,f0_hz,period_samples,voicing,order"]
     lines += [f"{fi},{p.omega0 * noisy.sample_rate / (2 * np.pi):.2f},{p.period_samples},"
               f"{p.voicing:.4f},{p.harmonic_order}" for fi, (_, p) in enumerate(params)]
@@ -229,19 +201,14 @@ def cmd_eval(args) -> int:
     clean = read_wav(args.clean)
     enhanced = read_wav(args.enhanced)
     if clean.channel_count != 2 or enhanced.channel_count != 2:
-        raise CliError("eval expects stereo clean and enhanced files")
-    if len(clean) != len(enhanced):
-        raise CliError("clean and enhanced lengths differ")
+        raise ValueError("eval expects stereo clean and enhanced files")
     if clean.sample_rate != enhanced.sample_rate:
-        raise CliError(f"sample rates differ: {clean.sample_rate} != {enhanced.sample_rate}")
+        raise ValueError(f"sample rates differ: {clean.sample_rate} != {enhanced.sample_rate}")
     cl, cr = (AudioBuffer(x, clean.sample_rate) for x in clean.samples)
     el, er = (AudioBuffer(x, enhanced.sample_rate) for x in enhanced.samples)
-    try:
-        segsnr_l = metrics.segmental_snr(cl, el)
-        segsnr_r = metrics.segmental_snr(cr, er)
-        report = metrics.interaural_errors(cl, cr, el, er)
-    except ValueError as exc:  # too short for a segment, or a silent channel
-        raise CliError(str(exc)) from exc
+    segsnr_l = metrics.segmental_snr(cl, el)
+    segsnr_r = metrics.segmental_snr(cr, er)
+    report = metrics.interaural_errors(cl, cr, el, er)
     print(
         "{"
         + f'"segsnr_l": {segsnr_l:.4f}, "segsnr_r": {segsnr_r:.4f}, '
@@ -255,14 +222,14 @@ def cmd_likelihood_surface(args) -> int:
     """Dump a (sigma_d2, sigma_v2, log-likelihood) grid for a synthetic frame."""
     m = args.frame_len
     if m < 3:
-        raise CliError(f"--frame-len must be >= 3, the synthetic AR order + 1; got {m}")
+        raise ValueError(f"--frame-len must be >= 3, the synthetic AR order + 1; got {m}")
     if args.grid_points < 1:
-        raise CliError(f"--grid-points must be >= 1, got {args.grid_points}")
+        raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
     if not 0 < args.var_min <= args.var_max < np.inf:
-        raise CliError(f"need 0 < --var-min <= --var-max < inf, got --var-min {args.var_min} "
-                       f"and --var-max {args.var_max}")
+        raise ValueError(f"need 0 < --var-min <= --var-max < inf, got --var-min {args.var_min} "
+                         f"and --var-max {args.var_max}")
     if not 0 < args.true_variance < np.inf:
-        raise CliError(f"--true-variance must be positive and finite, got {args.true_variance}")
+        raise ValueError(f"--true-variance must be positive and finite, got {args.true_variance}")
     speech_model = levinson_durbin(np.array([1.0, 0.7, 0.35]))
     noise_model = levinson_durbin(np.array([1.0, -0.3, 0.15]))
     speech_env = ar_envelope(speech_model, m)
@@ -355,12 +322,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CliError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

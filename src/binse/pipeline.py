@@ -48,12 +48,12 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.model not in ("uv", "vuv"):
             raise ValueError(f"unknown model {self.model!r}")
+        if self.frame_len <= 0:
+            raise ValueError(f"frame_len must be positive (got {self.frame_len})")
         if self.frame_len % 2 != 0:
             raise ValueError("frame_len must be even (analytic-signal step)")
         if not 0 <= self.smoother_delay <= self.frame_len:
             raise ValueError(f"smoother_delay {self.smoother_delay} outside [0, frame_len]")
-        if self.frame_len <= 0:
-            raise ValueError(f"frame_len must be positive (got {self.frame_len})")
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError(
                 f"voicing_threshold must lie in [0, 1] (got {self.voicing_threshold})"

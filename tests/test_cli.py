@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import binse
-from binse import codebook
+from binse import codebook, pipeline
 from binse.cli import build_config, main, read_wav, write_wav
-from binse.linpred import ArModel
+from binse.linpred import ArModel, NumericalDegeneracyError
 from binse.metrics import segmental_snr
 from binse.pipeline import RunConfig, process
 from binse.signal_core import AudioBuffer
@@ -66,11 +66,11 @@ class TestWavIO:
 
     def test_invalid_file(self, tmp_path):
         path = tmp_path / "bad.wav"
-        path.write_bytes(b"not a wav")
-        from binse.cli import CliError
-
-        with pytest.raises(CliError):
-            read_wav(path)
+        # Not RIFF at all, then a file that ends inside the RIFF chunk header.
+        for data in (b"not a wav", b"RIFF"):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="not a valid WAV file"):
+                read_wav(path)
 
 
     def test_clipped_samples_counted_on_stderr(self, tmp_path, capsys):
@@ -362,6 +362,14 @@ class TestEnhanceCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["enhance", "pitch"])
+    def test_negative_frame_len_named(self, tmp_path, stereo_wav, cb_paths, capsys, command):
+        # frame_len is checked before the smoother_delay it bounds, which pitch has no flag for.
+        sp, np_ = cb_paths
+        assert main([command, stereo_wav, "-o", str(tmp_path / "out"), "--speech-cb", sp,
+                     "--noise-cb", np_, "--frame-len", "-2"]) == 2
+        assert capsys.readouterr().err == "error: frame_len must be positive (got -2)\n"
+
     @pytest.mark.parametrize("command", ["enhance", "enhance-single", "pitch"])
     def test_swapped_codebook_kinds_usage_error(
         self, tmp_path, stereo_wav, cb_paths, capsys, command
@@ -395,7 +403,7 @@ class TestEnhanceCommand:
         code = main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp, "--noise-cb", np_,
                      "--frame-len", "4", "--smoother-delay", "4"])
         assert code == 2
-        assert "codebook order 4 needs frame_len above it" in capsys.readouterr().err
+        assert "speech codebook order 4 must be below frame_len 4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_clean_input_nearly_unchanged(self, tmp_path, cb_paths, rng):
@@ -433,6 +441,19 @@ class TestEnhanceCommand:
         assert enh.samples.shape == (2, 1000)
         assert not np.any(enh.samples)
 
+    def test_silenced_output_warned(self, tmp_path, stereo_wav, cb_paths, capsys, monkeypatch):
+        # An enhancer that rounds nonzero input to int16 zeros says so; the exit
+        # code and the WAV stay as they are.
+        monkeypatch.setattr(pipeline, "process", lambda z, *args, **kwargs:
+                            AudioBuffer(np.zeros_like(z.samples), z.sample_rate))
+        sp, np_ = cb_paths
+        out = tmp_path / "enh.wav"
+        assert main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp,
+                     "--noise-cb", np_]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {out} is all zeros, but {stereo_wav} is not\n")
+        assert not np.any(read_wav(out).samples)
+
     def test_silent_lead_exits_clean(self, tmp_path, stereo_wav, cb_paths):
         sp, np_ = cb_paths
         z = read_wav(stereo_wav).samples.copy()
@@ -453,6 +474,47 @@ class TestEnhanceCommand:
         assert main(["enhance-single", str(mono), "-o", str(out), *argv]) == 0
         enh = read_wav(out)
         assert enh.channel_count == 1 and len(enh) == 2000
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", [
+        (np.linalg.LinAlgError("singular matrix"), 1),
+        (NumericalDegeneracyError("reflection coefficient at 1"), 1),
+        (ValueError("bad setting"), 2),
+        (codebook.CodebookFormatError("bad magic at offset 0"), 2),
+        (OSError("disk full"), 2),
+    ], ids=["linalg", "degeneracy", "value", "codebook_format", "os"])
+    def test_library_exception_mapped(self, tmp_path, stereo_wav, cb_paths, capsys,
+                                      monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(pipeline, "process", fail)
+        sp, np_ = cb_paths
+        out = tmp_path / "enh.wav"
+        assert main(["enhance", stereo_wav, "-o", str(out), "--speech-cb", sp,
+                     "--noise-cb", np_]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(exc) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["enhance", "pitch", "train", "eval"])
+    def test_zero_hz_header_usage_error(self, tmp_path, stereo_wav, cb_paths, capsys, command):
+        # The header's rate (and byte rate) fields read 0; the AudioBuffer check rejects it.
+        raw = bytearray(Path(stereo_wav).read_bytes())
+        raw[24:32] = bytes(8)
+        wav = tmp_path / "zero-hz.wav"
+        wav.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        codebooks = ["--speech-cb", cb_paths[0], "--noise-cb", cb_paths[1]]
+        argv = {"enhance": ["enhance", str(wav), "-o", str(out), *codebooks],
+                "pitch": ["pitch", str(wav), "-o", str(out), *codebooks],
+                "train": ["train", str(wav), "-o", str(out), "--kind", "speech", "--size", "1",
+                          "--order", "4"],
+                "eval": ["eval", str(wav), str(wav)]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: sample_rate must be positive\n"
+        assert not out.exists()
 
 
 class TestConfigFile:
