@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook, metrics, pipeline, stp
-from .linpred import ar_envelope, levinson_durbin
+from .linpred import ArModel, ar_envelope, levinson_durbin
 from .pipeline import RunConfig
 from .signal_core import AudioBuffer, frame_rows
 
@@ -34,7 +34,10 @@ def read_wav(path) -> AudioBuffer:
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_ch == 2:
         data = data.reshape(-1, 2).T
-    return AudioBuffer(data, rate)
+    try:
+        return AudioBuffer(data, rate)
+    except ValueError as exc:  # e.g. a header rate of 0 Hz
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_wav(path, buffer: AudioBuffer):
@@ -230,8 +233,8 @@ def cmd_likelihood_surface(args) -> int:
                          f"and --var-max {args.var_max}")
     if not 0 < args.true_variance < np.inf:
         raise ValueError(f"--true-variance must be positive and finite, got {args.true_variance}")
-    speech_model = levinson_durbin(np.array([1.0, 0.7, 0.35]))
-    noise_model = levinson_durbin(np.array([1.0, -0.3, 0.15]))
+    coeffs, variances, _ = levinson_durbin(np.array([[1.0, 0.7, 0.35], [1.0, -0.3, 0.15]]))
+    speech_model, noise_model = map(ArModel, coeffs, variances)
     speech_env = ar_envelope(speech_model, m)
     noise_env = ar_envelope(noise_model, m)
     true_var = args.true_variance

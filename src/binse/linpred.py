@@ -48,23 +48,17 @@ class ArModel:
 
 
 def levinson_durbin(autocorr: npt.NDArray[np.float64]):
-    """Fit AR models of order P by the Levinson-Durbin recursion on r(0..P).
+    """Fit AR models of order P by one Levinson-Durbin recursion over (N, P+1) rows r(0..P).
 
-    A 1-D ``autocorr`` gives an ``ArModel`` with the forward predictor
-    coefficients and the final prediction-error variance.  It raises
-    ``ValueError`` where r(0) <= 0 or the fit is not finite, and
-    ``NumericalDegeneracyError`` where a reflection coefficient reaches
-    magnitude 1.  An (N, P+1) array runs one recursion over its rows and
-    returns ``(coefficients, variances, ok)``, of shapes (N, P), (N,) and
-    (N,); ``ok`` is false on the rows that would raise, and their values are
-    not fits.  A 1-D call is the one-row case of the same arithmetic.
+    Returns ``(coefficients, variances, ok)`` of shapes (N, P), (N,) and (N,):
+    the forward predictor coefficients and the final prediction-error
+    variance of each row.  ``ok`` is false where r(0) <= 0, a reflection
+    coefficient reaches magnitude 1 or the fit is not finite; those rows'
+    values are not fits.
     """
-    r = np.asarray(autocorr, dtype=np.float64)
-    rows = r.reshape(-1, r.shape[-1])
+    rows = np.asarray(autocorr, dtype=np.float64)
     order = rows.shape[1] - 1
     ok = ~(rows[:, 0] <= 0)  # a NaN r(0) fails as a non-finite fit
-    if r.ndim == 1 and not ok[0]:
-        raise ValueError("autocorrelation r(0) must be positive")
     reversed_r = rows[:, :0:-1].copy()  # r(P..1), so each dot product reads forward
     a = np.zeros((len(rows), order))
     err = rows[:, 0].copy()
@@ -72,17 +66,11 @@ def levinson_durbin(autocorr: npt.NDArray[np.float64]):
         for i in range(1, order + 1):
             acc = rows[:, i] - (a[:, None, : i - 1] @ reversed_r[:, order - i + 1 :, None])[:, 0, 0]
             k = acc / err
-            if r.ndim == 1 and abs(k[0]) >= 1.0:
-                raise NumericalDegeneracyError(
-                    f"reflection coefficient magnitude {abs(k[0]):.6g} >= 1 at order {i}"
-                )
             ok &= ~(np.abs(k) >= 1.0)
             a[:, : i - 1] -= k[:, None] * a[:, : i - 1][:, ::-1]
             a[:, i - 1] = k
             err *= 1.0 - k * k
     ok &= np.isfinite(err) & np.all(np.isfinite(a), axis=1)
-    if r.ndim == 1:
-        return ArModel(a[0], float(err[0]))
     return a, err, ok
 
 

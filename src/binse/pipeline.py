@@ -70,14 +70,18 @@ class FrameDiagnostics:
     log_weight: float
     sigma_d2: float
     sigma_v2: float
+    underflow_fallback: bool  # every pair's weight underflowed; the best pair took it all
+    adaptive_fit_failed: bool  # the frame's dual-channel noise PSD got no adaptive entry
     ear: str  # both (a binaural pair), left, right or mono
 
-    CSV_HEADER: ClassVar[str] = "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
+    CSV_HEADER: ClassVar[str] = ("frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,"
+                                 "underflow_fallback,adaptive_fit_failed,ear")
 
     def csv_line(self) -> str:
         return (
             f"{self.frame},{self.best_speech_index},{self.best_noise_index},"
-            f"{self.log_weight:.6g},{self.sigma_d2:.6g},{self.sigma_v2:.6g},{self.ear}"
+            f"{self.log_weight:.6g},{self.sigma_d2:.6g},{self.sigma_v2:.6g},"
+            f"{self.underflow_fallback:d},{self.adaptive_fit_failed:d},{self.ear}"
         )
 
 
@@ -98,21 +102,15 @@ def _group_params(x, sample_rate: int, ear: str, speech: CompiledCodebook,
     frames = np.array([frame_rows(row, m) for row in x])
     pz = periodogram(frames)
     n_frames = frames.shape[1]
-    entries, ok = noise, np.zeros(n_frames, bool)
+    entries, ok, failed = noise, np.zeros(n_frames, bool), np.zeros(n_frames, bool)
     if len(x) == 2 and cfg.adaptive_noise_codebook and n_frames:
         # The tracker does not depend on the STP, so all frames' noise PSDs are fitted in one
         # pass, at the codebook's order: the LSF-domain average needs entries of one length.
         tracker = DualChannelNoiseTracker()
         dc_psd = np.array([tracker.update(*pair) for pair in zip(*pz, cross_spectrum(*frames))])
+        # A frame whose PSD cannot be fitted gets no entry; its diagnostics row says so.
         coeffs, variances, ok = stp.noise_psd_to_ar(dc_psd, noise.order)
-        for psd in dc_psd[~ok]:
-            # A row the batch cannot fit gets no entry.  Its one-row refit raises,
-            # caught here, so only a tracer wrapping stp.noise_psd_to_ar counts
-            # it (perfbench's stp.noise_psd_to_ar.failed).
-            try:
-                stp.noise_psd_to_ar(psd, noise.order)
-            except (ValueError, ArithmeticError):
-                pass
+        failed = ~ok
         if ok.any():
             # The fitted entries are compiled together: one LSF conversion and
             # one FFT per record.  Each frame's row joins its noise entries last.
@@ -134,7 +132,8 @@ def _group_params(x, sample_rate: int, ear: str, speech: CompiledCodebook,
             diag = stp_diagnostics[fi]
             diagnostics_out.append(FrameDiagnostics(
                 fi, diag.best_speech_index, diag.best_noise_index, diag.best_log_weight,
-                est.speech.excitation_variance, est.noise.excitation_variance, ear))
+                est.speech.excitation_variance, est.noise.excitation_variance,
+                diag.underflow_fallback, bool(failed[fi]), ear))
         pitch = UNVOICED
         if cfg.model == "vuv":
             # Each ear's frame, whitened after the samples before it, made analytic.

@@ -357,18 +357,18 @@ def _inverse_dft_rows(order: int, k: int) -> npt.NDArray[np.complex128]:
 
 
 def noise_psd_to_ar(psd, order: int):
-    """Fit an AR model to a noise PSD via inverse-DFT autocorrelation.
+    """Fit AR models to (N, K) noise PSD rows via inverse-DFT autocorrelation.
 
     r(q) = (1/K) sum_k P(k) exp(i 2 pi q k / K), q = 0..order, then
     Levinson-Durbin.  The 1/K factor keeps r(0) equal to the mean PSD so
-    the fitted excitation variance lives on the periodogram scale.  A 1-D
-    ``psd`` gives an ``ArModel`` or raises as ``levinson_durbin`` does, as on
-    an all-zero PSD (r(0) = 0); an (N, K) array fits its rows in one recursion
-    and returns ``levinson_durbin``'s ``(coefficients, variances, ok)``, each
-    row's r by the same mat-vec as a 1-D call, so the fits are the same bits.
+    the fitted excitation variance lives on the periodogram scale.  Returns
+    ``levinson_durbin``'s ``(coefficients, variances, ok)``; ``ok`` is false
+    on a row it cannot fit, such as an all-zero PSD (r(0) = 0).  Each row's r
+    comes from its own mat-vec, so a row's fit does not depend on the rows
+    beside it.
     """
     bins = np.asarray(psd, float)
-    k = bins.shape[-1]
+    k = bins.shape[1]
     phases = _inverse_dft_rows(order, k)
-    r = np.real([phases @ row for row in bins.reshape(-1, k)]) / k
-    return levinson_durbin(r[0] if bins.ndim == 1 else r)
+    r = np.real([phases @ row for row in bins]) / k
+    return levinson_durbin(r)

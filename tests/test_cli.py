@@ -24,6 +24,8 @@ SPEECH_MODELS = [
     ArModel(np.array([0.5, 0.2, 0.0, 0.0])),
 ]
 NOISE_MODELS = [ArModel(np.array([0.0, 0.0])), ArModel(np.array([-0.5, -0.2]))]
+DIAGNOSTICS_HEADER = ("frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,"
+                      "underflow_fallback,adaptive_fit_failed,ear")
 
 
 @pytest.fixture
@@ -159,7 +161,7 @@ class TestEnhanceCommand:
         assert enh.channel_count == 2
         assert len(enh) == len(noisy)
         lines = diag.read_text().strip().splitlines()
-        assert lines[0] == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
+        assert lines[0] == DIAGNOSTICS_HEADER
         assert len(lines) == 1 + len(noisy) // 200
         assert all(line.endswith(",both") for line in lines[1:])
 
@@ -180,7 +182,7 @@ class TestEnhanceCommand:
         ])
         assert code == 0
         header, *rows = diag.read_text().strip().splitlines()
-        assert header == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
+        assert header == DIAGNOSTICS_HEADER
         fields = [row.split(",") for row in rows]
         assert [(f[0], f[-1]) for f in fields] == (
             [(str(fi), "left") for fi in range(10)] + [(str(fi), "right") for fi in range(10)]
@@ -200,7 +202,7 @@ class TestEnhanceCommand:
         ])
         assert code == 0
         header, *rows = diag.read_text().strip().splitlines()
-        assert header == "frame,best_i,best_j,log_weight,sigma_d2,sigma_v2,ear"
+        assert header == DIAGNOSTICS_HEADER
         assert [(r.split(",")[0], r.split(",")[-1]) for r in rows] == [
             (str(fi), "mono") for fi in range(10)]
         want = process(read_wav(mono), codebook.load(sp), codebook.load(np_),
@@ -498,9 +500,11 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and str(exc) in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["enhance", "pitch", "train", "eval"])
+    @pytest.mark.parametrize("command", ["enhance", "pitch", "train", "eval", "eval-clean",
+                                         "eval-enhanced"])
     def test_zero_hz_header_usage_error(self, tmp_path, stereo_wav, cb_paths, capsys, command):
-        # The header's rate (and byte rate) fields read 0; the AudioBuffer check rejects it.
+        # The header's rate (and byte rate) fields read 0; the AudioBuffer check rejects it,
+        # and the error names the file, also when only one of eval's two inputs is bad.
         raw = bytearray(Path(stereo_wav).read_bytes())
         raw[24:32] = bytes(8)
         wav = tmp_path / "zero-hz.wav"
@@ -511,9 +515,11 @@ class TestExitCodes:
                 "pitch": ["pitch", str(wav), "-o", str(out), *codebooks],
                 "train": ["train", str(wav), "-o", str(out), "--kind", "speech", "--size", "1",
                           "--order", "4"],
-                "eval": ["eval", str(wav), str(wav)]}[command]
+                "eval": ["eval", str(wav), str(wav)],
+                "eval-clean": ["eval", str(wav), stereo_wav],
+                "eval-enhanced": ["eval", stereo_wav, str(wav)]}[command]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: sample_rate must be positive\n"
+        assert capsys.readouterr().err == f"error: {wav}: sample_rate must be positive\n"
         assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from binse import codebook
 from binse.codebook import Codebook, CodebookFormatError
-from binse.linpred import ArModel, ar_to_lsf, levinson_durbin, valid_lsf_rows
+from binse.linpred import ar_to_lsf, levinson_durbin, valid_lsf_rows
 from binse.signal_core import autocorrelation, frame_rows
 
 from conftest import ar_signal, close_pole_model
@@ -16,7 +16,7 @@ class TestTrain:
         cb = codebook.train(frame_rows(x, 400), size=1, order=14, seed=7)
         # Oracle: Levinson-Durbin on the pooled signal.
         r = autocorrelation(x, 14)
-        [pooled] = ar_to_lsf([levinson_durbin(r)])
+        [pooled] = ar_to_lsf(levinson_durbin(r[None])[0])
         assert np.linalg.norm(cb.entries[0] - pooled) < 0.01
 
     def test_two_separated_processes(self, rng):
@@ -28,7 +28,7 @@ class TestTrain:
         targets = []
         for x in (lo, hi):
             r = autocorrelation(x, 2)
-            targets.extend(ar_to_lsf([levinson_durbin(r)]))
+            targets.extend(ar_to_lsf(levinson_durbin(r[None])[0]))
         for t in targets:
             assert min(np.linalg.norm(cb.entries[i] - t) for i in range(2)) < 0.05
 
@@ -114,9 +114,11 @@ def _frame_to_lsf(frame, order, fit=levinson_durbin):
     r = autocorrelation(frame, order)
     if r[0] <= 0:
         return None
+    coeffs, _, ok = fit(r[None])
+    if not ok[0]:
+        return None
     try:
-        model = fit(r)
-        return ar_to_lsf([model])[0]
+        return ar_to_lsf(coeffs)[0]
     except (ValueError, ArithmeticError):
         return None
 
@@ -136,9 +138,7 @@ def test_train_matches_per_frame_oracle(rng, monkeypatch):
     }
 
     def fit(r):
-        r = np.where(r[..., :1] == 16.0, np.r_[1.0, 1.1, np.zeros(order - 1)], r)  # |k| >= 1
-        if r.ndim == 1:
-            return ArModel(injected[r[0]]) if r[0] in injected else levinson_durbin(r)
+        r = np.where(r[:, :1] == 16.0, np.r_[1.0, 1.1, np.zeros(order - 1)], r)  # |k| >= 1
         coeffs, variances, ok = levinson_durbin(r)
         for row, r0 in enumerate(r[:, 0].tolist()):
             coeffs[row] = injected.get(r0, coeffs[row])

@@ -46,10 +46,6 @@ class TestIsDivergence:
         oracle = sum(pi / qi - np.log(pi / qi) - 1 for pi, qi in zip(p, q)) / 100
         assert abs(is_divergence(p, q) - oracle) < 1e-12
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            is_divergence(np.ones(4), np.ones(5))
-
     def test_nonnegative(self, rng):
         for _ in range(50):
             p = rng.uniform(0.01, 3.0, 40)
@@ -253,35 +249,36 @@ class TestDualChannelNoisePsd:
 
 class TestNoisePsdToAr:
     def test_flat_white(self):
-        m = noise_psd_to_ar(np.full(128, 2.0), 4)
-        np.testing.assert_allclose(m.coefficients, 0.0, atol=1e-12)
-        assert abs(m.excitation_variance - 2.0) < 1e-12
+        coeffs, variances, ok = noise_psd_to_ar(np.full((1, 128), 2.0), 4)
+        assert ok[0]
+        np.testing.assert_allclose(coeffs[0], 0.0, atol=1e-12)
+        assert abs(variances[0] - 2.0) < 1e-12
 
     def test_ar2_recovery(self):
         true = ArModel(np.array([1.0, -0.5]))
         psd = ar_envelope(true, 1024)
-        m = noise_psd_to_ar(psd, 2)
-        np.testing.assert_allclose(m.coefficients, true.coefficients, atol=1e-3)
+        coeffs, _, ok = noise_psd_to_ar(psd[None], 2)
+        assert ok[0]
+        np.testing.assert_allclose(coeffs[0], true.coefficients, atol=1e-3)
 
     def test_all_zero_rejected(self):
-        # Raised by levinson_durbin: an all-zero PSD has r(0) = 0.
-        with pytest.raises(ValueError, match=r"r\(0\) must be positive"):
-            noise_psd_to_ar(np.zeros(32), 2)
+        # An all-zero PSD has r(0) = 0, which levinson_durbin cannot fit.
+        _, _, ok = noise_psd_to_ar(np.zeros((1, 32)), 2)
+        assert not ok[0]
 
     def test_cached_table_gives_the_same_bits(self, rng):
         # Interleaved (order, K) keys: each fit equals one built from a fresh table.
         for order, k in [(14, 200), (4, 128), (14, 200), (14, 160), (4, 128)]:
-            psd = rng.uniform(0.1, 2.0, k)
+            psd = rng.uniform(0.1, 2.0, (1, k))
             phases = np.exp(2j * np.pi * np.outer(np.arange(order + 1), np.arange(k)) / k)
-            expect = levinson_durbin(np.real(phases @ psd) / k)
+            expect = levinson_durbin(np.real(phases @ psd[0])[None] / k)
             got = noise_psd_to_ar(psd, order)
-            np.testing.assert_array_equal(got.coefficients, expect.coefficients)
-            assert got.excitation_variance == expect.excitation_variance
-
+            for a, b in zip(got, expect):
+                assert a.tobytes() == b.tobytes()
 
     def test_rows_match_single_calls(self, rng):
         # An (N, K) PSD fits its rows in one recursion: each row's fit equals
-        # the 1-D call bit for bit, and rows whose 1-D call raises (all
+        # its one-row call bit for bit, and rows that cannot be fitted (all
         # zeros, or a single line, which makes the autocorrelation singular)
         # come back with ok false.
         k, order = 101, 14
@@ -292,13 +289,11 @@ class TestNoisePsdToAr:
         coeffs, variances, ok = noise_psd_to_ar(psd, order)
         assert list(ok) == [True, True, False, True, False, True]
         for row, fit, c, v in zip(psd, ok, coeffs, variances):
-            if not fit:
-                with pytest.raises((ValueError, ArithmeticError)):
-                    noise_psd_to_ar(row, order)
-                continue
-            one = noise_psd_to_ar(row, order)
-            assert one.coefficients.tobytes() == c.tobytes()
-            assert one.excitation_variance == v
+            one_c, one_v, one_ok = noise_psd_to_ar(row[None], order)
+            assert one_ok[0] == fit
+            if fit:
+                assert one_c[0].tobytes() == c.tobytes()
+                assert one_v[0] == v
 
 
 def _reference_mu(pl, pr, ps, pw, iters=50):
