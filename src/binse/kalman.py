@@ -62,31 +62,34 @@ class StateSpaceModel:
     process_variances: tuple[float, float]  # (sigma_d^2, sigma_v^2)
     smoother_delay: int
 
-    def __post_init__(self):  # the head block's index, W^T / 2 and Q (inputs are head rows)
+    def __post_init__(self):
+        # The head block's index, W^T / 2 and Q (inputs are head rows); the unread runs.
         rows, k = self.head_rows, np.searchsorted(self.head_rows, self.inputs)
         q = np.zeros((len(rows), len(rows)))
         q[k, k] = self.process_variances
         object.__setattr__(self, "_head_block", (np.ix_(rows, rows), self.head_weights.T / 2, q))
+        object.__setattr__(self, "_unread_runs", _unread_runs(self))
 
     def predict(self, joint, out, cov_cols: int) -> None:
         """Write F P F^T + Q for the first ``cov_cols`` columns (``dim`` or 0)
         of ``joint`` = [P | X], and F X for the rest, into ``out``.
 
-        The head rows of F X are one mat-vec per column, so a channel gets
-        the same bits alone as beside others.  F P F^T + Q is exactly
+        One product W [P | X][head_cols] gives the head rows of F P and of
+        F X.  On the models ``build_uv_model`` and ``build_vuv_model`` make,
+        its columns have the bits of one mat-vec per column, so a channel
+        gets the same bits alone as beside others (``tests/test_kalman.py``
+        checks this against the per-column form).  F P F^T + Q is exactly
         symmetric: a shifted copy of P, R = W P[head_cols] for the head rows
         and R^T for the head columns, and M + M^T + Q for the head block, with
         M = R[:, head_cols] W^T / 2.
         """
         rows, weights, k = self.head_rows, self.head_weights, cov_cols
-        gathered = joint[self.head_cols]
+        heads = weights.dot(joint[self.head_cols])
         out[1:, k:] = joint[:-1, k:]
-        for c in range(k, joint.shape[1]):
-            out[rows, c] = weights.dot(gathered[:, c])
+        out[rows, k:] = heads[:, k:]
         if k:
             block, half_weights_t, q = self._head_block
-            heads = weights.dot(gathered[:, :k])
-            shifted = heads[:, :-1]
+            shifted = heads[:, : k - 1]
             out[1:, 1:k] = joint[:-1, : k - 1]
             out[rows, 1:k] = shifted  # row 0 is always a head row
             out[1:, rows] = shifted.T
@@ -104,11 +107,20 @@ class StateSpaceModel:
 class SmootherState:
     """A posteriori covariance P and state x, side by side in one
     ``(dim, dim + C)`` array ``joint`` = [P | x]; ``cov`` and ``x`` (``(dim,)``
-    or ``(dim, C)``) are views of it."""
+    or ``(dim, C)``) are views of it.
+
+    It also holds ``flks_step``'s workspace: a ``spare`` array of the shape
+    of ``joint``, which the step predicts into and then swaps with
+    ``joint``, a ``rank_one`` array of that shape, and a ``(dim,)``
+    ``scratch`` vector.  As the two arrays swap on every step, a ``cov`` or
+    ``x`` view taken after one step is overwritten two steps later; a caller
+    that keeps one must copy it."""
 
     def __init__(self, x, cov):
         x = np.asarray(x, dtype=float)
         self.joint = np.concatenate((cov, x.reshape(len(x), -1)), axis=1)
+        self.spare, self.rank_one = np.empty_like(self.joint), np.empty_like(self.joint)
+        self.scratch = np.empty(len(x))
         self.x_shape = x.shape
         self.samples_seen = 0
         self.gain: npt.NDArray[np.float64] | None = None  # the last correction's gain
@@ -206,6 +218,11 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     corrects both.  A degenerate innovation variance s (digital silence
     under zero process variances) skips the correction.  Once the gain
     settles under ``model``, P is kept and the kept gain corrects x.
+
+    Before the freeze the step allocates no ``(dim, dim + C)`` array: it
+    works in the state's workspace (see ``SmootherState``), and forms the
+    rank-one term by a K = 1 matrix product, which has the bits of the outer
+    product.
     """
     joint, dim = state.joint, model.dim
     n, delay = state.samples_seen, model.smoother_delay
@@ -213,7 +230,7 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
         emitted = _frozen_steps(state, model, np.reshape(z_n, (-1, 1)))[:, 0]
     else:
         i, j = model.observed
-        out = np.empty_like(joint)
+        out, rank_one, scratch = state.spare, state.rank_one, state.scratch
         model.predict(joint, out, dim)
         obs = out[i] + out[j]  # [P h^T | h x], as P is symmetric
         innov_var = float(obs[i] + obs[j])
@@ -221,13 +238,14 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
         if not innov_var <= INNOVATION_EPS:  # a NaN still corrects, so it shows
             gain = obs[:dim] / innov_var
             obs[dim:] -= z_n
-            w = obs / math.sqrt(innov_var)
-            out -= np.multiply.outer(w[:dim], w)
-            if state.gain is not None and (abs(gain - state.gain).max()
-                                           <= FREEZE_TOL * abs(gain).max()):
-                state.frozen = model
+            obs /= math.sqrt(innov_var)
+            out -= np.dot(obs[:dim, None], obs[None, :], out=rank_one)
+            if state.gain is not None:
+                moved = np.abs(np.subtract(gain, state.gain, out=scratch), out=scratch).max()
+                if moved <= FREEZE_TOL * np.abs(gain, out=scratch).max():
+                    state.frozen = model
         state.gain = gain
-        state.joint, state.samples_seen = out, n + 1
+        state.joint, state.spare, state.samples_seen = out, joint, n + 1
         emitted = out[delay, dim:]
     if n < delay:
         return state, None
@@ -257,7 +275,8 @@ def _frozen_steps(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArra
 def _unread_runs(model: StateSpaceModel) -> list[tuple[int, int]]:
     """The ``(start, stop)`` runs that end a chain past every entry a head
     row, the observation or the output reads.  Such entries only shift out,
-    so nothing else depends on them within a frame."""
+    so nothing else depends on them within a frame.  A model keeps its own
+    as ``model._unread_runs``."""
     read = np.zeros(model.dim, dtype=bool)
     read[model.head_cols] = read[model.head_rows] = True
     read[[*model.observed, model.smoother_delay]] = True
@@ -283,7 +302,7 @@ def _frozen_run(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArray[
     same bits alone as beside others.
     """
     gain, dim, steps = state.gain, model.dim, z.shape[-1]
-    runs = _unread_runs(model)
+    runs = model._unread_runs
     read = np.ones(dim, dtype=bool)
     for start, stop in runs:
         read[start:stop] = False
@@ -388,7 +407,7 @@ def enhance_channel(
                 emitted[:, n] = sample
             n += 1
         if n < end:
-            spanned = model.dim - sum(stop - start for start, stop in _unread_runs(model))
+            spanned = model.dim - sum(stop - start for start, stop in model._unread_runs)
             block = (end - n) * BLOCK_TAIL_DIM2_PER_STEP >= spanned**2
             frozen_rest = _frozen_run if block else _frozen_steps
             emitted[:, n:end] = frozen_rest(state, model, observations[:, n:end])

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from binse.kalman import (
+    FREEZE_TOL,
+    INNOVATION_EPS,
     SmootherState,
     StateSpaceModel,
     build_uv_model,
@@ -204,6 +209,140 @@ class TestFlksStep:
                 assert np.max(np.abs(state.cov - state.cov.T)) < 1e-9
                 assert np.min(np.diag(state.cov)) >= -1e-12
         assert np.max(np.abs(state.cov - state.cov.T)) < 1e-9
+
+
+def reference_predict(model, joint, cov_cols):
+    """``StateSpaceModel.predict`` as a fresh array, by the arithmetic of the
+    step that allocated its buffers: one head mat-vec per x column and one
+    head product for P."""
+    rows, weights, k = model.head_rows, model.head_weights, cov_cols
+    out = np.empty_like(joint)
+    gathered = joint[model.head_cols]
+    out[1:, k:] = joint[:-1, k:]
+    for c in range(k, joint.shape[1]):
+        out[rows, c] = weights.dot(gathered[:, c])
+    if k:
+        heads = weights.dot(gathered[:, :k])
+        shifted = heads[:, :-1]
+        out[1:, 1:k] = joint[:-1, : k - 1]
+        out[rows, 1:k] = shifted
+        out[1:, rows] = shifted.T
+        q = np.zeros((len(rows), len(rows)))
+        driven = np.searchsorted(rows, model.inputs)
+        q[driven, driven] = model.process_variances
+        m = heads[:, model.head_cols].dot(weights.T / 2)
+        out[np.ix_(rows, rows)] = m + m.T + q
+    return out
+
+
+class ReferenceSmoother:
+    """``flks_step`` with a fresh [P | x] and a fresh rank-one term every
+    step; past the freeze, the O(dim) step of ``_frozen_steps``."""
+
+    def __init__(self, state):
+        self.joint = state.joint.copy()
+        self.gain = None
+        self.frozen = False
+
+    def step(self, model, z_n):
+        dim, (i, j) = model.dim, model.observed
+        if self.frozen:
+            pred = reference_predict(model, self.joint[:, dim:], 0)
+            pred += np.multiply.outer(self.gain, z_n - (pred[i] + pred[j]))
+            self.joint[:, dim:] = pred
+        else:
+            out = reference_predict(model, self.joint, dim)
+            obs = out[i] + out[j]
+            innov_var = float(obs[i] + obs[j])
+            gain = None
+            if not innov_var <= INNOVATION_EPS:
+                gain = obs[:dim] / innov_var
+                obs[dim:] -= z_n
+                w = obs / math.sqrt(innov_var)
+                out -= np.multiply.outer(w[:dim], w)
+                if self.gain is not None and (abs(gain - self.gain).max()
+                                              <= FREEZE_TOL * abs(gain).max()):
+                    self.frozen = True
+            self.gain = gain
+            self.joint = out
+        return self.joint[model.smoother_delay, dim:]
+
+
+def stable_ar(radii, angles):
+    """AR coefficients whose poles are the pairs r exp(+-i angle)."""
+    poly = np.array([1.0])
+    for r, a in zip(radii, angles):
+        poly = np.convolve(poly, [1.0, -2 * r * np.cos(a), r * r])
+    return -poly[1:]
+
+
+SPEECH14 = ArModel(stable_ar([0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5],
+                             [0.3, 0.8, 1.3, 1.9, 2.4, 2.8, 0.1]), 1e-3)
+NOISE14 = ArModel(stable_ar([0.5, 0.4, 0.3, 0.3, 0.2, 0.2, 0.1],
+                            [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 0.2]), 5e-4)
+
+
+def order14_model(kind):
+    """A default-delay model at order 14: UV (dim 40), V-UV with an
+    unvoiced frame (dim 41), or V-UV voiced at period 60 with the 92-entry
+    chain of the roadmap's voiced record (dim 132)."""
+    if kind == "uv":
+        return build_uv_model(SPEECH14, NOISE14, 25)
+    if kind == "vuv-unvoiced":
+        return build_vuv_model(SPEECH14, NOISE14, UNVOICED, 25, 1)
+    return build_vuv_model(SPEECH14, NOISE14, voiced(period=60, b=0.5), 25, 92)
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("kind,dim", [("uv", 40), ("vuv-unvoiced", 41), ("vuv-voiced", 132)])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["mono", "stereo"])
+    def test_bitwise_against_allocating_step(self, rng, kind, dim, shape):
+        # flks_step in its reused buffers against the step that allocated a
+        # fresh [P | x] and rank-one term each sample: the same joint, gain,
+        # freeze and emitted samples, bit for bit, through the freeze.
+        model = order14_model(kind)
+        assert model.dim == dim
+        z = ar_signal(SPEECH14.coefficients, 1e-3, 600 * 2, rng).reshape(600, 2)
+        z += 0.03 * rng.normal(size=(600, 2))
+        z = z[:, : shape[0]] if shape else z[:, 0]
+        state = initial_state(model, float(np.mean(z[:200] ** 2)), shape)
+        ref = ReferenceSmoother(state)
+        frozen_at = None
+        for n, z_n in enumerate(z):
+            state, emitted = flks_step(state, model, z_n if shape else float(z_n))
+            expect = ref.step(model, z_n)
+            assert state.joint.tobytes() == ref.joint.tobytes()
+            assert (state.frozen is model) == ref.frozen
+            if ref.gain is None:
+                assert state.gain is None
+            else:
+                assert state.gain.tobytes() == ref.gain.tobytes()
+            if n < model.smoother_delay:
+                assert emitted is None
+            else:
+                assert np.asarray(emitted).reshape(-1).tobytes() == expect.tobytes()
+            if frozen_at is None and ref.frozen:
+                frozen_at = n
+        assert frozen_at is not None and frozen_at < 550
+
+    def test_pre_freeze_step_allocates_less_than_one_joint(self, rng):
+        # After warm-up, a pre-freeze step at dim 132 with two channels
+        # writes into the state's reused buffers: its peak allocation stays
+        # below one (dim, dim + C) array.
+        model = order14_model("vuv-voiced")
+        state = initial_state(model, 1e-3, (2,))
+        z = 0.05 * rng.normal(size=(11, 2))
+        for z_n in z[:10]:
+            state, _ = flks_step(state, model, z_n)
+        assert state.frozen is None
+        tracemalloc.start()
+        try:
+            state, _ = flks_step(state, model, z[10])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.frozen is None
+        assert peak < state.joint.nbytes == 132 * 134 * 8
 
 
 def dense_flks(model, z, obs_variance):
