@@ -19,12 +19,7 @@ from .pitch import (
     prewhiten,
 )
 from .signal_core import AudioBuffer, analytic_signal, cross_spectrum, frame_rows, periodogram
-from .stp import (
-    CompiledCodebook,
-    DualChannelNoiseTracker,
-    StpEstimate,
-    compile_codebook,
-)
+from .stp import DualChannelNoiseTracker, StpEstimate, compile_codebook
 
 
 @dataclass(frozen=True)
@@ -94,37 +89,31 @@ def channel_groups(channels, cfg: RunConfig) -> list[tuple[str, list[int]]]:
     return [(ear, [c]) for c, ear in enumerate(ears)]
 
 
-def _group_params(x, sample_rate: int, ear: str, speech: CompiledCodebook,
-                  noise: CompiledCodebook, cfg: RunConfig, diagnostics_out: list | None):
+def _group_params(x, sample_rate: int, ear: str, speech: stp.CompiledCodebook,
+                  noise: stp.CompiledCodebook, cfg: RunConfig, diagnostics_out: list | None):
     """Per-frame (StpEstimate, PitchInfo) list shared by the ``(C, n)`` rows of ``x``.  All
     frames' spectra come first; the first and last rows are the STP's left and right ears."""
     m = cfg.frame_len
     frames = np.array([frame_rows(row, m) for row in x])
     pz = periodogram(frames)
-    n_frames = frames.shape[1]
-    entries, ok, failed = noise, np.zeros(n_frames, bool), np.zeros(n_frames, bool)
-    if len(x) == 2 and cfg.adaptive_noise_codebook and n_frames:
+    adaptive = ok = None  # ok: per frame, whether the dual-channel fit gave an entry
+    if len(x) == 2 and cfg.adaptive_noise_codebook:
         # The tracker does not depend on the STP, so all frames' noise PSDs are fitted in one
         # pass, at the codebook's order: the LSF-domain average needs entries of one length.
         tracker = DualChannelNoiseTracker()
         dc_psd = np.array([tracker.update(*pair) for pair in zip(*pz, cross_spectrum(*frames))])
         # A frame whose PSD cannot be fitted gets no entry; its diagnostics row says so.
         coeffs, variances, ok = stp.noise_psd_to_ar(dc_psd, noise.order)
-        failed = ~ok
         if ok.any():
-            # The fitted entries are compiled together: one LSF conversion and
-            # one FFT per record.  Each frame's row joins its noise entries last.
-            fitted = compile_codebook([ArModel(a) for a in coeffs[ok]], m)
-            entries = [noise] * n_frames
-            for fi, lsf, env in zip(np.flatnonzero(ok), fitted.lsfs, fitted.envelopes):
-                entries[fi] = CompiledCodebook(np.vstack((noise.lsfs, lsf)),
-                                               np.vstack((noise.envelopes, env)))
+            # The fitted entries are compiled together: one LSF conversion and one FFT per
+            # record.  Each frame scores its row beside the shared noise entries.
+            adaptive = (ok, compile_codebook([ArModel(a) for a in coeffs[ok]], m))
     stp_diagnostics = [] if diagnostics_out is not None else None
-    estimates = stp.estimate_stp(pz[0], pz[-1], speech, entries, frame_len=m,
-                                 diagnostics=stp_diagnostics)
+    estimates = stp.estimate_stp(pz[0], pz[-1], speech, noise, frame_len=m,
+                                 diagnostics=stp_diagnostics, adaptive=adaptive)
     params = []
     for fi, est in enumerate(estimates):
-        if ok[fi]:
+        if ok is not None and ok[fi]:
             # Fuse the codebook-MMSE noise variance with the dual-channel one.
             fused = 0.5 * (est.noise.excitation_variance + float(variances[fi]))
             est = replace(est, noise=ArModel(est.noise.coefficients, fused))
@@ -133,7 +122,7 @@ def _group_params(x, sample_rate: int, ear: str, speech: CompiledCodebook,
             diagnostics_out.append(FrameDiagnostics(
                 fi, diag.best_speech_index, diag.best_noise_index, diag.best_log_weight,
                 est.speech.excitation_variance, est.noise.excitation_variance,
-                diag.underflow_fallback, bool(failed[fi]), ear))
+                diag.underflow_fallback, ok is not None and not ok[fi], ear))
         pitch = UNVOICED
         if cfg.model == "vuv":
             # Each ear's frame, whitened after the samples before it, made analytic.
@@ -161,16 +150,19 @@ def frame_params(
 
     Before any frame work it checks the pitch grid at the buffer's rate and
     that both codebook orders lie below ``frame_len``; the per-frame stages
-    beneath it take these for granted.
+    beneath it take these for granted.  A record without a whole frame gets
+    empty lists, and neither codebook is compiled.
     """
     check_pitch_grid(z.sample_rate, cfg.f_min, cfg.f_max, cfg.pitch_grid_hz)
     for kind, cb in (("speech", speech_cb), ("noise", noise_cb)):
         if cb.order >= cfg.frame_len:
             raise ValueError(f"{kind} codebook order {cb.order} must be below "
                              f"frame_len {cfg.frame_len}")
+    channels = np.atleast_2d(z.samples)
+    if channels.shape[1] < cfg.frame_len:  # no whole frame: nothing to compile or estimate
+        return [(rows, []) for _, rows in channel_groups(channels, cfg)]
     speech = compile_codebook(speech_cb, cfg.frame_len)
     noise = compile_codebook(noise_cb, cfg.frame_len)
-    channels = np.atleast_2d(z.samples)
     return [(rows, _group_params(channels[rows], z.sample_rate, ear, speech, noise, cfg,
                                  diagnostics_out))
             for ear, rows in channel_groups(channels, cfg)]

@@ -4,9 +4,10 @@ Every (speech entry, noise entry) pair of a frame gets the maximum-likelihood ex
 variances of a two-channel Itakura-Saito cost.  Pair weights are the likelihoods under uniform
 variance priors; the estimate is the weighted average, AR shapes averaged in the LSF domain so
 it stays stable.  Codebook LSF rows and envelopes are compiled once per run (``CompiledCodebook``)
-and each frame's adaptive noise row joins its noise entries.  ``estimate_stp`` takes a record and
-solves consecutive frames with one entry count together, up to PAIR_BATCH_ROWS pairs, on the K/2 + 1
-distinct bins of the real spectra, each pair by the profile solve of ``ml_excitation_variances``.
+and every frame shares them; a frame's adaptive noise row, if it has one, is scored beside them.
+``estimate_stp`` takes a record and solves consecutive frames together, up to PAIR_BATCH_ROWS
+pairs, on the K/2 + 1 distinct bins of the real spectra, each pair by the profile solve of
+``ml_excitation_variances``.
 """
 
 from __future__ import annotations
@@ -223,59 +224,36 @@ class StpDiagnostics:
     weights: npt.NDArray[np.float64] | None = None  # normalized (ns, nw) posterior
 
 
-def _frame_entries(entries, n_frames: int, k: int) -> list[CompiledCodebook]:
-    """One compiled entry set per frame, from shared entries or a per-frame list of them."""
-    if isinstance(entries, CompiledCodebook):
-        return [entries] * n_frames
-    entries = list(entries)
-    if entries and isinstance(entries[0], CompiledCodebook):
-        return entries
-    return [compile_codebook(entries, k)] * n_frames
-
-
-def _frame_groups(noise: list[CompiledCodebook], ns: int):
-    """Slices of consecutive frames with one noise entry count, each of at
-    most PAIR_BATCH_ROWS pairs, or of one frame where a frame has more."""
-    first = 0
-    while first < len(noise):
-        nw = len(noise[first])
-        cap = min(len(noise), first + max(1, PAIR_BATCH_ROWS // (ns * nw)))
-        last = first + 1
-        while last < cap and len(noise[last]) == nw:
-            last += 1
-        yield slice(first, last)
-        first = last
-
-
 def estimate_stp(
     pzl: npt.ArrayLike,
     pzr: npt.ArrayLike,
     speech_entries: CompiledCodebook | Sequence[ArModel],
-    noise_entries: CompiledCodebook | Sequence[ArModel] | Sequence[CompiledCodebook],
+    noise_entries: CompiledCodebook | Sequence[ArModel],
     frame_len: int,
     diagnostics: StpDiagnostics | list | None = None,
+    adaptive: tuple[npt.NDArray[np.bool_], CompiledCodebook] | None = None,
 ) -> StpEstimate | list[StpEstimate]:
     """MMSE estimate of the joint STP vector over the codebook pair grid, per frame.
 
     ``pzl`` and ``pzr`` hold one frame's spectra (K,) or a record's (F, K).
     Entries given as AR models go through ``compile_codebook``; compiled ones
-    are compiled for K bins.  The speech entries serve every frame; the noise
-    entries too, or they are a list of compiled sets of one order, one per
-    frame.  A frame's AR shapes are averaged in the LSF domain under its pair
-    weights, the normalized likelihoods, and its variances directly.  A frame
-    gets the bits it gets alone.  A 1-D call returns an ``StpEstimate`` and
-    fills ``diagnostics``; a record gives a list, one per frame, and appends
-    one ``StpDiagnostics`` per frame.
+    are compiled for K bins.  The speech and the noise entries serve every
+    frame.  ``adaptive``, if given, is ``(has_row, rows)``: a (F,) mask and one
+    compiled row per frame where it is true, in frame order, which that frame
+    scores as its last noise entry.  A frame's AR shapes are averaged in the
+    LSF domain under its pair weights, the normalized likelihoods, and its
+    variances directly.  A frame gets the bits it gets alone.  A 1-D call
+    returns an ``StpEstimate`` and fills ``diagnostics``; a record gives a
+    list, one per frame, and appends one ``StpDiagnostics`` per frame.
     """
     one_frame = np.ndim(pzl) == 1
     pl_all, pr_all = (np.atleast_2d(np.asarray(x, float)) for x in (pzl, pzr))
     n_frames, k = pl_all.shape
-    speech = (speech_entries if isinstance(speech_entries, CompiledCodebook)
-              else compile_codebook(speech_entries, k))
-    noise = _frame_entries(noise_entries, n_frames, k)
+    speech, noise = (entries if isinstance(entries, CompiledCodebook)
+                     else compile_codebook(entries, k) for entries in (speech_entries, noise_entries))
     if not n_frames:
         return []
-    ns = len(speech)
+    ns, nw = len(speech), len(noise)
 
     # The solve runs on the K//2 + 1 distinct bins of real spectra, weighted (1, 2, ..., 2, 1)/K
     # (no Nyquist bin for odd K).  Pair (i, j) of a frame is entry [i, j] of its results.
@@ -284,15 +262,31 @@ def estimate_stp(
     bins[0], bins[-1] = 1.0 / k, (1.0 + k % 2) / k
     pl_all, pr_all = pl_all[:, :half], pr_all[:, :half]
     ps = speech.envelopes[:, :half]
+    # Every frame solves one column per noise entry, and one for its adaptive row if any frame
+    # has one.  A frame without a row solves the row before it (or the first) as a stand-in that
+    # its weights leave out: each pair gets the bits it gets alone.
+    if adaptive is None:
+        has_row = np.zeros(n_frames, bool)
+        extra_lsfs, extra_env = np.empty((n_frames, 0, noise.order)), np.empty((n_frames, 0, half))
+    else:
+        has_row, rows = np.asarray(adaptive[0], bool), adaptive[1]
+        row = np.maximum(np.cumsum(has_row) - 1, 0)
+        extra_lsfs, extra_env = rows.lsfs[row, None], rows.envelopes[row, None, :half]
+    step = max(1, PAIR_BATCH_ROWS // (ns * (nw + extra_lsfs.shape[1])))
     found, speech_lsf, noise_lsf, variances = [], [], [], []
-    for group in _frame_groups(noise, ns):
+    for first in range(0, n_frames, step):
+        group = slice(first, first + step)
         pl, pr = pl_all[group, None, None], pr_all[group, None, None]
-        pw = np.stack([e.envelopes[:, :half] for e in noise[group]])[:, None]
-        sig_d, sig_v, cost = ml_excitation_variances(pl, pr, ps[:, None], pw, bin_weights=bins)
-        for f, entries in enumerate(noise[group]):
+        lsfs, pw = (np.concatenate((np.broadcast_to(shared, (len(pl), *shared.shape)), extra[group]),
+                                   axis=1)
+                    for shared, extra in ((noise.lsfs, extra_lsfs),
+                                          (noise.envelopes[:, :half], extra_env)))
+        sig_d, sig_v, cost = ml_excitation_variances(pl, pr, ps[:, None], pw[:, None],
+                                                     bin_weights=bins)
+        for f, width in enumerate((nw + has_row[group]).tolist()):
             # Weights lie in [0, 1], the peak's 1; a non-finite peak's pair gets all the weight.
-            log_weights = -0.5 * frame_len * cost[f]
-            bi, bj = divmod(int(np.argmax(log_weights)), log_weights.shape[1])
+            log_weights = -0.5 * frame_len * cost[f, :, :width]
+            bi, bj = divmod(int(np.argmax(log_weights)), width)
             peak = log_weights[bi, bj]
             fallback = not np.isfinite(peak)
             weights = np.zeros(log_weights.shape) if fallback else np.exp(log_weights - peak)
@@ -300,8 +294,9 @@ def estimate_stp(
             weights /= weights.sum()
             found.append(StpDiagnostics(bi, bj, float(peak), fallback, weights))
             speech_lsf.append(np.einsum("i,ij->j", weights.sum(axis=1), speech.lsfs))
-            noise_lsf.append(np.einsum("i,ij->j", weights.sum(axis=0), entries.lsfs))
-            variances.append([float((weights * var[f]).sum()) for var in (sig_d, sig_v)])
+            noise_lsf.append(np.einsum("i,ij->j", weights.sum(axis=0), lsfs[f, :width]))
+            variances.append([float((weights * var[f, :, :width]).sum())
+                              for var in (sig_d, sig_v)])
     speech_ar, noise_ar = (lsf_to_ar(np.sort(lsf, axis=1)) for lsf in (speech_lsf, noise_lsf))
     estimates = [StpEstimate(ArModel(a_d, v_d), ArModel(a_v, v_v))
                  for a_d, a_v, (v_d, v_v) in zip(speech_ar, noise_ar, variances)]

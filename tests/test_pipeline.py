@@ -137,8 +137,10 @@ class TestProcess:
 
     def test_adaptive_entries_match_per_frame_fits(self, rng, codebooks, monkeypatch):
         # All frames' dual-channel noise PSDs are fitted in one batched call;
-        # each frame's adaptive entry is its one-row fit, bit for bit: its
-        # compiled row is the last of the frame's noise entries, and its
+        # each frame's adaptive entry is its one-row fit, bit for bit.  The
+        # record's one STP call gets the compiled noise codebook, shared by
+        # every frame, and the fitted rows beside it; each frame's estimate is
+        # a one-frame call on its row stacked under the codebook, and its row's
         # excitation variance is fused into the frame's noise variance.  A
         # frame that cannot be fitted (the silent first frame's all-zero PSD)
         # gets none, and its diagnostics row reads adaptive_fit_failed.
@@ -148,13 +150,12 @@ class TestProcess:
         scb, ncb = codebooks
         _, zl, zr = make_scene(rng, n=1000, decorrelate=True)
         zl.samples[:200] = zr.samples[:200] = 0.0
-        seen, estimates, fits, records = [], [], [], []
+        calls, estimates, fits = [], [], []
         estimate, fit = stp.estimate_stp, stp.noise_psd_to_ar
 
         def spy(pzl, pzr, speech_entries, noise_entries, *args, **kwargs):
-            # One record-level call: one noise entry set and one estimate per frame.
-            records.append(len(pzl))
-            seen.extend(noise_entries)
+            calls.append((speech_entries, noise_entries, kwargs["adaptive"],
+                          kwargs["diagnostics"]))
             result = estimate(pzl, pzr, speech_entries, noise_entries, *args, **kwargs)
             estimates.extend(result)
             return result
@@ -169,28 +170,38 @@ class TestProcess:
         process(stereo(zl, zr), scb, ncb, fast_cfg(), diagnostics_out=diagnostics)
         assert fits == [(5, 200)]
         assert [d.adaptive_fit_failed for d in diagnostics] == [True] + [False] * 4
+        [(speech, shared, (has_row, rows), stp_diags)] = calls
+        base = stp.compile_codebook(ncb, 200)
+        assert shared.lsfs.tobytes() == base.lsfs.tobytes()
+        assert shared.envelopes.tobytes() == base.envelopes.tobytes()
+        assert has_row.tolist() == [False] + [True] * 4 and len(rows) == 4
         frames_l, frames_r = frame_rows(zl.samples, 200), frame_rows(zr.samples, 200)
         pzl, pzr = periodogram(frames_l), periodogram(frames_r)
         cross = cross_spectrum(frames_l, frames_r)
         tracker = stp.DualChannelNoiseTracker()
-        base = stp.compile_codebook(ncb, 200)
-        for fi, (got, est, diag) in enumerate(zip(seen, estimates, diagnostics)):
+        row = iter(zip(rows.lsfs, rows.envelopes))
+        for fi, (est, diag, stp_diag) in enumerate(zip(estimates, diagnostics, stp_diags)):
             psd = tracker.update(pzl[fi], pzr[fi], cross[fi])
             [coeffs], [variance], [ok] = fit(psd[None], ncb.order)
             assert ok == (fi != 0)
-            assert len(got) == len(base) + ok
-            assert got.lsfs[: len(base)].tobytes() == base.lsfs.tobytes()
-            assert got.envelopes[: len(base)].tobytes() == base.envelopes.tobytes()
-            if not ok:
-                assert diag.sigma_v2 == est.noise.excitation_variance
-            else:
+            assert stp_diag.weights.shape == (len(speech), len(base) + ok)
+            entries = base
+            if ok:
+                lsf, env = next(row)
                 single = stp.compile_codebook([ArModel(coeffs)], 200)
-                assert got.lsfs[-1:].tobytes() == single.lsfs.tobytes()
-                assert got.envelopes[-1:].tobytes() == single.envelopes.tobytes()
-                fused = 0.5 * (est.noise.excitation_variance + variance)
-                assert diag.sigma_v2 == fused
-        assert len(seen) == len(diagnostics) == 5
-        assert records == [5]
+                assert lsf.tobytes() == single.lsfs[0].tobytes()
+                assert env.tobytes() == single.envelopes[0].tobytes()
+                entries = stp.CompiledCodebook(np.vstack((base.lsfs, lsf)),
+                                               np.vstack((base.envelopes, env)))
+            one_diag = stp.StpDiagnostics()
+            one = estimate(pzl[fi], pzr[fi], speech, entries, 200, diagnostics=one_diag)
+            for got, want in ((est.speech, one.speech), (est.noise, one.noise)):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.excitation_variance == want.excitation_variance
+            assert stp_diag.weights.tobytes() == one_diag.weights.tobytes()
+            fused = 0.5 * (est.noise.excitation_variance + variance)
+            assert diag.sigma_v2 == (fused if ok else est.noise.excitation_variance)
+        assert len(estimates) == len(diagnostics) == 5
 
     def test_adaptive_entries_compiled_once_per_record(self, rng, codebooks, monkeypatch):
         # One LSF conversion serves every frame's adaptive entry; the
@@ -356,6 +367,25 @@ class TestEdges:
         if n < 200:
             np.testing.assert_array_equal(out_l.samples, zl.samples)
             np.testing.assert_array_equal(out_r.samples, zr.samples)
+
+    @pytest.mark.parametrize("mode", ["binaural", "bilateral"])
+    def test_shorter_than_frame_compiles_no_codebook(self, rng, codebooks, monkeypatch, mode):
+        # A record without a whole frame comes back unchanged, and neither
+        # codebook is compiled for its frame_len bins.
+        def fail(*args):
+            raise AssertionError("compile_codebook called")
+
+        monkeypatch.setattr(pipeline, "compile_codebook", fail)
+        z = AudioBuffer(rng.normal(size=(2, 4000)), 8000)
+        cfg = fast_cfg(mode=mode, frame_len=4002, smoother_delay=25)
+        groups = [[0, 1]] if mode == "binaural" else [[0], [1]]
+        assert pipeline.frame_params(z, *codebooks, cfg) == [(rows, []) for rows in groups]
+        diagnostics = []
+        out = process(z, *codebooks, cfg, diagnostics_out=diagnostics)
+        np.testing.assert_array_equal(out.samples, z.samples)
+        assert diagnostics == []
+        with pytest.raises(AssertionError, match="compile_codebook called"):
+            process(AudioBuffer(z.samples[:, :2000], 8000), *codebooks, fast_cfg(mode=mode))
 
     def test_prewhitening_history_follows_noise_model_order(self, rng, monkeypatch):
         # A noise codebook of order 20, deeper than the order-4 speech codebook.

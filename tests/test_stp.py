@@ -468,24 +468,25 @@ class TestRecordEstimate:
     """A record-level estimate_stp gives each frame the bits of a one-frame call."""
 
     def test_record_matches_one_frame_calls(self, rng, monkeypatch):
-        # 80 speech entries x (4 + 1) noise entries is 400 pairs a frame, so
-        # the row budget splits the frames with an adaptive row into pairs.
-        # Frame 3 has no adaptive row (320 pairs), which also ends a group,
-        # and frame 5 is digital silence.
+        # 50 speech entries x (4 + 1) noise entries is 250 pairs a frame, so
+        # the row budget groups the frames in threes.  Frames 0 and 4 have no
+        # adaptive row: frame 0 lies before the first row, frame 4 in the
+        # middle of a group.  Frame 5 is digital silence.
         k, n_frames = 200, 7
-        assert stp.PAIR_BATCH_ROWS // 400 == 2 and stp.PAIR_BATCH_ROWS // 320 == 2
+        assert stp.PAIR_BATCH_ROWS // 250 == 3 and stp.PAIR_BATCH_ROWS // 200 == 4
+        has_row = np.array([False, True, True, True, False, True, True])
 
         def models(count, order):
             return [_random_model(rng, order) for _ in range(count)]
 
-        speech = compile_codebook(models(80, 4), k)
+        speech = compile_codebook(models(50, 4), k)
         base = compile_codebook(models(4, 2), k)
-        rows = compile_codebook(models(n_frames, 2), k)
-        entries = [
-            base if f == 3 else CompiledCodebook(np.vstack((base.lsfs, rows.lsfs[f])),
-                                                 np.vstack((base.envelopes, rows.envelopes[f])))
-            for f in range(n_frames)
-        ]
+        rows = compile_codebook(models(int(has_row.sum()), 2), k)
+        # The oracle: each frame alone, its row stacked under the shared entries.
+        stacked = [base] * n_frames
+        for f, lsf, env in zip(np.flatnonzero(has_row), rows.lsfs, rows.envelopes):
+            stacked[f] = CompiledCodebook(np.vstack((base.lsfs, lsf)),
+                                          np.vstack((base.envelopes, env)))
         s = ar_signal(SPEECH_AR.coefficients, 1e-3, n_frames * k, rng).reshape(n_frames, k)
         pl, pr = (periodogram(s + 0.01 * rng.normal(size=s.shape)) for _ in range(2))
         pl[5] = pr[5] = 0.0
@@ -494,7 +495,7 @@ class TestRecordEstimate:
         solve, convert = stp.ml_excitation_variances, stp.lsf_to_ar
 
         def spy_solve(*args, **kwargs):
-            groups.append(np.broadcast_shapes(*(np.shape(a) for a in args))[0])
+            groups.append(np.broadcast_shapes(*(np.shape(a) for a in args))[:3])
             return solve(*args, **kwargs)
 
         def spy_convert(lsf):
@@ -503,12 +504,13 @@ class TestRecordEstimate:
 
         monkeypatch.setattr(stp, "ml_excitation_variances", spy_solve)
         monkeypatch.setattr(stp, "lsf_to_ar", spy_convert)
-        for noise in (entries, base):  # per-frame entries, then shared ones
+        for adaptive in ((has_row, rows), None):  # fitted rows, then the shared entries alone
             groups.clear()
             lsf_rows.clear()
             diags = []
-            record = estimate_stp(pl, pr, speech, noise, k, diagnostics=diags)
-            assert groups == ([2, 1, 1, 2, 1] if noise is entries else [2, 2, 2, 1])
+            record = estimate_stp(pl, pr, speech, base, k, diagnostics=diags, adaptive=adaptive)
+            assert groups == ([(3, 50, 5), (3, 50, 5), (1, 50, 5)] if adaptive else
+                              [(4, 50, 4), (3, 50, 4)])
             assert len(lsf_rows) == 2 and all(r.shape == (n_frames, o) for r, o in
                                               zip(lsf_rows, (4, 2)))
             record_lsfs = list(lsf_rows)
@@ -516,13 +518,14 @@ class TestRecordEstimate:
             for f in range(n_frames):
                 lsf_rows.clear()
                 diag = StpDiagnostics()
-                one = estimate_stp(pl[f], pr[f], speech, entries[f] if noise is entries else base,
-                                   k, diagnostics=diag)
+                one = estimate_stp(pl[f], pr[f], speech, stacked[f] if adaptive else base, k,
+                                   diagnostics=diag)
                 for got, want in zip(record_lsfs, lsf_rows):
                     np.testing.assert_array_equal(got[f], want[0])
                 for got, want in ((record[f].speech, one.speech), (record[f].noise, one.noise)):
                     np.testing.assert_array_equal(got.coefficients, want.coefficients)
                     assert got.excitation_variance == want.excitation_variance
+                assert diags[f].weights.shape == (50, 4 + bool(adaptive and has_row[f]))
                 np.testing.assert_array_equal(diags[f].weights, diag.weights)
                 assert vars(diags[f]).keys() == vars(diag).keys()
                 for key in ("best_speech_index", "best_noise_index", "best_log_weight",
