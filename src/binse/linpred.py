@@ -117,8 +117,33 @@ def _cosine_series(coeffs) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.floa
     return series[0], series[1]
 
 
-def _series_roots(series) -> npt.NDArray[np.float64]:
-    """Angles w where each row's series sum_j d_j cos(j w) vanishes, (n, m), unsorted.
+# Cells of the angle grid over [0, pi] on which ``_bracketed_roots`` brackets each root.
+LSF_GRID_CELLS = 128
+_GRID_ANGLES = np.linspace(0.0, np.pi, LSF_GRID_CELLS + 1)
+_GRID_X = np.cos(_GRID_ANGLES)
+# Newton in x stops at a step below this; a root still moving after the cap falls back.
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_STEPS = 16
+# Roots in this many cells at either end, where one ulp of x moves w by more
+# than 2e-15 rad through arccos, finish with a Newton step in w.  The step runs
+# in long double (80-bit on x86-64 Linux): near 0 and pi the series' slope in w
+# can be small enough that doubles would leave over 1e-12 rad of noise.
+_EDGE_CELLS = 2
+
+
+def _angle_newton_step(series, w) -> npt.NDArray[np.float64]:
+    """One Newton step in w on sum_j d_j cos(j w) = 0, series (..., m+1) against w[..., None]."""
+    harmonics = np.arange(series.shape[-1] - 1, -1, -1)  # highest first: halves the worst error
+    terms = series[..., ::-1]
+    jw = harmonics * w[..., None]
+    value = np.sum(terms * np.cos(jw), axis=-1)
+    slope = np.sum(harmonics * terms * np.sin(jw), axis=-1)  # -d value / dw
+    # slope is 0 at w = 0 (an eigenvalue clipped to 1); that angle is left for the row to fail.
+    return w + np.divide(value, slope, out=np.zeros_like(w), where=slope != 0.0)
+
+
+def _colleague_roots(series) -> npt.NDArray[np.float64]:
+    """Angles of each row's series roots from its colleague matrix, (n, m), unsorted.
 
     With x = cos w the series is the Chebyshev series sum_j d_j T_j(x), whose
     roots are the eigenvalues of its colleague matrix, scaled as
@@ -128,8 +153,6 @@ def _series_roots(series) -> npt.NDArray[np.float64]:
     distinct roots in (-1, 1) gives angles that ``valid_lsf_rows`` rejects.
     """
     n, m = series.shape[0], series.shape[1] - 1
-    if m == 0:
-        return np.empty((n, 0))
     weight = np.full(m, 0.5)  # the scaling makes every coupling 1/2, but sqrt(1/2) at T_0
     weight[0] = np.sqrt(0.5) if m > 1 else 1.0  # m = 1: the matrix is the root, -d_0 / d_1
     colleague = np.zeros((n, m, m))
@@ -137,14 +160,102 @@ def _series_roots(series) -> npt.NDArray[np.float64]:
     colleague[:, inner, inner + 1] = colleague[:, inner + 1, inner] = weight[:-1]
     colleague[:, :, -1] -= series[:, :-1] / series[:, -1:] * weight
     x = np.linalg.eigvals(colleague).real
-    w = np.arccos(np.clip(x, -1.0, 1.0))
-    harmonics = np.arange(m, -1, -1)  # highest first: halves the worst error against exact roots
-    terms = series[:, None, ::-1]
-    jw = harmonics * w[..., None]
-    value = np.sum(terms * np.cos(jw), axis=-1)
-    slope = np.sum(harmonics * terms * np.sin(jw), axis=-1)  # -d value / dw
-    # slope is 0 at w = 0 (an eigenvalue clipped to 1); that angle is left for the row to fail.
-    return w + np.divide(value, slope, out=np.zeros_like(w), where=slope != 0.0)
+    return _angle_newton_step(series[:, None, :], np.arccos(np.clip(x, -1.0, 1.0)))
+
+
+def _clenshaw(coeffs, x) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """Value and x-derivative of sum_j d_j T_j(x) at each x, with coeffs[j] the d_j of each x.
+
+    One Clenshaw recurrence b_j = d_j + 2x b_(j+1) - b_(j+2) carries its own
+    derivative c_j = 2 b_(j+1) + 2x c_(j+1) - c_(j+2) beside it; every
+    operation is elementwise, so each x's result depends on its own inputs only.
+    """
+    two_x = 2.0 * x
+    b1, b2, c1, c2 = coeffs[-1], 0.0, 0.0, 0.0
+    for d in coeffs[-2:0:-1]:
+        c1, c2 = two_x * c1 + 2.0 * b1 - c2, c1
+        b1, b2 = two_x * b1 + d - b2, b1
+    return x * b1 + coeffs[0] - b2, x * c1 + b1 - c2
+
+
+def _bracketed_roots(series) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.bool_]]:
+    """``(angles, ok)``: each row's series roots, ascending, (n, m), where a grid brackets them.
+
+    The series is evaluated at the ``LSF_GRID_CELLS`` + 1 angles of a fixed
+    grid over [0, pi] (Kabal & Ramachandran, IEEE TASSP 1986), one term at a
+    time for each row.  A degree-m series that changes sign in exactly m
+    cells has one simple root in each, inside (0, pi).  Each such root starts
+    at its cell's secant point and takes Newton steps in x = cos w, one
+    Clenshaw recurrence per step, until a step is below ``_NEWTON_TOL``; a
+    step that leaves the root's bracket, which each step shrinks, bisects it
+    instead.  Roots in the outer cells then take one Newton step in w.
+    ``ok`` is false for a row with fewer or more sign changes than m, or
+    with a root that still moves after ``_NEWTON_MAX_STEPS`` or settles
+    outside its cell; that row's angles are not roots.  Every operation is
+    per row or per root, so a row's angles do not depend on the other rows.
+    """
+    n, m = series.shape[0], series.shape[1] - 1
+    values = np.einsum("nj,jk->nk", series, np.cos(np.arange(m + 1)[:, None] * _GRID_ANGLES))
+    negative = values < 0.0
+    changes = np.flatnonzero(negative[:, :-1] != negative[:, 1:])
+    rows, cells = np.divmod(changes, LSF_GRID_CELLS)
+    ok = np.bincount(rows, minlength=n) == m
+    keep = np.flatnonzero(ok[rows])
+    rows, cells, left = rows[keep], cells[keep], changes[keep] + rows[keep]  # left: index in values
+    f_left, f_right = values.ravel()[left], values.ravel()[left + 1]
+    del values, negative  # the grid is done with before the per-root arrays are made
+    x_left, x_right = _GRID_X[cells], _GRID_X[cells + 1]  # x falls as w grows
+    edge = np.flatnonzero((cells < _EDGE_CELLS) | (cells >= LSF_GRID_CELLS - _EDGE_CELLS))
+    roots = np.full(len(cells), np.nan)
+    pending, coeffs = np.arange(len(cells)), np.take(series.T, rows, axis=1)
+    lo, hi, lo_negative = x_right, x_left, f_right < 0.0  # the bracket [lo, hi] and f's sign at lo
+    with np.errstate(all="ignore"):  # a root that goes non-finite never settles and falls back
+        x = x_right - f_right * (x_left - x_right) / (f_left - f_right)
+        for _ in range(_NEWTON_MAX_STEPS):
+            f, slope = _clenshaw(coeffs, x)
+            at_lo = (f < 0.0) == lo_negative
+            lo, hi = np.where(at_lo, x, lo), np.where(at_lo, hi, x)
+            step = f / slope
+            x = x - step
+            done = np.abs(step) < _NEWTON_TOL
+            astray = ~(done | ((x >= lo) & (x <= hi)))
+            if astray.any():  # bisect where Newton leaves the bracket
+                x[astray] = 0.5 * (lo[astray] + hi[astray])
+            if done.any():
+                roots[pending[done]] = x[done]
+                moving = (~done).nonzero()[0]
+                pending, x, lo, hi, lo_negative = (
+                    v[moving] for v in (pending, x, lo, hi, lo_negative)
+                )
+                coeffs = coeffs.take(moving, axis=1)
+                if not len(pending):
+                    break
+    settled = (roots >= x_right) & (roots <= x_left)  # false for NaN
+    w = np.arccos(np.where(settled, roots, 0.0))
+    w[edge] = _angle_newton_step(
+        series[rows[edge]].astype(np.longdouble), w[edge].astype(np.longdouble)
+    )
+    angles = np.empty((n, m))
+    angles[ok] = w.reshape(-1, m)
+    ok[ok] = settled.reshape(-1, m).all(axis=1)
+    return angles, ok
+
+
+def _series_roots(series) -> npt.NDArray[np.float64]:
+    """Angles w where each row's series sum_j d_j cos(j w) vanishes, (n, m), unsorted.
+
+    A row whose m roots the grid brackets takes ``_bracketed_roots``; any
+    other row (two roots in one cell, a double or complex root, a root that
+    does not settle in its cell) takes ``_colleague_roots``, the stacked
+    eigenvalue path.
+    """
+    n, m = series.shape[0], series.shape[1] - 1
+    if m == 0:
+        return np.empty((n, 0))
+    angles, ok = _bracketed_roots(series)
+    if not ok.all():
+        angles[~ok] = _colleague_roots(series[~ok])
+    return angles
 
 
 def ar_to_lsf(
@@ -153,8 +264,11 @@ def ar_to_lsf(
     """Convert stable AR models to line spectral frequencies.
 
     A non-empty sequence of models of one order, or an (n, order) array of their
-    coefficient rows, gives an (n, order) array, one row per model, from
-    one stacked eigenvalue call per polynomial kind.  The sum polynomial's
+    coefficient rows, gives an (n, order) array, one row per model.  Each
+    polynomial kind's roots come from one vectorized bracketed Newton search
+    over every row whose roots a 128-cell grid separates, and from one
+    stacked eigenvalue call over the other rows (``_series_roots``); every
+    row gets the same angles as it would alone.  The sum polynomial's
     roots take the even places of a row and the difference polynomial's the
     odd ones, so a row is valid only where the two interlace, which holds
     exactly when A(z) is minimum-phase (Soong & Juang, ICASSP 1984).  The

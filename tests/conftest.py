@@ -33,6 +33,9 @@ def close_pole_model(order):
 
     Two of its line spectral frequencies lie about 1e-7 apart: closer than
     one cell of a 4096-point grid over (0, pi), but ``ar_to_lsf`` separates them.
+    Each close pair puts two roots of one series into one cell of the
+    ``LSF_GRID_CELLS`` grid, so the model's series take the colleague-matrix
+    eigensolve (``linpred._colleague_roots``), not the bracketed Newton search.
     """
     pairs = [0.9999999 * np.exp(1j * w) for w in (1.0, 1.0 + 1e-7)]
     pairs += [0.5 * np.exp(1j * (0.5 + k)) for k in range(order // 2 - 2)]

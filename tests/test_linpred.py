@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from binse.cli import main
 from binse.linpred import (
+    LSF_GRID_CELLS,
     ArModel,
+    _bracketed_roots,
+    _colleague_roots,
+    _cosine_series,
     ar_envelope,
     ar_to_lsf,
     levinson_durbin,
@@ -17,7 +21,7 @@ from binse.linpred import (
 
 from binse.signal_core import autocorrelation
 
-from conftest import close_pole_model
+from conftest import ar_signal, close_pole_model
 
 
 def stable_model_from_reflections(ks):
@@ -426,3 +430,80 @@ def test_ar_to_lsf_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert lsfs.shape == (1280, 14)
     assert peak < 4e6
+
+
+def _spy_eigensolve(monkeypatch):
+    """Record the stacked colleague matrices of every ``np.linalg.eigvals`` call."""
+    calls = []
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.copy()) or original(a))
+    return calls
+
+
+def _share_a_cell(roots):
+    """Rows of ascending angles in which two angles fall into one cell of the root grid."""
+    cells = np.floor(roots / (np.pi / LSF_GRID_CELLS))
+    return np.any(np.diff(cells, axis=1) == 0.0, axis=1)
+
+
+def test_only_rows_the_grid_cannot_bracket_reach_the_eigensolve(monkeypatch):
+    # The sum series' roots take the even LSF places and the difference series' the odd
+    # ones; a row falls back for a kind only where two of that kind's roots share a cell.
+    rng = np.random.default_rng(14)
+    models = [stable_model_from_reflections(rng.uniform(-0.9, 0.9, 14)) for _ in range(1280)]
+    calls = _spy_eigensolve(monkeypatch)
+    lsfs = ar_to_lsf(models)
+    crowded = [_share_a_cell(lsfs[:, kind::2]) for kind in (0, 1)]
+    assert [len(a) for a in calls] == [int(c.sum()) for c in crowded if c.any()]
+    assert 0 < sum(len(a) for a in calls) < 0.01 * 2 * len(models)
+    # The same matrices come from converting just those models.
+    batch_calls = calls[:]
+    calls.clear()
+    np.testing.assert_array_equal(
+        ar_to_lsf([m for m, c in zip(models, crowded[0] | crowded[1], strict=True) if c]),
+        lsfs[crowded[0] | crowded[1]],
+    )
+    assert len(calls) == len(batch_calls)
+    for alone, batched in zip(calls, batch_calls, strict=True):
+        np.testing.assert_array_equal(alone, batched)
+
+
+def test_close_pole_row_alone_reaches_the_eigensolve(monkeypatch):
+    calls = _spy_eigensolve(monkeypatch)
+    ar_to_lsf([close_pole_model(14)])
+    alone = calls[:]
+    calls.clear()
+    good = _reference_corpus()[12::19][:8]  # order-14 models the grid brackets
+    ar_to_lsf(good[:3] + [close_pole_model(14)] + good[3:])
+    assert alone and all(len(a) == 1 for a in alone)
+    assert len(calls) == len(alone)
+    for batched, single in zip(calls, alone, strict=True):
+        np.testing.assert_array_equal(batched, single)
+
+
+def _ar_fit_coefficients():
+    """Order-10 and order-14 Levinson-Durbin fits of 200-sample frames of two AR processes."""
+    rng = np.random.default_rng(30)
+    fits = []
+    for order in (10, 14):
+        for ks in ([0.9, -0.7, 0.5, -0.3], [-0.95, 0.8, 0.6, -0.4, 0.2, -0.1]):
+            x = ar_signal(stable_model_from_reflections(ks).coefficients, 1.0, 200 * 64, rng)
+            coeffs, _, ok = levinson_durbin(autocorrelation(x.reshape(64, 200), order))
+            fits.append(coeffs[ok])
+    return fits
+
+
+def test_bracketed_and_colleague_roots_agree():
+    by_order = {}
+    for m in _reference_corpus():
+        by_order.setdefault(m.order, []).append(m.coefficients)
+    blocks = [np.array(rows) for rows in by_order.values()] + _ar_fit_coefficients()
+    compared = 0
+    for coeffs in blocks:
+        for series in _cosine_series(coeffs):
+            angles, ok = _bracketed_roots(series)
+            expect = np.sort(_colleague_roots(series[ok]), axis=1)
+            np.testing.assert_allclose(angles[ok], expect, rtol=0.0, atol=1e-12)
+            compared += int(ok.sum())
+    # Only 8 series of the reference corpus (orders 17-20) fall back.
+    assert compared > 0.99 * 2 * sum(len(c) for c in blocks)
