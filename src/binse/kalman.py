@@ -12,21 +12,26 @@ head row of each chain, so a model stores only its head rows, over the
 columns they reach.  A model does not record which kind it is: the UV
 layout is the V-UV one with an empty excitation chain.
 
-Each frame runs in two phases.  Until its gain freezes, ``flks_step`` runs
-one fused, exactly symmetric step per sample on [P | x].  Within a frame the
-gain converges geometrically; once it moves by at most ``FREEZE_TOL`` of its
-max-abs between samples, the rest of the frame keeps it and P and is the
-time-invariant filter x_n = (I - g h) F x_(n-1) + g z_n.  A long enough rest
-runs as a few matrix products (``_frozen_run``), a shorter one, or one of a
-large state, as O(dim) steps (``_frozen_steps``); see
-``BLOCK_TAIL_DIM2_PER_STEP``.  The freeze reads only P, so channels that
-share it freeze together.
+The smoother has one regime: each frame's samples run as lifted blocks of
+``BLOCK_LEN`` = K samples, each one vector measurement (``lift`` and
+``lifted_update``; Anderson & Moore, *Optimal Filtering*, 1979, sequential
+processing of vector measurements), which gives the fixed-lag smoother of K
+``flks_step`` calls exactly, up to round-off.  A segment's last < K samples
+run ``flks_step``, and so does a block whose innovation covariance is not
+positive definite, has a pivot at most ``INNOVATION_EPS`` (digital silence),
+or spreads its K-step prior variances past ``BLOCK_SPREAD_MAX`` times the
+smallest innovation variance (a flat prior, or a near-noiseless record),
+where the block would lose digits.  Latency is that of the per-sample
+smoother: a frame's blocks start once its parameters exist, which already
+needs the whole frame.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -35,11 +40,12 @@ from .linpred import ArModel
 from .pitch import PitchInfo
 
 INNOVATION_EPS = 1e-30
-FREEZE_TOL = 1e-12
-# The block tail of a frame costs about as much as r**2 / 100 O(dim) frozen
-# steps, r the entries it spans (one BLAS thread on x86-64, r = 40-296), so
-# a frozen rest of fewer steps runs per sample.
-BLOCK_TAIL_DIM2_PER_STEP = 100
+# Samples per lifted block: it divides the default 200-sample frame.
+BLOCK_LEN = 25
+# A block cancels its K-step prior variances down to the innovation variances,
+# losing about log10 of their largest ratio in digits; past this ratio it runs
+# per sample.  Bench blocks read 1.7 (median) to 15.
+BLOCK_SPREAD_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,11 @@ class StateSpaceModel:
     smoother_delay: int
 
     def __post_init__(self):
-        # The head block's index, W^T / 2 and Q (inputs are head rows); the unread runs.
+        # The head block's index, W^T / 2 and Q (inputs are head rows).
         rows, k = self.head_rows, np.searchsorted(self.head_rows, self.inputs)
         q = np.zeros((len(rows), len(rows)))
         q[k, k] = self.process_variances
         object.__setattr__(self, "_head_block", (np.ix_(rows, rows), self.head_weights.T / 2, q))
-        object.__setattr__(self, "_unread_runs", _unread_runs(self))
 
     def predict(self, joint, out, cov_cols: int) -> None:
         """Write F P F^T + Q for the first ``cov_cols`` columns (``dim`` or 0)
@@ -111,20 +116,27 @@ class SmootherState:
 
     It also holds ``flks_step``'s workspace: a ``spare`` array of the shape
     of ``joint``, which the step predicts into and then swaps with
-    ``joint``, a ``rank_one`` array of that shape, and a ``(dim,)``
-    ``scratch`` vector.  As the two arrays swap on every step, a ``cov`` or
-    ``x`` view taken after one step is overwritten two steps later; a caller
-    that keeps one must copy it."""
+    ``joint``, and a ``rank_one`` array of that shape; ``lifted_update``
+    swaps the same pair and keeps its own arrays in ``buffers``.  As the two
+    arrays swap on every step, a ``cov`` or ``x`` view taken after one step
+    is overwritten two steps later; a caller that keeps one must copy it."""
 
     def __init__(self, x, cov):
         x = np.asarray(x, dtype=float)
         self.joint = np.concatenate((cov, x.reshape(len(x), -1)), axis=1)
         self.spare, self.rank_one = np.empty_like(self.joint), np.empty_like(self.joint)
-        self.scratch = np.empty(len(x))
         self.x_shape = x.shape
         self.samples_seen = 0
-        self.gain: npt.NDArray[np.float64] | None = None  # the last correction's gain
-        self.frozen: StateSpaceModel | None = None  # the model whose settled gain is ``gain``
+        self.buffers: dict[str, npt.NDArray[np.float64]] = {}
+
+    def buffer(self, name: str, shape) -> npt.NDArray[np.float64]:
+        """The reused C-contiguous array ``name`` of ``shape``, for ``lifted_update``:
+        a fresh large array costs a page fault per page it fills."""
+        size = math.prod(shape)
+        flat = self.buffers.get(name)
+        if flat is None or flat.size < size:
+            flat = self.buffers[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
     @property
     def cov(self) -> npt.NDArray[np.float64]:
@@ -216,138 +228,240 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     Rows i + j of the prediction of [P | x] hold [P h^T | h x], and one
     rank-one update [P | x] -= u [u | (h x - z) / sqrt(s)], u = P h^T / sqrt(s),
     corrects both.  A degenerate innovation variance s (digital silence
-    under zero process variances) skips the correction.  Once the gain
-    settles under ``model``, P is kept and the kept gain corrects x.
+    under zero process variances) skips the correction.  ``enhance_channel``
+    runs it for the samples its lifted blocks leave and for a block that
+    falls back.
 
-    Before the freeze the step allocates no ``(dim, dim + C)`` array: it
+    The step allocates no ``(dim, dim + C)`` array: it
     works in the state's workspace (see ``SmootherState``), and forms the
     rank-one term by a K = 1 matrix product, which has the bits of the outer
     product.
     """
-    joint, dim = state.joint, model.dim
+    joint, dim, (i, j) = state.joint, model.dim, model.observed
     n, delay = state.samples_seen, model.smoother_delay
-    if state.frozen is model:
-        emitted = _frozen_steps(state, model, np.reshape(z_n, (-1, 1)))[:, 0]
-    else:
-        i, j = model.observed
-        out, rank_one, scratch = state.spare, state.rank_one, state.scratch
-        model.predict(joint, out, dim)
-        obs = out[i] + out[j]  # [P h^T | h x], as P is symmetric
-        innov_var = float(obs[i] + obs[j])
-        gain = None
-        if not innov_var <= INNOVATION_EPS:  # a NaN still corrects, so it shows
-            gain = obs[:dim] / innov_var
-            obs[dim:] -= z_n
-            obs /= math.sqrt(innov_var)
-            out -= np.dot(obs[:dim, None], obs[None, :], out=rank_one)
-            if state.gain is not None:
-                moved = np.abs(np.subtract(gain, state.gain, out=scratch), out=scratch).max()
-                if moved <= FREEZE_TOL * np.abs(gain, out=scratch).max():
-                    state.frozen = model
-        state.gain = gain
-        state.joint, state.spare, state.samples_seen = out, joint, n + 1
-        emitted = out[delay, dim:]
+    out, rank_one = state.spare, state.rank_one
+    model.predict(joint, out, dim)
+    obs = out[i] + out[j]  # [P h^T | h x], as P is symmetric
+    innov_var = float(obs[i] + obs[j])
+    if not innov_var <= INNOVATION_EPS:  # a NaN still corrects, so it shows
+        obs[dim:] -= z_n
+        obs /= math.sqrt(innov_var)
+        out -= np.dot(obs[:dim, None], obs[None, :], out=rank_one)
+    state.joint, state.spare, state.samples_seen = out, joint, n + 1
     if n < delay:
         return state, None
+    emitted = out[delay, dim:]
     return state, float(emitted[0]) if len(state.x_shape) == 1 else emitted.copy()
 
 
-def _frozen_steps(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArray[np.float64]:
-    """Step a state frozen under ``model`` through the ``(C, T)`` observations
-    ``z`` one sample at a time, P and the gain kept; returns the ``(C, T)``
-    emitted samples and leaves the end state.  A step is the O(dim) update
-    x = F x + g (z - h F x)."""
-    dim, delay = model.dim, model.smoother_delay
-    i, j = model.observed
-    x = state.joint[:, dim:]
-    pred = np.empty_like(x)
-    emitted = np.empty_like(z)
-    for t, z_t in enumerate(z.T):
-        model.predict(x, pred, 0)
-        pred += np.multiply.outer(state.gain, z_t - (pred[i] + pred[j]))
-        x, pred = pred, x
-        emitted[:, t] = x[delay]
-    state.joint[:, dim:] = x
-    state.samples_seen += z.shape[-1]
-    return emitted
+class _Layout(NamedTuple):
+    """The index arrays of K steps under one layout of chains (see ``lift``)."""
+
+    reach: npt.NDArray[np.intp]
+    shift: npt.NDArray[np.float64]  # F over the reach with 0 for the head rows' weights
+    weights_at: tuple  # where the head rows' weights go in ``shift``
+    heads_at: npt.NDArray[np.intp]  # the heads' places in the reach
+    inputs_at: npt.NDArray[np.intp]
+    observed: tuple  # the chains of the two observed heads
+    obs_lags: npt.NDArray[np.intp]  # [t0, s0]: sample t0 + 1 lags noise s0 by t0 - s0, or K
+    out_lags: npt.NDArray[np.intp]  # [t0 - min(d, K), s0]: t0 - s0 - d, or K
+    fresh_lags: tuple  # [g, s0]: G row g = e_head F^(K-m) sees noise s0 K - 1 - s0 - m late, or K
+    fresh_powers: tuple  # [g]: G row g's power K - m and chain
+    fresh_rows: npt.NDArray[np.intp]  # the fresh entries' rows of G
+    take: npt.NDArray[np.intp]  # [x; G x; E x] -> [F^K x; E_d x]
+    pieces: npt.NDArray[np.intp]  # (pieces, K): each chain's entries, then 0s to fill a piece
+    piece_take: npt.NDArray[np.intp]  # ``take`` in the pieces, then the samples' piece
+    place: npt.NDArray[np.intp]  # each entry's and sample's slot in the pieces
+    fresh_block: npt.NDArray[np.intp]  # flat, the fresh entries' block, upper triangle, in G G^T
+    shifted: npt.NDArray[np.intp]  # flat, F^K P F^K^T in [[P, P G^T], [G P, G P G^T]]
+    paired: npt.NDArray[np.intp]  # flat, W W^T in the upper triangle of the pieces' products
+    augmented: npt.NDArray[np.float64]  # [[0, 0], [I, c I]]
+    lower: npt.NDArray[np.float64]  # 1 on and below the diagonal
 
 
-def _unread_runs(model: StateSpaceModel) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` runs that end a chain past every entry a head
-    row, the observation or the output reads.  Such entries only shift out,
-    so nothing else depends on them within a frame.  A model keeps its own
-    as ``model._unread_runs``."""
-    read = np.zeros(model.dim, dtype=bool)
-    read[model.head_cols] = read[model.head_rows] = True
-    read[[*model.observed, model.smoother_delay]] = True
-    bounds = [*model.head_rows, model.dim]
-    last_read = [lo + np.flatnonzero(read[lo:hi])[-1] for lo, hi in zip(bounds, bounds[1:])]
-    return [(last + 1, hi) for last, hi in zip(last_read, bounds[1:]) if last + 1 < hi]
+@functools.lru_cache(maxsize=16)  # a record's frames differ in their pitch tap at most
+def _layout(dim, heads, head_cols, observed, inputs, delay, k) -> _Layout:
+    heads, head_cols = np.array(heads), np.array(head_cols, dtype=np.intp)
+    entries, m, lengths = np.arange(dim), np.arange(k), np.diff([*heads, dim])
+    chain = np.searchsorted(heads, entries, side="right") - 1
+    offset = entries - heads[chain]
+    last = heads.copy()  # the last entry of each chain that a head row reads
+    np.maximum.at(last, chain[head_cols], head_cols)
+    in_reach = entries <= last[chain]
+    reach, at = np.flatnonzero(in_reach), np.cumsum(in_reach) - 1
+    shift = np.eye(len(reach), k=-1)
+    shift[at[heads]] = 0.0
+    # G: a row for each fresh entry, and K for a chain with no observed head, whose
+    # length may change; the rows past its end are never used.
+    seen = (heads == observed[0]) | (heads == observed[1])
+    counts = np.where(seen, np.minimum(lengths, k), k)
+    g_first = np.cumsum(counts) - counts
+    g_chain = np.repeat(np.arange(len(heads)), counts)
+    g_offset = np.arange(counts.sum()) - g_first[g_chain]
+    fresh = np.flatnonzero(offset < k)
+    fresh_rows = g_first[chain[fresh]] + offset[fresh]
+    lag = min(delay, k)  # samples t = 1..lag emit x_0[d - t]
+    shifted = np.where(offset < k, dim + np.cumsum(offset < k) - 1, entries - k)
+    take = np.concatenate((shifted, delay - 1 - m[:lag], dim + len(g_chain) + m[: k - lag]))
+    take[fresh] = dim + fresh_rows
+    # Slots: the observed chains' entries, then each other chain from a piece of its own.
+    slot, used = np.empty(dim, dtype=np.intp), 0
+    for c in [*np.flatnonzero(seen), *np.flatnonzero(~seen)]:
+        used = used if seen[c] else -(-used // k) * k
+        slot[heads[c] : heads[c] + lengths[c]] = used + np.arange(lengths[c])
+        used += lengths[c]
+    n_slots = -(-used // k) * k
+    place = np.concatenate((slot, n_slots + m))
+    slots = np.zeros(n_slots + k, dtype=np.intp)
+    slots[place] = np.r_[entries, dim + m]
+    lags, fresh_lags = np.subtract.outer(m, m), k - 1 - np.add.outer(g_offset, m)
+    augmented = np.zeros((2 * k, 2 * k))
+    augmented[k:] = np.hstack((np.eye(k), 1e300 * np.eye(k)))
+    layout = _Layout(
+        reach, shift, (at[heads, None], at[head_cols]), at[heads], at[list(inputs)],
+        tuple(np.searchsorted(heads, observed)), np.where(lags >= 0, lags, k),
+        np.where(lags >= delay, lags - delay, k)[lag:],
+        (np.where(fresh_lags >= 0, fresh_lags, k), g_chain[:, None]), (k - g_offset, g_chain),
+        fresh_rows, take, slots[:-k].reshape(-1, k), take[slots], place,
+        np.minimum.outer(fresh_rows, fresh_rows) * len(g_chain)
+        + np.maximum.outer(fresh_rows, fresh_rows),
+        shifted[:, None] * (dim + len(fresh)) + shifted,
+        np.minimum.outer(slot, slot) * n_slots + np.maximum.outer(slot, slot), augmented,
+        np.tri(k))
+    for array in layout:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return layout
 
 
-def _frozen_run(state: SmootherState, model: StateSpaceModel, z) -> npt.NDArray[np.float64]:
-    """Step a state frozen under ``model`` through the ``(C, T)`` observations
-    ``z``; returns the ``(C, T)`` emitted samples and leaves the end state.
+class LiftedModel(NamedTuple):
+    """``BLOCK_LEN`` = K steps of one model as a single vector measurement.
 
-    A step is x_t = A x_(t-1) + g z_t, A = (I - g h) F, so a left vector l
-    reads l x_t = l A^t x_0 plus the lower-triangular Toeplitz product of
-    the taps l A^k g with z, and x_T = A^T x_0 + sum_t A^(T-t) g z_t.  The
-    rows l A^t and columns A^k g double block by block through the squares
-    of A.  These span only the entries something reads, so a chain's unread
-    tail (see ``_unread_runs``) does not change the bits of the rest.  Its
-    entry k = start + m ends at x_(start-1)(T-m-1) + sum_(s<=m) g_(k-s) nu_(T-s)
-    if m < T, else at x_(k-T)(0) + sum_(s<T) g_(k-s) nu_(T-s), with the
-    innovation nu_t = z_t - h F x_(t-1) and x_(start-1) as two more left
-    vectors.  Products on the data run per channel, so a channel gets the
-    same bits alone as beside others.
+    A row of F^t is a shifted unit row or a chain head's row of a lower
+    power, and a head row reads only the reach: each chain from its head to
+    the last entry a head row reads.  So F^K copies entry i - K into entry
+    i, except at the first K entries of each chain, the fresh ones, whose
+    rows e_head F^(K-m) read the reach; h F^t (t = 1..K) and e_d F^t
+    (t > d) read it too, and e_d F^t = e_(d-t) for t <= d.  ``rows``
+    stacks, over the reach, H = [h F^t], then G, K fresh rows per chain
+    (those past a chain's end are never used), then E = [e_d F^t], t > d.
+    Below the ``dim`` entries of the state, or rows of P H^T, their
+    products with [G; E] give [F^K; E_d] of it by one gather; and F^K P
+    F^K^T is a gather of [[P, P G^T], [G P, G P G^T + Q_K]], G cut to the
+    fresh entries' rows.
+
+    The process noise enters through the two driven entries only: ``noise``
+    is the covariance of the noise in ``rows``' products with the K
+    observations, [N; M; N_d], and ``fresh_noise`` G's own, Q_K.
+
+    A product over the state's entries runs in K-row pieces, each chain from
+    a piece of its own, then a piece of the K samples: a longer chain only
+    adds pieces, so it leaves the bits of the rest.
     """
-    gain, dim, steps = state.gain, model.dim, z.shape[-1]
-    runs = model._unread_runs
-    read = np.ones(dim, dtype=bool)
-    for start, stop in runs:
-        read[start:stop] = False
-    at = np.cumsum(read) - 1  # an entry's place among the read entries
-    f = model.matrix()[np.ix_(read, read)]
-    h_f = f[at[model.observed[0]]] + f[at[model.observed[1]]]
-    g = gain[read]
-    a = f - np.multiply.outer(g, h_f)
-    left = np.eye(len(g))[at[[model.smoother_delay, *(start - 1 for start, _ in runs)]]]
-    if runs:
-        left = np.vstack((left, h_f))
-    starts = state.x.reshape(dim, -1).T.copy()  # one row per channel
-    powered = [x[read] for x in starts]  # becomes A^T x_0, one square per bit of T
-    rows = np.empty((len(left), steps + 1, len(g)))  # l A^t for t = 0..T
-    columns = np.empty((len(g), steps))  # A^t g for t = 0..T-1
-    rows[:, 0], columns[:, 0] = left, g
-    square, t = a, 1  # square = A^t
-    while t <= steps:
-        rows[:, t : 2 * t] = rows[:, : min(t, steps + 1 - t)] @ square
-        columns[:, t : 2 * t] = square @ columns[:, : min(t, steps - t)]
-        if steps & t:
-            powered = [square @ x for x in powered]
-        t *= 2
-        if t <= steps:
-            square = square @ square
-    taps = rows[:, :steps] @ g
-    emitted = np.empty_like(z)
-    for c, (x, z_c) in enumerate(zip(starts, z)):
-        reads = rows @ x[read]  # l x_t for t = 0..T, before the inputs
-        for row, taps_l in zip(reads, taps):
-            row[1:] += np.convolve(taps_l, z_c)[:steps]
-        emitted[c] = reads[0, 1:]
-        end = state.joint[:, dim + c]  # every entry is read or in a run
-        end[read] = powered[c] + columns[:, ::-1] @ z_c
-        if runs:
-            nu_reversed = (z_c - reads[-1, :steps])[::-1]  # nu_T, ..., nu_1
-            for (start, stop), last_read in zip(runs, reads[1:]):
-                m = np.arange(stop - start)
-                lag = m[:, None] - np.arange(steps)
-                spread = np.where(lag >= 0, gain[start + np.maximum(lag, 0)], 0.0)
-                fed = np.where(m < steps, last_read[np.maximum(steps - 1 - m, 0)],
-                               x[start + np.maximum(m - steps, 0)])
-                end[start:stop] = fed + (spread * nu_reversed).sum(axis=1)
-    state.samples_seen += steps
-    return emitted
+
+    layout: _Layout
+    rows: npt.NDArray[np.float64]  # (K + len(head_rows) * K + K - min(d, K), reach)
+    rows_t: npt.NDArray[np.float64]
+    noise: npt.NDArray[np.float64]
+    fresh_noise: npt.NDArray[np.float64]
+
+
+def lift(model: StateSpaceModel) -> LiftedModel:
+    """The data-free matrices of ``BLOCK_LEN`` steps under ``model``.
+
+    They come from the chain heads' rows of F^t over the reach, t = 0..K,
+    one small product per t, and the noise terms from those rows' entries
+    at the two driven entries: the process noises' impulse responses.
+    """
+    k, n_heads = BLOCK_LEN, len(model.head_rows)
+    layout = _layout(model.dim, tuple(model.head_rows), tuple(model.head_cols), model.observed,
+                     model.inputs, model.smoother_delay, k)
+    (i, j), n_fresh = layout.observed, len(layout.fresh_powers[0])
+    f = layout.shift.copy()
+    f[layout.weights_at] = model.head_weights
+    powers = np.zeros((k + 1, n_heads, len(layout.reach)))  # [t, c]: e_(head c) F^t
+    powers[0, np.arange(n_heads), layout.heads_at] = 1.0
+    for t in range(k):
+        np.dot(powers[t], f, out=powers[t + 1])
+    rows = np.concatenate((powers[1:, i] + powers[1:, j], powers[layout.fresh_powers],
+                           powers[1 : len(layout.out_lags) + 1, 0]))
+    # [t, c, a] = e_(head c) F^t e_(input a) for t < K, and a zero row at t = K.
+    impulse = np.concatenate((powers[:k][:, :, layout.inputs_at], np.zeros((1, n_heads, 2))))
+    responses = np.concatenate((
+        (impulse[:, i] + impulse[:, j])[layout.obs_lags],
+        impulse[layout.fresh_lags],
+        impulse[layout.out_lags, 0])).reshape(len(rows), 2 * k)
+    weighted = responses * np.tile(model.process_variances, k)
+    fresh_noise = weighted[k : k + n_fresh] @ responses[k : k + n_fresh].T
+    return LiftedModel(layout, rows, rows.T.copy(), weighted @ responses[:k].T,
+                       fresh_noise.reshape(-1)[layout.fresh_block])
+
+
+def lifted_update(state: SmootherState, lifted: LiftedModel, z, emitted) -> bool:
+    """Run ``BLOCK_LEN`` samples as one vector measurement: write their
+    ``(C, K)`` emitted samples for the ``(C, K)`` observations ``z`` into
+    ``emitted`` and advance ``state``; returns False, touching neither,
+    where the block must run per sample.
+
+    With S = H P H^T + N = L L^T and C = F^K P H^T + M, the end state is
+    F^K x + C S^-1 (z - H x) and P becomes F^K P F^K^T + Q_K - W W^T with
+    W = C L^-T; sample t emits e_d F^t x plus row t of B L^-T, B = E_d P
+    H^T + N_d, cut to its lower triangle, times L^-1 (z - H x).
+    """
+    layout, rows, dim, k = lifted.layout, lifted.rows, len(state.joint), BLOCK_LEN
+    reach, fresh_rows, cov, x = layout.reach, layout.fresh_rows, state.cov, state.joint[:, dim:]
+    buffer, pieces = state.buffer, layout.pieces
+    reached = np.take(cov, reach, axis=1, out=buffer("reached", (dim, len(reach))), mode="clip")
+    products = np.matmul(  # [P H^T | P G^T | P E^T]
+        np.take(reached, pieces, axis=0, out=buffer("pieces", (*pieces.shape, len(reach))),
+                mode="clip"),
+        lifted.rows_t, out=buffer("products", (*pieces.shape, len(rows))))
+    products = np.take(products.reshape(-1, len(rows)), layout.place[:dim], axis=0,
+                       out=buffer("placed", (dim, len(rows))), mode="clip")
+    ph, band, at_reach = products[:, :k], products[:, k:], products[reach]
+    dense = rows @ at_reach[:, :k] + lifted.noise  # [S; C and B where F^K and E_d are dense]
+    # The Cholesky factor of [[S, I], [I, c I]], c past any entry of S^-1, holds L^-T below L.
+    augmented = layout.augmented.copy()
+    augmented[:k, :k] = dense[:k]
+    try:
+        factor = np.linalg.cholesky(augmented)
+    except np.linalg.LinAlgError:
+        return False
+    pivot = np.diagonal(factor)[:k].min() ** 2
+    if not (pivot > INNOVATION_EPS and math.isfinite(z.sum())
+            and dense[:k].diagonal().max() <= BLOCK_SPREAD_MAX * pivot):
+        return False
+    whiten_t = factor[k:, :k]  # L^-T
+    white = np.concatenate((ph, dense[k:]))[layout.piece_take].reshape(-1, k, k) @ whiten_t
+    white[-1] *= layout.lower  # [W; B L^-T cut to its lower triangle], in pieces
+    gain = white @ whiten_t.T
+    w = white[:-1]
+    paired = buffer("paired", (w.size // k,) * 2)  # W_a W_b^T for each pair of pieces
+    np.matmul(w[:, None], w[None].swapaxes(2, 3),
+              out=paired.reshape(len(w), k, len(w), k).swapaxes(1, 2))
+
+    n_fresh = len(layout.fresh_powers[0])
+    spread = buffer("spread", (dim + len(fresh_rows),) * 2)
+    spread[:dim, :dim] = cov
+    spread[:dim, dim:] = band[:, fresh_rows]
+    spread[dim:, :dim] = spread[:dim, dim:].T
+    np.add((rows[k : k + n_fresh] @ at_reach[:, k : k + n_fresh]).reshape(-1)[layout.fresh_block],
+           lifted.fresh_noise, out=spread[dim:, dim:])
+    out = state.spare
+    np.subtract(
+        np.take(spread.reshape(-1), layout.shifted, out=buffer("shifted", (dim, dim)), mode="clip"),
+        np.take(paired.reshape(-1), layout.paired, out=buffer("paired_at", (dim, dim)), mode="clip"),
+        out=out[:, :dim])
+    # Each channel's products are calls of their own, so its bits do not depend on the others.
+    predicted = np.matmul(rows, x[reach].T[:, :, None])[:, :, 0]
+    corrected = np.matmul(gain, (z - predicted[:, :k])[:, None, :, None])
+    lifted_x = (np.concatenate((x, predicted[:, k:].T))[layout.take]
+                + corrected.reshape(len(z), -1).T[layout.place])
+    out[:, dim:] = lifted_x[:dim]
+    emitted[...] = lifted_x[dim:].T
+    state.joint, state.spare = out, state.joint
+    state.samples_seen += k
+    return True
 
 
 def enhance_channel(
@@ -365,12 +479,15 @@ def enhance_channel(
     observations, which flush the last samples out, so the output aligns
     sample-for-sample with the input: the step for sample n emits output
     sample n - ``smoother_delay``.  Samples after the last full frame, and
-    the flush, use the last frame's model.  Within a frame, ``flks_step``
-    runs until the gain freezes; the rest runs as a block (``_frozen_run``)
-    if it has at least r**2 / ``BLOCK_TAIL_DIM2_PER_STEP`` samples, r the
-    entries the block spans, else sample by sample (``_frozen_steps``).
-    The choice reads neither the data, nor the channel count, nor a chain's
-    unread tail.  ``per_frame_params`` holds one entry per whole frame, as
+    the flush, use the last frame's model.  Each frame, and the last one
+    through the partial frame and the flush, runs as lifted blocks of
+    ``BLOCK_LEN`` samples (``lifted_update``) and ``flks_step`` for the rest;
+    a block that cannot run lifted (see the module docstring) runs
+    ``flks_step`` too.  The output is the fixed-lag smoother of the
+    per-sample recursion.  The products on the data run one channel at a
+    time and span only the entries the frame reads, so neither the channel
+    count nor a chain's unread tail changes the bits of the rest.
+    ``per_frame_params`` holds one entry per whole frame, as
     ``pipeline.frame_params`` gives it, and ``smoother_delay`` is at least
     the speech order, as ``pipeline.process`` checks.  Input shorter than
     one frame has no parameters and is returned unchanged.
@@ -401,15 +518,15 @@ def enhance_channel(
     n = 0
     for f, model in enumerate(models):
         end = (f + 1) * frame_len if f < n_frames - 1 else observations.shape[1]
-        while n < end and state.frozen is not model:
-            state, sample = flks_step(state, model, padded[..., n])
-            if sample is not None:
-                emitted[:, n] = sample
-            n += 1
-        if n < end:
-            spanned = model.dim - sum(stop - start for start, stop in model._unread_runs)
-            block = (end - n) * BLOCK_TAIL_DIM2_PER_STEP >= spanned**2
-            frozen_rest = _frozen_run if block else _frozen_steps
-            emitted[:, n:end] = frozen_rest(state, model, observations[:, n:end])
-            n = end
+        lifted = lift(model) if end - n >= BLOCK_LEN else None
+        while n < end:
+            stop = min(n + BLOCK_LEN, end)
+            block = slice(n, stop)
+            if stop - n < BLOCK_LEN or not lifted_update(state, lifted, observations[:, block],
+                                                         emitted[:, block]):
+                for i in range(n, stop):
+                    state, sample = flks_step(state, model, padded[..., i])
+                    if sample is not None:
+                        emitted[:, i] = sample
+            n = stop
     return emitted[:, smoother_delay:].reshape(x.shape)
