@@ -617,10 +617,8 @@ class TestEnhanceChannel:
         # loop (see assert_matches_step_loop): "block" runs lifted blocks,
         # and the silent frame's blocks fall back to flks_step; "steps" makes
         # every segment shorter than a block, so every sample runs flks_step
-        # and the output is the loop's, bit for bit.  (In V-UV the period-40
-        # frame's pitch tap acts only through a lagged entry, so a gain
-        # freeze that compares consecutive gains stopped its recursion at
-        # the first step, 4-17 % of the peak away from the loop.)
+        # and the output is the loop's, bit for bit.  In V-UV the period-40
+        # frame's pitch tap acts only through a lagged entry.
         import binse.kalman as kalman
 
         if path == "steps":
@@ -670,6 +668,20 @@ class TestEnhanceChannel:
         enhance_channel(z + 0.03 * rng.normal(size=z.shape), params, 200, "vuv", 25)
         assert build_vuv_model(SPEECH14, NOISE14, UNVOICED, 25, 1).dim == 41
         assert steps == [*range(BLOCK_LEN), *range(n + 25 - 24, n + 25)]
+
+    def test_growing_powers_run_per_sample(self, rng, monkeypatch):
+        # Clustered poles at radius 0.97 make the rows h F^t grow past
+        # ROW_GROWTH_MAX (coefficients reach 48), where K-step products would
+        # cancel digits that per-sample steps keep: every sample steps, so the
+        # output is the loop's bit for bit.
+        speech = ArModel(stable_ar([0.97] * 4, [0.3, 0.4, 0.5, 0.6]), 1e-3)
+        params, n = self.make_params(3, speech, ArModel(np.array([0.4]), 1e-7)), 3 * 200 + 70
+        z = 0.05 * rng.normal(size=(2, n))
+        steps = spy_steps(monkeypatch)
+        got = enhance_channel(z, params, 200, "uv", 25)
+        assert steps == list(range(n + 25))
+        models = [build_uv_model(speech, params[0][0].noise, 25)] * 3
+        assert got.tobytes() == stepped(z, models, 200, 25).tobytes()
 
     def test_known_params_near_wiener(self, rng):
         import time
@@ -723,16 +735,17 @@ def lifted_cases(draw):
             speech, noise, pitches, silent_at, draw(st.integers(0, 2**32 - 1)))
 
 
-@pytest.mark.xfail(strict=False, reason=(
-    "known: on some draws (sigma_v^2 = 1e-7, companion powers with large"
-    " transients, the switch into the zero-variance silent frame) the blocks"
-    " miss the loop by up to 1.2e-9 of the peak; see CHANGES.md"))
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(lifted_cases())
 def test_lifted_blocks_match_step_loop(case):
     # enhance_channel's lifted blocks against the per-sample flks_step loop,
-    # within 1e-12 of the peak.  Below BLOCK_LEN the rows e_d F^t cross the
-    # speech chain's head; the silent frame's blocks fall back to flks_step.
+    # within 1e-10 of the peak.  Below BLOCK_LEN the rows e_d F^t cross the
+    # speech chain's head; the silent frame's blocks fall back to flks_step,
+    # and so does a model whose powers grow past ROW_GROWTH_MAX.  On 1,500
+    # random draws of these cases the worst gap read 2.2e-11 of the peak and
+    # 26 draws read more than 1e-12; on those, against a long-double
+    # recursion, the blocks missed by up to 2.2e-11 and the loop by up to
+    # 4.7e-12.  The fixed-model tests above hold 1e-12.
     kind, shape, delay, speech, noise, pitches, silent_at, seed = case
     n = 4 * 200 + 37
     z = 0.05 * np.random.default_rng(seed).normal(size=(*shape, n))
@@ -746,4 +759,4 @@ def test_lifted_blocks_match_step_loop(case):
     models = [build_uv_model(e.speech, e.noise, delay) if kind == "uv"
               else build_vuv_model(e.speech, e.noise, p, delay, chain) for e, p in params]
     plain = stepped(z, models, 200, delay)
-    np.testing.assert_allclose(got, plain, rtol=0, atol=1e-12 * np.max(np.abs(plain)))
+    np.testing.assert_allclose(got, plain, rtol=0, atol=1e-10 * np.max(np.abs(plain)))
