@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import wave
 from pathlib import Path
@@ -76,17 +77,11 @@ def load_config_file(path) -> dict:
 
 _SWITCH = {"on": True, "true": True, "yes": True, "1": True,
            "off": False, "false": False, "no": False, "0": False}
+# Each RunConfig field's parser, by its annotation (a string under postponed evaluation).
 _CONFIG_FIELDS = {
-    "frame_len": int,
-    "smoother_delay": int,
-    "f_min": float,
-    "f_max": float,
-    "pitch_grid_hz": float,
-    "mode": str,
-    "model": str,
-    "voicing_threshold": float,
-    "adaptive_noise_codebook": lambda s: _SWITCH[s.lower()],
-    "max_harmonic_order": int,
+    field.name: {"int": int, "int | None": int, "float": float, "str": str,
+                 "bool": lambda s: _SWITCH[s.lower()]}[field.type]
+    for field in dataclasses.fields(RunConfig)
 }
 
 

@@ -43,7 +43,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .linpred import ArModel
-from .pitch import PitchInfo
+from .pitch import UNVOICED, PitchInfo
 
 INNOVATION_EPS = 1e-30
 # Samples per lifted block: it divides the default 200-sample frame.
@@ -84,31 +84,30 @@ class StateSpaceModel:
         q[k, k] = self.process_variances
         object.__setattr__(self, "_head_block", (np.ix_(rows, rows), self.head_weights.T / 2, q))
 
-    def predict(self, joint, out, cov_cols: int) -> None:
-        """Write F P F^T + Q for the first ``cov_cols`` columns (``dim`` or 0)
-        of ``joint`` = [P | X], and F X for the rest, into ``out``.
+    def predict(self, joint, out) -> None:
+        """Write F P F^T + Q for the ``dim`` columns of ``joint`` = [P | X] that
+        hold P, and F X for the rest, into ``out``.
 
         One product W [P | X][head_cols] gives the head rows of F P and of
-        F X.  On the models ``build_uv_model`` and ``build_vuv_model`` make,
-        its columns have the bits of one mat-vec per column, so a channel
-        gets the same bits alone as beside others (``tests/test_kalman.py``
-        checks this against the per-column form).  F P F^T + Q is exactly
-        symmetric: a shifted copy of P, R = W P[head_cols] for the head rows
-        and R^T for the head columns, and M + M^T + Q for the head block, with
+        F X.  On the models ``build_vuv_model`` makes, its columns have the
+        bits of one mat-vec per column, so a channel gets the same bits alone
+        as beside others (``tests/test_kalman.py`` checks this against the
+        per-column form).  F P F^T + Q is exactly symmetric: a shifted copy
+        of P, R = W P[head_cols] for the head rows and R^T for the head
+        columns, and M + M^T + Q for the head block, with
         M = R[:, head_cols] W^T / 2.
         """
-        rows, weights, k = self.head_rows, self.head_weights, cov_cols
+        rows, weights, k = self.head_rows, self.head_weights, self.dim
+        block, half_weights_t, q = self._head_block
         heads = weights.dot(joint[self.head_cols])
+        shifted = heads[:, : k - 1]
         out[1:, k:] = joint[:-1, k:]
         out[rows, k:] = heads[:, k:]
-        if k:
-            block, half_weights_t, q = self._head_block
-            shifted = heads[:, : k - 1]
-            out[1:, 1:k] = joint[:-1, : k - 1]
-            out[rows, 1:k] = shifted  # row 0 is always a head row
-            out[1:, rows] = shifted.T
-            m = heads[:, self.head_cols].dot(half_weights_t)
-            out[block] = m + m.T + q
+        out[1:, 1:k] = joint[:-1, : k - 1]
+        out[rows, 1:k] = shifted  # row 0 is always a head row
+        out[1:, rows] = shifted.T
+        m = heads[:, self.head_cols].dot(half_weights_t)
+        out[block] = m + m.T + q
 
     def matrix(self) -> npt.NDArray[np.float64]:
         """F as a dense ``(dim, dim)`` array."""
@@ -123,25 +122,24 @@ class SmootherState:
     ``(dim, dim + C)`` array ``joint`` = [P | x]; ``cov`` and ``x`` (``(dim,)``
     or ``(dim, C)``) are views of it.
 
-    It also holds ``flks_step``'s workspace: a ``spare`` array of the shape
-    of ``joint``, which the step predicts into and then swaps with
-    ``joint``, and a ``rank_one`` array of that shape; ``lifted_update``
-    swaps the same pair and keeps its own arrays in ``buffers``.  As the two
+    It also holds the steps' workspace: a ``spare`` array of the shape of
+    ``joint``, which ``flks_step`` and ``lifted_update`` write into and then
+    swap with ``joint``, and the reused arrays of ``buffer``.  As the two
     arrays swap on every step, a ``cov`` or ``x`` view taken after one step
     is overwritten two steps later; a caller that keeps one must copy it."""
 
     def __init__(self, x, cov):
         x = np.asarray(x, dtype=float)
         self.joint = np.concatenate((cov, x.reshape(len(x), -1)), axis=1)
-        self.spare, self.rank_one = np.empty_like(self.joint), np.empty_like(self.joint)
+        self.spare = np.empty_like(self.joint)
         self.x_shape = x.shape
         self.samples_seen = 0
         self.buffers: dict[str, npt.NDArray[np.float64]] = {}
 
     def buffer(self, name: str, shape) -> npt.NDArray[np.float64]:
-        """The reused C-contiguous array ``name`` of ``shape``, for ``lifted_update``.
-        Fresh arrays instead made its blocks 1.6x slower at dim 138 and 1.7x
-        at dim 296 (one BLAS thread, 2-core x86-64 host)."""
+        """The reused C-contiguous array ``name`` of ``shape``.  Fresh arrays
+        instead made lifted blocks 1.6x slower at dim 138 and 1.7x at dim 296
+        (one BLAS thread, 2-core x86-64 host)."""
         size = math.prod(shape)
         flat = self.buffers.get(name)
         if flat is None or flat.size < size:
@@ -161,26 +159,9 @@ class SmootherState:
         self.joint[:, len(self.joint) :] = np.reshape(value, (len(self.joint), -1))
 
 
-def _model(speech, noise, smoother_delay, dim, rows, runs, inputs, observed):
-    """The model whose head ``rows`` hold ``(row, first column, weights)``
-    ``runs``; its ``head_cols`` are the columns the runs cover."""
-    block = np.zeros((len(rows), dim))
-    covered = np.zeros(dim, dtype=bool)
-    for row, start, weights in runs:
-        block[rows.index(row), start : start + len(weights)] = weights
-        covered[start : start + len(weights)] = True
-    cols = np.flatnonzero(covered)
-    variances = (speech.excitation_variance, noise.excitation_variance)
-    return StateSpaceModel(dim, np.array(rows), cols, block[:, cols], inputs, observed,
-                           variances, smoother_delay)
-
-
 def build_uv_model(speech: ArModel, noise: ArModel, smoother_delay: int) -> StateSpaceModel:
-    """Assemble the UV concatenated state space (speech chain + noise chain)."""
-    ds1 = smoother_delay + 1
-    runs = [(0, 0, speech.coefficients), (ds1, ds1, noise.coefficients)]
-    return _model(speech, noise, smoother_delay, ds1 + noise.order, [0, ds1], runs,
-                  inputs=(0, ds1), observed=(0, ds1))
+    """Assemble the UV state space: the V-UV one with an empty excitation chain."""
+    return build_vuv_model(speech, noise, UNVOICED, smoother_delay, 0)
 
 
 def build_vuv_model(
@@ -190,20 +171,29 @@ def build_vuv_model(
 
     The chain must reach every pitch period the state will see, so the
     state survives pitch changes; unvoiced frames simply zero the tap.
-    d(n+1) enters the excitation chain and v(n) the noise chain.
+    d(n+1) enters the excitation chain and v(n) the noise chain.  With
+    ``chain_len`` 0 this is the UV layout: d(n) drives the speech head.
     """
     ds1 = smoother_delay + 1
     noise_start = ds1 + chain_len
-    runs = [
-        (0, 0, speech.coefficients),
-        (0, ds1, [1.0]),  # coupling: u(n) drives s(n)
-        (noise_start, noise_start, noise.coefficients),
-    ]
+    driven = ds1 if chain_len else 0  # the entry d(n) drives
+    rows = sorted({0, driven, noise_start})  # the chains' heads
+    dim = noise_start + noise.order
+    # F's head rows as (row, first column, weights) runs.
+    runs = [(0, 0, speech.coefficients), (noise_start, noise_start, noise.coefficients)]
+    if chain_len:
+        runs.append((0, ds1, [1.0]))  # coupling: u(n) drives s(n)
     if pitch.is_voiced:
         runs.append((ds1, ds1 + pitch.period_samples - 1, [pitch.voicing]))
-    return _model(speech, noise, smoother_delay, noise_start + noise.order,
-                  [0, ds1, noise_start], runs, inputs=(ds1, noise_start),
-                  observed=(0, noise_start))
+    block = np.zeros((len(rows), dim))
+    covered = np.zeros(dim, dtype=bool)
+    for row, start, weights in runs:
+        block[rows.index(row), start : start + len(weights)] = weights
+        covered[start : start + len(weights)] = True
+    cols = np.flatnonzero(covered)
+    variances = (speech.excitation_variance, noise.excitation_variance)
+    return StateSpaceModel(dim, np.array(rows), cols, block[:, cols], (driven, noise_start),
+                           (0, noise_start), variances, smoother_delay)
 
 
 def initial_state(
@@ -249,14 +239,14 @@ def flks_step(state: SmootherState, model: StateSpaceModel, z_n):
     """
     joint, dim, (i, j) = state.joint, model.dim, model.observed
     n, delay = state.samples_seen, model.smoother_delay
-    out, rank_one = state.spare, state.rank_one
-    model.predict(joint, out, dim)
+    out = state.spare
+    model.predict(joint, out)
     obs = out[i] + out[j]  # [P h^T | h x], as P is symmetric
     innov_var = float(obs[i] + obs[j])
     if not innov_var <= INNOVATION_EPS:  # a NaN still corrects, so it shows
         obs[dim:] -= z_n
         obs /= math.sqrt(innov_var)
-        out -= np.dot(obs[:dim, None], obs[None, :], out=rank_one)
+        out -= np.dot(obs[:dim, None], obs[None, :], out=state.buffer("rank_one", out.shape))
     state.joint, state.spare, state.samples_seen = out, joint, n + 1
     if n < delay:
         return state, None

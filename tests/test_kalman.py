@@ -65,6 +65,24 @@ class TestBuildUvModel:
         assert m.dim == 26 + 14
         assert m.smoother_delay == 25
 
+    @pytest.mark.parametrize("speech_order", [1, 2, 14])
+    @pytest.mark.parametrize("noise_order", [1, 2, 14])
+    @pytest.mark.parametrize("at_order", [True, False], ids=["delay=order", "delay=25"])
+    def test_is_vuv_with_empty_chain(self, rng, speech_order, noise_order, at_order):
+        # The UV model is the V-UV one with no excitation chain: d(n) drives
+        # the speech head, with no coupling entry and no pitch tap.
+        speech = ArModel(rng.uniform(-0.3, 0.3, speech_order) / speech_order, 0.7)
+        noise = ArModel(rng.uniform(-0.3, 0.3, noise_order) / noise_order, 0.2)
+        delay = speech_order if at_order else 25
+        uv = build_uv_model(speech, noise, delay)
+        vuv = build_vuv_model(speech, noise, UNVOICED, delay, 0)
+        assert vuv.dim == uv.dim == delay + 1 + noise_order
+        assert vuv.head_rows.tolist() == uv.head_rows.tolist() == [0, delay + 1]
+        np.testing.assert_array_equal(vuv.head_cols, uv.head_cols)
+        assert vuv.head_weights.tobytes() == uv.head_weights.tobytes()
+        assert (vuv.inputs, vuv.observed) == (uv.inputs, uv.observed) == ((0, delay + 1),) * 2
+        assert vuv.process_variances == uv.process_variances == (0.7, 0.2)
+
 
 class TestBuildVuvModel:
     def test_hand_assembled_6x6(self):
@@ -91,7 +109,7 @@ class TestBuildVuvModel:
         cov = cov + cov.T
         q = np.diag([0.0, 0.0, 1.0, 0.0, 1.0])  # unit sigma_d^2 and sigma_v^2
         predicted = np.empty_like(cov)
-        m.predict(cov, predicted, m.dim)
+        m.predict(cov, predicted)
         np.testing.assert_allclose(predicted, expect @ cov @ expect.T + q, rtol=1e-15)
 
     def test_unvoiced_zero_tap(self):
